@@ -73,11 +73,19 @@ impl LtaParams {
     /// Ties break toward the lower index, matching a deterministic
     /// comparator tree.
     ///
+    /// With zero offset (`offset_sigma == 0`, the ideal comparator) no
+    /// sample is drawn and `rng` is left untouched: `i + 0·z == i` for
+    /// every finite `z` and every non-negative or infinite current `i`,
+    /// so drawing would return the same currents bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `currents` is empty.
     pub fn sense<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> LtaDecision {
         assert!(!currents.is_empty(), "LTA needs at least one row");
+        if self.offset_sigma.value() == 0.0 {
+            return LtaDecision { loser: argmin(currents), perturbed: currents.to_vec() };
+        }
         let perturbed: Vec<Amp> = currents
             .iter()
             .map(|i| Amp(normal(rng, i.value(), self.offset_sigma.value())))

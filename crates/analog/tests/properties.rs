@@ -4,6 +4,7 @@ use ferex_analog::crossbar::{ArrayOptions, ColumnDrive, Crossbar};
 use ferex_analog::lta::LtaParams;
 use ferex_analog::montecarlo::MonteCarlo;
 use ferex_analog::{DelayModel, EnergyModel, WireParams};
+use ferex_fefet::math::normal;
 use ferex_fefet::units::{Amp, Volt};
 use ferex_fefet::Technology;
 use proptest::prelude::*;
@@ -25,6 +26,38 @@ proptest! {
             .map(|(i, _)| i)
             .unwrap();
         prop_assert_eq!(got, want);
+    }
+
+    /// With zero offset `sense` skips the noise draws without changing its
+    /// answer: for non-negative currents, exact ties and `INFINITY` rows
+    /// included, it returns the loser and the current bit patterns that
+    /// drawing `normal(rng, c, 0.0)` for every row gives.
+    #[test]
+    fn zero_offset_sense_equals_the_drawing_path(
+        levels in prop::collection::vec(0u32..8, 1..24),
+        inf_mask in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let amps: Vec<Amp> = levels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                if inf_mask >> (i % 32) & 1 == 1 { Amp(f64::INFINITY) } else { Amp(f64::from(l) * 1e-7) }
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let drawn: Vec<f64> = amps.iter().map(|c| normal(&mut rng, c.value(), 0.0)).collect();
+        let want = drawn
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(i, _)| i)
+            .unwrap();
+        let got = LtaParams::ideal().sense(&amps, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(got.loser, want);
+        let got_bits: Vec<u64> = got.perturbed.iter().map(|a| a.value().to_bits()).collect();
+        let want_bits: Vec<u64> = drawn.iter().map(|d| d.to_bits()).collect();
+        prop_assert_eq!(got_bits, want_bits);
     }
 
     /// sense_k with an ideal LTA returns indices sorted by ascending current
@@ -93,4 +126,22 @@ proptest! {
         let (lo, hi) = r.wilson_95();
         prop_assert!(lo <= r.accuracy() && r.accuracy() <= hi);
     }
+}
+
+/// Noisy and Circuit sensing (σ > 0) still draw one offset per row from
+/// the caller's stream, so a seeded decision sequence stays pinned.
+#[test]
+fn seeded_offset_sense_is_pinned() {
+    let lta = LtaParams::default();
+    let mut rng = StdRng::seed_from_u64(42);
+    let currents = [Amp(1.00e-7), Amp(1.02e-7), Amp(1.01e-7), Amp(f64::INFINITY)];
+    let losers: Vec<usize> = (0..16).map(|_| lta.sense(&currents, &mut rng).loser).collect();
+    let last = lta.sense(&currents, &mut rng);
+    let bits: Vec<u64> = last.perturbed.iter().map(|a| a.value().to_bits()).collect();
+    assert_eq!(losers, [1, 2, 0, 2, 1, 2, 2, 0, 1, 2, 1, 1, 1, 1, 1, 2]);
+    assert_eq!(last.loser, 1);
+    assert_eq!(
+        bits,
+        [4501589757210473227, 4499274273980697222, 4503985298123727242, f64::INFINITY.to_bits()]
+    );
 }

@@ -167,8 +167,9 @@ pub struct FerexArray {
     stored: Vec<Vec<u32>>,
     /// Structure-of-arrays mirror of `stored`: all symbol codes quantized
     /// to `u8` in one contiguous `rows × dim` buffer, maintained eagerly by
-    /// every mutator. The batched Ideal kernels read this instead of the
-    /// row-per-allocation `Vec<Vec<u32>>`.
+    /// every mutator, plus the bit-planes the popcount kernel packs on
+    /// first use and the mutators keep in sync. The batched Ideal kernels
+    /// read this instead of the row-per-allocation `Vec<Vec<u32>>`.
     codes: SoaCodes,
     crossbar: Option<Crossbar>,
     /// Per-cell variation samples of the `Noisy` backend (row-major).
@@ -242,13 +243,14 @@ impl FerexArray {
             Backend::Ideal => 0,
             Backend::Circuit(c) | Backend::Noisy(c) => c.seed,
         };
+        let plane_bits = soa::plane_bits(&encoding);
         FerexArray {
             tech,
             encoding,
             dim,
             backend,
             stored: Vec::new(),
-            codes: SoaCodes::new(dim),
+            codes: SoaCodes::new(dim, plane_bits),
             crossbar: None,
             noisy_samples: None,
             fault_map: None,
@@ -300,6 +302,12 @@ impl FerexArray {
         &self.stored
     }
 
+    /// The kernel-facing code buffer and its cached bit-planes.
+    #[cfg(test)]
+    pub(crate) fn soa_codes(&self) -> &SoaCodes {
+        &self.codes
+    }
+
     /// Swaps in a new encoding (reconfiguration to another distance
     /// function). Stored data is kept; the physical array will be
     /// re-programmed on the next search.
@@ -314,6 +322,7 @@ impl FerexArray {
                 }
             }
         }
+        self.codes.set_plane_bits(soa::plane_bits(&encoding));
         self.encoding = encoding;
         self.invalidate_physical_state();
         Ok(())
@@ -771,8 +780,10 @@ impl FerexArray {
     ///
     /// * `Ideal` reads the contiguous structure-of-arrays code buffer
     ///   instead of the row-per-allocation `Vec<Vec<u32>>`: a Hamming-exact
-    ///   encoding runs word-parallel XOR + popcount over packed bit-planes,
-    ///   every other encoding runs per-query current LUTs laid out
+    ///   encoding runs word-parallel XOR + popcount over the stored rows'
+    ///   bit-planes (packed by the first such call, then kept in sync by
+    ///   every mutator, so only the queries are packed per call), every
+    ///   other encoding runs per-query current LUTs laid out
     ///   contiguously, both cache-blocked rows-outer / queries-inner over
     ///   balanced query chunks.
     /// * `Noisy` precomputes one table of (stored cell × query symbol)
@@ -857,21 +868,17 @@ impl FerexArray {
         let rows = self.stored.len();
         debug_assert_eq!(self.codes.rows(), rows, "SoA code buffer out of sync");
         let dim = self.dim;
-        let phys_of: Vec<Option<usize>> = (0..rows).map(|r| self.physical_row(r)).collect();
         let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
 
         if soa::is_xor_popcount(&self.encoding) {
-            // Bit-plane path: pack stored codes once per batch (row-major,
-            // planes contiguous per row), pack each chunk's queries the
-            // same way, and reduce every (row, query) pair to XOR +
-            // popcount over `bits × ceil(dim/64)` words.
-            let bits = self.encoding.n_stored().trailing_zeros();
-            let words = dim.div_ceil(64);
+            // Bit-plane path: the stored rows' planes are cached beside the
+            // codes (row-major, planes contiguous per row); pack each
+            // chunk's queries the same way and reduce every (row, query)
+            // pair to XOR + popcount over `bits × ceil(dim/64)` words.
+            let (bits, words) = self.codes.plane_shape();
+            debug_assert_eq!(bits, soa::plane_bits(&self.encoding), "plane width out of sync");
             let stride = bits as usize * words;
-            let mut row_planes = vec![0u64; rows * stride];
-            row_planes.par_chunks_mut(stride).enumerate().for_each(|(r, planes)| {
-                soa::pack_bit_planes(self.codes.row(r), bits, words, planes);
-            });
+            let row_planes = self.codes.bit_planes();
             // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), plane strides and row indices are sized in this function; checked indexing would defeat the batch win")
             let per_chunk: Vec<Vec<Vec<f64>>> = ranges
                 .par_iter()
@@ -892,7 +899,7 @@ impl FerexArray {
                     }
                     let mut out = vec![vec![0.0f64; rows]; qs.len()];
                     for r in 0..rows {
-                        if phys_of[r].is_none() {
+                        if self.physical_row(r).is_none() {
                             for row_out in &mut out {
                                 row_out[r] = f64::INFINITY;
                             }
@@ -927,7 +934,7 @@ impl FerexArray {
                 }
                 let mut out = vec![vec![0.0f64; rows]; qs.len()];
                 for r in 0..rows {
-                    if phys_of[r].is_none() {
+                    if self.physical_row(r).is_none() {
                         for row_out in &mut out {
                             row_out[r] = f64::INFINITY;
                         }

@@ -8,7 +8,12 @@
 //!
 //! * [`SoaCodes`] — all stored symbols quantized to `u8` in one contiguous
 //!   `rows × dim` buffer, maintained eagerly by the array's mutators so
-//!   the read path never rebuilds it.
+//!   the read path never rebuilds it, plus the stored rows' packed
+//!   bit-planes. The planes are packed lazily, on the first bit-plane
+//!   kernel call; from then on each mutator re-packs only the rows it
+//!   touches. A bit-plane query therefore pays for the rows it scans and
+//!   nothing else, and an array that never takes that kernel (Noisy,
+//!   Circuit, a LUT encoding) never allocates planes at all.
 //! * [`balanced_ranges`] — query-batch partitioning that hands every
 //!   worker a chunk (sizes differ by at most one), instead of the
 //!   `div_ceil`-sized chunks that left workers idle on non-divisible
@@ -23,6 +28,10 @@
 //!   symbol `s` against query symbol `d`'s drive, laid out so one query's
 //!   rows are contiguous.
 //!
+//! An Ideal read then senses with a zero-offset LTA, which
+//! (`LtaParams::sense`) is a plain argmin that draws no noise, so a batch
+//! of one costs one kernel pass over the rows plus one argmin.
+//!
 //! # Bit-identity
 //!
 //! Both kernels accumulate in `u64` and convert once at the end, while
@@ -34,10 +43,12 @@
 //! the integer sum, and `sum as f64` reproduces it exactly.
 
 use crate::encoding::CellEncoding;
+use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Contiguous `rows × dim` buffer of stored symbol codes, one byte per
-/// symbol.
+/// symbol, and the bit-planes packed from it.
 ///
 /// Codes are written as `symbol & 0xff`. This is lossless whenever the
 /// *current* encoding has at most 256 stored levels: every mutator
@@ -46,22 +57,37 @@ use std::ops::Range;
 /// stored symbol — so in the only regime where the kernels read this
 /// buffer (`n_stored ≤ 256`, checked at dispatch), the truncation is the
 /// identity.
+///
+/// Once built, the planes always equal a fresh [`pack_bit_planes`] of
+/// every row at the current width: each mutator re-packs the rows it
+/// changes, and a width change ([`SoaCodes::set_plane_bits`]) drops them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaCodes {
     codes: Vec<u8>,
     dim: usize,
+    /// Bits per symbol in the planes ([`plane_bits`] of the encoding).
+    bits: u32,
+    /// Row-major packed planes, `bits × ⌈dim/64⌉` words per row. A
+    /// `OnceLock` so the `&self` read path can build them on first use.
+    planes: OnceLock<Vec<u64>>,
 }
 
 impl SoaCodes {
-    /// An empty buffer for `dim`-symbol rows.
-    pub(crate) fn new(dim: usize) -> Self {
-        SoaCodes { codes: Vec::new(), dim }
+    /// An empty buffer for `dim`-symbol rows whose planes hold `bits`
+    /// bits per symbol.
+    pub(crate) fn new(dim: usize, bits: u32) -> Self {
+        SoaCodes { codes: Vec::new(), dim, bits, planes: OnceLock::new() }
     }
 
     /// Appends one row.
     pub(crate) fn push_row(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.dim);
         self.codes.extend(row.iter().map(|&s| (s & 0xff) as u8)); // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
+        let stride = self.plane_stride();
+        if let Some(planes) = self.planes.get_mut() {
+            planes.resize(planes.len() + stride, 0);
+        }
+        self.repack_row(self.rows().saturating_sub(1));
     }
 
     /// Overwrites row `r` in place.
@@ -72,6 +98,7 @@ impl SoaCodes {
         for (dst, &s) in self.codes[base..base + self.dim].iter_mut().zip(row) {
             *dst = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
         }
+        self.repack_row(r);
     }
 
     /// Zeroes row `r` in place — the reclaim path of tombstone
@@ -82,6 +109,7 @@ impl SoaCodes {
         if let Some(row) = self.codes.get_mut(base..base + self.dim) {
             row.fill(0);
         }
+        self.repack_row(r);
     }
 
     /// Removes row `r`, shifting later rows up (mirrors
@@ -89,17 +117,79 @@ impl SoaCodes {
     pub(crate) fn remove_row(&mut self, r: usize) {
         let base = r * self.dim;
         self.codes.drain(base..base + self.dim);
+        let stride = self.plane_stride();
+        if let Some(planes) = self.planes.get_mut() {
+            planes.drain(r * stride..(r + 1) * stride);
+        }
     }
 
-    /// Drops every row.
+    /// Drops every row, and the planes with them.
     pub(crate) fn clear(&mut self) {
         self.codes.clear();
+        self.planes = OnceLock::new();
+    }
+
+    /// Sets the planes' bits per symbol, dropping built planes when the
+    /// width changes (a reconfiguration to another alphabet size). The
+    /// codes themselves do not depend on the width.
+    pub(crate) fn set_plane_bits(&mut self, bits: u32) {
+        if bits != self.bits {
+            self.bits = bits;
+            self.planes = OnceLock::new();
+        }
+    }
+
+    /// Bits per symbol and 64-symbol words per plane: one row's planes
+    /// are `bits × words` words.
+    pub(crate) fn plane_shape(&self) -> (u32, usize) {
+        (self.bits, self.dim.div_ceil(64))
+    }
+
+    fn plane_stride(&self) -> usize {
+        let (bits, words) = self.plane_shape();
+        bits as usize * words
+    }
+
+    /// The packed bit-planes of every row, row-major with
+    /// [`SoaCodes::plane_shape`] words per row. The first call packs all
+    /// rows, row-parallel; the mutators keep them in sync after that.
+    pub(crate) fn bit_planes(&self) -> &[u64] {
+        self.planes.get_or_init(|| {
+            let (bits, words) = self.plane_shape();
+            let stride = self.plane_stride();
+            let mut planes = vec![0u64; self.rows() * stride];
+            if stride > 0 {
+                planes.par_chunks_mut(stride).enumerate().for_each(|(r, out)| {
+                    pack_bit_planes(self.row(r), bits, words, out);
+                });
+            }
+            planes
+        })
+    }
+
+    /// Re-packs row `r`'s planes from its codes; nothing to do until the
+    /// planes are built.
+    fn repack_row(&mut self, r: usize) {
+        let (bits, words) = self.plane_shape();
+        let stride = self.plane_stride();
+        let Some(planes) = self.planes.get_mut() else { return };
+        let codes = self.codes.get(r * self.dim..(r + 1) * self.dim);
+        if let (Some(codes), Some(out)) = (codes, planes.get_mut(r * stride..(r + 1) * stride)) {
+            out.fill(0);
+            pack_bit_planes(codes, bits, words, out);
+        }
     }
 
     /// The whole buffer, row-major.
     #[cfg(test)]
     pub(crate) fn as_slice(&self) -> &[u8] {
         &self.codes
+    }
+
+    /// The planes, if built.
+    #[cfg(test)]
+    pub(crate) fn cached_planes(&self) -> Option<&[u64]> {
+        self.planes.get().map(Vec::as_slice)
     }
 
     /// Row `r`'s codes.
@@ -161,6 +251,13 @@ pub(crate) fn is_xor_popcount(encoding: &CellEncoding) -> bool {
     true
 }
 
+/// Bits per symbol of an encoding's bit-planes: `⌈log2 n_stored⌉`, enough
+/// to hold every stored symbol (exactly `log2` for the power-of-two
+/// alphabets the bit-plane kernel serves).
+pub(crate) fn plane_bits(encoding: &CellEncoding) -> u32 {
+    encoding.n_stored().next_power_of_two().trailing_zeros()
+}
+
 /// Packs one row of symbol codes into `bits` bit-planes of `words`
 /// 64-symbol words each: bit `d % 64` of plane `b`'s word `d / 64` is
 /// bit `b` of symbol `d`. Tail bits beyond `dim` stay zero, so they
@@ -218,7 +315,7 @@ mod tests {
 
     #[test]
     fn soa_codes_mirror_row_mutations() {
-        let mut soa = SoaCodes::new(3);
+        let mut soa = SoaCodes::new(3, 4);
         soa.push_row(&[0, 1, 2]);
         soa.push_row(&[3, 4, 5]);
         soa.push_row(&[6, 7, 8]);
@@ -236,7 +333,7 @@ mod tests {
 
     #[test]
     fn zero_row_clears_in_place_and_ignores_out_of_range() {
-        let mut soa = SoaCodes::new(3);
+        let mut soa = SoaCodes::new(3, 3);
         soa.push_row(&[1, 2, 3]);
         soa.push_row(&[4, 5, 6]);
         soa.zero_row(0);
@@ -293,5 +390,186 @@ mod tests {
         assert_eq!(popcount_distance(&pa, &pb), expect);
         // Distance to itself is zero.
         assert_eq!(popcount_distance(&pa, &pa), 0);
+    }
+
+    mod cached_planes {
+        use super::super::{pack_bit_planes, SoaCodes};
+        use crate::array::{Backend, FerexArray};
+        use crate::distance::DistanceMetric;
+        use crate::dm::DistanceMatrix;
+        use crate::encoding::CellEncoding;
+        use crate::error::FerexError;
+        use crate::mutate::MutationPolicy;
+        use crate::sizing::{find_minimal_cell, SizingOptions};
+        use crate::tile::TiledArray;
+        use ferex_fefet::math::splitmix64;
+        use ferex_fefet::Technology;
+        use proptest::prelude::*;
+
+        /// Two plane words per bit.
+        const DIM: usize = 70;
+
+        /// Hamming 2-bit (bit-plane kernel), Manhattan 2-bit (LUT kernel,
+        /// same plane width, so built planes stay and must stay in sync
+        /// unread) and Hamming 1-bit (a width change drops them).
+        fn encodings() -> Vec<CellEncoding> {
+            [
+                (DistanceMetric::Hamming, 2),
+                (DistanceMetric::Manhattan, 2),
+                (DistanceMetric::Hamming, 1),
+            ]
+            .iter()
+            .map(|&(m, bits)| {
+                let dm = DistanceMatrix::from_metric(m, bits);
+                find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes").encoding
+            })
+            .collect()
+        }
+
+        /// A vector of symbols below `n`; three seeds in four stay binary so
+        /// a later switch to the 1-bit encoding can succeed.
+        fn vector(seed: u64, n: usize) -> Vec<u32> {
+            let n = if seed.is_multiple_of(4) { n } else { n.min(2) } as u64;
+            (0..DIM as u64).map(|d| (splitmix64(seed ^ (d << 32)) % n) as u32).collect()
+        }
+
+        /// Built planes equal a fresh per-row pack of the codes.
+        fn assert_planes_fresh(codes: &SoaCodes) {
+            let Some(cached) = codes.cached_planes() else { return };
+            let (bits, words) = codes.plane_shape();
+            let stride = bits as usize * words;
+            let mut fresh = vec![0u64; codes.rows() * stride];
+            for (r, out) in fresh.chunks_mut(stride).enumerate() {
+                pack_bit_planes(codes.row(r), bits, words, out);
+            }
+            assert_eq!(cached, fresh.as_slice(), "cached bit-planes went stale");
+        }
+
+        /// The batch kernels equal the scalar path f64 bit for bit,
+        /// excluded rows (`INFINITY`) included, or both refuse.
+        fn assert_batch_is_scalar(
+            batch: Result<Vec<Vec<f64>>, FerexError>,
+            scalar: impl Fn(&[u32]) -> Result<Vec<f64>, FerexError>,
+            queries: &[Vec<u32>],
+        ) {
+            let Ok(batch) = batch else {
+                assert!(scalar(&queries[0]).is_err(), "batch refused what the scalar path serves");
+                return;
+            };
+            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            for (q, got) in queries.iter().zip(&batch) {
+                let want = scalar(q).expect("the scalar path serves what the batch served");
+                assert_eq!(bits(got), bits(&want), "batch kernel diverged from the scalar path");
+            }
+        }
+
+        fn queries(seed: u64, n: usize) -> Vec<Vec<u32>> {
+            (0..3).map(|i| vector(seed.wrapping_add(i), n)).collect()
+        }
+
+        proptest! {
+            /// Planes built by one `distances_batch` call stay equal to a
+            /// fresh pack through arbitrary positional, slot-table,
+            /// quarantine and reconfiguration sequences, and the kernels
+            /// stay bit-identical to the scalar path after every step.
+            #[test]
+            fn planes_track_every_array_mutator(
+                ops in prop::collection::vec((0u8..10, any::<u64>()), 1..32),
+            ) {
+                let encs = encodings();
+                let mut a = FerexArray::new(Technology::default(), encs[0].clone(), DIM, Backend::Ideal);
+                for s in 1..5 {
+                    a.store(vector(s, 4)).expect("valid");
+                }
+                assert_batch_is_scalar(a.distances_batch(&queries(0, 4)), |q| a.distances(q), &queries(0, 4));
+                prop_assert!(a.soa_codes().cached_planes().is_some(), "the first call builds the planes");
+                let mut next_id = 1_000;
+                for &(op, e) in &ops {
+                    let n = a.encoding().n_stored();
+                    let pick = |len: usize| (e >> 8) as usize % len.max(1);
+                    let len = a.len();
+                    if a.mutation_enabled() {
+                        let ids = a.live_ids();
+                        let id = ids.get(pick(ids.len())).copied().unwrap_or(0);
+                        match op {
+                            0 | 1 => {
+                                let _ = a.insert(next_id, vector(e, n));
+                                next_id += 1;
+                            }
+                            2 => { let _ = a.update_id(id, vector(e, n)); }
+                            3 => { let _ = a.delete(id); }
+                            4 => { a.compact(); }
+                            5 => { a.maintenance(); }
+                            6 => { let _ = a.reconfigure(encs[e as usize % 3].clone()); }
+                            7 | 8 => { let _ = a.quarantine_row(pick(len)); }
+                            _ => a.clear(),
+                        }
+                    } else {
+                        match op {
+                            0 | 1 => a.store(vector(e, n)).expect("valid"),
+                            2 if len > 0 => a.update(pick(len), vector(e, n)).expect("valid"),
+                            3 if len > 0 => { a.remove(pick(len)); }
+                            4 => a.clear(),
+                            5 => { let _ = a.reconfigure(encs[e as usize % 3].clone()); }
+                            6 if len > 0 => { let _ = a.quarantine_row(pick(len)); }
+                            7 | 8 => a
+                                .enable_mutation(MutationPolicy::with_capacity(len + 4))
+                                .expect("capacity covers the stored rows"),
+                            _ => {}
+                        }
+                    }
+                    assert_planes_fresh(a.soa_codes());
+                    let qs = queries(e, a.encoding().n_stored());
+                    assert_batch_is_scalar(a.distances_batch(&qs), |q| a.distances(q), &qs);
+                    assert_planes_fresh(a.soa_codes());
+                }
+            }
+
+            /// The same invariant on every tile of a tiled array driven
+            /// through its coordinated mutators.
+            #[test]
+            fn planes_track_every_tiled_mutator(
+                ops in prop::collection::vec((0u8..8, any::<u64>()), 1..24),
+            ) {
+                let encs = encodings();
+                let mut t =
+                    TiledArray::new(Technology::default(), encs[0].clone(), DIM, 32, Backend::Ideal);
+                for s in 1..4 {
+                    t.store(vector(s, 4)).expect("valid");
+                }
+                let mut next_id = 1_000;
+                for &(op, e) in &ops {
+                    let n = t.tiles()[0].encoding().n_stored();
+                    let ids = t.tiles()[0].live_ids();
+                    let id = ids.get((e >> 8) as usize % ids.len().max(1)).copied().unwrap_or(0);
+                    match op {
+                        0 | 1 if t.mutation_enabled() => {
+                            let _ = t.insert(next_id, vector(e, n));
+                            next_id += 1;
+                        }
+                        0 | 1 => t.store(vector(e, n)).expect("valid"),
+                        2 => { let _ = t.update_id(id, vector(e, n)); }
+                        3 => { let _ = t.delete(id); }
+                        4 => {
+                            t.compact();
+                            t.maintenance();
+                        }
+                        5 => { let _ = t.reconfigure(encs[e as usize % 3].clone()); }
+                        6 if !t.mutation_enabled() => t
+                            .enable_mutation(MutationPolicy::with_capacity(t.len() + 4))
+                            .expect("capacity covers the stored rows"),
+                        _ => { let _ = t.quarantine_row((e >> 8) as usize % t.len()); }
+                    }
+                    for tile in t.tiles() {
+                        assert_planes_fresh(tile.soa_codes());
+                    }
+                    let qs = queries(e, t.tiles()[0].encoding().n_stored());
+                    assert_batch_is_scalar(t.distances_batch(&qs), |q| t.distances(q), &qs);
+                    for tile in t.tiles() {
+                        assert_planes_fresh(tile.soa_codes());
+                    }
+                }
+            }
+        }
     }
 }
