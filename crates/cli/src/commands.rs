@@ -424,15 +424,8 @@ fn render_serve_sim(
         }
         pool.push(array);
     }
-    // Under churn the digital mirror is capacity-sized (free slots are
-    // zeros the liveness filter skips), not the raw store list.
-    let mirror = if churn > 0 {
-        pool.first().map(|a| a.stored().to_vec()).unwrap_or_default()
-    } else {
-        stored.to_vec()
-    };
     let policy = ReplicaPolicy { quorum: QuorumPolicy { reads, agree }, ..Default::default() };
-    let mut set = ReplicaSet::new(pool, mirror, metric, policy);
+    let mut set = ReplicaSet::new(pool, metric, policy);
     if let Some(mode) = load {
         return render_serve_loop(
             metric,

@@ -163,7 +163,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
             quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
             ..Default::default()
         };
-        let mut set = ReplicaSet::new(replicas, stored.clone(), spec.metric, policy);
+        let mut set = ReplicaSet::new(replicas, spec.metric, policy);
 
         let mut hits = 0usize;
         for (qi, (query, want)) in queries.iter().zip(&expected).enumerate() {

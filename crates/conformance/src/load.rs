@@ -264,7 +264,6 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
     }
     let set = ReplicaSet::new(
         replicas,
-        stored.clone(),
         spec.metric,
         ReplicaPolicy {
             quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },

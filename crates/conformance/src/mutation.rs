@@ -189,12 +189,11 @@ fn run_mutation_inner(spec: &MutationSpec) -> Result<MutationScenario, FerexErro
             &mirror,
         )?);
     }
-    let stored = replicas.first().map(|r| r.stored().to_vec()).unwrap_or_default();
     let rp = ReplicaPolicy {
         quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
         ..Default::default()
     };
-    let mut set = ReplicaSet::new(replicas, stored, spec.metric, rp);
+    let mut set = ReplicaSet::new(replicas, spec.metric, rp);
 
     let op_seed = spec.derived_seed(2);
     let mut next_id = spec.initial as u64;

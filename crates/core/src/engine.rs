@@ -452,7 +452,7 @@ impl Ferex {
                 // converges to the same slot table (not necessarily the
                 // engine's own, which reflects its full mutation history —
                 // the set is internally consistent, which is what the
-                // quorum and the digital mirror need).
+                // quorum and the digital fallback over replica 0 need).
                 a.enable_mutation(mp)?;
                 for id in self.array.live_ids() {
                     let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?.to_vec();
@@ -468,8 +468,7 @@ impl Ferex {
             }
             replicas.push(a);
         }
-        let stored = replicas.first().map(|r| r.stored().to_vec()).unwrap_or_default();
-        Ok(ReplicaSet::new(replicas, stored, self.metric, policy))
+        Ok(ReplicaSet::new(replicas, self.metric, policy))
     }
 
     /// Reconfigures the engine to a different distance metric, keeping all

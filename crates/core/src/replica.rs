@@ -13,8 +13,9 @@
 //!    per query and requires `agree` of them to report the same nearest
 //!    row. Dissenting replicas are escalated into targeted scrubs; when
 //!    quorum cannot be met, the query falls back to an exact digital
-//!    recompute of the stored vectors (the same (distance, index) tie
-//!    policy as the conformance oracle).
+//!    recompute over replica 0's logical rows (the same (distance, index)
+//!    tie policy as the conformance oracle); the supervisor keeps no copy
+//!    of the stored vectors.
 //! 3. **Circuit breaker + retry budget** — per-replica closed/open/
 //!    half-open breaker with bounded exponential backoff measured on a
 //!    *virtual tick clock* (one tick per served query — no wall clock, so
@@ -39,6 +40,7 @@ use crate::mutate::{CompactionReport, MutableNode, WearSummary};
 use crate::tile::TiledArray;
 use ferex_fefet::math::splitmix64;
 use ferex_fefet::Technology;
+use std::borrow::Cow;
 
 /// Domain-separation salt for replica seed derivation, so replica streams
 /// can never collide with the query, fault, or conformance streams.
@@ -268,6 +270,9 @@ pub trait ReplicaNode {
     fn row_live(&self, _r: usize) -> bool {
         true
     }
+    /// Row `r`'s logical contents (the vector the digital fallback scores),
+    /// or `None` past the last row.
+    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>>;
 }
 
 impl ReplicaNode for FerexArray {
@@ -305,6 +310,10 @@ impl ReplicaNode for FerexArray {
 
     fn row_live(&self, r: usize) -> bool {
         self.slot_live(r)
+    }
+
+    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>> {
+        self.stored().get(r).map(|v| Cow::Borrowed(v.as_slice()))
     }
 }
 
@@ -360,6 +369,10 @@ impl ReplicaNode for TiledArray {
     fn row_live(&self, r: usize) -> bool {
         // Lockstep tiles share one slot table; tile 0 speaks for all.
         self.tiles().first().is_none_or(|t| t.slot_live(r))
+    }
+
+    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>> {
+        self.row_vector(r).map(Cow::Owned)
     }
 }
 
@@ -464,9 +477,6 @@ pub struct ReplicaSet<A: ReplicaNode> {
     /// default, in which case the serving loop charges its uniform
     /// [`CostModel`](crate::serve::CostModel) exactly as before.
     latency: Vec<Option<LatencyModel>>,
-    /// The logical truth the replicas were built from — the digital
-    /// fallback recomputes against this copy.
-    stored: Vec<Vec<u32>>,
     metric: DistanceMetric,
     policy: ReplicaPolicy,
     /// Virtual clock: total queries this set has served (or attempted).
@@ -480,29 +490,25 @@ pub struct ReplicaSet<A: ReplicaNode> {
 
 impl<A: ReplicaNode> ReplicaSet<A> {
     /// Builds a supervisor over pre-constructed replicas. Every replica
-    /// must already store exactly the vectors in `stored` (row-aligned) —
-    /// the supervisor cross-checks replica answers against this copy.
+    /// must already store the same vectors, row-aligned: replica 0's
+    /// logical rows are the truth the digital fallback recomputes against
+    /// (see [`ReplicaNode::logical_row`]).
     ///
     /// # Panics
     ///
-    /// Panics when `replicas` is empty, a replica's row count disagrees
-    /// with `stored`, or the policy is invalid for the replica count (see
+    /// Panics when `replicas` is empty, a replica's row count differs from
+    /// replica 0's, or the policy is invalid for the replica count (see
     /// [`ReplicaPolicy::assert_valid`]).
-    pub fn new(
-        replicas: Vec<A>,
-        stored: Vec<Vec<u32>>,
-        metric: DistanceMetric,
-        policy: ReplicaPolicy,
-    ) -> Self {
+    pub fn new(replicas: Vec<A>, metric: DistanceMetric, policy: ReplicaPolicy) -> Self {
         assert!(!replicas.is_empty(), "a replica set needs at least one replica");
         policy.assert_valid(replicas.len());
+        let rows = replicas.first().map_or(0, ReplicaNode::rows);
         for (i, r) in replicas.iter().enumerate() {
             assert_eq!(
                 r.rows(),
-                stored.len(),
-                "replica {i} stores {} rows, the supervisor tracks {}",
-                r.rows(),
-                stored.len()
+                rows,
+                "replica {i} stores {} rows, replica 0 stores {rows}",
+                r.rows()
             );
         }
         let states = vec![ReplicaState::default(); replicas.len()];
@@ -511,7 +517,6 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             replicas,
             states,
             latency,
-            stored,
             metric,
             policy,
             tick: 0,
@@ -525,10 +530,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         self.replicas.len()
     }
 
-    /// Rows of the supervised store (the logical truth all replicas
-    /// share).
+    /// Rows of the supervised store (replica 0's row count, which every
+    /// replica shares).
     pub fn rows(&self) -> usize {
-        self.stored.len()
+        self.replicas.first().map_or(0, ReplicaNode::rows)
     }
 
     /// Replicas not killed.
@@ -731,7 +736,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             return f64::MIN;
         };
         let h = replica.health();
-        let rows = self.stored.len().max(1) as f64;
+        let rows = self.rows().max(1) as f64;
         let active = h.rows_active as f64 / rows;
         let remapped = h.rows_remapped_now as f64 / rows;
         let headroom = if h.spare_rows > 0 {
@@ -820,29 +825,23 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         )
     }
 
-    /// Exact digital recompute over the supervisor's copy of the stored
-    /// vectors — the bottom rung of the quorum fallback ladder. Ties break
-    /// to the lowest index, matching the conformance oracle.
+    /// Exact digital recompute over replica 0's logical rows — the bottom
+    /// rung of the quorum fallback ladder. Ties break to the lowest index,
+    /// matching the conformance oracle.
     ///
     /// # Errors
     ///
-    /// [`FerexError::Empty`] when the supervisor tracks no stored vectors.
+    /// [`FerexError::Empty`] when replica 0 stores no rows.
     fn digital_fallback(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
+        let first = self.replicas.first().ok_or(FerexError::Empty)?;
         // Non-live slots (free or tombstoned under online mutation) read as
         // +inf, exactly like the device kernels' exclusion of those rows.
-        let live = |r: usize| self.replicas.first().is_none_or(|replica| replica.row_live(r));
-        let distances: Vec<f64> =
-            self.stored
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    if live(r) {
-                        self.metric.vector_distance(query, s) as f64
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect();
+        let distances: Vec<f64> = (0..first.rows())
+            .map(|r| {
+                let row = if first.row_live(r) { first.logical_row(r) } else { None };
+                row.map_or(f64::INFINITY, |s| self.metric.vector_distance(query, &s) as f64)
+            })
+            .collect();
         let nearest = distances
             .iter()
             .enumerate()
@@ -858,7 +857,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// # Errors
     ///
     /// [`FerexError::Empty`] when the oracle fallback is reached with no
-    /// stored vectors to recompute against.
+    /// rows to recompute against.
     fn vote(
         &mut self,
         query: &[u32],
@@ -1005,7 +1004,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// healthier replicas or the digital fallback.
     pub fn serve(&mut self, query: &[u32]) -> Result<ServedOutcome, FerexError> {
         self.check_query(query)?;
-        if self.stored.is_empty() {
+        if self.rows() == 0 {
             return Err(FerexError::Empty);
         }
         self.stats.queries_submitted += 1;
@@ -1170,13 +1169,13 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         Ok(results)
     }
 
-    /// Validates every query of a submission against the replicas and the
-    /// supervisor's stored copy — shared front door of the batch paths.
+    /// Validates every query of a submission against the replicas and
+    /// rejects an empty store — shared front door of the batch paths.
     fn validate_batch(&self, queries: &[Vec<u32>]) -> Result<(), FerexError> {
         for q in queries {
             self.check_query(q)?;
         }
-        if self.stored.is_empty() {
+        if self.rows() == 0 {
             return Err(FerexError::Empty);
         }
         Ok(())
@@ -1197,14 +1196,16 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         let ranked = self.ranked_eligible();
         let reads = self.policy.quorum.reads;
         let budget = reads + self.policy.retry_budget;
-        let mut per_replica: Vec<(usize, Vec<SearchOutcome>)> = Vec::new();
+        // Each replica's outcomes are consumed in query order, one per
+        // query, and moved into that query's vote.
+        let mut per_replica: Vec<(usize, std::vec::IntoIter<SearchOutcome>)> = Vec::new();
         for (attempts, &i) in ranked.iter().enumerate() {
             if per_replica.len() == reads || attempts == budget {
                 break;
             }
             let Some(replica) = self.replicas.get(i) else { continue };
             match replica.search_batch_at(queries, qids) {
-                Ok(outs) => per_replica.push((i, outs)),
+                Ok(outs) => per_replica.push((i, outs.into_iter())),
                 Err(e) if Self::is_query_error(&e) => return Err(e),
                 Err(_) => self.note_failure(i),
             }
@@ -1212,10 +1213,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         let reads_used: Vec<usize> = per_replica.iter().map(|(i, _)| *i).collect();
         let mut served = Vec::with_capacity(queries.len());
         let mut to_scrub: Vec<usize> = Vec::new();
-        for (qi, query) in queries.iter().enumerate() {
+        for query in queries {
             let outcomes: Vec<(usize, SearchOutcome)> = per_replica
-                .iter()
-                .filter_map(|(i, outs)| outs.get(qi).map(|o| (*i, o.clone())))
+                .iter_mut()
+                .filter_map(|(i, outs)| outs.next().map(|o| (*i, o)))
                 .collect();
             let (s, dissenters) = self.vote(query, outcomes)?;
             for d in dissenters {
@@ -1235,16 +1236,16 @@ impl<A: ReplicaNode> ReplicaSet<A> {
 }
 
 impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
-    /// Applies one mutation to every replica and resyncs the digital
-    /// mirror from replica 0. Replicas fed the same operation sequence
-    /// make identical slot decisions (the mutation state machine is a
-    /// pure function of the op history), so the set stays in lockstep —
-    /// provided mutation failures are deterministic too. Strict
-    /// write-verify policies break that (per-replica noise streams can
-    /// fail one replica's delta write but not another's); combine replica
-    /// mutation with the default lenient quarantine-and-remap repair
-    /// instead, under which mutations only fail on validation errors that
-    /// hit every replica alike.
+    /// Applies one mutation to every replica; the digital fallback reads
+    /// replica 0's rows, so nothing else needs updating. Replicas fed the
+    /// same operation sequence make identical slot decisions (the mutation
+    /// state machine is a pure function of the op history), so the set
+    /// stays in lockstep — provided mutation failures are deterministic
+    /// too. Strict write-verify policies break that (per-replica noise
+    /// streams can fail one replica's delta write but not another's);
+    /// combine replica mutation with the default lenient
+    /// quarantine-and-remap repair instead, under which mutations only
+    /// fail on validation errors that hit every replica alike.
     fn apply_mutation<T>(
         &mut self,
         op: impl Fn(&mut A) -> Result<T, FerexError>,
@@ -1265,36 +1266,13 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
                 }
             }
         }
-        // Replica 0 is the mirror's source of truth either way: on the
-        // deterministic-failure path no replica changed, and on success
-        // all of them did.
-        self.resync_mirror();
         match first_err {
             Some(e) => Err(e),
             None => first_ok.ok_or(FerexError::Empty),
         }
     }
 
-    /// Rebuilds the digital mirror from replica 0's live slot table: live
-    /// slots carry their id's vector, free and tombstoned slots read as
-    /// zeros (the fallback never scores them — see
-    /// [`ReplicaNode::row_live`]).
-    fn resync_mirror(&mut self) {
-        let Some(first) = self.replicas.first() else { return };
-        let dim = self.stored.first().map(Vec::len).unwrap_or(0);
-        let mut mirror = vec![vec![0u32; dim]; self.stored.len()];
-        for id in first.live_ids() {
-            if let (Some(slot), Some(v)) = (first.slot_of(id), first.vector_of(id)) {
-                if let Some(row) = mirror.get_mut(slot) {
-                    *row = v;
-                }
-            }
-        }
-        self.stored = mirror;
-    }
-
-    /// Inserts `(id, vector)` into every replica (lockstep slot choice)
-    /// and resyncs the digital mirror.
+    /// Inserts `(id, vector)` into every replica (lockstep slot choice).
     ///
     /// # Errors
     ///
@@ -1303,7 +1281,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.insert(id, vector.clone()))
     }
 
-    /// Replaces `id`'s vector on every replica and resyncs the mirror.
+    /// Replaces `id`'s vector on every replica.
     ///
     /// # Errors
     ///
@@ -1312,7 +1290,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.update(id, vector.clone()))
     }
 
-    /// Tombstones `id` on every replica and resyncs the mirror.
+    /// Tombstones `id` on every replica.
     ///
     /// # Errors
     ///
@@ -1321,8 +1299,8 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.delete(id))
     }
 
-    /// Compacts every replica (infallible, purely logical) and resyncs
-    /// the mirror; returns replica 0's report.
+    /// Compacts every replica (infallible, purely logical); returns
+    /// replica 0's report.
     pub fn compact(&mut self) -> CompactionReport {
         self.apply_mutation(|r| Ok(r.compact())).unwrap_or_default()
     }
@@ -1385,7 +1363,7 @@ impl ReplicaSet<TiledArray> {
             t.program();
             replicas.push(t);
         }
-        Ok(ReplicaSet::new(replicas, vectors, metric, policy))
+        Ok(ReplicaSet::new(replicas, metric, policy))
     }
 }
 
@@ -1485,7 +1463,7 @@ mod tests {
         }
         let policy =
             ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
-        let mut set = ReplicaSet::new(replicas, vs.clone(), DistanceMetric::Hamming, policy);
+        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy);
         for q in &vs {
             // At the fault-isolation corner the two clean replicas are
             // exact, so the quorum answer is always the true nearest.
@@ -1671,7 +1649,7 @@ mod tests {
             ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
         let mut set = engine.replica_set(2, policy).expect("replicates");
         // Mutate through the supervisor: every replica applies the same
-        // ops, and the digital mirror follows replica 0.
+        // ops, and the digital fallback reads replica 0's rows.
         set.delete(1).unwrap();
         set.insert(9, vec![3; 6]).unwrap();
         set.update(2, vec![1; 6]).unwrap();

@@ -533,10 +533,15 @@ impl TiledArray {
     /// The stored full-width vector of a live logical id, re-assembled
     /// from the per-tile slices (trailing zero padding trimmed).
     pub fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
-        let slot = self.tiles.first()?.slot_of(id)?;
+        self.row_vector(self.tiles.first()?.slot_of(id)?)
+    }
+
+    /// Row `row`'s full-width contents, re-assembled from the per-tile
+    /// slices (trailing zero padding trimmed); `None` past the last row.
+    pub(crate) fn row_vector(&self, row: usize) -> Option<Vec<u32>> {
         let mut out = Vec::with_capacity(self.dim);
         for tile in &self.tiles {
-            out.extend_from_slice(tile.stored().get(slot)?);
+            out.extend_from_slice(tile.stored().get(row)?);
         }
         out.truncate(self.dim);
         Some(out)

@@ -7,11 +7,104 @@ use ferex_core::feasibility::{
 };
 use ferex_core::{
     find_minimal_cell, sizing_for, Backend, CellEncoding, CircuitConfig, DistanceMatrix,
-    DistanceMetric, EncodingLimits, FerexArray, RepairPolicy, RowHealth, SearchOutcome,
-    SizingOptions,
+    DistanceMetric, EncodingLimits, FerexArray, MutableNode, MutationPolicy, QuorumPolicy,
+    RepairPolicy, ReplicaNode, ReplicaPolicy, ReplicaSet, RowHealth, SearchOutcome, ServeSource,
+    SizingOptions, TiledArray,
 };
 use ferex_fefet::{Technology, VariationModel};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// Symbols per vector of the churn fallback property; the tiled leg uses
+/// `CHURN_TILE_DIM`-symbol tiles, which do not divide it, so the last tile
+/// pads.
+const CHURN_DIM: usize = 6;
+const CHURN_TILE_DIM: usize = 4;
+/// Six slots under an eight-id pool: inserts hit a full table, and the
+/// few free slots heat up enough for maintenance to rotate.
+const CHURN_CAPACITY: usize = 6;
+/// Ids live before the schedule starts.
+const CHURN_INITIAL: u64 = 4;
+
+/// Decodes a 12-bit payload into `CHURN_DIM` 2-bit symbols.
+fn churn_vector(payload: u32) -> Vec<u32> {
+    (0..CHURN_DIM).map(|j| (payload >> (2 * j)) & 3).collect()
+}
+
+/// The vector initial id `id` is inserted with.
+fn churn_initial(id: u64) -> Vec<u32> {
+    churn_vector(id as u32 * 37)
+}
+
+/// A 2-replica, 2/2-quorum set with replica 1 killed, so every serve is
+/// the oracle fallback over replica 0's rows.
+fn fallback_only_set<A: ReplicaNode>(replicas: Vec<A>, metric: DistanceMetric) -> ReplicaSet<A> {
+    let policy =
+        ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
+    let mut set = ReplicaSet::new(replicas, metric, policy);
+    set.kill(1);
+    set
+}
+
+/// Drives `ops` (kind 0 insert, 1 update, 2 delete, 3 compact, 4
+/// maintenance; then one probe query) through `set` and checks every
+/// served answer against brute force over a `BTreeMap` live-set model:
+/// each live slot reads its id's exact distance, every other slot reads
+/// +inf, and the nearest slot holds a live id at the minimum distance.
+fn check_fallback_through_churn<A: ReplicaNode + MutableNode>(
+    mut set: ReplicaSet<A>,
+    metric: DistanceMetric,
+    ops: &[(u8, u64, u32, u32)],
+) {
+    let mut model: BTreeMap<u64, Vec<u32>> =
+        (0..CHURN_INITIAL).map(|id| (id, churn_initial(id))).collect();
+    for &(kind, id, payload, probe) in ops {
+        let v = churn_vector(payload);
+        let expected = match kind {
+            0 => !model.contains_key(&id) && model.len() < CHURN_CAPACITY,
+            1 | 2 => model.contains_key(&id),
+            _ => true,
+        };
+        let accepted = match kind {
+            0 => set.insert(id, v.clone()).is_ok(),
+            1 => set.update(id, v.clone()).is_ok(),
+            2 => set.delete(id).is_ok(),
+            3 => {
+                set.compact();
+                true
+            }
+            _ => {
+                set.maintenance();
+                true
+            }
+        };
+        prop_assert_eq!(accepted, expected, "op {} on id {}", kind, id);
+        if accepted && kind < 2 {
+            model.insert(id, v);
+        } else if accepted && kind == 2 {
+            model.remove(&id);
+        }
+
+        let q = churn_vector(probe);
+        let served = set.serve(&q).expect("a capacity-sized store always serves");
+        prop_assert_eq!(served.source, ServeSource::OracleFallback);
+        let first = set.replica(0);
+        let slot_ids: BTreeMap<usize, u64> =
+            model.keys().filter_map(|&id| first.slot_of(id).map(|slot| (slot, id))).collect();
+        prop_assert_eq!(slot_ids.len(), model.len());
+        prop_assert_eq!(served.outcome.distances.len(), CHURN_CAPACITY);
+        for (slot, &d) in served.outcome.distances.iter().enumerate() {
+            match slot_ids.get(&slot) {
+                Some(id) => prop_assert_eq!(d, metric.vector_distance(&q, &model[id]) as f64),
+                None => prop_assert!(d == f64::INFINITY, "non-live slot {} read {}", slot, d),
+            }
+        }
+        if let Some(best) = model.values().map(|v| metric.vector_distance(&q, v)).min() {
+            let id = slot_ids.get(&served.outcome.nearest).expect("nearest slot is live");
+            prop_assert_eq!(metric.vector_distance(&q, &model[id]), best);
+        }
+    }
+}
 
 proptest! {
     /// Every decomposition sums to the target, has the right arity, and
@@ -397,7 +490,7 @@ proptest! {
             quorum: QuorumPolicy { reads, agree },
             ..Default::default()
         };
-        let mut set = ReplicaSet::new(replicas, data.clone(), metric, policy);
+        let mut set = ReplicaSet::new(replicas, metric, policy);
 
         // Sequential serving mirrors the bare array's query-id stream.
         for (i, q) in queries.iter().enumerate() {
@@ -412,5 +505,57 @@ proptest! {
         );
         prop_assert_eq!(set.stats().oracle_fallbacks, 0);
         prop_assert_eq!(set.stats().disagreements, 0);
+    }
+
+    /// The oracle fallback reads replica 0's logical rows, so it tracks
+    /// every supervisor mutation on both node types: arbitrary insert,
+    /// update, delete, compact and wear-leveling maintenance schedules
+    /// leave a fallback-only set exact against the live-set model, on a
+    /// flat `FerexArray` and on a `TiledArray` whose last tile pads.
+    #[test]
+    fn oracle_fallback_is_exact_through_churn_on_both_node_types(
+        ops in prop::collection::vec((0u8..5, 0u64..8, 0u32..4096, 0u32..4096), 1..48),
+        metric_idx in 0usize..3,
+    ) {
+        let metric = DistanceMetric::ALL[metric_idx];
+        let policy = MutationPolicy::with_capacity(CHURN_CAPACITY);
+        prop_assert!(policy.wear_leveling);
+        let dm = DistanceMatrix::from_metric(metric, 2);
+        let enc = find_minimal_cell(&dm, &sizing_for(&Technology::default()))
+            .expect("paper metrics encode at 2 bits")
+            .encoding;
+        let flat: Vec<FerexArray> = (0..2)
+            .map(|_| {
+                let mut a =
+                    FerexArray::new(Technology::default(), enc.clone(), CHURN_DIM, Backend::Ideal);
+                a.enable_mutation(policy).unwrap();
+                for id in 0..CHURN_INITIAL {
+                    a.insert(id, churn_initial(id)).unwrap();
+                }
+                a.program();
+                a
+            })
+            .collect();
+        check_fallback_through_churn(fallback_only_set(flat, metric), metric, &ops);
+
+        let tiled: Vec<TiledArray> = (0..2)
+            .map(|_| {
+                let mut t = TiledArray::new(
+                    Technology::default(),
+                    enc.clone(),
+                    CHURN_DIM,
+                    CHURN_TILE_DIM,
+                    Backend::Ideal,
+                );
+                t.enable_mutation(policy).unwrap();
+                for id in 0..CHURN_INITIAL {
+                    t.insert(id, churn_initial(id)).unwrap();
+                }
+                t.program();
+                t
+            })
+            .collect();
+        prop_assert_eq!(tiled[0].n_tiles(), 2);
+        check_fallback_through_churn(fallback_only_set(tiled, metric), metric, &ops);
     }
 }
