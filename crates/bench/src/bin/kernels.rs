@@ -3,12 +3,13 @@
 //! batch} grid behind `BENCH_core_kernels.json`.
 //!
 //! Every grid point computes a batch of row distances through
-//! [`ferex_core::FerexArray::distances_batch`], asserts a sample of them
-//! bit-identical to the scalar per-query path, folds the exact bit pattern
-//! of every distance into a deterministic checksum, and (on timed runs)
-//! measures both paths. The committed report is therefore two things at
-//! once: a perf trajectory (timings, informational) and a determinism
-//! fixture (checksums, gated).
+//! [`ferex_core::FerexArray::distances_batch`], checks a sample of them
+//! (against the exact digital oracle on Ideal, bit for bit against the
+//! per-query row loop on Noisy), folds the exact bit pattern of every
+//! distance into a deterministic checksum, and (on timed runs) measures
+//! the batch and the per-query loop. The committed report is therefore
+//! two things at once: a perf trajectory (timings, informational) and a
+//! determinism fixture (checksums, gated).
 //!
 //! Run with: `cargo run --release -p ferex-bench --bin kernels`
 //! Flags: `--seed N` (fixture base seed, default 42 or

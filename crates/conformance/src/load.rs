@@ -10,11 +10,11 @@
 //! underneath. Because the clock is virtual and every random draw is a
 //! domain-separated SplitMix64 stream, a scenario replays
 //! bit-reproducibly: p50/p99/p999 latency are exact integers and the
-//! whole [`LoadReport`](crate::report::LoadReport) is byte-identical
+//! whole [`LoadReport`] is byte-identical
 //! across runs with the same seed.
 //!
 //! The Poisson approximation deliberately avoids `f64::ln` (libm varies
-//! across platforms): each tick is split into [`SUBSLOTS`] Bernoulli
+//! across platforms): each tick is split into `SUBSLOTS` Bernoulli
 //! trials whose success threshold is an integer comparison
 //! `draw < rate · 2^64 / (1000 · SUBSLOTS)`, i.e. a binomial thinning of
 //! the tick that converges on Poisson arrivals for the small per-slot

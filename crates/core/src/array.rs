@@ -62,11 +62,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// disjoint from the per-tile seed derivation that feeds the same mixer.
 const QUERY_STREAM_SALT: u64 = 0x51E0_D9AD_35B6_9E21;
 
-/// Largest `Noisy` batch served by the scalar path instead of the dense
-/// per-batch contribution table. Building the table evaluates every stored
-/// cell against *all* `n_search` drive symbols — about `n_search` scalar
-/// query passes of work — so batches of one or two queries finish sooner
-/// on the scalar path they are bit-identical to anyway.
+/// Largest `Noisy` batch served by the per-query row loop instead of the
+/// dense per-batch contribution table. Building the table evaluates every
+/// stored cell against *all* `n_search` drive symbols — about `n_search`
+/// row-loop query passes of work — so batches of one or two queries finish
+/// sooner on the row loop they are bit-identical to anyway.
 const NOISY_LUT_CROSSOVER: usize = 2;
 
 /// Resistance scale applied to a [`CellFault::ResistorOpen`] cell in the
@@ -164,12 +164,10 @@ pub struct FerexArray {
     encoding: CellEncoding,
     dim: usize,
     backend: Backend,
-    stored: Vec<Vec<u32>>,
-    /// Structure-of-arrays mirror of `stored`: all symbol codes quantized
-    /// to `u8` in one contiguous `rows × dim` buffer, maintained eagerly by
-    /// every mutator, plus the bit-planes the popcount kernel packs on
-    /// first use and the mutators keep in sync. The batched Ideal kernels
-    /// read this instead of the row-per-allocation `Vec<Vec<u32>>`.
+    /// The stored vectors — the array's only copy of them: one `u8` code
+    /// per symbol in one contiguous `rows × dim` buffer, written by every
+    /// mutator and read by every kernel, plus the bit-planes the popcount
+    /// kernel packs on first use and the mutators keep in sync.
     codes: SoaCodes,
     crossbar: Option<Crossbar>,
     /// Per-cell variation samples of the `Noisy` backend (row-major).
@@ -212,7 +210,6 @@ impl Clone for FerexArray {
             encoding: self.encoding.clone(),
             dim: self.dim,
             backend: self.backend.clone(),
-            stored: self.stored.clone(),
             codes: self.codes.clone(),
             crossbar: self.crossbar.clone(),
             noisy_samples: self.noisy_samples.clone(),
@@ -249,7 +246,6 @@ impl FerexArray {
             encoding,
             dim,
             backend,
-            stored: Vec::new(),
             codes: SoaCodes::new(dim, plane_bits),
             crossbar: None,
             noisy_samples: None,
@@ -269,12 +265,12 @@ impl FerexArray {
 
     /// Number of stored vectors (array rows in use).
     pub fn len(&self) -> usize {
-        self.stored.len()
+        self.codes.rows()
     }
 
     /// `true` if no vectors are stored.
     pub fn is_empty(&self) -> bool {
-        self.stored.is_empty()
+        self.len() == 0
     }
 
     /// Symbols per stored vector.
@@ -297,9 +293,11 @@ impl FerexArray {
         &self.backend
     }
 
-    /// The stored vectors, in row order.
-    pub fn stored(&self) -> &[Vec<u32>] {
-        &self.stored
+    /// Row `row`'s stored vector, widened back from its one-byte codes;
+    /// `None` past the last row. In mutation mode this reads any slot,
+    /// live or not (free slots hold zeros).
+    pub fn row_vector(&self, row: usize) -> Option<Vec<u32>> {
+        self.codes.row(row).map(|codes| codes.iter().map(|&c| u32::from(c)).collect())
     }
 
     /// The kernel-facing code buffer and its cached bit-planes.
@@ -312,15 +310,9 @@ impl FerexArray {
     /// function). Stored data is kept; the physical array will be
     /// re-programmed on the next search.
     pub fn reconfigure(&mut self, encoding: CellEncoding) -> Result<(), FerexError> {
-        for v in &self.stored {
-            for &s in v {
-                if s as usize >= encoding.n_stored() {
-                    return Err(FerexError::SymbolOutOfRange {
-                        value: s,
-                        n_values: encoding.n_stored(),
-                    });
-                }
-            }
+        let n_values = encoding.n_stored();
+        if let Some(&c) = self.codes.as_slice().iter().find(|&&c| usize::from(c) >= n_values) {
+            return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
         }
         self.codes.set_plane_bits(soa::plane_bits(&encoding));
         self.encoding = encoding;
@@ -356,24 +348,24 @@ impl FerexArray {
     /// variation draws and fault-map entries stay exactly where the
     /// policy-free array puts them), then spares, then sentinels.
     fn physical_rows(&self) -> usize {
-        self.stored.len() + self.spares() + self.sentinels()
+        self.len() + self.spares() + self.sentinels()
     }
 
     /// Physical index of spare slot `j`.
     fn spare_phys(&self, j: usize) -> usize {
-        self.stored.len() + j
+        self.len() + j
     }
 
     /// Physical index of sentinel `j`.
     fn sentinel_phys(&self, j: usize) -> usize {
-        self.stored.len() + self.spares() + j
+        self.len() + self.spares() + j
     }
 
     /// The physical row currently serving logical row `r`, or `None` when
     /// the row is excluded from search — quarantined without a spare, or
-    /// (in mutation mode) a free/tombstoned slot. Every distance kernel
-    /// routes exclusions through here, so tombstones are skipped
-    /// bit-identically on the scalar and batched paths.
+    /// (in mutation mode) a free/tombstoned slot. Every distance kernel,
+    /// on every backend, routes exclusions through here, so tombstones are
+    /// skipped bit-identically everywhere.
     fn physical_row(&self, r: usize) -> Option<usize> {
         if let Some(m) = &self.mutation {
             if !m.is_live(r) {
@@ -394,12 +386,18 @@ impl FerexArray {
         }
     }
 
+    /// Symbol values a stored vector may hold: the encoding's alphabet,
+    /// capped at what a one-byte code represents.
+    fn n_codes(&self) -> usize {
+        self.encoding.n_stored().min(soa::CODE_LEVELS)
+    }
+
     /// The known codeword sentinel `j` is programmed with: a rotating ramp
     /// over the stored alphabet, so every level appears and adjacent
     /// sentinels differ.
-    fn sentinel_codeword(&self, j: usize) -> Vec<u32> {
-        let n = self.encoding.n_stored();
-        (0..self.dim).map(|d| ((d + j) % n) as u32).collect() // lint:allow(cast-truncation/narrowing, reason = "value < n_stored, which fits u32 by construction")
+    fn sentinel_codeword(&self, j: usize) -> Vec<u8> {
+        let n = self.n_codes();
+        (0..self.dim).map(|d| ((d + j) % n) as u8).collect() // lint:allow(cast-truncation/narrowing, reason = "value < n_codes() <= 256, which fits u8")
     }
 
     /// `true` when every logical row is quarantined (or, in mutation mode,
@@ -416,24 +414,24 @@ impl FerexArray {
     /// Checks that a vector has this array's dimension and that every
     /// symbol is representable under the current encoding, without storing
     /// anything (used by callers that need all-or-nothing store semantics,
-    /// e.g. [`crate::tile::TiledArray::store`]).
+    /// e.g. [`crate::tile::TiledArray::store`]). Symbols must also be below
+    /// 256, whatever the encoding's alphabet: the array stores one byte per
+    /// symbol, so this cap is what makes that store lossless (the CSP
+    /// encoder never exceeds 64 levels).
     ///
     /// # Errors
     ///
-    /// Dimension or symbol-range violations.
+    /// Dimension or symbol-range violations; `n_values` in the range error
+    /// is the encoding's alphabet size, capped at 256.
     pub fn validate(&self, vector: &[u32]) -> Result<(), FerexError> {
         if vector.len() != self.dim {
             return Err(FerexError::DimensionMismatch { expected: self.dim, got: vector.len() });
         }
-        for &s in vector {
-            if s as usize >= self.encoding.n_stored() {
-                return Err(FerexError::SymbolOutOfRange {
-                    value: s,
-                    n_values: self.encoding.n_stored(),
-                });
-            }
+        let n_values = self.n_codes();
+        match vector.iter().find(|&&s| s as usize >= n_values) {
+            Some(&value) => Err(FerexError::SymbolOutOfRange { value, n_values }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Stores one vector into the next free row.
@@ -451,7 +449,6 @@ impl FerexArray {
         }
         self.validate(&vector)?;
         self.codes.push_row(&vector);
-        self.stored.push(vector);
         self.invalidate_physical_state(); // re-program lazily
         Ok(())
     }
@@ -471,7 +468,6 @@ impl FerexArray {
     /// drops the slot table and wear counters — the array reverts to the
     /// positional-mutator lifecycle.
     pub fn clear(&mut self) {
-        self.stored.clear();
         self.codes.clear();
         self.mutation = None;
         self.invalidate_physical_state();
@@ -491,8 +487,8 @@ impl FerexArray {
             self.mutation.is_none(),
             "positional remove on a mutation-enabled array; use delete(id)"
         );
-        assert!(row < self.stored.len(), "row {row} out of range");
-        let removed = self.stored.remove(row);
+        assert!(row < self.len(), "row {row} out of range");
+        let removed = self.row_vector(row).unwrap_or_default();
         self.codes.remove_row(row);
         self.invalidate_physical_state();
         removed
@@ -515,10 +511,9 @@ impl FerexArray {
                 what: "positional update on a mutation-enabled array; use update_id(id, vector)",
             });
         }
-        assert!(row < self.stored.len(), "row {row} out of range");
+        assert!(row < self.len(), "row {row} out of range");
         self.validate(&vector)?;
         self.codes.set_row(row, &vector);
-        self.stored[row] = vector; // lint:allow(panic-safety/index, reason = "row asserted in range above")
         self.invalidate_physical_state();
         Ok(())
     }
@@ -553,14 +548,14 @@ impl FerexArray {
         // A repair policy reserves spare and sentinel rows *after* the
         // logical rows, so the logical rows' variation draws and fault-map
         // entries are byte-identical to the policy-free layout.
-        if self.repair.is_some() && self.row_map.len() != self.stored.len() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+        if self.repair.is_some() && self.row_map.len() != self.len() {
+            self.row_map = vec![RowHealth::Healthy; self.len()];
             self.spare_state = vec![SpareState::Free; self.spares()];
         }
         match &self.backend {
             Backend::Ideal => {}
             Backend::Circuit(cfg) => {
-                if self.crossbar.is_some() || self.stored.is_empty() {
+                if self.crossbar.is_some() || self.is_empty() {
                     return;
                 }
                 let rows = self.physical_rows();
@@ -576,7 +571,7 @@ impl FerexArray {
                 );
                 let fault_map = (!plan.is_benign()).then(|| plan.fault_map(self.seed, rows * cols));
                 let aged = plan.has_aging().then(|| plan.aged_vth_table(&self.tech));
-                for (r, vector) in self.stored.iter().enumerate() {
+                for (r, codes) in self.codes.as_slice().chunks(self.dim).enumerate() {
                     program_crossbar_row(
                         &mut xb,
                         &self.tech,
@@ -585,7 +580,7 @@ impl FerexArray {
                         fault_map.as_deref(),
                         aged.as_deref(),
                         r,
-                        vector,
+                        codes,
                     );
                 }
                 // Sentinels carry known codewords; spares stay erased until
@@ -608,7 +603,7 @@ impl FerexArray {
                 self.aged_vth = aged;
             }
             Backend::Noisy(cfg) => {
-                if self.noisy_samples.is_some() || self.stored.is_empty() {
+                if self.noisy_samples.is_some() || self.is_empty() {
                     return;
                 }
                 let n = self.physical_rows() * self.physical_cols();
@@ -646,8 +641,8 @@ impl FerexArray {
     pub fn is_programmed(&self) -> bool {
         match &self.backend {
             Backend::Ideal => true,
-            Backend::Circuit(_) => self.stored.is_empty() || self.crossbar.is_some(),
-            Backend::Noisy(_) => self.stored.is_empty() || self.noisy_samples.is_some(),
+            Backend::Circuit(_) => self.is_empty() || self.crossbar.is_some(),
+            Backend::Noisy(_) => self.is_empty() || self.noisy_samples.is_some(),
         }
     }
 
@@ -680,7 +675,8 @@ impl FerexArray {
     }
 
     /// Raw sensed row distances (in `I_unit` multiples) for a query,
-    /// without the LTA decision.
+    /// without the LTA decision: [`FerexArray::distances_batch`] on a batch
+    /// of one, so a single read takes the same kernel as any batch.
     ///
     /// # Errors
     ///
@@ -692,107 +688,31 @@ impl FerexArray {
     /// still occupy their logical index — so every other row keeps its id —
     /// but can never win the LTA.
     pub fn distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
-        self.validate(query)?;
-        if self.stored.is_empty() {
-            return Err(FerexError::Empty);
-        }
-        self.require_programmed()?;
-        if self.all_excluded() {
-            return Err(FerexError::Empty);
-        }
-        match &self.backend {
-            Backend::Ideal => Ok((0..self.stored.len())
-                .map(|r| {
-                    if self.physical_row(r).is_none() {
-                        return f64::INFINITY;
-                    }
-                    self.stored[r] // lint:allow(panic-safety/index, reason = "r < stored.len() by the range bound")
-                        .iter()
-                        .zip(query)
-                        .map(|(&s, &q)| self.encoding.cell_current(q as usize, s as usize) as f64)
-                        .sum() // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the batch path")
-                })
-                .collect()),
-            Backend::Circuit(cfg) => {
-                let drives = self.drives_for(query)?;
-                let Some(xb) = self.crossbar.as_ref() else {
-                    return Err(FerexError::NotProgrammed);
-                };
-                let i_unit = self.tech.i_unit().value();
-                let currents = xb.search(&drives, &cfg.options);
-                if self.row_map.is_empty() {
-                    return Ok(currents.into_iter().map(|i| i.value() / i_unit).collect());
-                }
-                Ok((0..self.stored.len())
-                    .map(|r| match self.physical_row(r) {
-                        Some(p) => currents.get(p).map_or(f64::INFINITY, |i| i.value() / i_unit),
-                        None => f64::INFINITY,
-                    })
-                    .collect())
-            }
-            Backend::Noisy(cfg) => {
-                let Some(samples) = self.noisy_samples.as_ref() else {
-                    return Err(FerexError::NotProgrammed);
-                };
-                let plan = &cfg.faults;
-                let k = self.encoding.k;
-                let cols = self.physical_cols();
-                let mut out = Vec::with_capacity(self.stored.len());
-                for (r, row) in self.stored.iter().enumerate() {
-                    let Some(phys) = self.physical_row(r) else {
-                        out.push(f64::INFINITY);
-                        continue;
-                    };
-                    let mut units = 0.0f64;
-                    // lint:allow(panic-safety/index, reason = "stored/query symbols are validated at store and search time; f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
-                    for (d, (&s, &q)) in row.iter().zip(query).enumerate() {
-                        let st = &self.encoding.stored[s as usize];
-                        let se = &self.encoding.search[q as usize];
-                        for f in 0..k {
-                            let m = se.vds_multiples[f];
-                            if m == 0 {
-                                continue;
-                            }
-                            let index = phys * cols + d * k + f;
-                            let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
-                            // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major order shared with the batch path")
-                            units += self.noisy_cell_units(
-                                plan,
-                                index,
-                                st.vth_levels[f],
-                                &samples[index],
-                                v_gate,
-                                m,
-                            );
-                        }
-                    }
-                    out.push(units);
-                }
-                Ok(out)
-            }
-        }
+        let mut batch = self.distances_batch(&[query.to_vec()])?;
+        batch.pop().ok_or(FerexError::Empty)
     }
 
-    /// Row distances for every query of a batch.
+    /// Row distances for every query of a batch — the one read path every
+    /// search, single or batched, goes through. It matches on the backend
+    /// once:
     ///
-    /// Semantically a loop of [`FerexArray::distances`] calls — results are
-    /// bit-identical — but served through specialized kernels:
+    /// * `Ideal` runs the structure-of-arrays kernels over the code
+    ///   buffer: a Hamming-exact encoding runs word-parallel XOR + popcount
+    ///   over the stored rows' bit-planes (packed by the first such call,
+    ///   then kept in sync by every mutator, so only the queries are packed
+    ///   per call), every other encoding runs per-query current LUTs laid
+    ///   out contiguously, both cache-blocked rows-outer / queries-inner
+    ///   over balanced query chunks.
+    /// * `Noisy` batches of up to two queries run a per-query row loop;
+    ///   larger batches precompute one table of (stored cell × query
+    ///   symbol) current contributions — built row-parallel — turning the
+    ///   per-query inner loop into pure lookups. The table costs `n_search`
+    ///   row-loop passes to build, and the two paths are bit-identical.
+    /// * `Circuit` solves the crossbar once per query, fanned out over
+    ///   threads.
     ///
-    /// * `Ideal` reads the contiguous structure-of-arrays code buffer
-    ///   instead of the row-per-allocation `Vec<Vec<u32>>`: a Hamming-exact
-    ///   encoding runs word-parallel XOR + popcount over the stored rows'
-    ///   bit-planes (packed by the first such call, then kept in sync by
-    ///   every mutator, so only the queries are packed per call), every
-    ///   other encoding runs per-query current LUTs laid out
-    ///   contiguously, both cache-blocked rows-outer / queries-inner over
-    ///   balanced query chunks.
-    /// * `Noisy` precomputes one table of (stored cell × query symbol)
-    ///   current contributions per batch — built row-parallel — turning the
-    ///   per-query inner loop into pure lookups; batches of one or two
-    ///   queries skip the table (it costs `n_search` query-loops to build,
-    ///   so tiny batches are served faster by the scalar path it exactly
-    ///   reproduces).
-    /// * `Circuit` re-solves the crossbar per query and just fans out.
+    /// Every backend reports rows excluded from search (quarantined, or
+    /// free/tombstoned slots in mutation mode) as `f64::INFINITY`.
     ///
     /// # Errors
     ///
@@ -807,7 +727,7 @@ impl FerexArray {
         for q in queries {
             self.validate(q)?;
         }
-        if self.stored.is_empty() {
+        if self.is_empty() {
             return Err(FerexError::Empty);
         }
         self.require_programmed()?;
@@ -815,58 +735,122 @@ impl FerexArray {
             return Err(FerexError::Empty);
         }
         match &self.backend {
+            Backend::Ideal => Ok(self.ideal_distances_batch_soa(queries)),
             Backend::Noisy(_) if queries.len() <= NOISY_LUT_CROSSOVER => {
-                queries.iter().map(|q| self.distances(q)).collect()
+                queries.iter().map(|q| self.noisy_distances(q)).collect()
             }
             Backend::Noisy(_) => self.noisy_distances_batch(queries),
-            // The SoA kernels read u8 codes; any encoding wider than 256
-            // stored levels (none exist today — the encoder caps alphabets
-            // at 64) falls back to the scalar fan-out.
-            Backend::Ideal if self.encoding.n_stored() <= 256 => {
-                Ok(self.ideal_distances_batch_soa(queries))
-            }
-            // Circuit re-solves the crossbar per query; fan the scalar
-            // path out over threads.
-            Backend::Ideal | Backend::Circuit(_) => {
-                let out: Result<Vec<Vec<f64>>, FerexError> =
-                    queries.par_iter().map(|q| self.distances(q)).collect();
-                out
+            Backend::Circuit(cfg) => {
+                queries.par_iter().map(|q| self.circuit_distances(cfg, q)).collect()
             }
         }
     }
 
     /// Names the kernel [`FerexArray::distances_batch`] would dispatch a
     /// batch of `batch` queries to, mirroring its dispatch exactly:
-    /// `"scalar"` (per-query fan-out or the small-batch Noisy crossover),
-    /// `"contrib-table"` (Noisy dense contribution table),
-    /// `"bitplane-popcount"` (Ideal + realized XOR-popcount encoding), or
-    /// `"lut"` (Ideal per-query current LUTs). Purely informational — used
-    /// by benchmarks and reports to label measurements.
+    /// `"bitplane-popcount"` (Ideal + realized XOR-popcount encoding),
+    /// `"lut"` (Ideal per-query current LUTs), `"contrib-table"` (Noisy
+    /// dense contribution table), or `"scalar"` (the Noisy per-query row
+    /// loop for tiny batches, and the per-query Circuit crossbar solve).
+    /// Purely informational — used by benchmarks and reports to label
+    /// measurements.
     pub fn batch_kernel(&self, batch: usize) -> &'static str {
         match &self.backend {
-            Backend::Noisy(_) if batch <= NOISY_LUT_CROSSOVER => "scalar",
-            Backend::Noisy(_) => "contrib-table",
-            Backend::Ideal if self.encoding.n_stored() <= 256 => {
-                if soa::is_xor_popcount(&self.encoding) {
-                    "bitplane-popcount"
-                } else {
-                    "lut"
-                }
-            }
-            Backend::Ideal | Backend::Circuit(_) => "scalar",
+            Backend::Ideal if soa::is_xor_popcount(&self.encoding) => "bitplane-popcount",
+            Backend::Ideal => "lut",
+            Backend::Noisy(_) if batch > NOISY_LUT_CROSSOVER => "contrib-table",
+            Backend::Noisy(_) | Backend::Circuit(_) => "scalar",
         }
+    }
+
+    /// One query's `Circuit` read: one crossbar solve, then every logical
+    /// row reads its physical row's current (itself or its spare), or
+    /// `INFINITY` when excluded from search.
+    fn circuit_distances(
+        &self,
+        cfg: &CircuitConfig,
+        query: &[u32],
+    ) -> Result<Vec<f64>, FerexError> {
+        let drives = self.drives_for(query)?;
+        let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+        let i_unit = self.tech.i_unit().value();
+        let currents = xb.search(&drives, &cfg.options);
+        Ok((0..self.len())
+            .map(|r| {
+                self.physical_row(r)
+                    .and_then(|p| currents.get(p))
+                    .map_or(f64::INFINITY, |i| i.value() / i_unit)
+            })
+            .collect())
+    }
+
+    /// One query's `Noisy` read through the per-row cell loop
+    /// ([`FerexArray::noisy_row_units`]); excluded rows read `INFINITY`.
+    fn noisy_distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
+        let (Some(samples), Backend::Noisy(cfg)) = (self.noisy_samples.as_deref(), &self.backend)
+        else {
+            return Err(FerexError::NotProgrammed);
+        };
+        Ok((0..self.len())
+            .map(|r| match (self.physical_row(r), self.codes.row(r)) {
+                (Some(phys), Some(codes)) => {
+                    self.noisy_row_units(samples, &cfg.faults, phys, codes, query)
+                }
+                _ => f64::INFINITY,
+            })
+            .collect())
+    }
+
+    /// The current (in `I_unit` multiples) physical row `phys`, holding
+    /// `codes`, sinks under `query`'s drives on the `Noisy` backend: cell
+    /// contributions summed in d-major, FeFET-minor order — the order the
+    /// contribution table reproduces. Shared by the per-query read and the
+    /// scrub probe.
+    fn noisy_row_units(
+        &self,
+        samples: &[ferex_fefet::DeviceSample],
+        plan: &FaultPlan,
+        phys: usize,
+        codes: &[u8],
+        query: &[u32],
+    ) -> f64 {
+        let k = self.encoding.k;
+        let cols = self.physical_cols();
+        let mut units = 0.0f64;
+        // lint:allow(panic-safety/index, reason = "stored/query symbols are validated at store and search time; f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
+        for (d, (&s, &q)) in codes.iter().zip(query).enumerate() {
+            let st = &self.encoding.stored[usize::from(s)];
+            let se = &self.encoding.search[q as usize];
+            for f in 0..k {
+                let m = se.vds_multiples[f];
+                if m == 0 {
+                    continue;
+                }
+                let index = phys * cols + d * k + f;
+                let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
+                // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major order shared with the contribution table")
+                units += self.noisy_cell_units(
+                    plan,
+                    index,
+                    st.vth_levels[f],
+                    &samples[index],
+                    v_gate,
+                    m,
+                );
+            }
+        }
+        units
     }
 
     /// The `Ideal` batched kernels over the structure-of-arrays code
     /// buffer. Dispatches to XOR-popcount over packed bit-planes when the
     /// realized encoding is exactly bitwise Hamming, and to per-query
     /// current LUTs otherwise. Both kernels accumulate exact integer
-    /// currents in `u64` and convert once per row — bit-identical to the
-    /// scalar `f64` sum because every partial sum is an integer below 2⁵³
-    /// (see `soa` module docs).
+    /// currents in `u64` and convert once per row — exactly the `f64` sum
+    /// of the cell currents, because every partial sum is an integer below
+    /// 2⁵³ (see `soa` module docs).
     fn ideal_distances_batch_soa(&self, queries: &[Vec<u32>]) -> Vec<Vec<f64>> {
-        let rows = self.stored.len();
-        debug_assert_eq!(self.codes.rows(), rows, "SoA code buffer out of sync");
+        let rows = self.len();
         let dim = self.dim;
         let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
 
@@ -888,7 +872,7 @@ impl FerexArray {
                     let mut q_codes = vec![0u8; dim];
                     for (qi, q) in qs.iter().enumerate() {
                         for (c, &s) in q_codes.iter_mut().zip(q.iter()) {
-                            *c = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits first; symbols validated < 256 for the SoA path")
+                            *c = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits first; validate() caps symbols below 256")
                         }
                         soa::pack_bit_planes(
                             &q_codes,
@@ -940,7 +924,7 @@ impl FerexArray {
                         }
                         continue;
                     }
-                    let codes = self.codes.row(r);
+                    let codes = self.codes.row(r).unwrap_or_default();
                     for (qi, row_out) in out.iter_mut().enumerate() {
                         let lut = &luts[qi * lut_stride..(qi + 1) * lut_stride];
                         row_out[r] = soa::lut_distance(lut, n_stored, codes) as f64;
@@ -953,9 +937,9 @@ impl FerexArray {
     }
 
     /// One `Noisy`-backend cell's current contribution in `I_unit`
-    /// multiples — the single definition shared by the scalar
-    /// ([`FerexArray::distances`]) and batched
-    /// ([`FerexArray::noisy_distances_batch`]) read paths, so the two stay
+    /// multiples — the single definition shared by the row loop
+    /// ([`FerexArray::noisy_row_units`]) and the contribution table
+    /// ([`FerexArray::noisy_distances_batch`]), so the two stay
     /// bit-identical under any fault plan. With no fault state materialized
     /// this reduces to the nominal resistor-clamp expression
     /// `I = m / r_factor` gated on `V_gate > V_th + ΔV_th`.
@@ -992,9 +976,9 @@ impl FerexArray {
     /// `contrib[((r·dim + d)·n_search + q)·k + f]` holds the current (in
     /// `I_unit` multiples) cell `(r, d, f)` adds when driven with query
     /// symbol `q` — zero for OFF cells. Summation order over `(d, f)`
-    /// matches the scalar path exactly, and adding the 0.0 entries the
-    /// scalar path skips is exact for these non-negative terms, so batch
-    /// distances are bit-identical to [`FerexArray::distances`].
+    /// matches the row loop exactly, and adding the 0.0 entries the row
+    /// loop skips is exact for these non-negative terms, so batch distances
+    /// are bit-identical to [`FerexArray::noisy_distances`].
     fn noisy_distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
         let (Some(samples), Backend::Noisy(cfg)) = (self.noisy_samples.as_ref(), &self.backend)
         else {
@@ -1005,13 +989,13 @@ impl FerexArray {
         let dim = self.dim;
         let cols = self.physical_cols();
         let n_search = self.encoding.search.len();
-        let rows = self.stored.len();
+        let rows = self.len();
         let row_stride = dim * n_search * k;
 
         // Each logical row reads through its current physical row (itself,
         // or the spare it was remapped to); excluded rows keep a zeroed LUT
         // slice and are forced to INFINITY after accumulation, matching the
-        // scalar path bit for bit.
+        // row loop bit for bit.
         let phys_of: Vec<Option<usize>> = (0..rows).map(|r| self.physical_row(r)).collect();
         // Build the table row-parallel: each worker owns one row's
         // contiguous `row_stride` slice, so there is no sharing and the
@@ -1019,9 +1003,9 @@ impl FerexArray {
         let mut contrib = vec![0.0f64; rows * row_stride];
         // lint:allow(panic-safety/index, reason = "hot kernel: each worker owns one row_stride slice of the table it indexes with offsets sized from the same dims; stored/encoding indices are validated at store time")
         contrib.par_chunks_mut(row_stride).enumerate().for_each(|(r, row_lut)| {
-            let Some(phys) = phys_of[r] else { return };
-            for (d, &s) in self.stored[r].iter().enumerate() {
-                let st = &self.encoding.stored[s as usize];
+            let (Some(phys), Some(codes)) = (phys_of[r], self.codes.row(r)) else { return };
+            for (d, &s) in codes.iter().enumerate() {
+                let st = &self.encoding.stored[usize::from(s)];
                 let cell_base = d * n_search * k;
                 for (q, se) in self.encoding.search.iter().enumerate() {
                     for f in 0..k {
@@ -1063,7 +1047,7 @@ impl FerexArray {
                         for (d, &q) in query.iter().enumerate() {
                             let base = (d * n_search + q as usize) * k;
                             for c in &row_lut[base..base + k] {
-                                units += c; // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major LUT order shared with the scalar path")
+                                units += c; // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major LUT order shared with the row loop")
                             }
                         }
                         out[qi][r] = if phys_of[r].is_some() { units } else { f64::INFINITY };
@@ -1300,7 +1284,7 @@ impl FerexArray {
             },
             spares_in_use,
             spares_burned,
-            rows_active: self.stored.len() - quarantined,
+            rows_active: self.len() - quarantined,
             rows_quarantined_now: quarantined,
             rows_remapped_now: remapped,
             wear_max_cycles: wear.max_cycles,
@@ -1431,7 +1415,7 @@ impl FerexArray {
         Ok(())
     }
 
-    /// Write-verifies every cell of the physical row holding `symbols`,
+    /// Write-verifies every cell of the physical row holding `codes`,
     /// committing trims for repaired cells; returns the per-row tally.
     ///
     /// # Errors
@@ -1441,13 +1425,13 @@ impl FerexArray {
     fn verify_row(
         &mut self,
         phys: usize,
-        symbols: &[u32],
+        codes: &[u8],
         policy: &RepairPolicy,
     ) -> Result<RowVerify, FerexError> {
         let k = self.encoding.k;
         let mut rv = RowVerify::default();
-        for (d, &s) in symbols.iter().enumerate() {
-            let levels = self.encoding.stored[s as usize].vth_levels.clone(); // lint:allow(panic-safety/index, reason = "symbols validated at store time")
+        for (d, &s) in codes.iter().enumerate() {
+            let levels = self.encoding.stored[usize::from(s)].vth_levels.clone(); // lint:allow(panic-safety/index, reason = "symbols validated at store time")
             for (f, &level) in levels.iter().enumerate().take(k) {
                 let col = d * k + f;
                 let rb = self.readback_cell(phys, col, level)?;
@@ -1499,8 +1483,8 @@ impl FerexArray {
             }
         }
         let mut result = RemapResult::default();
-        let symbols = self.stored[row].clone(); // lint:allow(panic-safety/index, reason = "row bounds-checked by the quarantine caller")
-                                                // lint:allow(panic-safety/index, reason = "j < spare_state.len() by the loop bound; row_map is sized to stored at program time")
+        let codes = self.codes.row(row).unwrap_or_default().to_vec();
+        // lint:allow(panic-safety/index, reason = "j < spare_state.len() by the loop bound; row_map is sized to stored at program time")
         for j in 0..self.spare_state.len() {
             if self.spare_state[j] != SpareState::Free {
                 continue;
@@ -1525,11 +1509,11 @@ impl FerexArray {
                     self.fault_map.as_deref(),
                     self.aged_vth.as_deref(),
                     phys,
-                    &symbols,
+                    &codes,
                 );
                 self.crossbar = Some(xb);
             }
-            let rv = self.verify_row(phys, &symbols, policy)?;
+            let rv = self.verify_row(phys, &codes, policy)?;
             result.retries += rv.retries;
             if rv.bad.len() <= policy.max_bad_cells_per_row {
                 self.spare_state[j] = SpareState::Assigned(row);
@@ -1579,18 +1563,15 @@ impl FerexArray {
         }
         self.program();
         let cols = self.physical_cols();
-        let mut report = ProgramReport {
-            rows: self.stored.len(),
-            cells: self.stored.len() * cols,
-            ..Default::default()
-        };
-        if matches!(self.backend, Backend::Ideal) || self.stored.is_empty() {
+        let mut report =
+            ProgramReport { rows: self.len(), cells: self.len() * cols, ..Default::default() };
+        if matches!(self.backend, Backend::Ideal) || self.is_empty() {
             // No physical state to verify: everything is trivially clean.
             report.cells_clean = report.cells;
             self.program_report = Some(report.clone());
             return Ok(report);
         }
-        for r in 0..self.stored.len() {
+        for r in 0..self.len() {
             // Mutation mode: free and tombstoned slots are excluded from
             // search and may hold reclaimed (stale) physical content —
             // there is nothing to verify, they count as trivially clean.
@@ -1600,8 +1581,8 @@ impl FerexArray {
                     continue;
                 }
             }
-            let symbols = self.stored[r].clone(); // lint:allow(panic-safety/index, reason = "r < stored.len() by the loop bound")
-            let rv = self.verify_row(r, &symbols, &policy)?;
+            let codes = self.codes.row(r).unwrap_or_default().to_vec();
+            let rv = self.verify_row(r, &codes, &policy)?;
             report.cells_clean += rv.clean;
             report.cells_repaired += rv.repaired;
             report.cells_failed += rv.failed;
@@ -1631,89 +1612,45 @@ impl FerexArray {
         Ok(report)
     }
 
-    /// Readback of the physical row holding `symbols` under a uniform
-    /// probe, in `I_unit` multiples.
+    /// Probes physical row `phys`, holding `codes`, with every uniform
+    /// codeword and compares each readback against the exact expected
+    /// current; returns a finding when any probe diverges beyond the
+    /// policy's tolerances. The Ideal backend has no physical state, so
+    /// it reads back exactly the expectation.
     ///
     /// # Errors
     ///
     /// [`FerexError::NotProgrammed`] when the backend's physical state is
     /// missing; probe-validation errors from the drive encoding.
-    fn probe_row_units(
-        &self,
-        phys: usize,
-        symbols: &[u32],
-        probe: &[u32],
-    ) -> Result<f64, FerexError> {
-        match &self.backend {
-            Backend::Ideal => Ok(symbols
-                .iter()
-                .zip(probe)
-                .map(|(&s, &q)| self.encoding.cell_current(q as usize, s as usize) as f64)
-                .sum()), // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the batch path")
-            Backend::Circuit(cfg) => {
-                let drives = self.drives_for(probe)?;
-                let Some(xb) = self.crossbar.as_ref() else {
-                    return Err(FerexError::NotProgrammed);
-                };
-                Ok(xb.row_current(phys, &drives, &cfg.options).value() / self.tech.i_unit().value())
-            }
-            Backend::Noisy(cfg) => {
-                let Some(samples) = self.noisy_samples.as_ref() else {
-                    return Err(FerexError::NotProgrammed);
-                };
-                let plan = &cfg.faults;
-                let k = self.encoding.k;
-                let cols = self.physical_cols();
-                let mut units = 0.0f64;
-                // lint:allow(panic-safety/index, reason = "probe symbols mirror validated stored symbols; f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
-                for (d, (&s, &q)) in symbols.iter().zip(probe).enumerate() {
-                    let st = &self.encoding.stored[s as usize];
-                    let se = &self.encoding.search[q as usize];
-                    for f in 0..k {
-                        let m = se.vds_multiples[f];
-                        if m == 0 {
-                            continue;
-                        }
-                        let index = phys * cols + d * k + f;
-                        let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
-                        // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major order shared with the batch path")
-                        units += self.noisy_cell_units(
-                            plan,
-                            index,
-                            st.vth_levels[f],
-                            &samples[index],
-                            v_gate,
-                            m,
-                        );
-                    }
-                }
-                Ok(units)
-            }
-        }
-    }
-
-    /// Probes one row with every uniform codeword and compares against the
-    /// exact expected readback; returns a finding when any probe diverges
-    /// beyond the policy's tolerances.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::probe_row_units`].
     fn scrub_row(
         &self,
         phys: usize,
         row_id: usize,
-        symbols: &[u32],
+        codes: &[u8],
         policy: &RepairPolicy,
     ) -> Result<Option<ScrubFinding>, FerexError> {
+        let i_unit = self.tech.i_unit().value();
         let mut worst: Option<(f64, f64)> = None;
         let mut saw_pos = false;
         let mut saw_neg = false;
         for q in 0..self.encoding.n_stored() {
             let probe = vec![q as u32; self.dim]; // lint:allow(cast-truncation/narrowing, reason = "q < n_stored, which fits u32 by construction")
-            let expected: f64 =
-                symbols.iter().map(|&s| self.encoding.cell_current(q, s as usize) as f64).sum(); // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the probe path")
-            let measured = self.probe_row_units(phys, symbols, &probe)?;
+            let expected: f64 = codes
+                .iter()
+                .map(|&s| f64::from(self.encoding.cell_current(q, usize::from(s))))
+                .sum(); // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the probe path")
+            let measured = match &self.backend {
+                Backend::Ideal => expected,
+                Backend::Circuit(cfg) => {
+                    let drives = self.drives_for(&probe)?;
+                    let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+                    xb.row_current(phys, &drives, &cfg.options).value() / i_unit
+                }
+                Backend::Noisy(cfg) => {
+                    let samples = self.noisy_samples.as_deref().ok_or(FerexError::NotProgrammed)?;
+                    self.noisy_row_units(samples, &cfg.faults, phys, codes, &probe)
+                }
+            };
             let div = measured - expected;
             let tol = policy.scrub_abs_tolerance.max(policy.scrub_rel_tolerance * expected);
             if div.abs() > tol {
@@ -1766,7 +1703,7 @@ impl FerexArray {
     /// [`FerexError::Empty`] when nothing is stored.
     pub fn scrub(&mut self) -> Result<ScrubReport, FerexError> {
         self.require_programmed()?;
-        if self.stored.is_empty() {
+        if self.is_empty() {
             return Err(FerexError::Empty);
         }
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
@@ -1776,15 +1713,16 @@ impl FerexArray {
         });
         policy.validate()?;
         if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+            self.row_map = vec![RowHealth::Healthy; self.len()];
         }
         let mut findings: Vec<ScrubFinding> = Vec::new();
         let mut checked_logical = 0usize;
-        for r in 0..self.stored.len() {
-            let Some(phys) = self.physical_row(r) else { continue };
+        for r in 0..self.len() {
+            let (Some(phys), Some(codes)) = (self.physical_row(r), self.codes.row(r)) else {
+                continue;
+            };
             checked_logical += 1;
-            let symbols = self.stored[r].clone(); // lint:allow(panic-safety/index, reason = "r < stored.len() by the loop bound")
-            if let Some(f) = self.scrub_row(phys, r, &symbols, &policy)? {
+            if let Some(f) = self.scrub_row(phys, r, codes, &policy)? {
                 findings.push(f);
             }
         }
@@ -1792,7 +1730,7 @@ impl FerexArray {
         for j in 0..self.sentinels() {
             let codeword = self.sentinel_codeword(j);
             let finding =
-                self.scrub_row(self.sentinel_phys(j), self.stored.len() + j, &codeword, &policy)?;
+                self.scrub_row(self.sentinel_phys(j), self.len() + j, &codeword, &policy)?;
             if let Some(f) = finding {
                 sentinel_findings += 1;
                 findings.push(f);
@@ -1809,7 +1747,7 @@ impl FerexArray {
             }
         } else {
             let flagged: Vec<usize> =
-                findings.iter().map(|f| f.row).filter(|&r| r < self.stored.len()).collect();
+                findings.iter().map(|f| f.row).filter(|&r| r < self.len()).collect();
             for r in flagged {
                 let res = self.quarantine_internal(r, &policy)?;
                 match res.spare {
@@ -1852,7 +1790,7 @@ impl FerexArray {
     ///
     /// Panics if `row` is out of range.
     pub fn quarantine_row(&mut self, row: usize) -> Result<usize, FerexError> {
-        assert!(row < self.stored.len(), "row {row} out of range");
+        assert!(row < self.len(), "row {row} out of range");
         self.require_programmed()?;
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
             spare_rows: 0,
@@ -1860,7 +1798,7 @@ impl FerexArray {
             ..Default::default()
         });
         if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+            self.row_map = vec![RowHealth::Healthy; self.len()];
         }
         let res = self.quarantine_internal(row, &policy)?;
         match res.spare {
@@ -1897,16 +1835,15 @@ impl FerexArray {
         if self.mutation.is_some() {
             return Err(FerexError::InvalidPolicy { what: "mutation is already enabled" });
         }
-        if self.stored.len() > policy.capacity {
+        if self.len() > policy.capacity {
             return Err(FerexError::InvalidPolicy {
                 what: "mutation capacity below the stored row count",
             });
         }
-        let state = MutationState::new(policy, self.stored.len());
-        while self.stored.len() < policy.capacity {
-            let zeros = vec![0u32; self.dim];
+        let state = MutationState::new(policy, self.len());
+        let zeros = vec![0u32; self.dim];
+        while self.len() < policy.capacity {
             self.codes.push_row(&zeros);
-            self.stored.push(zeros);
         }
         self.mutation = Some(state);
         self.invalidate_physical_state();
@@ -1943,8 +1880,8 @@ impl FerexArray {
     }
 
     /// The stored vector of a live logical id.
-    pub fn vector_of(&self, id: u64) -> Option<&[u32]> {
-        self.slot_of(id).and_then(|s| self.stored.get(s)).map(|v| v.as_slice())
+    pub fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
+        self.row_vector(self.slot_of(id)?)
     }
 
     /// Live logical ids, ascending.
@@ -1980,27 +1917,8 @@ impl FerexArray {
             .ok_or(FerexError::InvalidPolicy { what: "mutation is not enabled on this array" })
     }
 
-    /// Replaces slot `slot`'s logical contents (stored vector + SoA code
-    /// mirror) without touching slot state.
-    fn set_slot_contents(&mut self, slot: usize, vector: Vec<u32>) {
-        if let Some(s) = self.stored.get_mut(slot) {
-            self.codes.set_row(slot, &vector);
-            *s = vector;
-        }
-    }
-
-    /// Zeroes slot `slot`'s logical contents in place (stored row and SoA
-    /// mirror) — the reclaim/rollback twin of `set_slot_contents`, with
-    /// no scratch allocation.
-    fn zero_slot_contents(&mut self, slot: usize) {
-        if let Some(s) = self.stored.get_mut(slot) {
-            s.fill(0);
-            self.codes.zero_row(slot);
-        }
-    }
-
     /// Delta-programs physical slot `slot` with the contents already
-    /// committed to `stored[slot]`, through the same write-verify path as
+    /// committed to its code row, through the same write-verify path as
     /// [`FerexArray::program_verified`]: program the row, verify every
     /// cell with bounded retry and trim commits, quarantine-and-remap on
     /// unrepairable rows (or fail typed in strict mode). Counts one wear
@@ -2014,11 +1932,7 @@ impl FerexArray {
     /// [`FerexError::VerifyFailed`] under a strict repair policy;
     /// [`FerexError::NotProgrammed`] when the physical state vanished
     /// mid-write.
-    pub(crate) fn mutation_write_slot(
-        &mut self,
-        slot: usize,
-        vector: &[u32],
-    ) -> Result<(), FerexError> {
+    pub(crate) fn mutation_write_slot(&mut self, slot: usize) -> Result<(), FerexError> {
         let Some(m) = self.mutation.as_mut() else {
             return Err(FerexError::InvalidPolicy {
                 what: "mutation is not enabled on this array",
@@ -2032,6 +1946,12 @@ impl FerexArray {
         // contents.
         self.program_report = None;
         if !self.is_programmed() {
+            return Ok(());
+        }
+        // The Ideal backend has no physical state, and the Noisy backend
+        // reads the stored codes against persistent per-cell samples: for
+        // both, the committed code row *is* the write.
+        if matches!(self.backend, Backend::Ideal) {
             return Ok(());
         }
         let Some(phys) = self.phys_for_slot(slot) else {
@@ -2050,22 +1970,17 @@ impl FerexArray {
                 self.fault_map.as_deref(),
                 self.aged_vth.as_deref(),
                 phys,
-                vector,
+                self.codes.row(slot).unwrap_or_default(),
             );
             self.crossbar = Some(xb);
         }
-        // The Noisy backend reads stored codes against persistent per-cell
-        // samples, and the Ideal backend has no physical state: for both,
-        // the logical commit *is* the write.
-        if matches!(self.backend, Backend::Ideal) {
-            return Ok(());
-        }
         if let Some(policy) = self.repair.clone() {
             if self.row_map.is_empty() {
-                self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+                self.row_map = vec![RowHealth::Healthy; self.len()];
                 self.spare_state = vec![SpareState::Free; self.spares()];
             }
-            let rv = self.verify_row(phys, vector, &policy)?;
+            let codes = self.codes.row(slot).unwrap_or_default().to_vec();
+            let rv = self.verify_row(phys, &codes, &policy)?;
             if rv.bad.len() > policy.max_bad_cells_per_row {
                 if policy.strict {
                     let cell = rv.bad.first().copied().unwrap_or(0);
@@ -2107,10 +2022,10 @@ impl FerexArray {
             }
             None => return Err(FerexError::CapacityExhausted { capacity }),
         };
-        self.set_slot_contents(slot, vector.clone());
-        if let Err(e) = self.mutation_write_slot(slot, &vector) {
+        self.codes.set_row(slot, &vector);
+        if let Err(e) = self.mutation_write_slot(slot) {
             // Never made live: zero the logical contents back out.
-            self.zero_slot_contents(slot);
+            self.codes.zero_row(slot);
             return Err(e);
         }
         self.mutation_commit_live(id, slot);
@@ -2137,9 +2052,9 @@ impl FerexArray {
         let target = if m.policy.wear_leveling { m.choose_insert_slot() } else { None };
         match target {
             Some(new) if new != old => {
-                self.set_slot_contents(new, vector.clone());
-                if let Err(e) = self.mutation_write_slot(new, &vector) {
-                    self.zero_slot_contents(new);
+                self.codes.set_row(new, &vector);
+                if let Err(e) = self.mutation_write_slot(new) {
+                    self.codes.zero_row(new);
                     return Err(e);
                 }
                 self.mutation_commit_move(id, old, new);
@@ -2147,15 +2062,15 @@ impl FerexArray {
                 Ok(())
             }
             _ => {
-                let previous = self.stored.get(old).cloned().unwrap_or_default();
-                self.set_slot_contents(old, vector.clone());
-                match self.mutation_write_slot(old, &vector) {
+                let previous = self.row_vector(old).unwrap_or_default();
+                self.codes.set_row(old, &vector);
+                match self.mutation_write_slot(old) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // Crash consistency: roll the row back to its old
                         // contents, logically and (best-effort) physically.
-                        self.set_slot_contents(old, previous.clone());
-                        let _ = self.mutation_write_slot(old, &previous);
+                        self.codes.set_row(old, &previous);
+                        let _ = self.mutation_write_slot(old);
                         Err(e)
                     }
                 }
@@ -2209,7 +2124,7 @@ impl FerexArray {
         }
         let report = CompactionReport { reclaimed: reclaimed.len(), rotated: 0 };
         for i in reclaimed {
-            self.zero_slot_contents(i);
+            self.codes.zero_row(i);
         }
         if report.reclaimed > 0 {
             self.program_report = None;
@@ -2247,12 +2162,12 @@ impl FerexArray {
         let Some(SlotState::Live(id)) = m.slots.get(src).copied() else {
             return report;
         };
-        let vector = self.stored.get(src).cloned().unwrap_or_default();
-        self.set_slot_contents(dst, vector.clone());
-        if self.mutation_write_slot(dst, &vector).is_err() {
+        let vector = self.row_vector(src).unwrap_or_default();
+        self.codes.set_row(dst, &vector);
+        if self.mutation_write_slot(dst).is_err() {
             // Abandon the rotation: the destination stays free (its stale
             // physical content is excluded from search), no logical change.
-            self.zero_slot_contents(dst);
+            self.codes.zero_row(dst);
             return report;
         }
         self.mutation_commit_move(id, src, dst);
@@ -2268,8 +2183,8 @@ impl FerexArray {
 
     /// Crate-internal: replaces slot contents without touching slot state
     /// (phase one of a coordinated mutation, or its rollback).
-    pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: Vec<u32>) {
-        self.set_slot_contents(slot, vector);
+    pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: &[u32]) {
+        self.codes.set_row(slot, vector);
     }
 
     /// Crate-internal: marks a prepared slot live for `id` (phase two of a
@@ -2326,7 +2241,7 @@ impl MutableNode for FerexArray {
     }
 
     fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
-        FerexArray::vector_of(self, id).map(<[u32]>::to_vec)
+        FerexArray::vector_of(self, id)
     }
 
     fn live_ids(&self) -> Vec<u64> {
@@ -2369,7 +2284,7 @@ struct RemapResult {
     retries: usize,
 }
 
-/// Programs one physical crossbar row with the encoding of `symbols`,
+/// Programs one physical crossbar row with the encoding of `codes`,
 /// applying the row's fault-map entries and aging — the single definition
 /// used for logical rows, sentinels, and spare bring-up, so all three see
 /// identical device behavior.
@@ -2382,13 +2297,13 @@ fn program_crossbar_row(
     fault_map: Option<&[CellFault]>,
     aged: Option<&[Volt]>,
     phys_row: usize,
-    symbols: &[u32],
+    codes: &[u8],
 ) {
     let k = encoding.k;
-    let cols = symbols.len() * k;
-    // lint:allow(panic-safety/index, reason = "symbols are validated against the encoding before programming; f < k and stored encodings carry exactly k levels")
-    for (d, &s) in symbols.iter().enumerate() {
-        let st = &encoding.stored[s as usize];
+    let cols = codes.len() * k;
+    // lint:allow(panic-safety/index, reason = "codes are validated against the encoding before programming; f < k and stored encodings carry exactly k levels")
+    for (d, &s) in codes.iter().enumerate() {
+        let st = &encoding.stored[usize::from(s)];
         for f in 0..k {
             let col = d * k + f;
             let level = st.vth_levels[f];
@@ -2440,6 +2355,11 @@ mod tests {
         FerexArray::new(Technology::default(), report.encoding, dim, backend)
     }
 
+    /// Every stored row, in row order.
+    fn rows(a: &FerexArray) -> Vec<Vec<u32>> {
+        (0..a.len()).filter_map(|r| a.row_vector(r)).collect()
+    }
+
     #[test]
     fn ideal_search_matches_metric() {
         let mut a = hamming_array(4, Backend::Ideal);
@@ -2449,7 +2369,7 @@ mod tests {
         let q = [0, 1, 2, 0];
         let out = a.search(&q).unwrap();
         let m = DistanceMetric::Hamming;
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             let expected = m.vector_distance(&q, stored) as f64;
             assert_eq!(out.distances[r], expected, "row {r}");
         }
@@ -2501,7 +2421,7 @@ mod tests {
         let q = [0, 3, 0];
         let out = a.search(&q).unwrap();
         let m = DistanceMetric::Manhattan;
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             assert_eq!(out.distances[r], m.vector_distance(&q, stored) as f64);
         }
     }
@@ -2518,6 +2438,27 @@ mod tests {
             Err(FerexError::SymbolOutOfRange { value: 4, .. })
         ));
         assert!(matches!(a.search(&[0, 0, 0]), Err(FerexError::Empty)));
+    }
+
+    #[test]
+    fn symbols_beyond_one_byte_are_rejected_whatever_the_alphabet() {
+        // A hand-built 300-level encoding (the CSP encoder never exceeds
+        // 64): the array stores one byte per symbol, so validation caps
+        // symbols at 256 and reports that cap as the alphabet.
+        let mut enc = hamming_array(1, Backend::Ideal).encoding().clone();
+        let level = enc.stored[0].clone();
+        enc.stored = vec![level; 300];
+        let mut a = FerexArray::new(Technology::default(), enc, 4, Backend::Ideal);
+        assert_eq!(
+            a.store(vec![299, 0, 0, 0]),
+            Err(FerexError::SymbolOutOfRange { value: 299, n_values: 256 })
+        );
+        assert_eq!(
+            a.store(vec![0, 256, 0, 0]),
+            Err(FerexError::SymbolOutOfRange { value: 256, n_values: 256 })
+        );
+        a.store(vec![255, 0, 1, 2]).unwrap();
+        assert_eq!(a.row_vector(0), Some(vec![255, 0, 1, 2]), "255 survives the byte store");
     }
 
     #[test]
@@ -2601,14 +2542,15 @@ mod tests {
         let removed = a.remove(1);
         assert_eq!(removed, vec![1, 1]);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.stored()[1], vec![2, 2]);
+        assert_eq!(a.row_vector(1), Some(vec![2, 2]));
         a.update(0, vec![3, 3]).unwrap();
         let out = a.search(&[3, 3]).unwrap();
         assert_eq!(out.nearest, 0);
         assert_eq!(out.distances[0], 0.0);
         // Invalid update leaves the array unchanged.
         assert!(a.update(0, vec![9, 9]).is_err());
-        assert_eq!(a.stored()[0], vec![3, 3]);
+        assert_eq!(a.row_vector(0), Some(vec![3, 3]));
+        assert_eq!(a.row_vector(2), None);
     }
 
     #[test]
@@ -2948,7 +2890,7 @@ mod tests {
         // and only the ±8 % resistor spread remains on the magnitude.
         let q = [0, 1, 2, 3];
         let out = a.search(&q).unwrap();
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
             assert!(
                 (out.distances[r] - expected).abs() < 0.2 * expected.max(1.0),
@@ -2975,7 +2917,7 @@ mod tests {
             let q = [0, 1, 2, 3];
             let out = a.search(&q).unwrap();
             assert_eq!(out.distances.len(), 6, "results stay keyed by logical row id");
-            for (r, stored) in a.stored().iter().enumerate() {
+            for (r, stored) in rows(&a).iter().enumerate() {
                 let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
                 match a.row_health(r) {
                     RowHealth::Quarantined => assert!(out.distances[r].is_infinite()),
@@ -3231,7 +3173,7 @@ mod tests {
         leveled.update_id(1, vec![1; 4]).unwrap();
         let after = leveled.slot_of(1).unwrap();
         assert_ne!(before, after, "leveling must move the write to a cold slot");
-        assert_eq!(leveled.vector_of(1).unwrap(), &[1, 1, 1, 1]);
+        assert_eq!(leveled.vector_of(1), Some(vec![1, 1, 1, 1]));
 
         let mut policy = MutationPolicy::with_capacity(4);
         policy.wear_leveling = false;
@@ -3316,7 +3258,7 @@ mod tests {
 
         let mut fresh = mutable_ideal(8);
         for id in a.live_ids() {
-            fresh.insert(id, a.vector_of(id).unwrap().to_vec()).unwrap();
+            fresh.insert(id, a.vector_of(id).unwrap()).unwrap();
         }
         let q = [1, 2, 3, 0];
         let got = a.search(&q).unwrap();
@@ -3348,6 +3290,36 @@ mod tests {
         a.delete(1).unwrap();
         let out = a.search(&[0, 1, 2, 3]).unwrap();
         assert_ne!(a.id_at(out.nearest), Some(1));
+    }
+
+    #[test]
+    fn deleted_and_free_slots_never_serve_on_physical_backends() {
+        // Regression: without a repair policy the Circuit read used to
+        // return the raw crossbar currents, so tombstoned and free slots
+        // kept serving (a deleted vector won at distance 0 and free slots
+        // read ~4 instead of +inf). Both physical backends must exclude
+        // them exactly like the Ideal kernels.
+        for backend in [
+            Backend::Circuit(Box::new(faulty_cfg(FaultPlan::none(), 3))),
+            Backend::Noisy(Box::new(faulty_cfg(FaultPlan::none(), 3))),
+        ] {
+            let mut a = hamming_array(4, backend.clone());
+            a.enable_mutation(MutationPolicy::with_capacity(4)).unwrap();
+            a.insert(1, vec![0, 1, 2, 3]).unwrap();
+            a.insert(2, vec![3, 3, 3, 3]).unwrap();
+            a.program();
+            a.delete(1).unwrap();
+            let out = a.search_at(&[0, 1, 2, 3], 0).unwrap();
+            assert_eq!(a.id_at(out.nearest), Some(2), "{backend:?}");
+            let slot2 = a.slot_of(2).unwrap();
+            for (slot, d) in out.distances.iter().enumerate() {
+                if slot == slot2 {
+                    assert!((d - 4.0).abs() < 0.1, "{backend:?}: live slot read {d}");
+                } else {
+                    assert!(d.is_infinite(), "{backend:?}: slot {slot} read {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -216,8 +216,8 @@ impl CellEncoding {
     ///
     /// # Errors
     ///
-    /// [`FerexError::EncodingMismatch`] for the first diverging
-    /// `(search, stored)` cell.
+    /// [`FerexError::EncodingMismatch`](crate::error::FerexError::EncodingMismatch)
+    /// for the first diverging `(search, stored)` cell.
     pub fn verify(&self, dm: &DistanceMatrix) -> Result<(), crate::error::FerexError> {
         for i in 0..dm.n_search() {
             for j in 0..dm.n_stored() {

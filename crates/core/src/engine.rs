@@ -455,11 +455,11 @@ impl Ferex {
                 // quorum and the digital fallback over replica 0 need).
                 a.enable_mutation(mp)?;
                 for id in self.array.live_ids() {
-                    let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?.to_vec();
+                    let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?;
                     a.insert(id, v)?;
                 }
             } else {
-                a.store_all(self.array.stored().iter().cloned())?;
+                a.store_all((0..self.array.len()).filter_map(|r| self.array.row_vector(r)))?;
             }
             if self.array.repair_policy().is_some() {
                 a.program_verified()?;

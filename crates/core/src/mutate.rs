@@ -14,9 +14,8 @@
 //!
 //! * every physical row is a [`SlotState`]: `Free` (never written or
 //!   reclaimed), `Live(id)` (serving logical id `id`), or `Dead`
-//!   (tombstoned — excluded from every kernel exactly like a quarantined
-//!   row, so the skip is bit-identical across the scalar and batched
-//!   paths);
+//!   (tombstoned — excluded from every kernel, on every backend, exactly
+//!   like a quarantined row);
 //! * `insert`/`update` program **only the delta row**, through the same
 //!   write-verify machinery as
 //!   [`program_verified`](crate::array::FerexArray::program_verified)

@@ -40,7 +40,6 @@ use crate::mutate::{CompactionReport, MutableNode, WearSummary};
 use crate::tile::TiledArray;
 use ferex_fefet::math::splitmix64;
 use ferex_fefet::Technology;
-use std::borrow::Cow;
 
 /// Domain-separation salt for replica seed derivation, so replica streams
 /// can never collide with the query, fault, or conformance streams.
@@ -272,7 +271,7 @@ pub trait ReplicaNode {
     }
     /// Row `r`'s logical contents (the vector the digital fallback scores),
     /// or `None` past the last row.
-    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>>;
+    fn logical_row(&self, r: usize) -> Option<Vec<u32>>;
 }
 
 impl ReplicaNode for FerexArray {
@@ -312,8 +311,8 @@ impl ReplicaNode for FerexArray {
         self.slot_live(r)
     }
 
-    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>> {
-        self.stored().get(r).map(|v| Cow::Borrowed(v.as_slice()))
+    fn logical_row(&self, r: usize) -> Option<Vec<u32>> {
+        self.row_vector(r)
     }
 }
 
@@ -371,8 +370,8 @@ impl ReplicaNode for TiledArray {
         self.tiles().first().is_none_or(|t| t.slot_live(r))
     }
 
-    fn logical_row(&self, r: usize) -> Option<Cow<'_, [u32]>> {
-        self.row_vector(r).map(Cow::Owned)
+    fn logical_row(&self, r: usize) -> Option<Vec<u32>> {
+        self.row_vector(r)
     }
 }
 

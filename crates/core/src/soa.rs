@@ -1,19 +1,18 @@
 //! Structure-of-arrays layout for the hot distance kernels.
 //!
-//! The array API stores logical vectors as `Vec<Vec<u32>>` — convenient
-//! for callers, hostile to the inner loops: every row is a separate heap
-//! allocation and every symbol burns 4 bytes for a value that is at most
-//! 63 (the encoder caps stored alphabets at 64 levels). This module owns
-//! the kernel-facing mirror of that data:
+//! [`SoaCodes`] is the array's only store of its vectors: every stored
+//! symbol is one byte in a contiguous `rows × dim` buffer, the software
+//! counterpart of one multi-bit symbol per FeFET cell. The public API
+//! still speaks `Vec<u32>` (queries, `row_vector`), but nothing keeps a
+//! second, row-per-allocation copy. This module owns:
 //!
-//! * [`SoaCodes`] — all stored symbols quantized to `u8` in one contiguous
-//!   `rows × dim` buffer, maintained eagerly by the array's mutators so
-//!   the read path never rebuilds it, plus the stored rows' packed
-//!   bit-planes. The planes are packed lazily, on the first bit-plane
-//!   kernel call; from then on each mutator re-packs only the rows it
-//!   touches. A bit-plane query therefore pays for the rows it scans and
-//!   nothing else, and an array that never takes that kernel (Noisy,
-//!   Circuit, a LUT encoding) never allocates planes at all.
+//! * [`SoaCodes`] — the `u8` code buffer, written by the array's mutators
+//!   and read by every kernel, plus the stored rows' packed bit-planes.
+//!   The planes are packed lazily, on the first bit-plane kernel call;
+//!   from then on each mutator re-packs only the rows it touches. A
+//!   bit-plane query therefore pays for the rows it scans and nothing
+//!   else, and an array that never takes that kernel (Noisy, Circuit, a
+//!   LUT encoding) never allocates planes at all.
 //! * [`balanced_ranges`] — query-batch partitioning that hands every
 //!   worker a chunk (sizes differ by at most one), instead of the
 //!   `div_ceil`-sized chunks that left workers idle on non-divisible
@@ -32,36 +31,37 @@
 //! (`LtaParams::sense`) is a plain argmin that draws no noise, so a batch
 //! of one costs one kernel pass over the rows plus one argmin.
 //!
-//! # Bit-identity
+//! # Exactness
 //!
-//! Both kernels accumulate in `u64` and convert once at the end, while
-//! the scalar reference path ([`crate::array::FerexArray::distances`])
-//! sums the same integers in `f64`. These agree bit for bit because every
+//! Both kernels accumulate in `u64` and convert once at the end, so a row
+//! distance is exactly `Σ_d cell_current(q_d, s_d)` as an `f64`: every
 //! partial sum is a non-negative integer far below 2⁵³ (the worst case,
-//! `max_vds_multiple × k × dim`, is ≤ 63 × 6 × dim): integer-valued `f64`
-//! addition is exact in that range, so the scalar `f64` running sum *is*
-//! the integer sum, and `sum as f64` reproduces it exactly.
+//! `max_vds_multiple × k × dim`, is ≤ 63 × 6 × dim), where the conversion
+//! is lossless. The f64 reference that checks this lives in the tests
+//! (`assert_batch_is_exact` below and the core property test
+//! `batched_kernels_are_bit_identical_to_scalar_path`).
 
 use crate::encoding::CellEncoding;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+/// Symbol values a one-byte code can hold. `FerexArray::validate` caps
+/// stored symbols (and queries) below this, whatever the encoding's
+/// alphabet, so the `u8` codes are lossless by construction; the CSP
+/// encoder never produces more than 64 levels anyway.
+pub(crate) const CODE_LEVELS: usize = 256;
+
 /// Contiguous `rows × dim` buffer of stored symbol codes, one byte per
 /// symbol, and the bit-planes packed from it.
 ///
-/// Codes are written as `symbol & 0xff`. This is lossless whenever the
-/// *current* encoding has at most 256 stored levels: every mutator
-/// validates symbols against `n_stored` before they reach this buffer,
-/// and a reconfiguration to a ≤ 256-level encoding re-validates every
-/// stored symbol — so in the only regime where the kernels read this
-/// buffer (`n_stored ≤ 256`, checked at dispatch), the truncation is the
-/// identity.
+/// Codes are written as `symbol & 0xff`, the identity on the validated
+/// symbols (< [`CODE_LEVELS`]) every mutator passes in.
 ///
 /// Once built, the planes always equal a fresh [`pack_bit_planes`] of
 /// every row at the current width: each mutator re-packs the rows it
 /// changes, and a width change ([`SoaCodes::set_plane_bits`]) drops them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SoaCodes {
     codes: Vec<u8>,
     dim: usize,
@@ -90,13 +90,14 @@ impl SoaCodes {
         self.repack_row(self.rows().saturating_sub(1));
     }
 
-    /// Overwrites row `r` in place.
+    /// Overwrites row `r` in place; a row past the end is ignored.
     pub(crate) fn set_row(&mut self, r: usize, row: &[u32]) {
         debug_assert_eq!(row.len(), self.dim);
         let base = r * self.dim;
-        // lint:allow(panic-safety/index, reason = "callers pass a row index below rows(); the buffer is rows x dim by construction")
-        for (dst, &s) in self.codes[base..base + self.dim].iter_mut().zip(row) {
-            *dst = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
+        if let Some(codes) = self.codes.get_mut(base..base + self.dim) {
+            for (dst, &s) in codes.iter_mut().zip(row) {
+                *dst = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
+            }
         }
         self.repack_row(r);
     }
@@ -160,7 +161,9 @@ impl SoaCodes {
             let mut planes = vec![0u64; self.rows() * stride];
             if stride > 0 {
                 planes.par_chunks_mut(stride).enumerate().for_each(|(r, out)| {
-                    pack_bit_planes(self.row(r), bits, words, out);
+                    if let Some(codes) = self.row(r) {
+                        pack_bit_planes(codes, bits, words, out);
+                    }
                 });
             }
             planes
@@ -181,7 +184,6 @@ impl SoaCodes {
     }
 
     /// The whole buffer, row-major.
-    #[cfg(test)]
     pub(crate) fn as_slice(&self) -> &[u8] {
         &self.codes
     }
@@ -192,10 +194,9 @@ impl SoaCodes {
         self.planes.get().map(Vec::as_slice)
     }
 
-    /// Row `r`'s codes.
-    pub(crate) fn row(&self, r: usize) -> &[u8] {
-        // lint:allow(panic-safety/index, reason = "callers pass a row index below rows(); the buffer is rows x dim by construction")
-        &self.codes[r * self.dim..(r + 1) * self.dim]
+    /// Row `r`'s codes; `None` past the last row.
+    pub(crate) fn row(&self, r: usize) -> Option<&[u8]> {
+        self.codes.get(r * self.dim..(r + 1) * self.dim)
     }
 
     /// Number of complete rows held.
@@ -320,9 +321,10 @@ mod tests {
         soa.push_row(&[3, 4, 5]);
         soa.push_row(&[6, 7, 8]);
         assert_eq!(soa.rows(), 3);
-        assert_eq!(soa.row(1), &[3, 4, 5]);
+        assert_eq!(soa.row(1), Some(&[3, 4, 5][..]));
         soa.set_row(1, &[9, 9, 9]);
-        assert_eq!(soa.row(1), &[9, 9, 9]);
+        assert_eq!(soa.row(1), Some(&[9, 9, 9][..]));
+        assert_eq!(soa.row(3), None);
         soa.remove_row(0);
         assert_eq!(soa.rows(), 2);
         assert_eq!(soa.as_slice(), &[9, 9, 9, 6, 7, 8]);
@@ -399,6 +401,7 @@ mod tests {
         use crate::dm::DistanceMatrix;
         use crate::encoding::CellEncoding;
         use crate::error::FerexError;
+        use crate::health::RowHealth;
         use crate::mutate::MutationPolicy;
         use crate::sizing::{find_minimal_cell, SizingOptions};
         use crate::tile::TiledArray;
@@ -440,27 +443,64 @@ mod tests {
             let stride = bits as usize * words;
             let mut fresh = vec![0u64; codes.rows() * stride];
             for (r, out) in fresh.chunks_mut(stride).enumerate() {
-                pack_bit_planes(codes.row(r), bits, words, out);
+                pack_bit_planes(codes.row(r).expect("row in range"), bits, words, out);
             }
             assert_eq!(cached, fresh.as_slice(), "cached bit-planes went stale");
         }
 
-        /// The batch kernels equal the scalar path f64 bit for bit,
-        /// excluded rows (`INFINITY`) included, or both refuse.
-        fn assert_batch_is_scalar(
+        /// The f64 reference the kernels must reproduce on an Ideal array:
+        /// `Σ_d cell_current(q_d, s_d)` over each row's stored vector,
+        /// `INFINITY` for a row excluded from search (free, tombstoned or
+        /// quarantined).
+        fn ideal_reference(a: &FerexArray, q: &[u32]) -> Vec<f64> {
+            let enc = a.encoding();
+            (0..a.len())
+                .map(|r| match a.row_vector(r) {
+                    Some(v) if a.slot_live(r) && a.row_health(r) != RowHealth::Quarantined => v
+                        .iter()
+                        .zip(q)
+                        .map(|(&s, &q)| f64::from(enc.cell_current(q as usize, s as usize)))
+                        .sum(),
+                    _ => f64::INFINITY,
+                })
+                .collect()
+        }
+
+        /// The batch kernels equal the f64 reference bit for bit, excluded
+        /// rows (`INFINITY`) included; a refused batch means the reference
+        /// has no row to serve either.
+        fn assert_batch_is_exact(
             batch: Result<Vec<Vec<f64>>, FerexError>,
-            scalar: impl Fn(&[u32]) -> Result<Vec<f64>, FerexError>,
+            reference: impl Fn(&[u32]) -> Vec<f64>,
             queries: &[Vec<u32>],
         ) {
             let Ok(batch) = batch else {
-                assert!(scalar(&queries[0]).is_err(), "batch refused what the scalar path serves");
+                let want = reference(&queries[0]);
+                assert!(want.iter().all(|d| d.is_infinite()), "batch refused a servable array");
                 return;
             };
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
             for (q, got) in queries.iter().zip(&batch) {
-                let want = scalar(q).expect("the scalar path serves what the batch served");
-                assert_eq!(bits(got), bits(&want), "batch kernel diverged from the scalar path");
+                assert_eq!(
+                    bits(got),
+                    bits(&reference(q)),
+                    "batch kernel diverged from the reference"
+                );
             }
+        }
+
+        /// The tiled reference: per-tile references over zero-padded
+        /// query chunks, accumulated in tile order.
+        fn tiled_reference(t: &TiledArray, q: &[u32]) -> Vec<f64> {
+            let mut total = vec![0.0f64; t.len()];
+            for (i, tile) in t.tiles().iter().enumerate() {
+                let mut chunk: Vec<u32> = q.iter().copied().skip(i * t.tile_dim()).collect();
+                chunk.resize(t.tile_dim(), 0);
+                for (sum, part) in total.iter_mut().zip(ideal_reference(tile, &chunk)) {
+                    *sum += part;
+                }
+            }
+            total
         }
 
         fn queries(seed: u64, n: usize) -> Vec<Vec<u32>> {
@@ -471,7 +511,7 @@ mod tests {
             /// Planes built by one `distances_batch` call stay equal to a
             /// fresh pack through arbitrary positional, slot-table,
             /// quarantine and reconfiguration sequences, and the kernels
-            /// stay bit-identical to the scalar path after every step.
+            /// stay bit-identical to the f64 reference after every step.
             #[test]
             fn planes_track_every_array_mutator(
                 ops in prop::collection::vec((0u8..10, any::<u64>()), 1..32),
@@ -481,7 +521,7 @@ mod tests {
                 for s in 1..5 {
                     a.store(vector(s, 4)).expect("valid");
                 }
-                assert_batch_is_scalar(a.distances_batch(&queries(0, 4)), |q| a.distances(q), &queries(0, 4));
+                assert_batch_is_exact(a.distances_batch(&queries(0, 4)), |q| ideal_reference(&a, q), &queries(0, 4));
                 prop_assert!(a.soa_codes().cached_planes().is_some(), "the first call builds the planes");
                 let mut next_id = 1_000;
                 for &(op, e) in &ops {
@@ -520,7 +560,7 @@ mod tests {
                     }
                     assert_planes_fresh(a.soa_codes());
                     let qs = queries(e, a.encoding().n_stored());
-                    assert_batch_is_scalar(a.distances_batch(&qs), |q| a.distances(q), &qs);
+                    assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
                     assert_planes_fresh(a.soa_codes());
                 }
             }
@@ -564,7 +604,7 @@ mod tests {
                         assert_planes_fresh(tile.soa_codes());
                     }
                     let qs = queries(e, t.tiles()[0].encoding().n_stored());
-                    assert_batch_is_scalar(t.distances_batch(&qs), |q| t.distances(q), &qs);
+                    assert_batch_is_exact(t.distances_batch(&qs), |q| tiled_reference(&t, q), &qs);
                     for tile in t.tiles() {
                         assert_planes_fresh(tile.soa_codes());
                     }

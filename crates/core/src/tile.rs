@@ -166,12 +166,12 @@ impl TiledArray {
 
     /// Number of stored vectors.
     pub fn len(&self) -> usize {
-        self.tiles[0].len()
+        self.tiles.first().map_or(0, FerexArray::len)
     }
 
     /// `true` if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.tiles[0].is_empty()
+        self.tiles.first().is_none_or(FerexArray::is_empty)
     }
 
     /// Read-only access to the tiles (for cost accounting).
@@ -180,15 +180,17 @@ impl TiledArray {
     }
 
     fn split(&self, vector: &[u32]) -> Vec<Vec<u32>> {
-        let mut out = Vec::with_capacity(self.tiles.len());
-        for t in 0..self.tiles.len() {
-            let start = t * self.tile_dim;
-            let end = ((t + 1) * self.tile_dim).min(vector.len());
-            let mut chunk = vector[start..end].to_vec();
-            chunk.resize(self.tile_dim, 0); // zero-pad the last tile
-            out.push(chunk);
-        }
-        out
+        (0..self.tiles.len()).map(|t| self.chunk(vector, t)).collect()
+    }
+
+    /// Tile `t`'s slice of `vector`, zero-padded to `tile_dim` (only the
+    /// last tile is ever short).
+    fn chunk(&self, vector: &[u32], t: usize) -> Vec<u32> {
+        let start = t * self.tile_dim;
+        let end = (start + self.tile_dim).min(vector.len());
+        let mut chunk = vector.get(start..end).unwrap_or_default().to_vec();
+        chunk.resize(self.tile_dim, 0);
+        chunk
     }
 
     /// Stores one vector, one slice per tile. All-or-nothing: every chunk
@@ -231,41 +233,28 @@ impl TiledArray {
     }
 
     /// Per-row total distances: per-tile sensed partials, digitally
-    /// accumulated.
+    /// accumulated — [`TiledArray::distances_batch`] on a batch of one.
     ///
     /// # Errors
     ///
     /// As [`FerexArray::distances`] (including
     /// [`FerexError::NotProgrammed`] for stale stochastic tiles).
     pub fn distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
-        if query.len() != self.dim {
-            return Err(FerexError::DimensionMismatch { expected: self.dim, got: query.len() });
-        }
-        if self.is_empty() {
-            return Err(FerexError::Empty);
-        }
-        let chunks = self.split(query);
-        let mut totals = vec![0.0f64; self.len()];
-        for (tile, chunk) in self.tiles.iter().zip(chunks) {
-            for (total, partial) in totals.iter_mut().zip(tile.distances(&chunk)?) {
-                *total += partial;
-            }
-        }
-        Ok(totals)
+        let mut batch = self.distances_batch(&[query.to_vec()])?;
+        batch.pop().ok_or(FerexError::Empty)
     }
 
     /// Accumulated distances for every query of a batch, served through
-    /// each tile's batched fast path ([`FerexArray::distances_batch`]) —
-    /// so every tile independently dispatches to its structure-of-arrays
-    /// kernel (bit-plane popcount, contiguous LUT, or contribution table;
-    /// see [`FerexArray::batch_kernel`]). Bit-identical to a loop of
-    /// [`TiledArray::distances`] calls: each kernel reproduces the scalar
-    /// path exactly and partials accumulate in the same tile order per
-    /// row.
+    /// each tile's [`FerexArray::distances_batch`] — so every tile
+    /// independently dispatches to its kernel (bit-plane popcount,
+    /// contiguous LUT, contribution table, or per-query loop; see
+    /// [`FerexArray::batch_kernel`]). Partials accumulate in tile order per
+    /// row, so a query's totals do not depend on the batch it rides in.
     ///
     /// # Errors
     ///
-    /// As [`TiledArray::distances`].
+    /// As [`FerexArray::distances_batch`], after a dimension check against
+    /// the full vector width.
     pub fn distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
         // An empty batch asks for nothing: answer it before any state
         // checks, matching [`FerexArray::distances_batch`].
@@ -282,16 +271,7 @@ impl TiledArray {
         }
         let mut totals = vec![vec![0.0f64; self.len()]; queries.len()];
         for (t, tile) in self.tiles.iter().enumerate() {
-            let start = t * self.tile_dim;
-            let tile_queries: Vec<Vec<u32>> = queries
-                .iter()
-                .map(|q| {
-                    let end = (start + self.tile_dim).min(q.len());
-                    let mut chunk = q[start..end].to_vec();
-                    chunk.resize(self.tile_dim, 0);
-                    chunk
-                })
-                .collect();
+            let tile_queries: Vec<Vec<u32>> = queries.iter().map(|q| self.chunk(q, t)).collect();
             let partials = tile.distances_batch(&tile_queries)?;
             for (query_totals, partial) in totals.iter_mut().zip(partials) {
                 for (total, p) in query_totals.iter_mut().zip(partial) {
@@ -346,10 +326,9 @@ impl TiledArray {
         if k == 0 || k > active {
             return Err(FerexError::InvalidK { k, rows: active });
         }
-        let mut order: Vec<usize> = (0..distances.len()).collect();
-        order.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
-        order.truncate(k);
-        Ok(order)
+        let mut order: Vec<(usize, f64)> = distances.iter().copied().enumerate().collect();
+        order.sort_by(|(a, da), (b, db)| da.total_cmp(db).then(a.cmp(b)));
+        Ok(order.into_iter().take(k).map(|(row, _)| row).collect())
     }
 
     /// The `k` nearest rows by accumulated distance.
@@ -541,7 +520,7 @@ impl TiledArray {
     pub(crate) fn row_vector(&self, row: usize) -> Option<Vec<u32>> {
         let mut out = Vec::with_capacity(self.dim);
         for tile in &self.tiles {
-            out.extend_from_slice(tile.stored().get(row)?);
+            out.extend(tile.row_vector(row)?);
         }
         out.truncate(self.dim);
         Some(out)
@@ -566,15 +545,15 @@ impl TiledArray {
     ) -> Result<(), FerexError> {
         let mut first_err = None;
         for (tile, chunk) in self.tiles.iter_mut().zip(chunks) {
-            tile.mutation_set_contents(slot, chunk.clone());
-            if let Err(e) = tile.mutation_write_slot(slot, chunk) {
+            tile.mutation_set_contents(slot, chunk);
+            if let Err(e) = tile.mutation_write_slot(slot) {
                 first_err = first_err.or(Some(e));
             }
         }
         if let Some(e) = first_err {
-            let tile_dim = self.tile_dim;
+            let zeros = vec![0; self.tile_dim];
             for tile in &mut self.tiles {
-                tile.mutation_set_contents(slot, vec![0; tile_dim]);
+                tile.mutation_set_contents(slot, &zeros);
             }
             return Err(e);
         }
@@ -666,19 +645,16 @@ impl TiledArray {
                 Ok(())
             }
             _ => {
-                let previous: Vec<Vec<u32>> = self
-                    .tiles
-                    .iter()
-                    .map(|t| t.stored().get(old).cloned().unwrap_or_default())
-                    .collect();
+                let previous: Vec<Vec<u32>> =
+                    self.tiles.iter().map(|t| t.row_vector(old).unwrap_or_default()).collect();
                 match self.prepare_slot_on_all_tiles(old, &chunks) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // Roll the row back to its old contents on every
                         // tile (attempted everywhere: cycles stay lockstep).
                         for (tile, prev) in self.tiles.iter_mut().zip(previous) {
-                            tile.mutation_set_contents(old, prev.clone());
-                            let _ = tile.mutation_write_slot(old, &prev);
+                            tile.mutation_set_contents(old, &prev);
+                            let _ = tile.mutation_write_slot(old);
                         }
                         Err(e)
                     }
@@ -744,7 +720,7 @@ impl TiledArray {
             return report;
         };
         let chunks: Vec<Vec<u32>> =
-            self.tiles.iter().map(|t| t.stored().get(src).cloned().unwrap_or_default()).collect();
+            self.tiles.iter().map(|t| t.row_vector(src).unwrap_or_default()).collect();
         if self.prepare_slot_on_all_tiles(dst, &chunks).is_err() {
             return report;
         }
@@ -1061,8 +1037,8 @@ mod tests {
     #[test]
     fn tiled_batch_runs_the_popcount_kernel_bit_identically() {
         // Ideal + realized Hamming: every tile dispatches the batch to the
-        // bit-plane popcount kernel, and the accumulated totals must still
-        // equal the scalar per-query path bit for bit.
+        // bit-plane popcount kernel, and the accumulated totals must equal
+        // the per-query reads and the exact software metric bit for bit.
         let enc = encoding();
         let mut tiled = TiledArray::new(Technology::default(), enc, 10, 4, Backend::Ideal);
         for v in data(10) {
@@ -1076,6 +1052,11 @@ mod tests {
         let batched = tiled.distances_batch(&queries).unwrap();
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(batched[i], tiled.distances(q).unwrap(), "query {i}");
+            let exact: Vec<f64> = data(10)
+                .iter()
+                .map(|s| DistanceMetric::Hamming.vector_distance(q, s) as f64)
+                .collect();
+            assert_eq!(batched[i], exact, "query {i}");
         }
     }
 
@@ -1248,8 +1229,8 @@ mod tests {
                 .zip(&chunks)
                 .map(|(t, c)| {
                     let mut probe = t.clone();
-                    probe.mutation_set_contents(0, c.clone());
-                    probe.mutation_write_slot(0, c).is_ok()
+                    probe.mutation_set_contents(0, c);
+                    probe.mutation_write_slot(0).is_ok()
                 })
                 .collect();
             if outcomes.iter().any(|&b| b) && outcomes.iter().any(|&b| !b) {

@@ -354,16 +354,17 @@ proptest! {
         }
     }
 
-    /// The batched SoA/bit-sliced kernels are bit-identical to the legacy
-    /// scalar path — for every metric (Hamming exercises the packed
-    /// bit-plane popcount kernel, Manhattan/Euclidean² the per-query LUT
-    /// kernel), every backend (Noisy additionally crosses between the
-    /// scalar small-batch path and the dense contribution table as the
-    /// batch grows), under hard-fault/aging plans, and with quarantined
-    /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
-    /// must reproduce a loop of `distances` calls exactly, INFINITY
-    /// sentinels included, and the full search path on top of it must
-    /// reproduce `search_at`.
+    /// The batched SoA/bit-sliced kernels are exact and batch-independent
+    /// — for every metric (Hamming exercises the packed bit-plane popcount
+    /// kernel, Manhattan/Euclidean² the per-query LUT kernel), every
+    /// backend (Noisy additionally crosses between the per-query row loop
+    /// and the dense contribution table as the batch grows), under
+    /// hard-fault/aging plans, and with quarantined (excluded) or spared
+    /// (remapped) rows in the mix. `distances_batch` must reproduce a loop
+    /// of `distances` calls exactly, INFINITY sentinels included; on Ideal
+    /// every row must also equal the independent f64 reference
+    /// `Σ cell_current(q, s)` over its stored vector; and the full search
+    /// path on top of it must reproduce `search_at`.
     #[test]
     fn batched_kernels_are_bit_identical_to_scalar_path(
         data in prop::collection::vec(prop::collection::vec(0u32..4, 6), 2..7),
@@ -438,7 +439,24 @@ proptest! {
         let batched = array.distances_batch(&queries).unwrap();
         for (q, got) in queries.iter().zip(&batched) {
             let want = array.distances(q).unwrap();
-            prop_assert_eq!(got.clone(), want, "kernel diverged from scalar path");
+            prop_assert_eq!(got.clone(), want, "kernel diverged from the per-query path");
+            if backend_idx == 0 {
+                let enc = array.encoding();
+                let reference: Vec<f64> = (0..array.len())
+                    .map(|r| match array.row_health(r) {
+                        RowHealth::Quarantined => f64::INFINITY,
+                        _ => array
+                            .row_vector(r)
+                            .unwrap()
+                            .iter()
+                            .zip(q)
+                            .map(|(&s, &q)| f64::from(enc.cell_current(q as usize, s as usize)))
+                            .sum(),
+                    })
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got), bits(&reference), "kernel diverged from the f64 reference");
+            }
         }
         let outcomes = array.search_batch(&queries).unwrap();
         for (i, (q, got)) in queries.iter().zip(&outcomes).enumerate() {

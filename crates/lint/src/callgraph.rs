@@ -14,7 +14,7 @@
 //! - `self.m(..)` → methods named `m` on the enclosing `impl` type,
 //!   else every workspace method named `m`;
 //! - `x.m(..)` → every workspace method named `m`, unless `m` is a
-//!   ubiquitous std method name ([`STD_METHODS`]) — linking every
+//!   ubiquitous std method name (`STD_METHODS`) — linking every
 //!   `.len()` to every workspace `len` would drown the graph in noise;
 //! - `a::b::f(..)` → functions whose fully-qualified path ends with
 //!   `a::b::f` (`Self::f` uses the enclosing type);

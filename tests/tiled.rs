@@ -142,7 +142,8 @@ fn failed_store_leaves_every_tile_untouched() {
     }
     tiled.program();
     let query = random_vectors(1, dim, 32).remove(0);
-    let snapshot: Vec<Vec<Vec<u32>>> = tiled.tiles().iter().map(|t| t.stored().to_vec()).collect();
+    let rows = |t: &FerexArray| (0..t.len()).filter_map(|r| t.row_vector(r)).collect::<Vec<_>>();
+    let snapshot: Vec<Vec<Vec<u32>>> = tiled.tiles().iter().map(rows).collect();
     let baseline = tiled.search(&query).unwrap();
 
     // Out-of-range symbol in the final chunk: earlier tiles validate clean.
@@ -153,7 +154,7 @@ fn failed_store_leaves_every_tile_untouched() {
     assert!(tiled.store(vec![0; dim + 1]).is_err(), "dimension mismatch must be rejected");
 
     for (tile, before) in tiled.tiles().iter().zip(&snapshot) {
-        assert_eq!(tile.stored(), &before[..], "tile contents changed by a failed store");
+        assert_eq!(&rows(tile), before, "tile contents changed by a failed store");
         assert!(tile.is_programmed(), "failed store must not invalidate physical state");
     }
     let after = tiled.search(&query).unwrap();
