@@ -425,7 +425,7 @@ fn render_serve_sim(
         pool.push(array);
     }
     let policy = ReplicaPolicy { quorum: QuorumPolicy { reads, agree }, ..Default::default() };
-    let mut set = ReplicaSet::new(pool, metric, policy);
+    let mut set = ReplicaSet::new(pool, metric, policy)?;
     if let Some(mode) = load {
         return render_serve_loop(
             metric,

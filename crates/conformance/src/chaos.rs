@@ -163,7 +163,8 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
             quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
             ..Default::default()
         };
-        let mut set = ReplicaSet::new(replicas, spec.metric, policy);
+        // lint:allow(panic-safety/expect, reason = "standard chaos spec builds a valid quorum over equal replicas")
+        let mut set = ReplicaSet::new(replicas, spec.metric, policy).expect("valid replica set");
 
         let mut hits = 0usize;
         for (qi, (query, want)) in queries.iter().zip(&expected).enumerate() {

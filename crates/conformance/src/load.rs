@@ -262,14 +262,11 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         array.program();
         replicas.push(array);
     }
-    let set = ReplicaSet::new(
-        replicas,
-        spec.metric,
-        ReplicaPolicy {
-            quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
-            ..Default::default()
-        },
-    );
+    let quorum = QuorumPolicy { reads: spec.reads, agree: spec.agree };
+    // lint:allow(panic-safety/expect, reason = "standard specs build a valid quorum over equal replicas")
+    let set =
+        ReplicaSet::new(replicas, spec.metric, ReplicaPolicy { quorum, ..Default::default() })
+            .expect("valid replica set");
     let policy = ServePolicy {
         target_batch: spec.target_batch,
         queue_capacity: spec.queue_capacity,

@@ -193,7 +193,7 @@ fn run_mutation_inner(spec: &MutationSpec) -> Result<MutationScenario, FerexErro
         quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
         ..Default::default()
     };
-    let mut set = ReplicaSet::new(replicas, spec.metric, rp);
+    let mut set = ReplicaSet::new(replicas, spec.metric, rp)?;
 
     let op_seed = spec.derived_seed(2);
     let mut next_id = spec.initial as u64;

@@ -155,7 +155,7 @@ fn quorum_fallback_serves_the_oracle_answer_exactly() {
     }
     let policy =
         ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
-    let mut set = ReplicaSet::new(replicas, metric, policy);
+    let mut set = ReplicaSet::new(replicas, metric, policy).unwrap();
     set.kill(1);
     for q in &queries {
         let served = set.serve(q).unwrap();

@@ -1263,18 +1263,6 @@ impl FerexArray {
             self.row_map.iter().filter(|h| matches!(h, RowHealth::Quarantined)).count();
         let remapped =
             self.row_map.iter().filter(|h| matches!(h, RowHealth::Remapped { .. })).count();
-        // Wear surface: percentiles of the per-slot mutation write counts
-        // plus the endurance headroom left on the hottest slot. Without
-        // mutation no wear is recorded, so the device reads as fresh.
-        let (wear, headroom) = match &self.mutation {
-            Some(m) => {
-                let w = m.wear();
-                let margin = Volt(m.policy.min_margin_volts);
-                let h = m.policy.endurance.headroom_milli(&self.tech, w.max_cycles as f64, margin);
-                (w, h)
-            }
-            None => (WearSummary::default(), 1000),
-        };
         HealthSnapshot {
             counters: self.counters,
             spare_rows: if self.row_map.is_empty() {
@@ -1287,11 +1275,6 @@ impl FerexArray {
             rows_active: self.len() - quarantined,
             rows_quarantined_now: quarantined,
             rows_remapped_now: remapped,
-            wear_max_cycles: wear.max_cycles,
-            wear_mean_milli: wear.mean_milli,
-            wear_p50_cycles: wear.p50_cycles,
-            wear_p90_cycles: wear.p90_cycles,
-            wear_headroom_milli: headroom,
         }
     }
 
@@ -3323,20 +3306,15 @@ mod tests {
     }
 
     #[test]
-    fn mutation_health_reports_wear() {
+    fn mutation_reports_wear() {
         let mut a = mutable_ideal(4);
         a.insert(1, vec![0; 4]).unwrap();
         a.insert(2, vec![1; 4]).unwrap();
         a.update_id(1, vec![2; 4]).unwrap();
-        let h = a.health();
-        assert_eq!(h.wear_max_cycles, 1, "each slot absorbed at most one write");
-        assert!(h.wear_headroom_milli > 900, "three writes must leave headroom");
         let w = a.wear();
+        assert_eq!(w.max_cycles, 1, "each slot absorbed at most one write");
         assert_eq!(w.total_writes, 3);
-        // A non-mutating array reports zero wear and full headroom.
-        let plain = hamming_array(4, Backend::Ideal);
-        let h = plain.health();
-        assert_eq!(h.wear_max_cycles, 0);
-        assert_eq!(h.wear_headroom_milli, 1000);
+        // A non-mutating array reports zero wear.
+        assert_eq!(hamming_array(4, Backend::Ideal).wear(), WearSummary::default());
     }
 }

@@ -423,11 +423,8 @@ impl Ferex {
     ///
     /// # Errors
     ///
-    /// Store-validation or write-verify failures while building a replica.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReplicaSet::new`] (empty set, invalid policy).
+    /// Store-validation or write-verify failures while building a replica;
+    /// as [`ReplicaSet::new`] (empty set, invalid policy).
     pub fn replica_set(
         &self,
         n: usize,
@@ -468,7 +465,7 @@ impl Ferex {
             }
             replicas.push(a);
         }
-        Ok(ReplicaSet::new(replicas, self.metric, policy))
+        ReplicaSet::new(replicas, self.metric, policy)
     }
 
     /// Reconfigures the engine to a different distance metric, keeping all

@@ -152,15 +152,6 @@ pub enum FerexError {
         /// Replicas in the set.
         replicas: usize,
     },
-    /// Admission control shed this query: the batch asked for more serving
-    /// capacity than the replica set's load-shedding budget allows, and
-    /// this query's priority fell below the admission cutoff.
-    Overloaded {
-        /// Queries admitted from the batch.
-        admitted: usize,
-        /// Admission capacity in queries per batch.
-        capacity: usize,
-    },
     /// A mutation named a logical id the array does not hold.
     UnknownId {
         /// The offending logical id.
@@ -214,13 +205,6 @@ impl fmt::Display for FerexError {
             }
             FerexError::ReplicaOutOfRange { replica, replicas } => {
                 write!(f, "replica {replica} outside the {replicas}-replica set")
-            }
-            FerexError::Overloaded { admitted, capacity } => {
-                write!(
-                    f,
-                    "query shed by admission control: batch exceeds the \
-                     capacity of {capacity} queries ({admitted} admitted)"
-                )
             }
             FerexError::UnknownId { id } => {
                 write!(f, "no stored vector carries logical id {id}")
@@ -276,9 +260,6 @@ mod tests {
             e.to_string(),
             "encoding fails to reproduce the DM at (1,2): expected 3 I_unit, got 4"
         );
-        let e = FerexError::Overloaded { admitted: 4, capacity: 4 };
-        assert!(e.to_string().contains("capacity of 4 queries"));
-        assert!(e.to_string().contains("4 admitted"));
         let e = FerexError::ReplicaOutOfRange { replica: 5, replicas: 3 };
         assert_eq!(e.to_string(), "replica 5 outside the 3-replica set");
         let e = FerexError::UnknownId { id: 17 };

@@ -89,14 +89,6 @@ impl RepairPolicy {
         }
         Ok(())
     }
-
-    /// Panics if any knob is out of range (see [`RepairPolicy::validate`]).
-    pub fn assert_valid(&self) {
-        // lint:allow(panic-safety/panic, reason = "documented panicking wrapper over validate()")
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Health status of one logical row.
@@ -242,7 +234,10 @@ pub struct HealthCounters {
     pub last_scrub_seconds: f64,
 }
 
-/// Point-in-time health view of an array.
+/// Point-in-time health view of an array: row and spare health only,
+/// cheap enough for the replica router to read on every batch. Wear
+/// under online mutation is a separate surface,
+/// [`MutableNode::wear`](crate::mutate::MutableNode::wear).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HealthSnapshot {
     /// Lifetime counters.
@@ -259,21 +254,6 @@ pub struct HealthSnapshot {
     pub rows_quarantined_now: usize,
     /// Logical rows currently served from a spare.
     pub rows_remapped_now: usize,
-    /// Most write cycles any physical slot has absorbed (0 when online
-    /// mutation is disabled — bulk programming is not wear-accounted).
-    pub wear_max_cycles: u64,
-    /// Mean write cycles per physical slot, in milli-cycles (integer so
-    /// the snapshot stays `Eq`-comparable and serializes exactly).
-    pub wear_mean_milli: u64,
-    /// Median (p50, nearest-rank) write cycles per physical slot.
-    pub wear_p50_cycles: u64,
-    /// p90 (nearest-rank) write cycles per physical slot.
-    pub wear_p90_cycles: u64,
-    /// Remaining endurance headroom of the most-worn slot, in per-mille of
-    /// the policy's cycle budget
-    /// ([`EnduranceModel::headroom_milli`](ferex_fefet::EnduranceModel::headroom_milli)):
-    /// 1000 fresh, 0 exhausted. 1000 when mutation is disabled.
-    pub wear_headroom_milli: u64,
 }
 
 impl HealthSnapshot {
@@ -295,16 +275,20 @@ impl HealthSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FerexError;
 
     #[test]
     fn default_policy_is_valid() {
-        RepairPolicy::default().assert_valid();
+        assert_eq!(RepairPolicy::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "scrub absolute tolerance")]
     fn invalid_scrub_tolerance_rejected() {
-        RepairPolicy { scrub_abs_tolerance: 0.0, ..Default::default() }.assert_valid();
+        let e = RepairPolicy { scrub_abs_tolerance: 0.0, ..Default::default() }.validate();
+        assert_eq!(
+            e,
+            Err(FerexError::InvalidPolicy { what: "scrub absolute tolerance must be positive" })
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Online mutation: logical-id keyed insert/update/delete with tombstones,
-//! deterministic compaction, and endurance-aware wear leveling.
+//! deterministic compaction, and cycle-count wear leveling.
 //!
 //! A stock [`FerexArray`](crate::array::FerexArray) treats every content
 //! change as a whole-array transition: mutators invalidate the physical
@@ -30,13 +30,13 @@
 //! Wear is tracked per physical slot as the count of mutation-path write
 //! attempts ([`WearSummary`]); the bulk `program()` pass is *not* counted,
 //! so the counters isolate exactly the differential wear that online
-//! churn adds. Slot choices are pure functions of `(slots, cycles)` —
-//! never of the repair row map — so two arrays (or the per-dimension
+//! churn adds. Leveling reads only those cycle counts, never the
+//! endurance model. Slot choices are pure functions of `(slots, cycles)`
+//! — never of the repair row map — so two arrays (or the per-dimension
 //! tiles of a [`TiledArray`](crate::tile::TiledArray)) fed the same
 //! mutation sequence always converge to the same layout.
 
 use crate::error::FerexError;
-use ferex_fefet::EnduranceModel;
 use std::collections::BTreeMap;
 
 /// Knobs of the online-mutation subsystem. Construct via
@@ -58,26 +58,13 @@ pub struct MutationPolicy {
     /// (explicit [`compact`](crate::array::FerexArray::compact) still
     /// works).
     pub compact_tombstone_milli: u64,
-    /// Endurance model scoring wear ([`EnduranceModel::window_fraction`],
-    /// [`EnduranceModel::cycle_budget`]).
-    pub endurance: EnduranceModel,
-    /// Minimum ON/OFF margin (volts) the cycle budget must preserve — the
-    /// denominator of the health surface's remaining-headroom figure.
-    pub min_margin_volts: f64,
 }
 
 impl MutationPolicy {
     /// The default policy for `capacity` slots: wear leveling on,
-    /// auto-compaction at 25% tombstones, default endurance model, 0.1 V
-    /// minimum margin.
+    /// auto-compaction at 25% tombstones.
     pub fn with_capacity(capacity: usize) -> Self {
-        MutationPolicy {
-            capacity,
-            wear_leveling: true,
-            compact_tombstone_milli: 250,
-            endurance: EnduranceModel::default(),
-            min_margin_volts: 0.1,
-        }
+        MutationPolicy { capacity, wear_leveling: true, compact_tombstone_milli: 250 }
     }
 
     /// Validates every knob.
@@ -92,11 +79,6 @@ impl MutationPolicy {
         if self.compact_tombstone_milli > 1000 {
             return Err(FerexError::InvalidPolicy {
                 what: "compaction tombstone threshold exceeds 1000 per-mille",
-            });
-        }
-        if !self.min_margin_volts.is_finite() || self.min_margin_volts <= 0.0 {
-            return Err(FerexError::InvalidPolicy {
-                what: "minimum endurance margin must be positive and finite",
             });
         }
         Ok(())
@@ -384,9 +366,6 @@ mod tests {
         assert!(matches!(e, FerexError::InvalidPolicy { what } if what.contains("capacity")));
         let mut p = MutationPolicy::with_capacity(8);
         p.compact_tombstone_milli = 1001;
-        assert!(p.validate().is_err());
-        p = MutationPolicy::with_capacity(8);
-        p.min_margin_volts = 0.0;
         assert!(p.validate().is_err());
     }
 

@@ -21,14 +21,16 @@
 //!    *virtual tick clock* (one tick per served query — no wall clock, so
 //!    runs are bit-reproducible). A failed replica read pulls in the next
 //!    eligible replica, up to the policy's retry budget.
-//! 4. **Admission control** — batches beyond the configured capacity shed
-//!    their lowest-priority queries with [`FerexError::Overloaded`]
-//!    instead of degrading everyone.
+//!
+//! Every query takes one path: [`ReplicaSet::serve`] is a batch of one
+//! through the same routing, read, vote and scrub core as
+//! [`ReplicaSet::serve_batch_read`]. Admission control lives one layer
+//! up, in the [`ServeLoop`](crate::serve::ServeLoop)'s queue.
 //!
 //! With one replica and a 1/1 quorum the supervisor is transparent:
 //! replica 0 keeps the base backend seed and the supervisor assigns query
 //! ids exactly like a bare [`FerexArray`] (a private counter for
-//! sequential searches, `0..len` for batches), so outcomes are
+//! sequential serves, the caller's ids for batches), so outcomes are
 //! bit-identical to serving without it.
 
 use crate::array::{Backend, FerexArray, SearchOutcome};
@@ -97,24 +99,27 @@ impl Default for QuorumPolicy {
 impl QuorumPolicy {
     /// Validates the quorum against a replica count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `reads` or `agree` is zero, `agree > reads`, or
-    /// `reads > replicas` — all of which make the quorum unservable.
-    pub fn assert_valid(&self, replicas: usize) {
-        assert!(self.reads >= 1, "quorum reads must be at least 1");
-        assert!(self.agree >= 1, "quorum agree must be at least 1");
-        assert!(
-            self.agree <= self.reads,
-            "quorum agree ({}) exceeds reads ({})",
-            self.agree,
-            self.reads
-        );
-        assert!(
-            self.reads <= replicas,
-            "quorum reads ({}) exceeds replica count ({replicas})",
-            self.reads
-        );
+    /// [`FerexError::InvalidPolicy`] when `reads` or `agree` is zero,
+    /// `agree > reads`, or `reads > replicas` — all of which make the
+    /// quorum unservable.
+    pub fn validate(&self, replicas: usize) -> Result<(), FerexError> {
+        if self.reads == 0 {
+            return Err(FerexError::InvalidPolicy { what: "quorum reads must be at least 1" });
+        }
+        if self.agree == 0 {
+            return Err(FerexError::InvalidPolicy { what: "quorum agree must be at least 1" });
+        }
+        if self.agree > self.reads {
+            return Err(FerexError::InvalidPolicy { what: "quorum agree exceeds reads" });
+        }
+        if self.reads > replicas {
+            return Err(FerexError::InvalidPolicy {
+                what: "quorum reads exceed the replica count",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -141,19 +146,27 @@ impl Default for BreakerPolicy {
 impl BreakerPolicy {
     /// Validates the breaker knobs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero threshold, zero base backoff, or a ceiling below
-    /// the base.
-    pub fn assert_valid(&self) {
-        assert!(self.failure_threshold >= 1, "breaker failure threshold must be at least 1");
-        assert!(self.base_backoff_ticks >= 1, "breaker base backoff must be at least 1 tick");
-        assert!(
-            self.max_backoff_ticks >= self.base_backoff_ticks,
-            "breaker backoff ceiling ({}) below the base ({})",
-            self.max_backoff_ticks,
-            self.base_backoff_ticks
-        );
+    /// [`FerexError::InvalidPolicy`] on a zero threshold, zero base
+    /// backoff, or a ceiling below the base.
+    pub fn validate(&self) -> Result<(), FerexError> {
+        if self.failure_threshold == 0 {
+            return Err(FerexError::InvalidPolicy {
+                what: "breaker failure threshold must be at least 1",
+            });
+        }
+        if self.base_backoff_ticks == 0 {
+            return Err(FerexError::InvalidPolicy {
+                what: "breaker base backoff must be at least 1 tick",
+            });
+        }
+        if self.max_backoff_ticks < self.base_backoff_ticks {
+            return Err(FerexError::InvalidPolicy {
+                what: "breaker backoff ceiling below the base",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -184,8 +197,6 @@ pub struct ReplicaPolicy {
     /// Extra replicas a query may pull in when a chosen replica fails
     /// mid-read.
     pub retry_budget: usize,
-    /// Admission capacity in queries per batch; `0` disables shedding.
-    pub max_batch_queries: usize,
     /// Minimum ticks between two escalated scrubs of the same replica.
     pub scrub_cooldown_ticks: u64,
 }
@@ -196,7 +207,6 @@ impl Default for ReplicaPolicy {
             quorum: QuorumPolicy::default(),
             breaker: BreakerPolicy::default(),
             retry_budget: 1,
-            max_batch_queries: 0,
             scrub_cooldown_ticks: 16,
         }
     }
@@ -205,13 +215,12 @@ impl Default for ReplicaPolicy {
 impl ReplicaPolicy {
     /// Validates every knob against a replica count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`QuorumPolicy::assert_valid`] and
-    /// [`BreakerPolicy::assert_valid`].
-    pub fn assert_valid(&self, replicas: usize) {
-        self.quorum.assert_valid(replicas);
-        self.breaker.assert_valid();
+    /// As [`QuorumPolicy::validate`] and [`BreakerPolicy::validate`].
+    pub fn validate(&self, replicas: usize) -> Result<(), FerexError> {
+        self.quorum.validate(replicas)?;
+        self.breaker.validate()
     }
 }
 
@@ -229,20 +238,9 @@ pub trait ReplicaNode {
     ///
     /// Dimension or symbol-range violations.
     fn check_query(&self, query: &[u32]) -> Result<(), FerexError>;
-    /// One search with an explicit query id.
-    ///
-    /// # Errors
-    ///
-    /// As the node's search path.
-    fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError>;
-    /// Batched search with query ids `0..queries.len()`.
-    ///
-    /// # Errors
-    ///
-    /// As the node's batched search path.
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError>;
-    /// Batched search with one explicit query id per entry; bit-identical
-    /// to calling [`ReplicaNode::search_at`] per `(query, qid)` pair.
+    /// The supervisor's one read: a batched search with one explicit query
+    /// id per entry. Outcomes depend only on each `(query, qid)` pair, not
+    /// on how the pairs were grouped into batches.
     ///
     /// # Errors
     ///
@@ -281,14 +279,6 @@ impl ReplicaNode for FerexArray {
 
     fn check_query(&self, query: &[u32]) -> Result<(), FerexError> {
         self.validate(query)
-    }
-
-    fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
-        FerexArray::search_at(self, query, qid)
-    }
-
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        FerexArray::search_batch(self, queries)
     }
 
     fn search_batch_at(
@@ -332,16 +322,6 @@ impl ReplicaNode for TiledArray {
             }
         }
         Ok(())
-    }
-
-    fn search_at(&self, query: &[u32], _qid: u64) -> Result<SearchOutcome, FerexError> {
-        // The cross-tile argmin is digital and deterministic — there is no
-        // per-query sensing stream to key.
-        TiledArray::search(self, query)
-    }
-
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        TiledArray::search_batch(self, queries)
     }
 
     fn search_batch_at(
@@ -398,14 +378,14 @@ pub struct ServedOutcome {
 /// Lifetime counters of a [`ReplicaSet`].
 ///
 /// Accounting invariant: every query accepted into a serving path counts
-/// into `queries_submitted` exactly once and then lands in *either*
-/// `queries_served` or `queries_shed`, so on every successful return
-/// `queries_served + queries_shed == queries_submitted`.
+/// into `queries_submitted` exactly once and then lands in
+/// `queries_served`, so on every successful return `queries_served ==
+/// queries_submitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaSetStats {
-    /// Queries validated and accepted into a serving path (served + shed).
+    /// Queries validated and accepted into a serving path.
     pub queries_submitted: u64,
-    /// Queries answered (sequential + batched, shed queries excluded).
+    /// Queries answered (sequential + batched).
     pub queries_served: u64,
     /// Successful replica reads that entered a vote.
     pub replica_reads: u64,
@@ -417,7 +397,9 @@ pub struct ReplicaSetStats {
     pub scrubs_escalated: u64,
     /// Scrubs run through [`ReplicaSet::scrub_all`].
     pub scheduled_scrubs: u64,
-    /// Queries shed by admission control.
+    /// Always 0: the set sheds nothing. Admission control is the
+    /// [`ServeLoop`](crate::serve::ServeLoop)'s queue, which counts its
+    /// own sheds.
     pub queries_shed: u64,
     /// Circuit-breaker trips across all replicas.
     pub breaker_trips: u64,
@@ -493,26 +475,30 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// logical rows are the truth the digital fallback recomputes against
     /// (see [`ReplicaNode::logical_row`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `replicas` is empty, a replica's row count differs from
-    /// replica 0's, or the policy is invalid for the replica count (see
-    /// [`ReplicaPolicy::assert_valid`]).
-    pub fn new(replicas: Vec<A>, metric: DistanceMetric, policy: ReplicaPolicy) -> Self {
-        assert!(!replicas.is_empty(), "a replica set needs at least one replica");
-        policy.assert_valid(replicas.len());
-        let rows = replicas.first().map_or(0, ReplicaNode::rows);
-        for (i, r) in replicas.iter().enumerate() {
-            assert_eq!(
-                r.rows(),
-                rows,
-                "replica {i} stores {} rows, replica 0 stores {rows}",
-                r.rows()
-            );
+    /// [`FerexError::InvalidPolicy`] when `replicas` is empty, a replica's
+    /// row count differs from replica 0's, or the policy is invalid for
+    /// the replica count (see [`ReplicaPolicy::validate`]).
+    pub fn new(
+        replicas: Vec<A>,
+        metric: DistanceMetric,
+        policy: ReplicaPolicy,
+    ) -> Result<Self, FerexError> {
+        let Some(rows) = replicas.first().map(ReplicaNode::rows) else {
+            return Err(FerexError::InvalidPolicy {
+                what: "a replica set needs at least one replica",
+            });
+        };
+        policy.validate(replicas.len())?;
+        if replicas.iter().any(|r| r.rows() != rows) {
+            return Err(FerexError::InvalidPolicy {
+                what: "every replica must store replica 0's row count",
+            });
         }
         let states = vec![ReplicaState::default(); replicas.len()];
         let latency = vec![None; replicas.len()];
-        ReplicaSet {
+        Ok(ReplicaSet {
             replicas,
             states,
             latency,
@@ -521,7 +507,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             tick: 0,
             seq_counter: 0,
             stats: ReplicaSetStats::default(),
-        }
+        })
     }
 
     /// Number of replicas (dead ones included).
@@ -968,33 +954,12 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
     }
 
-    /// Collects up to `reads` successful outcomes from the ranked eligible
-    /// replicas for one query id, spending the retry budget on failures.
-    fn collect(
-        &mut self,
-        query: &[u32],
-        qid: u64,
-    ) -> Result<Vec<(usize, SearchOutcome)>, FerexError> {
-        let ranked = self.ranked_eligible();
-        let reads = self.policy.quorum.reads;
-        let budget = reads + self.policy.retry_budget;
-        let mut outcomes = Vec::new();
-        for (attempts, &i) in ranked.iter().enumerate() {
-            if outcomes.len() == reads || attempts == budget {
-                break;
-            }
-            let Some(replica) = self.replicas.get(i) else { continue };
-            match replica.search_at(query, qid) {
-                Ok(o) => outcomes.push((i, o)),
-                Err(e) if Self::is_query_error(&e) => return Err(e),
-                Err(_) => self.note_failure(i),
-            }
-        }
-        Ok(outcomes)
-    }
-
     /// Serves one query through the full ladder (routing → quorum →
-    /// breaker bookkeeping → fallback), reporting provenance.
+    /// breaker bookkeeping → fallback), reporting provenance. A batch of
+    /// one through the same core as [`ReplicaSet::serve_batch_read`], with
+    /// the next id of the set's sequential query counter — mirroring
+    /// [`FerexArray::search`]'s counter, so a 1-replica set reproduces the
+    /// bare array.
     ///
     /// # Errors
     ///
@@ -1002,87 +967,29 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// stored. Replica-health errors never surface here — they divert to
     /// healthier replicas or the digital fallback.
     pub fn serve(&mut self, query: &[u32]) -> Result<ServedOutcome, FerexError> {
-        self.check_query(query)?;
-        if self.rows() == 0 {
-            return Err(FerexError::Empty);
-        }
+        let queries = [query.to_vec()];
+        self.validate_batch(&queries)?;
         self.stats.queries_submitted += 1;
         let qid = self.seq_counter;
         self.seq_counter += 1;
-        let outcomes = self.collect(query, qid)?;
-        let (served, dissenters) = self.vote(query, outcomes)?;
-        self.tick += 1;
-        for d in dissenters {
-            self.escalate_scrub(d);
-        }
-        self.stats.queries_served += 1;
-        Ok(served)
-    }
-
-    /// One search through the supervisor; like [`ReplicaSet::serve`]
-    /// without the provenance.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve`].
-    pub fn search(&mut self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        self.serve(query).map(|s| s.outcome)
-    }
-
-    /// Serves a whole batch (query ids `0..queries.len()`, matching
-    /// [`FerexArray::search_batch`]) through each chosen replica's batched
-    /// fast path, voting per query.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve`]; [`FerexError::Overloaded`] when the batch
-    /// exceeds the admission capacity (use
-    /// [`ReplicaSet::search_batch_prioritized`] to shed per-query
-    /// instead).
-    pub fn serve_batch(&mut self, queries: &[Vec<u32>]) -> Result<Vec<ServedOutcome>, FerexError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        let cap = self.policy.max_batch_queries;
-        if cap != 0 && queries.len() > cap {
-            self.stats.queries_shed += queries.len() as u64;
-            return Err(FerexError::Overloaded { admitted: 0, capacity: cap });
-        }
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
-        self.serve_batch_core(queries, &qids).map(|(served, _)| served)
+        let (mut served, _) = self.serve_batch_core(&queries, &[qid])?;
+        served.pop().ok_or(FerexError::Empty)
     }
 
     /// Serves a batch with one explicit query id per entry — the serving
     /// loop's entry point. Because per-query sensing noise is keyed purely
     /// on the id, the outcomes are bit-identical to serving each request
-    /// individually via [`ReplicaNode::search_at`] with the same id, no
-    /// matter how the batch former grouped the requests. Admission control
-    /// (`max_batch_queries`) is *not* applied here: the loop sheds at its
-    /// own queue, before requests reach the replicas.
+    /// alone with the same id, no matter how the batch former grouped the
+    /// requests. The second element lists the replica indices whose
+    /// batched reads fed the vote, in routing order; the serving loop's
+    /// latency model charges each of those reads its own modeled service
+    /// time.
     ///
     /// # Errors
     ///
     /// A `qids` slice of the wrong length is a
     /// [`FerexError::DimensionMismatch`]; otherwise as
     /// [`ReplicaSet::serve`].
-    pub fn serve_batch_at(
-        &mut self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<Vec<ServedOutcome>, FerexError> {
-        self.serve_batch_read(queries, qids).map(|(served, _)| served)
-    }
-
-    /// [`ReplicaSet::serve_batch_at`] plus read provenance: the second
-    /// element lists the replica indices whose batched reads fed the vote,
-    /// in routing order. The serving loop's latency model charges each of
-    /// those reads its own modeled service time.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve_batch_at`].
     pub fn serve_batch_read(
         &mut self,
         queries: &[Vec<u32>],
@@ -1099,77 +1006,8 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         self.serve_batch_core(queries, qids)
     }
 
-    /// Batched search without provenance; see [`ReplicaSet::serve_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve_batch`].
-    pub fn search_batch(&mut self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        Ok(self.serve_batch(queries)?.into_iter().map(|s| s.outcome).collect())
-    }
-
-    /// Admission-controlled batch: when the batch exceeds the policy's
-    /// capacity, the lowest-priority queries (ties shed from the back) get
-    /// [`FerexError::Overloaded`] and the rest are served as one batch in
-    /// their original order.
-    ///
-    /// # Errors
-    ///
-    /// A priority slice of the wrong length is a
-    /// [`FerexError::DimensionMismatch`]; otherwise as
-    /// [`ReplicaSet::serve_batch`], with per-query shed errors inside the
-    /// returned vector.
-    pub fn search_batch_prioritized(
-        &mut self,
-        queries: &[Vec<u32>],
-        priorities: &[u32],
-    ) -> Result<Vec<Result<ServedOutcome, FerexError>>, FerexError> {
-        if priorities.len() != queries.len() {
-            return Err(FerexError::DimensionMismatch {
-                expected: queries.len(),
-                got: priorities.len(),
-            });
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The whole submission is validated (and counted) up front, shed
-        // queries included — shedding is a capacity decision, not a
-        // validation bypass.
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        let cap = if self.policy.max_batch_queries == 0 {
-            queries.len()
-        } else {
-            self.policy.max_batch_queries
-        };
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by(|&a, &b| {
-            let pa = priorities.get(a).copied().unwrap_or(0);
-            let pb = priorities.get(b).copied().unwrap_or(0);
-            pb.cmp(&pa).then(a.cmp(&b))
-        });
-        let mut admitted: Vec<usize> = order.iter().copied().take(cap).collect();
-        admitted.sort_unstable(); // serve in original batch order
-        let admitted_queries: Vec<Vec<u32>> =
-            admitted.iter().filter_map(|&i| queries.get(i).cloned()).collect();
-        let shed = queries.len() - admitted.len();
-        self.stats.queries_shed += shed as u64;
-        let qids: Vec<u64> = (0..admitted_queries.len() as u64).collect();
-        let (served, _) = self.serve_batch_core(&admitted_queries, &qids)?;
-        let mut results: Vec<Result<ServedOutcome, FerexError>> = (0..queries.len())
-            .map(|_| Err(FerexError::Overloaded { admitted: admitted.len(), capacity: cap }))
-            .collect();
-        for (slot, outcome) in admitted.into_iter().zip(served) {
-            if let Some(r) = results.get_mut(slot) {
-                *r = Ok(outcome);
-            }
-        }
-        Ok(results)
-    }
-
     /// Validates every query of a submission against the replicas and
-    /// rejects an empty store — shared front door of the batch paths.
+    /// rejects an empty store — shared front door of both serving paths.
     fn validate_batch(&self, queries: &[Vec<u32>]) -> Result<(), FerexError> {
         for q in queries {
             self.check_query(q)?;
@@ -1180,18 +1018,15 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         Ok(())
     }
 
-    /// Serves a pre-validated, pre-counted batch through each chosen
-    /// replica's batched fast path with explicit query ids, voting per
-    /// query. Callers must have run [`ReplicaSet::validate_batch`] and
+    /// Serves a pre-validated, pre-counted, non-empty batch through each
+    /// chosen replica's batched fast path with explicit query ids, voting
+    /// per query. Callers must have run [`ReplicaSet::validate_batch`] and
     /// counted `queries_submitted`.
     fn serve_batch_core(
         &mut self,
         queries: &[Vec<u32>],
         qids: &[u64],
     ) -> Result<(Vec<ServedOutcome>, Vec<usize>), FerexError> {
-        if queries.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
         let ranked = self.ranked_eligible();
         let reads = self.policy.quorum.reads;
         let budget = reads + self.policy.retry_budget;
@@ -1329,11 +1164,8 @@ impl ReplicaSet<TiledArray> {
     ///
     /// # Errors
     ///
-    /// Encoding-pipeline or store-validation failures.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReplicaSet::new`].
+    /// Encoding-pipeline or store-validation failures; as
+    /// [`ReplicaSet::new`].
     #[allow(clippy::too_many_arguments)]
     pub fn tiled(
         metric: DistanceMetric,
@@ -1362,7 +1194,7 @@ impl ReplicaSet<TiledArray> {
             t.program();
             replicas.push(t);
         }
-        Ok(ReplicaSet::new(replicas, metric, policy))
+        ReplicaSet::new(replicas, metric, policy)
     }
 }
 
@@ -1398,15 +1230,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "agree (3) exceeds reads (2)")]
-    fn quorum_rejects_agree_above_reads() {
-        QuorumPolicy { reads: 2, agree: 3 }.assert_valid(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "reads (4) exceeds replica count (3)")]
-    fn quorum_rejects_reads_above_replicas() {
-        QuorumPolicy { reads: 4, agree: 2 }.assert_valid(3);
+    fn invalid_policies_and_replica_sets_are_typed_errors() {
+        let invalid = |what| Err(FerexError::InvalidPolicy { what });
+        assert_eq!(
+            QuorumPolicy { reads: 2, agree: 3 }.validate(3),
+            invalid("quorum agree exceeds reads")
+        );
+        assert_eq!(
+            QuorumPolicy { reads: 4, agree: 2 }.validate(3),
+            invalid("quorum reads exceed the replica count")
+        );
+        assert_eq!(QuorumPolicy { reads: 3, agree: 2 }.validate(3), Ok(()));
+        let breaker = BreakerPolicy { max_backoff_ticks: 4, ..Default::default() };
+        assert_eq!(breaker.validate(), invalid("breaker backoff ceiling below the base"));
+        let build = |rows: usize| {
+            let mut f = Ferex::builder().dim(4).build().expect("builds");
+            f.store_all(vectors(rows, 4)).unwrap();
+            f.array().clone()
+        };
+        let new = |replicas: Vec<FerexArray>, policy| {
+            ReplicaSet::new(replicas, DistanceMetric::Hamming, policy).map(|_| ())
+        };
+        assert_eq!(
+            new(Vec::new(), ReplicaPolicy::default()),
+            invalid("a replica set needs at least one replica")
+        );
+        assert_eq!(
+            new(vec![build(4), build(3)], ReplicaPolicy::default()),
+            invalid("every replica must store replica 0's row count")
+        );
+        let quorum =
+            ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 3 }, ..Default::default() };
+        assert_eq!(new(vec![build(4), build(4)], quorum), invalid("quorum agree exceeds reads"));
+        assert_eq!(new(vec![build(4), build(4)], ReplicaPolicy::default()), Ok(()));
     }
 
     #[test]
@@ -1433,7 +1289,10 @@ mod tests {
             assert_eq!(served.source, ServeSource::Replica(0));
         }
         let lone = bare.array().search_batch(&queries).unwrap();
-        assert_eq!(set.search_batch(&queries).unwrap(), lone);
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let (served, reads) = set.serve_batch_read(&queries, &qids).unwrap();
+        assert_eq!(served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), lone);
+        assert_eq!(reads, vec![0]);
     }
 
     #[test]
@@ -1462,7 +1321,7 @@ mod tests {
         }
         let policy =
             ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
-        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy);
+        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy).expect("valid");
         for q in &vs {
             // At the fault-isolation corner the two clean replicas are
             // exact, so the quorum answer is always the true nearest.
@@ -1520,66 +1379,30 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_sheds_lowest_priority_queries() {
+    fn stats_count_every_served_query_once() {
         let dim = 4;
         let vs = vectors(6, dim);
         let mut engine = Ferex::builder().dim(dim).build().expect("builds");
         engine.store_all(vs.clone()).unwrap();
-        let policy = ReplicaPolicy { max_batch_queries: 2, ..Default::default() };
-        let mut set = engine.replica_set(1, policy).expect("replicates");
-        let batch: Vec<Vec<u32>> = vs[0..4].to_vec();
-        // Whole-batch path rejects outright…
-        let err = set.search_batch(&batch).unwrap_err();
-        assert_eq!(err, FerexError::Overloaded { admitted: 0, capacity: 2 });
-        // …the prioritized path sheds exactly the two lowest priorities.
-        let results = set.search_batch_prioritized(&batch, &[1, 9, 0, 9]).unwrap();
-        assert!(results[1].is_ok() && results[3].is_ok());
-        assert_eq!(
-            results[0].as_ref().unwrap_err(),
-            &FerexError::Overloaded { admitted: 2, capacity: 2 }
-        );
-        assert!(results[2].is_err());
-        assert_eq!(set.stats().queries_shed, 4 + 2);
-        assert_eq!(set.stats().queries_served, 2);
-    }
-
-    #[test]
-    fn stats_balance_served_plus_shed_equals_submitted() {
-        let dim = 4;
-        let vs = vectors(6, dim);
-        let mut engine = Ferex::builder().dim(dim).build().expect("builds");
-        engine.store_all(vs.clone()).unwrap();
-        let policy = ReplicaPolicy { max_batch_queries: 2, ..Default::default() };
-        let mut set = engine.replica_set(1, policy).expect("replicates");
+        let mut set = engine.replica_set(1, ReplicaPolicy::default()).expect("replicates");
         let balanced =
-            |s: ReplicaSetStats| s.queries_served + s.queries_shed == s.queries_submitted;
+            |s: ReplicaSetStats| s.queries_served == s.queries_submitted && s.queries_shed == 0;
 
         set.serve(&vs[0]).unwrap();
         assert!(balanced(set.stats()));
-        // Whole-batch rejection (the `admitted: 0` path): the submission is
-        // validated, counted, and shed in full — previously it was shed
-        // without ever being counted as submitted.
-        let batch: Vec<Vec<u32>> = vs[0..4].to_vec();
-        let err = set.serve_batch(&batch).unwrap_err();
-        assert_eq!(err, FerexError::Overloaded { admitted: 0, capacity: 2 });
+        set.serve_batch_read(&vs[0..4], &[40, 41, 42, 43]).unwrap();
         assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 1 + 4);
-        // Prioritized partial shed.
-        set.search_batch_prioritized(&batch, &[1, 9, 0, 9]).unwrap();
+        assert_eq!(set.stats().queries_submitted, 5);
+        // Rejected submissions count nothing: a bad query, mismatched ids.
+        assert!(set.serve(&[9; 4]).is_err());
+        assert!(set.serve_batch_read(&vs[0..2], &[1]).is_err());
         assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 1 + 4 + 4);
-        assert_eq!(set.stats().queries_served, 1 + 2);
-        assert_eq!(set.stats().queries_shed, 4 + 2);
-        // In-capacity batch and explicit-id batch shed nothing.
-        set.serve_batch(&batch[0..2]).unwrap();
-        set.serve_batch_at(&batch[0..2], &[40, 41]).unwrap();
-        assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 13);
-        assert_eq!(set.stats().queries_served, 7);
+        assert_eq!(set.stats().queries_served, 5);
+        assert_eq!(set.tick(), 5);
     }
 
     #[test]
-    fn serve_batch_at_is_bit_identical_to_individual_serving() {
+    fn serve_batch_read_is_bit_identical_to_individual_serving() {
         // With explicit query ids the batch grouping is invisible: any
         // split of the same (query, qid) pairs reproduces the outcomes of
         // serving each pair alone.
@@ -1595,11 +1418,11 @@ mod tests {
         let queries = vectors(8, 6);
         let qids: Vec<u64> = (0..queries.len() as u64).map(|i| i * 3 + 5).collect();
         let mut whole = build();
-        let all = whole.serve_batch_at(&queries, &qids).unwrap();
+        let (all, _) = whole.serve_batch_read(&queries, &qids).unwrap();
         let mut split = build();
         let mut chunked = Vec::new();
         for (qchunk, idchunk) in queries.chunks(3).zip(qids.chunks(3)) {
-            chunked.extend(split.serve_batch_at(qchunk, idchunk).unwrap());
+            chunked.extend(split.serve_batch_read(qchunk, idchunk).unwrap().0);
         }
         assert_eq!(all, chunked);
         // And both match individual searches on a bare array with the same

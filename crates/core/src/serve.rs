@@ -17,16 +17,17 @@
 //!    the rest: with equally loaded tenants the served counts stay within
 //!    one batch of each other.
 //! 3. **Backpressure** — when the queue exceeds its capacity the
-//!    lowest-priority request (ties shed from the back, matching
-//!    [`ReplicaSet::search_batch_prioritized`]) is shed with
-//!    [`ShedReason::Capacity`].
+//!    lowest-priority request (ties shed from the back: the latest
+//!    arrival loses) is shed with [`ShedReason::Capacity`]. This queue is
+//!    the stack's only admission control; the [`ReplicaSet`] below it
+//!    serves whatever batch it is handed.
 //! 4. **Virtual time** — the clock is a plain `u64` advanced by the
 //!    caller; service cost comes from a [`CostModel`] calibrated against
 //!    the measured batch kernels. Latency percentiles are exact integers
 //!    and every run is bit-reproducible.
 //!
 //! Each admitted request gets a stable query id at submission, and formed
-//! batches are served through [`ReplicaSet::serve_batch_at`] — so the
+//! batches are served through [`ReplicaSet::serve_batch_read`] — so the
 //! answers are bit-identical to serving every request individually,
 //! no matter how the former grouped them.
 
@@ -328,6 +329,9 @@ pub struct ServeLoop<A: ReplicaNode> {
     hedged_against: Vec<u64>,
     /// Hedge wins credited to each replica (its duplicate read won).
     hedge_wins_by: Vec<u64>,
+    /// Deadline sheds of a poll whose read failed; the next successful
+    /// poll reports them.
+    held_sheds: Vec<ShedEvent>,
 }
 
 impl<A: ReplicaNode> ServeLoop<A> {
@@ -370,6 +374,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
             samples: vec![Vec::new(); replicas],
             hedged_against: vec![0; replicas],
             hedge_wins_by: vec![0; replicas],
+            held_sheds: Vec::new(),
         })
     }
 
@@ -508,9 +513,14 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// # Errors
     ///
     /// [`FerexError::InvalidPolicy`] when `tick` is behind the clock;
-    /// serving errors as [`ReplicaSet::serve_batch_at`] (queries are
+    /// serving errors as [`ReplicaSet::serve_batch_read`] (queries are
     /// pre-validated at submission, so these indicate replica-set
-    /// exhaustion, not bad requests).
+    /// exhaustion, not bad requests). A failed read puts the batch back:
+    /// its requests return to the front of their tenant queues in order,
+    /// with the DRR deficits and cursor as they were, so a later poll
+    /// serves them under the same query ids. Deadline sheds made before
+    /// the read failed stay shed and are returned by the next successful
+    /// poll.
     pub fn poll(&mut self, tick: u64) -> Result<(Vec<Completion>, Vec<ShedEvent>), FerexError> {
         if tick < self.now {
             return Err(FerexError::InvalidPolicy {
@@ -518,10 +528,11 @@ impl<A: ReplicaNode> ServeLoop<A> {
             });
         }
         self.now = tick;
+        let mut sheds = std::mem::take(&mut self.held_sheds);
         if tick < self.busy_until || self.queued == 0 {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok((Vec::new(), sheds));
         }
-        let sheds = self.shed_expired(tick);
+        sheds.extend(self.shed_expired(tick));
         if self.queued == 0 {
             return Ok((Vec::new(), sheds));
         }
@@ -529,10 +540,20 @@ impl<A: ReplicaNode> ServeLoop<A> {
             return Ok((Vec::new(), sheds));
         }
         self.release_brownouts(tick);
+        let (deficits, next_tenant) = (self.deficits.clone(), self.next_tenant);
         let picked = self.form_batch();
         let queries: Vec<Vec<u32>> = picked.iter().map(|p| p.req.query.clone()).collect();
         let qids: Vec<u64> = picked.iter().map(|p| p.qid).collect();
-        let (outcomes, reads) = self.set.serve_batch_read(&queries, &qids)?;
+        let (outcomes, reads) = match self.set.serve_batch_read(&queries, &qids) {
+            Ok(read) => read,
+            Err(e) => {
+                self.requeue(picked);
+                self.deficits = deficits;
+                self.next_tenant = next_tenant;
+                self.held_sheds = sheds;
+                return Err(e);
+            }
+        };
         let batch = self.next_batch;
         self.next_batch += 1;
         let service = self.charge(picked.len(), &reads, batch, tick);
@@ -565,7 +586,9 @@ impl<A: ReplicaNode> ServeLoop<A> {
     ///
     /// # Errors
     ///
-    /// As [`ServeLoop::poll`].
+    /// As [`ServeLoop::poll`]. The failing poll keeps its batch and sheds
+    /// as `poll` describes; what earlier polls of this drain returned is
+    /// dropped with the error.
     pub fn drain(&mut self, horizon: u64) -> Result<(Vec<Completion>, Vec<ShedEvent>), FerexError> {
         let mut completions = Vec::new();
         let mut sheds = Vec::new();
@@ -832,6 +855,17 @@ impl<A: ReplicaNode> ServeLoop<A> {
         }
         self.next_tenant = t;
         picked
+    }
+
+    /// Undoes [`ServeLoop::form_batch`]'s dequeues: every picked request
+    /// returns to the front of its tenant queue, in its original order.
+    fn requeue(&mut self, picked: Vec<Pending>) {
+        for p in picked.into_iter().rev() {
+            if let Some(queue) = self.queues.get_mut(p.req.tenant) {
+                queue.push_front(p);
+                self.queued += 1;
+            }
+        }
     }
 
     /// The queued-or-incoming request that capacity shedding would evict:
@@ -1253,6 +1287,45 @@ mod tests {
             "deleted id 1's old slot still serves"
         );
         assert_eq!(lp.stats().served, 4);
+    }
+
+    #[test]
+    fn failed_read_puts_the_batch_back_unchanged() {
+        // Three tenants so the DRR cursor moves: the batch takes tenant 0's
+        // two requests and leaves the cursor on tenant 1.
+        let policy =
+            ServePolicy { target_batch: 2, quantum: 3, cost: cheap(), ..Default::default() };
+        let mut lp = loop_with(3, policy);
+        for tenant in [0, 1, 0] {
+            lp.submit(req(tenant, 0, 0, 1000)).unwrap();
+        }
+        let stored = lp.set().replica(0).clone();
+        lp.set_mut().replica_mut(0).clear();
+        let before = format!("{lp:?}");
+        assert_eq!(lp.poll(0), Err(FerexError::Empty));
+        // Queue order, DRR deficits and cursor are exactly as before the
+        // poll, and the accounting invariant still holds.
+        assert_eq!(format!("{lp:?}"), before);
+        assert_eq!(lp.queue_depth(), 3);
+        let s = lp.stats();
+        assert_eq!(s.submitted, s.served + s.shed_capacity + s.shed_deadline + 3);
+        // A request whose deadline expires at the next failing poll is
+        // shed there, and its event is not lost with the failed read.
+        lp.submit(req(2, 0, 0, 1)).unwrap();
+        assert_eq!(lp.poll(0), Err(FerexError::Empty));
+        assert_eq!(lp.queue_depth(), 3);
+        let s = lp.stats();
+        assert_eq!(s.shed_deadline, 1);
+        assert_eq!(s.submitted, s.served + s.shed_capacity + s.shed_deadline + 3);
+        // Once the replica is restored the same requests serve in order,
+        // and the held shed event is reported.
+        *lp.set_mut().replica_mut(0) = stored;
+        let (done, sheds) = lp.poll(0).unwrap();
+        assert_eq!(done.iter().map(|c| (c.tenant, c.qid)).collect::<Vec<_>>(), [(0, 0), (0, 2)]);
+        let doomed =
+            ShedEvent { tenant: 2, qid: 3, arrival_tick: 0, tick: 0, reason: ShedReason::Deadline };
+        assert_eq!(sheds, [doomed]);
+        assert_eq!(lp.stats().served, 2);
     }
 
     #[test]

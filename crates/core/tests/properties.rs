@@ -41,7 +41,7 @@ fn churn_initial(id: u64) -> Vec<u32> {
 fn fallback_only_set<A: ReplicaNode>(replicas: Vec<A>, metric: DistanceMetric) -> ReplicaSet<A> {
     let policy =
         ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
-    let mut set = ReplicaSet::new(replicas, metric, policy);
+    let mut set = ReplicaSet::new(replicas, metric, policy).expect("2/2 quorum over 2 replicas");
     set.kill(1);
     set
 }
@@ -508,7 +508,7 @@ proptest! {
             quorum: QuorumPolicy { reads, agree },
             ..Default::default()
         };
-        let mut set = ReplicaSet::new(replicas, metric, policy);
+        let mut set = ReplicaSet::new(replicas, metric, policy).unwrap();
 
         // Sequential serving mirrors the bare array's query-id stream.
         for (i, q) in queries.iter().enumerate() {
@@ -517,8 +517,10 @@ proptest! {
             prop_assert_eq!(served.outcome, bare.search_at(q, i as u64).unwrap());
         }
         // Batched serving mirrors the bare batched path (query ids 0..len).
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let (served, _) = set.serve_batch_read(&queries, &qids).unwrap();
         prop_assert_eq!(
-            set.search_batch(&queries).unwrap(),
+            served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(),
             bare.search_batch(&queries).unwrap()
         );
         prop_assert_eq!(set.stats().oracle_fallbacks, 0);
