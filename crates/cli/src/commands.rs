@@ -424,7 +424,15 @@ fn render_serve_sim(
         }
         pool.push(array);
     }
-    let policy = ReplicaPolicy { quorum: QuorumPolicy { reads, agree }, ..Default::default() };
+    // Either latency flag arms seeded per-replica latency models (healthy
+    // unless slowed) plus brownout demotion, mirroring the conformance v2
+    // scenario family.
+    let latency_armed = !slow_replicas.is_empty() || hedge.is_some();
+    let policy = ReplicaPolicy {
+        quorum: QuorumPolicy { reads, agree },
+        brownout: latency_armed.then(BrownoutPolicy::default),
+        ..Default::default()
+    };
     let mut set = ReplicaSet::new(pool, metric, policy)?;
     if let Some(mode) = load {
         return render_serve_loop(
@@ -511,10 +519,9 @@ fn render_serve_loop(
     const SUBSLOTS: u64 = 8;
     const MAX_TICKS: u64 = 1_000_000;
     let cost = CostModel::noisy_10k();
-    // Either latency flag arms seeded per-replica latency models (healthy
-    // unless slowed) plus brownout demotion, mirroring the conformance v2
-    // scenario family.
-    let latency_armed = !slow_replicas.is_empty() || hedge.is_some();
+    // `render_serve_sim` arms the brownout exactly when a latency flag is
+    // set.
+    let latency_armed = set.policy().brownout.is_some();
     if latency_armed {
         let latency_seed = splitmix64(seed ^ 0x510E_11FE);
         let n_replicas = set.n_replicas();
@@ -535,7 +542,6 @@ fn render_serve_loop(
         max_wait_ticks: 0,
         hedge: hedge
             .map(|(quantile_milli, budget_milli)| HedgePolicy { quantile_milli, budget_milli }),
-        brownout: latency_armed.then(BrownoutPolicy::default),
     };
     let mut lp = ServeLoop::new(set, tenants, policy)?;
     let n = queries.len();
@@ -763,7 +769,7 @@ fn render_serve_loop(
                 samples.len(),
                 percentile(&samples, 50, 100),
                 samples.last().copied().unwrap_or(0),
-                lp.latency_ewma_milli().get(i).copied().unwrap_or(1000),
+                lp.set().status(i).latency_ewma_milli,
                 lp.hedged_against().get(i).copied().unwrap_or(0),
                 lp.hedge_wins_by().get(i).copied().unwrap_or(0),
                 lp.set().status(i).latency_demerit_milli,
@@ -1053,8 +1059,9 @@ mod tests {
         assert!(out.contains("replica 0 (healthy):"), "{out}");
         assert!(out.contains("replica 1 (slow@8000):"), "{out}");
         assert!(out.contains("replica 2 (healthy):"), "{out}");
-        // The latency telemetry replays byte-identically from the seed.
-        assert_eq!(run_line(line).unwrap(), out);
+        // The latency telemetry (EWMA, demerit, demotion and re-probe
+        // lines included) is pinned byte for byte across builds.
+        assert_eq!(out, include_str!("../fixtures/serve_sim_latency_telemetry.txt"));
         // Answers are bit-identical to the unhedged path: same nearest
         // rows with or without the latency machinery armed.
         let plain = run_line(

@@ -146,7 +146,7 @@ pub struct LoadSpec {
     pub jitter_milli: u64,
     /// Hedged-request policy of the serving loop, if any.
     pub hedge: Option<HedgePolicy>,
-    /// Brownout demotion policy of the serving loop, if any.
+    /// Brownout demotion policy of the replica set, if any.
     pub brownout: Option<BrownoutPolicy>,
     /// Batch former's wait cap (0 = off).
     pub max_wait_ticks: u64,
@@ -263,10 +263,9 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         replicas.push(array);
     }
     let quorum = QuorumPolicy { reads: spec.reads, agree: spec.agree };
+    let replica_policy = ReplicaPolicy { quorum, brownout: spec.brownout, ..Default::default() };
     // lint:allow(panic-safety/expect, reason = "standard specs build a valid quorum over equal replicas")
-    let set =
-        ReplicaSet::new(replicas, spec.metric, ReplicaPolicy { quorum, ..Default::default() })
-            .expect("valid replica set");
+    let set = ReplicaSet::new(replicas, spec.metric, replica_policy).expect("valid replica set");
     let policy = ServePolicy {
         target_batch: spec.target_batch,
         queue_capacity: spec.queue_capacity,
@@ -274,7 +273,6 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         cost: spec.cost,
         max_wait_ticks: spec.max_wait_ticks,
         hedge: spec.hedge,
-        brownout: spec.brownout,
     };
     // lint:allow(panic-safety/expect, reason = "spec knobs validated above; store is non-empty")
     let mut sim = ServeLoop::new(set, spec.tenants, policy).expect("valid serving policy");
@@ -413,7 +411,7 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
     let detail = LoadDetail {
         stats,
         samples: (0..spec.replicas).map(|i| sim.replica_samples(i).to_vec()).collect(),
-        ewma_milli: sim.latency_ewma_milli().to_vec(),
+        ewma_milli: (0..spec.replicas).map(|i| sim.set().status(i).latency_ewma_milli).collect(),
         hedged_against: sim.hedged_against().to_vec(),
         hedge_wins_by: sim.hedge_wins_by().to_vec(),
         demerit_milli: (0..spec.replicas)

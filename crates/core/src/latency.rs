@@ -1,5 +1,5 @@
-//! Deterministic per-replica service-latency models and the hedging /
-//! brownout policies built on them.
+//! Deterministic per-replica service-latency models and the hedging
+//! policy built on them.
 //!
 //! PR 7's serving loop charged every batch the same [`CostModel`] ticks,
 //! so a replica that is merely *slow* — the realistic failure mode for a
@@ -23,10 +23,11 @@
 //!   read is issued to the best idle replica, first completion wins, and
 //!   a per-mille budget bounds how many batches may hedge so hedges can
 //!   never amplify overload.
-//! * [`BrownoutPolicy`] — an EWMA latency tracker per replica; a replica
-//!   whose multiplier crosses the demotion threshold is pushed down the
-//!   routing order (a *brownout*, distinct from the breaker's hard Open)
-//!   and re-probed half-open-style with exponential backoff.
+//!
+//! The sampled durations also feed each replica's latency EWMA and its
+//! brownout ladder, which live with the rest of a replica's health in
+//! [`ReplicaSet`](crate::replica::ReplicaSet) (see
+//! [`BrownoutPolicy`](crate::replica::BrownoutPolicy)).
 //!
 //! All knobs are integers (per-mille fixed point); all randomness flows
 //! through `splitmix64(seed ^ splitmix64(draw ^ SALT))` streams disjoint
@@ -254,61 +255,6 @@ impl HedgePolicy {
     }
 }
 
-/// Brownout demotion of slow-but-alive replicas.
-///
-/// The loop tracks a per-replica EWMA of the observed service multiplier
-/// (per-mille of the expected cost-model charge) on the virtual tick
-/// clock. A replica whose EWMA crosses the threshold is *demoted*: a
-/// routing demerit pushes it below every healthy replica (it stays
-/// eligible — a brownout, not the breaker's hard Open). After the
-/// re-probe backoff the demerit lifts and the next read is a half-open
-/// probe: a probe within the threshold rehabilitates the replica, a slow
-/// probe re-demotes it with doubled backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutPolicy {
-    /// EWMA multiplier (per-mille of the expected charge) above which a
-    /// replica is demoted; must be above 1000 (1x).
-    pub demote_threshold_milli: u64,
-    /// Ticks a demoted replica sits out before its first re-probe;
-    /// doubles per failed probe (capped at 64x).
-    pub reprobe_ticks: u64,
-    /// EWMA smoothing shift: alpha = 1 / 2^ewma_shift; 0..=16.
-    pub ewma_shift: u32,
-}
-
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        BrownoutPolicy { demote_threshold_milli: 2500, reprobe_ticks: 2048, ewma_shift: 2 }
-    }
-}
-
-impl BrownoutPolicy {
-    /// Validates the policy knobs.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::InvalidPolicy`] on a threshold at or below 1000
-    /// milli, a zero re-probe backoff, or an EWMA shift above 16.
-    pub fn validate(&self) -> Result<(), FerexError> {
-        if self.demote_threshold_milli <= 1000 {
-            return Err(FerexError::InvalidPolicy {
-                what: "brownout demotion threshold must be above 1000 milli",
-            });
-        }
-        if self.reprobe_ticks == 0 {
-            return Err(FerexError::InvalidPolicy {
-                what: "brownout re-probe backoff must be at least 1 tick",
-            });
-        }
-        if self.ewma_shift > 16 {
-            return Err(FerexError::InvalidPolicy {
-                what: "brownout EWMA shift must be at most 16",
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,11 +333,5 @@ mod tests {
         assert!(HedgePolicy { quantile_milli: 1000, budget_milli: 250 }.validate().is_err());
         assert!(HedgePolicy { quantile_milli: 950, budget_milli: 0 }.validate().is_err());
         assert!(HedgePolicy { quantile_milli: 950, budget_milli: 1001 }.validate().is_err());
-
-        assert!(BrownoutPolicy::default().validate().is_ok());
-        let b = BrownoutPolicy::default();
-        assert!(BrownoutPolicy { demote_threshold_milli: 1000, ..b }.validate().is_err());
-        assert!(BrownoutPolicy { reprobe_ticks: 0, ..b }.validate().is_err());
-        assert!(BrownoutPolicy { ewma_shift: 17, ..b }.validate().is_err());
     }
 }

@@ -79,11 +79,12 @@ pub use health::{
     FaultAttribution, HealthCounters, HealthSnapshot, ProgramReport, RepairPolicy, RowHealth,
     ScrubFinding, ScrubReport,
 };
-pub use latency::{qln_quantile_milli, BrownoutPolicy, HedgePolicy, LatencyModel};
+pub use latency::{qln_quantile_milli, HedgePolicy, LatencyModel};
 pub use mutate::{CompactionReport, MutableNode, MutationPolicy, SlotState, WearSummary};
 pub use replica::{
-    derive_replica_seed, replicate_backend, BreakerPolicy, BreakerState, QuorumPolicy, ReplicaNode,
-    ReplicaPolicy, ReplicaSet, ReplicaSetStats, ReplicaStatus, ServeSource, ServedOutcome,
+    derive_replica_seed, replicate_backend, BreakerPolicy, BreakerState, BrownoutPolicy,
+    QuorumPolicy, ReplicaNode, ReplicaPolicy, ReplicaSet, ReplicaSetStats, ReplicaStatus,
+    ServeSource, ServedOutcome,
 };
 pub use serve::{
     Admission, Completion, CostModel, Request, ServeLoop, ServeLoopStats, ServePolicy, ShedEvent,

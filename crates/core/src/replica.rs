@@ -16,11 +16,16 @@
 //!    recompute over replica 0's logical rows (the same (distance, index)
 //!    tie policy as the conformance oracle); the supervisor keeps no copy
 //!    of the stored vectors.
-//! 3. **Circuit breaker + retry budget** — per-replica closed/open/
-//!    half-open breaker with bounded exponential backoff measured on a
-//!    *virtual tick clock* (one tick per served query — no wall clock, so
-//!    runs are bit-reproducible). A failed replica read pulls in the next
-//!    eligible replica, up to the policy's retry budget.
+//! 3. **Replica health: one backoff ladder, two instances** — each
+//!    replica carries two closed → open → half-open ladders with bounded
+//!    exponential backoff, on two virtual clocks (no wall clock, so runs
+//!    are bit-reproducible). The *breaker* is fed read errors and quorum
+//!    dissents on the set's query tick (one tick per served query); open,
+//!    it takes the replica out of routing, and a failed read pulls in the
+//!    next eligible replica, up to the policy's retry budget. The
+//!    *brownout* is fed a latency EWMA of the sampled reads the
+//!    [`ServeLoop`](crate::serve::ServeLoop) reports on its own tick;
+//!    open, it keeps the replica routable behind a demerit.
 //!
 //! Every query takes one path: [`ReplicaSet::serve`] is a batch of one
 //! through the same routing, read, vote and scrub core as
@@ -170,20 +175,77 @@ impl BreakerPolicy {
     }
 }
 
-/// Circuit-breaker state of one replica.
+/// Brownout demotion of slow-but-alive replicas.
+///
+/// The set tracks a per-replica EWMA of the observed service multiplier
+/// (per-mille of the expected cost-model charge) that the serving loop
+/// reports on its virtual tick clock. A replica whose EWMA crosses the
+/// threshold is *demoted*: a routing demerit pushes it below every
+/// healthy replica (it stays eligible — a brownout, not the breaker's
+/// hard Open). After the re-probe backoff the demerit lifts and the next
+/// read is a half-open probe: a probe within the threshold rehabilitates
+/// the replica, a slow probe re-demotes it with doubled backoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrownoutPolicy {
+    /// EWMA multiplier (per-mille of the expected charge) above which a
+    /// replica is demoted; must be above 1000 (1x).
+    pub demote_threshold_milli: u64,
+    /// Ticks a demoted replica sits out before its first re-probe;
+    /// doubles per failed probe (capped at 64x).
+    pub reprobe_ticks: u64,
+    /// EWMA smoothing shift: alpha = 1 / 2^ewma_shift; 0..=16.
+    pub ewma_shift: u32,
+}
+
+impl Default for BrownoutPolicy {
+    fn default() -> Self {
+        BrownoutPolicy { demote_threshold_milli: 2500, reprobe_ticks: 2048, ewma_shift: 2 }
+    }
+}
+
+impl BrownoutPolicy {
+    /// Validates the policy knobs.
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::InvalidPolicy`] on a threshold at or below 1000
+    /// milli, a zero re-probe backoff, or an EWMA shift above 16.
+    pub fn validate(&self) -> Result<(), FerexError> {
+        if self.demote_threshold_milli <= 1000 {
+            return Err(FerexError::InvalidPolicy {
+                what: "brownout demotion threshold must be above 1000 milli",
+            });
+        }
+        if self.reprobe_ticks == 0 {
+            return Err(FerexError::InvalidPolicy {
+                what: "brownout re-probe backoff must be at least 1 tick",
+            });
+        }
+        if self.ewma_shift > 16 {
+            return Err(FerexError::InvalidPolicy {
+                what: "brownout EWMA shift must be at most 16",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// State of one replica's backoff ladder: its circuit breaker or its
+/// brownout demotion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Serving normally.
     #[default]
     Closed,
-    /// Tripped: the replica is skipped until the tick clock reaches
-    /// `until_tick`.
+    /// Tripped until the ladder's clock reaches `until_tick`: an open
+    /// breaker takes the replica out of routing, an open brownout demotes
+    /// it behind a routing demerit.
     Open {
-        /// Tick at which the breaker transitions to half-open.
+        /// Tick at which the ladder transitions to half-open.
         until_tick: u64,
     },
-    /// Probing: the replica serves again; one more failure re-opens the
-    /// breaker with doubled backoff, one success closes it.
+    /// Probing: the replica is routed normally again; one more failure
+    /// re-opens the ladder with doubled backoff, one success closes it.
     HalfOpen,
 }
 
@@ -194,6 +256,9 @@ pub struct ReplicaPolicy {
     pub quorum: QuorumPolicy,
     /// Per-replica circuit-breaker configuration.
     pub breaker: BreakerPolicy,
+    /// Per-replica brownout demotion, fed by the serving loop's sampled
+    /// read latencies. `None` disables it.
+    pub brownout: Option<BrownoutPolicy>,
     /// Extra replicas a query may pull in when a chosen replica fails
     /// mid-read.
     pub retry_budget: usize,
@@ -206,6 +271,7 @@ impl Default for ReplicaPolicy {
         ReplicaPolicy {
             quorum: QuorumPolicy::default(),
             breaker: BreakerPolicy::default(),
+            brownout: None,
             retry_budget: 1,
             scrub_cooldown_ticks: 16,
         }
@@ -217,10 +283,15 @@ impl ReplicaPolicy {
     ///
     /// # Errors
     ///
-    /// As [`QuorumPolicy::validate`] and [`BreakerPolicy::validate`].
+    /// As [`QuorumPolicy::validate`], [`BreakerPolicy::validate`] and
+    /// [`BrownoutPolicy::validate`].
     pub fn validate(&self, replicas: usize) -> Result<(), FerexError> {
         self.quorum.validate(replicas)?;
-        self.breaker.validate()
+        self.breaker.validate()?;
+        if let Some(b) = &self.brownout {
+            b.validate()?;
+        }
+        Ok(())
     }
 }
 
@@ -408,8 +479,11 @@ pub struct ReplicaSetStats {
 /// Public point-in-time view of one replica's serving state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaStatus {
-    /// Circuit-breaker state.
+    /// Circuit-breaker state, on the set's query tick.
     pub breaker: BreakerState,
+    /// Brownout state, on the serving loop's virtual tick: open while the
+    /// replica is demoted.
+    pub brownout: BreakerState,
     /// `true` after [`ReplicaSet::kill`].
     pub dead: bool,
     /// Failures since the last success (resets on trip).
@@ -422,28 +496,68 @@ pub struct ReplicaStatus {
     pub dissents: u64,
     /// Findings of the replica's most recent scrub.
     pub last_scrub_findings: usize,
-    /// Routing demerit pushed by the serving loop's brownout detector,
-    /// in per-mille of a routing point (0 = not demoted).
+    /// EWMA of the replica's sampled service time, in per-mille of the
+    /// cost model's expectation (1000 = nominal; only reads charged
+    /// through a latency model move it).
+    pub latency_ewma_milli: u64,
+    /// Brownout routing demerit, in per-mille of a routing point: the
+    /// EWMA's excess over nominal when the replica was last demoted
+    /// (0 = not demoted).
     pub latency_demerit_milli: u64,
     /// Current routing score (higher routes first).
     pub score: f64,
 }
 
+/// One exponential-backoff ladder: closed → open → half-open → closed.
+/// Each replica has two, on separate clocks: the breaker and the brownout.
+#[derive(Debug, Clone, Copy, Default)]
+struct Backoff {
+    state: BreakerState,
+    /// Trips since the ladder last closed; the exponent of the backoff.
+    level: u32,
+}
+
+impl Backoff {
+    /// Raises the level and opens for `base · 2^(level−1)` ticks,
+    /// saturating and capped at `max`.
+    fn trip(&mut self, now: u64, base: u64, max: u64) {
+        self.level = (self.level + 1).min(63);
+        let ticks = base.saturating_mul(1 << (self.level - 1)).min(max);
+        self.state = BreakerState::Open { until_tick: now.saturating_add(ticks) };
+    }
+
+    /// Turns an open ladder whose backoff expired by `now` into half-open;
+    /// `true` when it did.
+    fn release(&mut self, now: u64) -> bool {
+        match self.state {
+            BreakerState::Open { until_tick } if now >= until_tick => {
+                self.state = BreakerState::HalfOpen;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Closes the ladder and resets its level.
+    fn close(&mut self) {
+        *self = Backoff::default();
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct ReplicaState {
-    breaker: BreakerState,
+    /// Fed read errors and dissents, on the set's query tick.
+    breaker: Backoff,
+    /// Fed the latency EWMA, on the serving loop's virtual tick.
+    brownout: Backoff,
     dead: bool,
     consecutive_failures: u32,
-    /// Exponent of the backoff ladder; resets when a half-open probe
-    /// succeeds.
-    backoff_level: u32,
     trips: u64,
     served: u64,
     dissents: u64,
     last_scrub_findings: usize,
     last_scrub_tick: Option<u64>,
-    /// Brownout routing demerit in per-mille of a routing point; pushed
-    /// by the serving loop's latency tracker, 0 when not demoted.
+    latency_ewma_milli: u64,
     latency_demerit_milli: u64,
 }
 
@@ -496,7 +610,8 @@ impl<A: ReplicaNode> ReplicaSet<A> {
                 what: "every replica must store replica 0's row count",
             });
         }
-        let states = vec![ReplicaState::default(); replicas.len()];
+        let states =
+            vec![ReplicaState { latency_ewma_milli: 1000, ..Default::default() }; replicas.len()];
         let latency = vec![None; replicas.len()];
         Ok(ReplicaSet {
             replicas,
@@ -616,13 +731,59 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         Some(model.service_ticks(batch, tick, draw, inflation))
     }
 
-    /// Sets replica `i`'s brownout routing demerit (per-mille of a
-    /// routing point; 0 lifts the demotion). Pushed by the serving loop's
-    /// latency tracker; out-of-range indices are ignored.
-    pub fn set_latency_demerit(&mut self, i: usize, demerit_milli: u64) {
-        if let Some(st) = self.states.get_mut(i) {
-            st.latency_demerit_milli = demerit_milli;
+    /// Feeds one read's sampled duration on replica `r` into its latency
+    /// EWMA (in per-mille of the `expected` charge), then steps its
+    /// brownout ladder at the serving loop's tick `now`. An EWMA over the
+    /// threshold demotes a closed ladder; a probe is judged on its own
+    /// observation, recovering (EWMA reseeded to the probe) or re-demoting
+    /// at the next backoff level. Returns `true` when this read demoted the
+    /// replica.
+    pub(crate) fn observe_latency(
+        &mut self,
+        r: usize,
+        sampled: u64,
+        expected: u64,
+        now: u64,
+    ) -> bool {
+        let brownout = self.policy.brownout;
+        let Some(st) = self.states.get_mut(r) else { return false };
+        let obs = (sampled.saturating_mul(1000) / expected.max(1)).min(1_000_000);
+        let shift = brownout.map_or(2, |b| b.ewma_shift);
+        let cur = st.latency_ewma_milli as i64;
+        st.latency_ewma_milli = (cur + ((obs as i64 - cur) >> shift)).max(1) as u64;
+        let Some(b) = brownout else { return false };
+        let demote = match st.brownout.state {
+            BreakerState::Closed => st.latency_ewma_milli > b.demote_threshold_milli,
+            BreakerState::HalfOpen if obs <= b.demote_threshold_milli => {
+                st.brownout.close();
+                st.latency_ewma_milli = obs.max(1);
+                st.latency_demerit_milli = 0;
+                false
+            }
+            BreakerState::HalfOpen => true,
+            BreakerState::Open { .. } => false,
+        };
+        if demote {
+            st.brownout.trip(now, b.reprobe_ticks, b.reprobe_ticks.saturating_mul(64));
+            st.latency_demerit_milli = st.latency_ewma_milli.saturating_sub(1000);
         }
+        demote
+    }
+
+    /// Lifts every expired demotion into a half-open probe at the serving
+    /// loop's tick `now`: the demerit clears, so routing picks the replica
+    /// up for one judged batch. Returns how many replicas were released.
+    pub(crate) fn release_brownouts(&mut self, now: u64) -> u64 {
+        let mut released = 0;
+        for st in &mut self.states {
+            // Dead replicas keep both ladders open until revived, as no
+            // batch could read their probe.
+            if !st.dead && st.brownout.release(now) {
+                st.latency_demerit_milli = 0;
+                released += 1;
+            }
+        }
+        released
     }
 
     /// The routing order a batch read would use right now: live replicas
@@ -652,24 +813,28 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         let Some(st) = self.states.get(i) else {
             return ReplicaStatus {
                 breaker: BreakerState::Closed,
+                brownout: BreakerState::Closed,
                 dead: false,
                 consecutive_failures: 0,
                 trips: 0,
                 served: 0,
                 dissents: 0,
                 last_scrub_findings: 0,
+                latency_ewma_milli: 1000,
                 latency_demerit_milli: 0,
                 score: f64::MIN,
             };
         };
         ReplicaStatus {
-            breaker: st.breaker,
+            breaker: st.breaker.state,
+            brownout: st.brownout.state,
             dead: st.dead,
             consecutive_failures: st.consecutive_failures,
             trips: st.trips,
             served: st.served,
             dissents: st.dissents,
             last_scrub_findings: st.last_scrub_findings,
+            latency_ewma_milli: st.latency_ewma_milli,
             latency_demerit_milli: st.latency_demerit_milli,
             score: self.routing_score(i),
         }
@@ -683,12 +848,15 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
     }
 
-    /// Brings a killed replica back with a closed breaker. Out-of-range
-    /// indices are ignored.
+    /// Brings a killed replica back with a closed breaker (its backoff
+    /// level kept, so a replica that keeps failing still backs off
+    /// further). The brownout ladder is left as it was: an expired
+    /// demotion lifts at the serving loop's next closing poll.
+    /// Out-of-range indices are ignored.
     pub fn revive(&mut self, i: usize) {
         let Some(st) = self.states.get_mut(i) else { return };
         st.dead = false;
-        st.breaker = BreakerState::Closed;
+        st.breaker.state = BreakerState::Closed;
         st.consecutive_failures = 0;
     }
 
@@ -712,10 +880,11 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     }
 
     /// Routing score of one replica: fraction of rows still served
-    /// dominates, remapped rows and recent scrub findings penalize, spare
-    /// headroom breaks near-ties. Healthy fault-free replicas all score
-    /// identically, and routing resolves score ties by lowest index — so a
-    /// clean set always routes to replica 0 first.
+    /// dominates, remapped rows, recent scrub findings and a brownout
+    /// demerit penalize, spare headroom breaks near-ties. Healthy
+    /// fault-free replicas all score identically, and routing resolves
+    /// score ties by lowest index — so a clean set always routes to
+    /// replica 0 first.
     fn routing_score(&self, i: usize) -> f64 {
         let (Some(replica), Some(st)) = (self.replicas.get(i), self.states.get(i)) else {
             return f64::MIN;
@@ -740,17 +909,17 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     fn ranked_eligible(&mut self) -> Vec<usize> {
         let tick = self.tick;
         for st in &mut self.states {
-            if let BreakerState::Open { until_tick } = st.breaker {
-                if !st.dead && tick >= until_tick {
-                    st.breaker = BreakerState::HalfOpen;
-                }
+            // Dead replicas stay open until revived, as in
+            // `release_brownouts`.
+            if !st.dead {
+                st.breaker.release(tick);
             }
         }
         let mut eligible: Vec<(usize, f64)> = self
             .states
             .iter()
             .enumerate()
-            .filter(|(_, st)| !st.dead && !matches!(st.breaker, BreakerState::Open { .. }))
+            .filter(|(_, st)| !st.dead && !matches!(st.breaker.state, BreakerState::Open { .. }))
             .map(|(i, _)| (i, self.routing_score(i)))
             .collect();
         eligible.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -760,9 +929,8 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     fn note_success(&mut self, i: usize) {
         let Some(st) = self.states.get_mut(i) else { return };
         st.consecutive_failures = 0;
-        if st.breaker == BreakerState::HalfOpen {
-            st.breaker = BreakerState::Closed;
-            st.backoff_level = 0;
+        if st.breaker.state == BreakerState::HalfOpen {
+            st.breaker.close();
         }
     }
 
@@ -779,7 +947,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         let p = self.policy.breaker;
         let Some(st) = self.states.get_mut(i) else { return };
         st.consecutive_failures += 1;
-        let trip = match st.breaker {
+        let trip = match st.breaker.state {
             // A failed half-open probe re-opens immediately with doubled
             // backoff; a closed breaker waits for the threshold.
             BreakerState::HalfOpen => true,
@@ -787,13 +955,8 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             BreakerState::Open { .. } => false,
         };
         if trip {
-            st.backoff_level = (st.backoff_level + 1).min(63);
+            st.breaker.trip(tick, p.base_backoff_ticks, p.max_backoff_ticks);
             st.trips += 1;
-            let backoff = p
-                .base_backoff_ticks
-                .saturating_mul(1u64 << (st.backoff_level - 1).min(62))
-                .min(p.max_backoff_ticks);
-            st.breaker = BreakerState::Open { until_tick: tick.saturating_add(backoff) };
             st.consecutive_failures = 0;
             self.stats.breaker_trips += 1;
         }
@@ -1243,6 +1406,21 @@ mod tests {
         assert_eq!(QuorumPolicy { reads: 3, agree: 2 }.validate(3), Ok(()));
         let breaker = BreakerPolicy { max_backoff_ticks: 4, ..Default::default() };
         assert_eq!(breaker.validate(), invalid("breaker backoff ceiling below the base"));
+        let b = BrownoutPolicy::default();
+        assert_eq!(b.validate(), Ok(()));
+        let brownout = |b| ReplicaPolicy { brownout: Some(b), ..Default::default() }.validate(1);
+        assert_eq!(
+            brownout(BrownoutPolicy { demote_threshold_milli: 1000, ..b }),
+            invalid("brownout demotion threshold must be above 1000 milli")
+        );
+        assert_eq!(
+            brownout(BrownoutPolicy { reprobe_ticks: 0, ..b }),
+            invalid("brownout re-probe backoff must be at least 1 tick")
+        );
+        assert_eq!(
+            brownout(BrownoutPolicy { ewma_shift: 17, ..b }),
+            invalid("brownout EWMA shift must be at most 16")
+        );
         let build = |rows: usize| {
             let mut f = Ferex::builder().dim(4).build().expect("builds");
             f.store_all(vectors(rows, 4)).unwrap();
@@ -1371,11 +1549,24 @@ mod tests {
         // re-opens with doubled backoff.
         set.serve(q).unwrap(); // tick 3
         set.serve(q).unwrap(); // tick 4: eligible as half-open, probe fails
-        assert!(matches!(set.status(1).breaker, BreakerState::Open { .. }));
+        assert_eq!(set.status(1).breaker, BreakerState::Open { until_tick: 4 + 6 });
         assert_eq!(set.stats().breaker_trips, 2);
         // Every query was still answered by the healthy replica.
         assert_eq!(set.stats().queries_served, 5);
         assert_eq!(set.stats().oracle_fallbacks, 0);
+        // Each further failed probe doubles the backoff up to the ceiling.
+        let mut backoffs = vec![3, 6];
+        while backoffs.len() < 4 && set.tick() < 100 {
+            let (trips, at) = (set.stats().breaker_trips, set.tick());
+            set.serve(q).unwrap();
+            if set.stats().breaker_trips > trips {
+                let BreakerState::Open { until_tick } = set.status(1).breaker else {
+                    panic!("a trip must open the breaker");
+                };
+                backoffs.push(until_tick - at);
+            }
+        }
+        assert_eq!(backoffs, [3, 6, 12, 12]);
     }
 
     #[test]

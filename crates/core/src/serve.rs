@@ -30,9 +30,13 @@
 //! batches are served through [`ReplicaSet::serve_batch_read`] — so the
 //! answers are bit-identical to serving every request individually,
 //! no matter how the former grouped them.
+//!
+//! The loop keeps no per-replica health state. It reports each read's
+//! sampled latency to the set, whose brownout ladder (beside the error
+//! breaker, see [`crate::replica`]) runs on the loop's virtual tick.
 
 use crate::error::FerexError;
-use crate::latency::{qln_quantile_milli, BrownoutPolicy, HedgePolicy};
+use crate::latency::{qln_quantile_milli, HedgePolicy};
 use crate::mutate::{CompactionReport, MutableNode};
 use crate::replica::{ReplicaNode, ReplicaSet, ServedOutcome};
 use std::collections::VecDeque;
@@ -90,9 +94,6 @@ pub struct ServePolicy {
     pub max_wait_ticks: u64,
     /// Hedged-request policy. `None` disables hedging.
     pub hedge: Option<HedgePolicy>,
-    /// Brownout demotion policy for slow-but-alive replicas. `None`
-    /// disables the latency tracker's routing feedback.
-    pub brownout: Option<BrownoutPolicy>,
 }
 
 impl Default for ServePolicy {
@@ -104,7 +105,6 @@ impl Default for ServePolicy {
             cost: CostModel::default(),
             max_wait_ticks: 0,
             hedge: None,
-            brownout: None,
         }
     }
 }
@@ -130,9 +130,6 @@ impl ServePolicy {
         }
         if let Some(h) = &self.hedge {
             h.validate()?;
-        }
-        if let Some(b) = &self.brownout {
-            b.validate()?;
         }
         Ok(())
     }
@@ -269,27 +266,6 @@ struct Pending {
     qid: u64,
 }
 
-/// Brownout state of one replica, as tracked by the serving loop's
-/// latency EWMA (DESIGN.md §14: Active → Demoted → Probing → …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum BrownoutState {
-    /// Routed normally.
-    #[default]
-    Active,
-    /// Demoted in routing until the backoff expires.
-    Demoted {
-        /// Tick at which the next half-open probe may run.
-        until_tick: u64,
-        /// Consecutive failed probes (drives exponential backoff).
-        level: u32,
-    },
-    /// Demerit lifted for one probe batch; the next observation decides.
-    Probing {
-        /// Backoff level to re-demote at (plus one) if the probe fails.
-        level: u32,
-    },
-}
-
 /// The deterministic serving loop. See the module docs for the state
 /// machine; drive it by calling [`ServeLoop::submit`] for arrivals and
 /// [`ServeLoop::poll`] once per virtual tick (both with non-decreasing
@@ -317,11 +293,6 @@ pub struct ServeLoop<A: ReplicaNode> {
     stats: ServeLoopStats,
     served_per_tenant: Vec<u64>,
     shed_per_tenant: Vec<u64>,
-    /// Per-replica EWMA of observed service time, in per-mille of the
-    /// cost model's expectation (1000 = nominal).
-    ewma_milli: Vec<u64>,
-    /// Per-replica brownout state machine.
-    brown: Vec<BrownoutState>,
     /// Per-replica sampled service ticks, one entry per read charged
     /// through that replica's latency model (reports read these).
     samples: Vec<Vec<u64>>,
@@ -369,8 +340,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
             stats: ServeLoopStats::default(),
             served_per_tenant: vec![0; tenants],
             shed_per_tenant: vec![0; tenants],
-            ewma_milli: vec![1000; replicas],
-            brown: vec![BrownoutState::Active; replicas],
             samples: vec![Vec::new(); replicas],
             hedged_against: vec![0; replicas],
             hedge_wins_by: vec![0; replicas],
@@ -424,13 +393,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
         &self.shed_per_tenant
     }
 
-    /// Per-replica latency EWMA, in per-mille of the cost model's
-    /// expectation (1000 = nominal; only reads charged through a latency
-    /// model move it).
-    pub fn latency_ewma_milli(&self) -> &[u64] {
-        &self.ewma_milli
-    }
-
     /// Sampled service ticks of replica `i`'s modeled reads, in charge
     /// order (empty without a latency model).
     pub fn replica_samples(&self, i: usize) -> &[u64] {
@@ -445,11 +407,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// Hedge wins credited to each replica (its duplicate read won).
     pub fn hedge_wins_by(&self) -> &[u64] {
         &self.hedge_wins_by
-    }
-
-    /// `true` while replica `i` is demoted by the brownout tracker.
-    pub fn browned_out(&self, i: usize) -> bool {
-        matches!(self.brown.get(i), Some(BrownoutState::Demoted { .. }))
     }
 
     /// Submits one request at `req.arrival_tick`, assigning it the next
@@ -539,7 +496,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
         if !self.should_close(tick) {
             return Ok((Vec::new(), sheds));
         }
-        self.release_brownouts(tick);
+        self.stats.reprobes += self.set.release_brownouts(tick);
         let (deficits, next_tenant) = (self.deficits.clone(), self.next_tenant);
         let picked = self.form_batch();
         let queries: Vec<Vec<u32>> = picked.iter().map(|p| p.req.query.clone()).collect();
@@ -629,8 +586,8 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// completes at the slowest read, and the hedging and brownout
     /// machinery run on the sampled durations: a hedge duplicates the
     /// batch to a spare replica once the slow read blows past the
-    /// p-quantile deadline, and the EWMA tracker feeds slow replicas back
-    /// into routing as brownout demerits.
+    /// p-quantile deadline, and every sampled read is reported to the
+    /// set, whose brownout ladder demotes slow replicas in routing.
     fn charge(&mut self, batch_len: usize, reads: &[usize], batch: u64, tick: u64) -> u64 {
         let expected = self.policy.cost.service_ticks(batch_len);
         if !reads.iter().any(|&r| self.set.latency_model(r).is_some()) {
@@ -695,7 +652,9 @@ impl<A: ReplicaNode> ServeLoop<A> {
         // keeps brownout detection fast even when hedging caps the
         // batch's completion charge.
         for (r, s) in observed {
-            self.observe(r, s, expected, tick);
+            if self.set.observe_latency(r, s, expected, tick) {
+                self.stats.brownout_demotions += 1;
+            }
         }
         service
     }
@@ -707,7 +666,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
         let Some(h) = self.policy.hedge else { return u64::MAX };
         let expected = self.policy.cost.service_ticks(batch_len);
         let min_ewma =
-            reads.iter().filter_map(|&r| self.ewma_milli.get(r).copied()).min().unwrap_or(1000);
+            reads.iter().map(|&r| self.set.status(r).latency_ewma_milli).min().unwrap_or(1000);
         let q = qln_quantile_milli(h.quantile_milli);
         let d = (expected as u128 * min_ewma as u128 * q as u128) / 1_000_000;
         u64::try_from(d).unwrap_or(u64::MAX)
@@ -717,79 +676,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// already reading this batch.
     fn hedge_candidate(&mut self, reads: &[usize]) -> Option<usize> {
         self.set.route_order().into_iter().find(|i| !reads.contains(i))
-    }
-
-    /// Feeds one read's true sampled duration into the replica's latency
-    /// EWMA (in per-mille of the expected cost) and steps its brownout
-    /// state machine.
-    fn observe(&mut self, r: usize, sampled: u64, expected: u64, tick: u64) {
-        let obs = (sampled.saturating_mul(1000) / expected.max(1)).min(1_000_000);
-        let shift = self.policy.brownout.map_or(2, |b| b.ewma_shift);
-        if let Some(e) = self.ewma_milli.get_mut(r) {
-            let cur = *e as i64;
-            *e = (cur + ((obs as i64 - cur) >> shift)).max(1) as u64;
-        }
-        self.step_brownout(r, obs, tick);
-    }
-
-    /// Brownout transitions driven by one observation: an Active replica
-    /// whose EWMA crosses the threshold demotes; a Probing replica is
-    /// judged on the probe observation alone — recover (EWMA reseeded to
-    /// the probe) or re-demote with doubled backoff.
-    fn step_brownout(&mut self, r: usize, obs_milli: u64, tick: u64) {
-        let Some(b) = self.policy.brownout else { return };
-        match self.brown.get(r).copied() {
-            Some(BrownoutState::Active) => {
-                let ewma = self.ewma_milli.get(r).copied().unwrap_or(1000);
-                if ewma > b.demote_threshold_milli {
-                    self.demote(r, tick, 0);
-                }
-            }
-            Some(BrownoutState::Probing { level }) => {
-                if obs_milli <= b.demote_threshold_milli {
-                    if let Some(s) = self.brown.get_mut(r) {
-                        *s = BrownoutState::Active;
-                    }
-                    if let Some(e) = self.ewma_milli.get_mut(r) {
-                        *e = obs_milli.max(1);
-                    }
-                    self.set.set_latency_demerit(r, 0);
-                } else {
-                    self.demote(r, tick, level.saturating_add(1));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Demotes replica `r`: pushes its EWMA excess into the routing score
-    /// as a demerit and schedules the half-open re-probe with exponential
-    /// backoff in the probe level.
-    fn demote(&mut self, r: usize, tick: u64, level: u32) {
-        let Some(b) = self.policy.brownout else { return };
-        let backoff = b.reprobe_ticks << level.min(6);
-        if let Some(s) = self.brown.get_mut(r) {
-            *s = BrownoutState::Demoted { until_tick: tick.saturating_add(backoff), level };
-        }
-        let demerit = self.ewma_milli.get(r).copied().unwrap_or(1000).saturating_sub(1000);
-        self.set.set_latency_demerit(r, demerit);
-        self.stats.brownout_demotions += 1;
-    }
-
-    /// Lifts expired demotions into half-open probes (demerit cleared so
-    /// routing picks the replica up for exactly one judged batch).
-    fn release_brownouts(&mut self, tick: u64) {
-        for r in 0..self.brown.len() {
-            if let Some(&BrownoutState::Demoted { until_tick, level }) = self.brown.get(r) {
-                if tick >= until_tick {
-                    if let Some(s) = self.brown.get_mut(r) {
-                        *s = BrownoutState::Probing { level };
-                    }
-                    self.set.set_latency_demerit(r, 0);
-                    self.stats.reprobes += 1;
-                }
-            }
-        }
     }
 
     /// Earliest completion deadline across all queued requests.
@@ -972,7 +858,7 @@ impl<A: ReplicaNode + MutableNode> ServeLoop<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::ReplicaPolicy;
+    use crate::replica::{BreakerState, BrownoutPolicy, ReplicaPolicy};
     use crate::Ferex;
 
     fn vectors(rows: usize, dim: usize) -> Vec<Vec<u32>> {
@@ -990,11 +876,13 @@ mod tests {
         n: usize,
         reads: usize,
         policy: ServePolicy,
+        brownout: Option<BrownoutPolicy>,
     ) -> ServeLoop<crate::FerexArray> {
         let mut engine = Ferex::builder().dim(4).build().expect("builds");
         engine.store_all(vectors(6, 4)).unwrap();
         let rp = ReplicaPolicy {
             quorum: crate::replica::QuorumPolicy { reads, agree: 1 },
+            brownout,
             ..Default::default()
         };
         let set = engine.replica_set(n, rp).expect("replicates");
@@ -1124,18 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_validation_covers_hedge_and_brownout_knobs() {
+    fn policy_validation_covers_hedge_knobs() {
         let bad_hedge = HedgePolicy { quantile_milli: 10, budget_milli: 100 };
         assert!(ServePolicy { hedge: Some(bad_hedge), ..Default::default() }.validate().is_err());
-        let bad_brown = BrownoutPolicy { demote_threshold_milli: 900, ..Default::default() };
-        assert!(ServePolicy { brownout: Some(bad_brown), ..Default::default() }
-            .validate()
-            .is_err());
-        let ok = ServePolicy {
-            hedge: Some(HedgePolicy::default()),
-            brownout: Some(BrownoutPolicy::default()),
-            ..Default::default()
-        };
+        let ok = ServePolicy { hedge: Some(HedgePolicy::default()), ..Default::default() };
         assert!(ok.validate().is_ok());
     }
 
@@ -1170,7 +1050,7 @@ mod tests {
         assert!(done.iter().all(|c| c.completion_tick == 48));
         assert_eq!(lp.replica_samples(0), &[48]);
         // obs = 8000 per-mille, ewma = 1000 + (8000 - 1000) >> 2.
-        assert_eq!(lp.latency_ewma_milli(), &[2750]);
+        assert_eq!(lp.set().status(0).latency_ewma_milli, 2750);
         assert_eq!(lp.stats().busy_ticks, 48);
     }
 
@@ -1181,8 +1061,8 @@ mod tests {
             hedge: Some(HedgePolicy { quantile_milli: 950, budget_milli: 1000 }),
             ..base
         };
-        let mut hedged = loop_with_replicas(3, 2, hedged_policy);
-        let mut plain = loop_with_replicas(3, 2, base);
+        let mut hedged = loop_with_replicas(3, 2, hedged_policy, None);
+        let mut plain = loop_with_replicas(3, 2, base, None);
         for (i, lp) in [&mut hedged, &mut plain].into_iter().enumerate() {
             lp.set_mut()
                 .set_latency_model(1, crate::latency::LatencyModel::exact(cheap(), 8000, 7))
@@ -1210,17 +1090,12 @@ mod tests {
 
     #[test]
     fn brownout_demotes_reroutes_and_reprobes_half_open() {
-        let policy = ServePolicy {
-            target_batch: 1,
-            cost: cheap(),
-            brownout: Some(BrownoutPolicy {
-                demote_threshold_milli: 2500,
-                reprobe_ticks: 2048,
-                ewma_shift: 2,
-            }),
-            ..Default::default()
-        };
-        let mut lp = loop_with_replicas(3, 2, policy);
+        let policy = ServePolicy { target_batch: 1, cost: cheap(), ..Default::default() };
+        let brownout =
+            BrownoutPolicy { demote_threshold_milli: 2500, reprobe_ticks: 2048, ewma_shift: 2 };
+        let mut lp = loop_with_replicas(3, 2, policy, Some(brownout));
+        let demoted =
+            |lp: &ServeLoop<_>| matches!(lp.set().status(1).brownout, BreakerState::Open { .. });
         lp.set_mut()
             .set_latency_model(1, crate::latency::LatencyModel::exact(cheap(), 8000, 7))
             .unwrap();
@@ -1228,7 +1103,7 @@ mod tests {
         // 2750, past the threshold — demoted with demerit 1750.
         lp.submit(req(0, 0, 0, 10_000)).unwrap();
         lp.poll(0).unwrap();
-        assert!(lp.browned_out(1));
+        assert!(demoted(&lp));
         assert_eq!(lp.stats().brownout_demotions, 1);
         assert_eq!(lp.set().status(1).latency_demerit_milli, 1750);
         // While demoted, reads route around it: {0, 2}. Neither of those
@@ -1245,8 +1120,105 @@ mod tests {
         lp.poll(3000).unwrap();
         assert_eq!(lp.stats().reprobes, 1);
         assert_eq!(lp.stats().brownout_demotions, 2);
-        assert!(lp.browned_out(1));
+        assert!(demoted(&lp));
         assert_eq!(lp.replica_samples(1).len(), 2, "the probe batch read replica 1 again");
+    }
+
+    /// Three replicas read two at a time with replica 1 at an exact 8x
+    /// slowdown, serving batches of one on a one-tick cost model: a healthy
+    /// batch frees the array for the next tick's poll, so a re-probe runs
+    /// at the first tick its backoff allows.
+    fn slow_replica_loop(brownout: BrownoutPolicy) -> ServeLoop<crate::FerexArray> {
+        let policy = ServePolicy { target_batch: 1, cost: one_tick(), ..Default::default() };
+        let mut lp = loop_with_replicas(3, 2, policy, Some(brownout));
+        set_slowdown(&mut lp, 8000);
+        lp
+    }
+
+    fn one_tick() -> CostModel {
+        CostModel { batch_setup_ticks: 0, per_query_ticks: 1 }
+    }
+
+    /// Replaces replica 1's latency model with an exact `factor_milli`
+    /// slowdown of the one-tick cost.
+    fn set_slowdown(lp: &mut ServeLoop<crate::FerexArray>, factor_milli: u64) {
+        let model = crate::latency::LatencyModel::exact(one_tick(), factor_milli, 7);
+        lp.set_mut().set_latency_model(1, model).unwrap();
+    }
+
+    #[test]
+    fn brownout_reprobe_backoff_doubles_to_its_cap() {
+        let mut lp = slow_replica_loop(BrownoutPolicy { reprobe_ticks: 8, ..Default::default() });
+        // Serves one request per tick until `n` more re-probes ran, and
+        // returns each re-probe's distance from the demotion it lifted.
+        let (mut tick, mut demoted_at) = (0, 0);
+        let mut reprobe_intervals = |lp: &mut ServeLoop<_>, n: usize| {
+            let mut intervals = Vec::new();
+            while intervals.len() < n && tick < 8192 {
+                lp.submit(req(0, 0, tick, 1_000_000)).unwrap();
+                let before = lp.stats();
+                lp.poll(tick).unwrap();
+                if lp.stats().reprobes > before.reprobes {
+                    intervals.push(tick - demoted_at);
+                }
+                if lp.stats().brownout_demotions > before.brownout_demotions {
+                    demoted_at = tick;
+                }
+                tick += 1;
+            }
+            intervals
+        };
+        // Every probe of the 8x replica fails, so each re-demotion doubles
+        // the backoff: 8·2^L ticks for L = 0..6, then flat at 64x.
+        assert_eq!(reprobe_intervals(&mut lp, 9), [8, 16, 32, 64, 128, 256, 512, 512, 512]);
+        // A probe that passes closes the ladder, so once the replica turns
+        // slow again its backoff restarts at the base.
+        set_slowdown(&mut lp, 1000);
+        assert_eq!(reprobe_intervals(&mut lp, 1), [512]);
+        assert_eq!(lp.set().status(1).brownout, BreakerState::Closed);
+        set_slowdown(&mut lp, 8000);
+        assert_eq!(reprobe_intervals(&mut lp, 1), [8]);
+    }
+
+    #[test]
+    fn brownout_backoff_saturates_instead_of_wrapping() {
+        // A 2^63-tick first backoff doubles past u64::MAX on the failed
+        // probe: it must saturate, not wrap to a zero-tick backoff that
+        // re-probes at the next poll.
+        let late = 1u64 << 63;
+        let mut lp =
+            slow_replica_loop(BrownoutPolicy { reprobe_ticks: late, ..Default::default() });
+        lp.submit(req(0, 0, 0, 1000)).unwrap();
+        lp.poll(0).unwrap();
+        lp.submit(req(0, 0, late, 1000)).unwrap();
+        lp.poll(late).unwrap();
+        assert_eq!((lp.stats().reprobes, lp.stats().brownout_demotions), (1, 2));
+        assert_eq!(lp.set().status(1).brownout, BreakerState::Open { until_tick: u64::MAX });
+        lp.submit(req(0, 0, late + 100, 1000)).unwrap();
+        lp.poll(late + 100).unwrap();
+        assert_eq!(lp.stats().reprobes, 1, "the failed probe re-probed at once");
+    }
+
+    #[test]
+    fn dead_replicas_keep_their_brownout_until_revived() {
+        let mut lp = slow_replica_loop(BrownoutPolicy { reprobe_ticks: 8, ..Default::default() });
+        lp.submit(req(0, 0, 0, 1000)).unwrap();
+        lp.poll(0).unwrap();
+        assert_eq!(lp.stats().brownout_demotions, 1);
+        // Killed while demoted: no batch can read it, so its expired
+        // demotion must not turn into a probe.
+        lp.set_mut().kill(1);
+        for tick in 8..20 {
+            lp.submit(req(0, 0, tick, 1000)).unwrap();
+            lp.poll(tick).unwrap();
+        }
+        assert_eq!(lp.stats().reprobes, 0, "a dead replica was re-probed");
+        assert_eq!(lp.set().status(1).brownout, BreakerState::Open { until_tick: 8 });
+        // The demotion lifts at the first closing poll after the revive.
+        lp.set_mut().revive(1);
+        lp.submit(req(0, 0, 20, 1000)).unwrap();
+        lp.poll(20).unwrap();
+        assert_eq!(lp.stats().reprobes, 1);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 
 use ferex::analog::lta::LtaParams;
 use ferex::core::array::{Backend, CircuitConfig};
-use ferex::core::latency::{BrownoutPolicy, HedgePolicy, LatencyModel};
-use ferex::core::replica::{QuorumPolicy, ReplicaPolicy};
+use ferex::core::latency::{HedgePolicy, LatencyModel};
+use ferex::core::replica::{BreakerState, BrownoutPolicy, QuorumPolicy, ReplicaPolicy};
 use ferex::core::serve::{CostModel, Request, ServeLoop, ServePolicy};
 use ferex::core::{DistanceMetric, Ferex, FerexArray};
 use ferex::fefet::{FaultPlan, VariationModel};
@@ -64,8 +64,11 @@ fn hedged_loop(
     slow_milli: u64,
     hedge: HedgePolicy,
 ) -> ServeLoop<FerexArray> {
-    let policy =
-        ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 1 }, ..Default::default() };
+    let policy = ReplicaPolicy {
+        quorum: QuorumPolicy { reads: 2, agree: 1 },
+        brownout: Some(BrownoutPolicy::default()),
+        ..Default::default()
+    };
     let mut set =
         engine_with(metric, backend_of(backend_kind)).replica_set(3, policy).expect("replicates");
     let cost = CostModel::noisy_10k();
@@ -84,7 +87,6 @@ fn hedged_loop(
         cost,
         max_wait_ticks: 0,
         hedge: Some(hedge),
-        brownout: Some(BrownoutPolicy::default()),
     };
     ServeLoop::new(set, 2, serve_policy).expect("valid policy")
 }
@@ -183,8 +185,15 @@ proptest! {
 fn pinned_8x_slow_replica_hedge_schedule() {
     let cost = CostModel::noisy_10k();
     let run = |slow_factor: u64, hedged: bool| -> (Vec<u64>, ServeLoop<FerexArray>) {
-        let policy =
-            ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 1 }, ..Default::default() };
+        let policy = ReplicaPolicy {
+            quorum: QuorumPolicy { reads: 2, agree: 1 },
+            brownout: hedged.then_some(BrownoutPolicy {
+                demote_threshold_milli: 2500,
+                reprobe_ticks: 2048,
+                ewma_shift: 2,
+            }),
+            ..Default::default()
+        };
         let mut set = engine_with(DistanceMetric::Hamming, backend_of(1))
             .replica_set(3, policy)
             .expect("replicates");
@@ -200,11 +209,6 @@ fn pinned_8x_slow_replica_hedge_schedule() {
             cost,
             max_wait_ticks: 0,
             hedge: hedged.then_some(HedgePolicy { quantile_milli: 950, budget_milli: 500 }),
-            brownout: hedged.then_some(BrownoutPolicy {
-                demote_threshold_milli: 2500,
-                reprobe_ticks: 2048,
-                ewma_shift: 2,
-            }),
         };
         let mut lp = ServeLoop::new(set, 1, serve_policy).expect("valid policy");
         for i in 0..48 {
@@ -241,9 +245,13 @@ fn pinned_8x_slow_replica_hedge_schedule() {
     assert_eq!(lp.hedged_against(), &[0, 1, 0], "the 8x replica held the slow slot");
     assert_eq!(lp.hedge_wins_by(), &[0, 0, 1], "the spare replica won the duplicate");
     assert_eq!(lp.replica_samples(1), &[1696], "one observation before demotion");
-    assert_eq!(lp.latency_ewma_milli()[1], 2750, "EWMA after the single 8x observation");
-    assert_eq!(lp.set().status(1).latency_demerit_milli, 1750, "demerit = ewma - 1000");
-    assert!(lp.browned_out(1), "slow replica stays demoted through the burst");
+    let slow = lp.set().status(1);
+    assert_eq!(slow.latency_ewma_milli, 2750, "EWMA after the single 8x observation");
+    assert_eq!(slow.latency_demerit_milli, 1750, "demerit = ewma - 1000");
+    assert!(
+        matches!(slow.brownout, BreakerState::Open { .. }),
+        "slow replica stays demoted through the burst"
+    );
 
     let (unhedged_ticks, _) = run(8000, false);
     assert_eq!(unhedged_ticks, vec![1696, 3392, 5088], "unhedged schedule moved");
