@@ -12,9 +12,9 @@
 //!
 //! Run with: `cargo run --release -p ferex-bench --bin ablations`
 
-use ferex_core::feasibility::{chain_compatible, enumerate_row_configs};
+use ferex_core::feasibility::{chain_problem, enumerate_row_configs};
 use ferex_core::{DistanceMatrix, DistanceMetric};
-use ferex_csp::{Problem, Solver};
+use ferex_csp::Solver;
 use ferex_fefet::units::Volt;
 use ferex_fefet::{Cell, Technology};
 
@@ -34,22 +34,9 @@ fn ablation_ac3() {
     let domains: Vec<_> = (0..dm.n_search())
         .map(|i| enumerate_row_configs(dm.row(i), 3, &levels, 1_000_000, i == 0).expect("cap"))
         .collect();
-    let build = || {
-        let mut p = Problem::new();
-        let vars: Vec<_> = domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| p.add_variable(format!("line{i}"), d.clone()))
-            .collect();
-        for i in 0..vars.len() {
-            for j in (i + 1)..vars.len() {
-                p.add_binary(vars[i], vars[j], "chain", chain_compatible);
-            }
-        }
-        p
-    };
-    let smart = Solver::new().solve(&build());
-    let plain = Solver::plain().solve(&build());
+    let problem = chain_problem(&domains);
+    let smart = Solver::new().solve(&problem);
+    let plain = Solver::plain().solve(&problem);
     println!(
         "  with AC-3 + FC : solution={} nodes={} backtracks={}",
         smart.solution.is_some(),

@@ -23,12 +23,14 @@
 //! Noisy points it times the per-query row loop; on Ideal points, where no
 //! scalar path is left, it times the per-query loop through the same SoA
 //! kernel, so it shows what batching saves over one-at-a-time serving.
+//!
+//! The report is written through [`ferex_conformance::json`], the writer
+//! every conformance report shares.
 
-use ferex_conformance::Oracle;
+use ferex_conformance::{json, Oracle};
 use ferex_core::{Backend, CircuitConfig, DistanceMetric, Ferex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema tag of the machine-readable report; bump on breaking changes.
@@ -352,48 +354,34 @@ impl KernelsReport {
 
     /// Serializes to the versioned JSON schema. Checksums are emitted as
     /// fixed-width hex strings so the file round-trips exactly; timings
-    /// are plain numbers (or absent on untimed runs) and carry no
-    /// determinism contract.
+    /// are numbers with one decimal (one `"timings": null` on untimed runs)
+    /// and carry no determinism contract.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"dim\": {DIM},");
-        let _ = writeln!(out, "  \"timed\": {},", self.timed);
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"id\": \"{}\",", p.point.id());
-            let _ = writeln!(out, "      \"metric\": \"{}\",", metric_slug(p.point.metric));
-            let _ = writeln!(out, "      \"bits\": {},", p.point.bits);
-            let _ = writeln!(out, "      \"backend\": \"{}\",", p.point.backend_name());
-            let _ = writeln!(out, "      \"rows\": {},", p.point.rows);
-            let _ = writeln!(out, "      \"dim\": {},", p.point.dim);
-            let _ = writeln!(out, "      \"batch\": {},", p.point.batch);
-            let _ = writeln!(out, "      \"kernel\": \"{}\",", p.kernel);
-            let _ = writeln!(out, "      \"checksum\": \"{:016x}\",", p.checksum);
-            match (p.batch_ns_per_query, p.scalar_ns_per_query, p.speedup()) {
-                (Some(b), Some(s), Some(x)) => {
-                    let _ = writeln!(out, "      \"batch_ns_per_query\": {},", json_num(b));
-                    let _ = writeln!(out, "      \"scalar_ns_per_query\": {},", json_num(s));
-                    let _ = writeln!(out, "      \"speedup\": {}", json_num(x));
+        json::document(|o| {
+            o.str("schema", SCHEMA).num("seed", self.seed).num("dim", DIM).num("timed", self.timed);
+            o.objects("points", &self.points, false, |o, p| {
+                o.str("id", &p.point.id())
+                    .str("metric", metric_slug(p.point.metric))
+                    .num("bits", p.point.bits)
+                    .str("backend", p.point.backend_name())
+                    .num("rows", p.point.rows)
+                    .num("dim", p.point.dim)
+                    .num("batch", p.point.batch)
+                    .str("kernel", p.kernel)
+                    .str("checksum", &format!("{:016x}", p.checksum));
+                match (p.batch_ns_per_query, p.scalar_ns_per_query, p.speedup()) {
+                    (Some(b), Some(s), Some(x)) => {
+                        o.fixed("batch_ns_per_query", b, 1)
+                            .fixed("scalar_ns_per_query", s, 1)
+                            .fixed("speedup", x, 1);
+                    }
+                    _ => {
+                        o.null("timings");
+                    }
                 }
-                _ => {
-                    let _ = writeln!(out, "      \"timings\": null");
-                }
-            }
-            out.push_str(if i + 1 == self.points.len() { "    }\n" } else { "    },\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            });
+        })
     }
-}
-
-/// Formats a finite float for JSON (fixed decimals keep the file diffable).
-fn json_num(x: f64) -> String {
-    assert!(x.is_finite(), "non-finite value in kernel report");
-    format!("{x:.1}")
 }
 
 /// Extracts `(schema, [(id, checksum-hex)])` from a previously written
@@ -522,6 +510,35 @@ mod tests {
         let drifts = drift(&tampered, &[result]).expect("compares");
         assert_eq!(drifts.len(), 1);
         assert!(drifts[0].contains("checksum drift"), "{drifts:?}");
+    }
+
+    #[test]
+    fn report_layout_is_pinned() {
+        // `--check` reads only the id and checksum lines, so the rest of the
+        // layout is pinned here: an untimed report, then a timed one.
+        let points = |timed: bool| {
+            [
+                (DistanceMetric::Hamming, false, 8, "bitplane-popcount", 0x43fc_b8ca_85d6_2088),
+                (DistanceMetric::Manhattan, false, 1, "lut", 0x00ab_cdef_0123_4567),
+                (DistanceMetric::EuclideanSquared, true, 64, "contrib-table", 9),
+            ]
+            .into_iter()
+            .zip([(33_606.25, 988_987.6), (1_250.05, 1_249.95), (90.0, 7_123.4)])
+            .map(|((metric, noisy, batch, kernel, checksum), (b, s))| PointResult {
+                point: GridPoint { metric, bits: 2, noisy, rows: 1_000, dim: DIM, batch },
+                kernel,
+                checksum,
+                batch_ns_per_query: timed.then_some(b),
+                scalar_ns_per_query: timed.then_some(s),
+            })
+            .collect()
+        };
+        let untimed = KernelsReport { seed: 42, timed: false, points: points(false) };
+        let timed = KernelsReport { seed: 7, timed: true, points: points(true) };
+        assert_eq!(
+            untimed.to_json() + &timed.to_json(),
+            include_str!("../fixtures/kernels_report_layout.json")
+        );
     }
 
     #[test]

@@ -856,6 +856,19 @@ mod tests {
     }
 
     #[test]
+    fn encode_pins_the_one_and_two_bit_encodings() {
+        // The sized encodings themselves, not only K and the level budgets,
+        // are pinned byte for byte across builds.
+        let mut out = String::new();
+        for metric in ["hamming", "manhattan", "euclidean"] {
+            for bits in [1, 2] {
+                out += &run_line(&format!("encode --metric {metric} --bits {bits}")).unwrap();
+            }
+        }
+        assert_eq!(out, include_str!("../fixtures/encode_b1_b2.txt"));
+    }
+
+    #[test]
     fn search_reports_nearest() {
         let out = run_line("search --metric manhattan --store 0,0;3,3 --query 1,0").unwrap();
         assert!(out.contains("row 0: distance 1.00  <-- nearest"), "{out}");

@@ -101,11 +101,12 @@ impl ChaosSpec {
 ///
 /// # Panics
 ///
-/// Panics on malformed specs (no rates, indices out of range, invalid
-/// quorum) and on any backend error, like
+/// Panics on malformed specs (no rates, no queries, indices out of range,
+/// invalid quorum) and on any backend error, like
 /// [`run_sweep`](crate::harness::run_sweep).
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
     assert!(!spec.rates.is_empty(), "chaos soak needs at least one rate");
+    assert!(spec.n_queries >= 1, "chaos soak needs at least one query");
     assert!(spec.replicas >= 1, "chaos soak needs at least one replica");
     assert!(spec.faulted_replica < spec.replicas, "faulted replica out of range");
     if let Some(k) = spec.kill_replica {
@@ -285,5 +286,11 @@ mod tests {
         assert_eq!(sweep.seed, spec.seed);
         assert_eq!(sweep.trials, 1);
         assert_eq!(sweep.k, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "chaos soak needs at least one query")]
+    fn soak_without_queries_is_malformed() {
+        run_chaos(&ChaosSpec { n_queries: 0, ..standard_chaos_specs(9).remove(0) });
     }
 }

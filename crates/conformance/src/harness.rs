@@ -207,11 +207,14 @@ impl SweepSpec {
 ///
 /// # Panics
 ///
-/// Panics on malformed specs (no rates, `k` out of range) and on any
-/// backend error — conformance data is generated in-range by construction,
-/// so an error here is itself a conformance failure.
+/// Panics on malformed specs (no rates, no queries, no trials, `k` out of
+/// range) and on any backend error — conformance data is generated
+/// in-range by construction, so an error here is itself a conformance
+/// failure. Without queries or trials every recall would be 0/0.
 pub fn run_sweep(spec: &SweepSpec) -> DegradationCurve {
     assert!(!spec.rates.is_empty(), "sweep needs at least one rate");
+    assert!(spec.n_queries >= 1, "sweep needs at least one query");
+    assert!(spec.trials >= 1, "sweep needs at least one trial");
     assert!(spec.k >= 1 && spec.k <= spec.rows, "k = {} out of range", spec.k);
     let encoding = encoding_for(spec.metric, spec.bits).expect("sizing must succeed");
     let mut data_rng = StdRng::seed_from_u64(spec.derived_seed(0));
@@ -334,9 +337,12 @@ pub fn standard_report(seed: u64) -> ConformanceReport {
 ///
 /// # Panics
 ///
-/// Panics on malformed specs and on any backend error, like [`run_sweep`].
+/// Panics on malformed specs (no rates, no queries, no trials, `k` out of
+/// range) and on any backend error, like [`run_sweep`].
 pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
     assert!(!spec.rates.is_empty(), "sweep needs at least one rate");
+    assert!(spec.n_queries >= 1, "sweep needs at least one query");
+    assert!(spec.trials >= 1, "sweep needs at least one trial");
     assert!(spec.k >= 1 && spec.k <= spec.rows, "k = {} out of range", spec.k);
     let encoding = encoding_for(spec.metric, spec.bits).expect("sizing must succeed");
     let mut data_rng = StdRng::seed_from_u64(spec.derived_seed(0));
@@ -538,12 +544,8 @@ mod tests {
         assert!(specs.iter().all(|s| s.rates[0] == 0.0));
     }
 
-    #[test]
-    fn recovery_baseline_leg_matches_degradation_sweep() {
-        // The no-repair leg of run_recovery must reproduce run_sweep's
-        // recall numbers exactly: same data, same trial seeds, same fault
-        // maps, same batched serving paths.
-        let spec = SweepSpec {
+    fn small_spec() -> SweepSpec {
+        SweepSpec {
             metric: DistanceMetric::Hamming,
             backend: BackendKind::Noisy,
             fault: FaultKind::Sa0,
@@ -555,7 +557,15 @@ mod tests {
             k: 2,
             rates: vec![0.05, 0.2],
             seed: 17,
-        };
+        }
+    }
+
+    #[test]
+    fn recovery_baseline_leg_matches_degradation_sweep() {
+        // The no-repair leg of run_recovery must reproduce run_sweep's
+        // recall numbers exactly: same data, same trial seeds, same fault
+        // maps, same batched serving paths.
+        let spec = small_spec();
         let policy = RepairPolicy { spare_rows: 20, sentinel_rows: 1, ..Default::default() };
         let degradation = run_sweep(&spec);
         let recovery = run_recovery(&spec, &policy);
@@ -602,5 +612,31 @@ mod tests {
         let curve = run_sweep(&spec);
         assert_eq!(curve.points[0].recall_at_1, 1.0);
         assert_eq!(curve.points[0].recall_at_k, 1.0);
+    }
+
+    // An empty sweep would report recall 0/0 = NaN, and the report writer
+    // would then panic far from the cause.
+    #[test]
+    #[should_panic(expected = "sweep needs at least one query")]
+    fn sweep_without_queries_is_malformed() {
+        run_sweep(&SweepSpec { n_queries: 0, ..small_spec() });
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep needs at least one trial")]
+    fn sweep_without_trials_is_malformed() {
+        run_sweep(&SweepSpec { trials: 0, ..small_spec() });
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep needs at least one query")]
+    fn recovery_without_queries_is_malformed() {
+        run_recovery(&SweepSpec { n_queries: 0, ..small_spec() }, &RepairPolicy::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep needs at least one trial")]
+    fn recovery_without_trials_is_malformed() {
+        run_recovery(&SweepSpec { trials: 0, ..small_spec() }, &RepairPolicy::default());
     }
 }

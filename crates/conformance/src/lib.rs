@@ -12,9 +12,9 @@
 //!    batch-vs-sequential × fault plan}: bit-exact Ideal agreement,
 //!    statistical-vs-device divergence tolerances, and recall degradation
 //!    curves under rising fault rates.
-//! 3. [`report`] — the machine-readable degradation report (hand-rolled
-//!    JSON; the vendored `serde` is an inert stub) consumed by
-//!    `ferex-bench`'s `robustness` binary and archived by CI.
+//! 3. [`report`] — the machine-readable reports, serialized through the one
+//!    JSON writer [`json`] (the vendored `serde` is an inert stub), consumed
+//!    by `ferex-bench`'s `robustness` binary and archived by CI.
 //! 4. [`chaos`] and [`load`] — deterministic serving soaks: replicated
 //!    serving under faults/kills/scrubs, and the virtual-time load
 //!    simulator driving the adaptive batch-forming loop with seeded
@@ -33,6 +33,7 @@
 
 pub mod chaos;
 pub mod harness;
+pub mod json;
 pub mod load;
 pub mod mutation;
 pub mod oracle;

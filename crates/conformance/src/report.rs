@@ -1,11 +1,11 @@
 //! Machine-readable degradation report.
 //!
-//! Serialized by hand as JSON (the vendored `serde` is an inert stub, so no
-//! derive machinery is available offline). The schema is versioned by the
-//! `schema` field; consumers are `ferex-bench`'s `robustness` binary and
-//! the CI conformance job, which archives the file as a build artifact.
+//! Serialized as JSON through [`crate::json`], so each `to_json` only lists
+//! its members. The schema is versioned by the `schema` field; consumers
+//! are `ferex-bench`'s `robustness` binary and the CI conformance job,
+//! which archives the file as a build artifact.
 
-use std::fmt::Write as _;
+use crate::json::{self, Object};
 
 /// One sampled point of a degradation curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,68 +70,30 @@ pub struct ConformanceReport {
     pub curves: Vec<DegradationCurve>,
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            // lint:allow(cast-truncation/narrowing, reason = "char to u32 is a lossless widening; chars are 21-bit scalars")
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a finite `f64` as a JSON number (`Display` for `f64` emits the
-/// shortest round-trip decimal, which is valid JSON for finite values).
-fn json_num(x: f64) -> String {
-    assert!(x.is_finite(), "report numbers must be finite, got {x}");
-    format!("{x}")
-}
-
 impl ConformanceReport {
     /// Schema tag embedded in every serialized report.
     pub const SCHEMA: &'static str = "ferex-conformance-degradation-v1";
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"bits\": {},", self.bits);
-        out.push_str("  \"curves\": [\n");
-        for (i, c) in self.curves.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&c.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&c.backend));
-            let _ = writeln!(out, "      \"fault\": \"{}\",", json_escape(&c.fault));
-            let _ = writeln!(out, "      \"rows\": {},", c.rows);
-            let _ = writeln!(out, "      \"dim\": {},", c.dim);
-            let _ = writeln!(out, "      \"n_queries\": {},", c.n_queries);
-            let _ = writeln!(out, "      \"trials\": {},", c.trials);
-            let _ = writeln!(out, "      \"k\": {},", c.k);
-            out.push_str("      \"points\": [\n");
-            for (j, p) in c.points.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"rate\": {}, \"recall_at_1\": {}, \"recall_at_k\": {}}}",
-                    json_num(p.rate),
-                    json_num(p.recall_at_1),
-                    json_num(p.recall_at_k),
-                );
-                out.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.curves.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed).num("bits", self.bits);
+            o.objects("curves", &self.curves, false, |o, c| {
+                o.str("metric", &c.metric)
+                    .str("backend", &c.backend)
+                    .str("fault", &c.fault)
+                    .num("rows", c.rows)
+                    .num("dim", c.dim)
+                    .num("n_queries", c.n_queries)
+                    .num("trials", c.trials)
+                    .num("k", c.k)
+                    .objects("points", &c.points, true, |o, p| {
+                        o.float("rate", p.rate)
+                            .float("recall_at_1", p.recall_at_1)
+                            .float("recall_at_k", p.recall_at_k);
+                    });
+            });
+        })
     }
 }
 
@@ -210,46 +172,30 @@ impl RecoveryReport {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"bits\": {},", self.bits);
-        out.push_str("  \"curves\": [\n");
-        for (i, c) in self.curves.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&c.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&c.backend));
-            let _ = writeln!(out, "      \"fault\": \"{}\",", json_escape(&c.fault));
-            let _ = writeln!(out, "      \"rows\": {},", c.rows);
-            let _ = writeln!(out, "      \"spare_rows\": {},", c.spare_rows);
-            let _ = writeln!(out, "      \"dim\": {},", c.dim);
-            let _ = writeln!(out, "      \"n_queries\": {},", c.n_queries);
-            let _ = writeln!(out, "      \"trials\": {},", c.trials);
-            let _ = writeln!(out, "      \"k\": {},", c.k);
-            out.push_str("      \"points\": [\n");
-            for (j, p) in c.points.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"rate\": {}, \"recall_faulted_1\": {}, \"recall_faulted_k\": {}, \
-                     \"recall_healed_1\": {}, \"recall_healed_k\": {}, \
-                     \"rows_quarantined\": {}, \"rows_remapped\": {}, \"rows_excluded\": {}}}",
-                    json_num(p.rate),
-                    json_num(p.recall_faulted_1),
-                    json_num(p.recall_faulted_k),
-                    json_num(p.recall_healed_1),
-                    json_num(p.recall_healed_k),
-                    p.rows_quarantined,
-                    p.rows_remapped,
-                    p.rows_excluded,
-                );
-                out.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.curves.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed).num("bits", self.bits);
+            o.objects("curves", &self.curves, false, |o, c| {
+                o.str("metric", &c.metric)
+                    .str("backend", &c.backend)
+                    .str("fault", &c.fault)
+                    .num("rows", c.rows)
+                    .num("spare_rows", c.spare_rows)
+                    .num("dim", c.dim)
+                    .num("n_queries", c.n_queries)
+                    .num("trials", c.trials)
+                    .num("k", c.k)
+                    .objects("points", &c.points, true, |o, p| {
+                        o.float("rate", p.rate)
+                            .float("recall_faulted_1", p.recall_faulted_1)
+                            .float("recall_faulted_k", p.recall_faulted_k)
+                            .float("recall_healed_1", p.recall_healed_1)
+                            .float("recall_healed_k", p.recall_healed_k)
+                            .num("rows_quarantined", p.rows_quarantined)
+                            .num("rows_remapped", p.rows_remapped)
+                            .num("rows_excluded", p.rows_excluded);
+                    });
+            });
+        })
     }
 }
 
@@ -334,58 +280,35 @@ impl ChaosReport {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"bits\": {},", self.bits);
-        out.push_str("  \"curves\": [\n");
-        for (i, c) in self.curves.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&c.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&c.backend));
-            let _ = writeln!(out, "      \"fault\": \"{}\",", json_escape(&c.fault));
-            let _ = writeln!(out, "      \"rows\": {},", c.rows);
-            let _ = writeln!(out, "      \"dim\": {},", c.dim);
-            let _ = writeln!(out, "      \"n_queries\": {},", c.n_queries);
-            let _ = writeln!(out, "      \"replicas\": {},", c.replicas);
-            let _ = writeln!(out, "      \"reads\": {},", c.reads);
-            let _ = writeln!(out, "      \"agree\": {},", c.agree);
-            let _ = writeln!(out, "      \"spare_rows\": {},", c.spare_rows);
-            let _ = writeln!(out, "      \"faulted_replica\": {},", c.faulted_replica);
-            match c.kill_replica {
-                Some(k) => {
-                    let _ = writeln!(out, "      \"kill_replica\": {k},");
-                }
-                None => {
-                    let _ = writeln!(out, "      \"kill_replica\": null,");
-                }
-            }
-            let _ = writeln!(out, "      \"kill_at_query\": {},", c.kill_at_query);
-            let _ = writeln!(out, "      \"scrub_period\": {},", c.scrub_period);
-            out.push_str("      \"points\": [\n");
-            for (j, p) in c.points.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"rate\": {}, \"recall_at_1\": {}, \"oracle_fallbacks\": {}, \
-                     \"disagreements\": {}, \"scrubs_escalated\": {}, \"scheduled_scrubs\": {}, \
-                     \"breaker_trips\": {}, \"replicas_alive\": {}}}",
-                    json_num(p.rate),
-                    json_num(p.recall_at_1),
-                    p.oracle_fallbacks,
-                    p.disagreements,
-                    p.scrubs_escalated,
-                    p.scheduled_scrubs,
-                    p.breaker_trips,
-                    p.replicas_alive,
-                );
-                out.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.curves.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed).num("bits", self.bits);
+            o.objects("curves", &self.curves, false, |o, c| {
+                o.str("metric", &c.metric)
+                    .str("backend", &c.backend)
+                    .str("fault", &c.fault)
+                    .num("rows", c.rows)
+                    .num("dim", c.dim)
+                    .num("n_queries", c.n_queries)
+                    .num("replicas", c.replicas)
+                    .num("reads", c.reads)
+                    .num("agree", c.agree)
+                    .num("spare_rows", c.spare_rows)
+                    .num("faulted_replica", c.faulted_replica)
+                    .opt("kill_replica", c.kill_replica)
+                    .num("kill_at_query", c.kill_at_query)
+                    .num("scrub_period", c.scrub_period)
+                    .objects("points", &c.points, true, |o, p| {
+                        o.float("rate", p.rate)
+                            .float("recall_at_1", p.recall_at_1)
+                            .num("oracle_fallbacks", p.oracle_fallbacks)
+                            .num("disagreements", p.disagreements)
+                            .num("scrubs_escalated", p.scrubs_escalated)
+                            .num("scheduled_scrubs", p.scheduled_scrubs)
+                            .num("breaker_trips", p.breaker_trips)
+                            .num("replicas_alive", p.replicas_alive);
+                    });
+            });
+        })
     }
 }
 
@@ -426,20 +349,16 @@ impl WearRow {
         }
     }
 
-    fn to_json_inline(self) -> String {
-        format!(
-            "{{\"max_cycles\": {}, \"mean_milli\": {}, \"imbalance_milli\": {}, \
-             \"p50_cycles\": {}, \"p90_cycles\": {}, \"total_writes\": {}, \
-             \"compactions\": {}, \"rotated\": {}}}",
-            self.max_cycles,
-            self.mean_milli,
-            self.imbalance_milli,
-            self.p50_cycles,
-            self.p90_cycles,
-            self.total_writes,
-            self.compactions,
-            self.rotated,
-        )
+    /// Writes the row's members, the one layout of every wear object.
+    fn members(&self, o: &mut Object<'_>) {
+        o.num("max_cycles", self.max_cycles)
+            .num("mean_milli", self.mean_milli)
+            .num("imbalance_milli", self.imbalance_milli)
+            .num("p50_cycles", self.p50_cycles)
+            .num("p90_cycles", self.p90_cycles)
+            .num("total_writes", self.total_writes)
+            .num("compactions", self.compactions)
+            .num("rotated", self.rotated);
     }
 }
 
@@ -555,46 +474,40 @@ impl MutationReport {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"bits\": {},", self.bits);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&s.name));
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&s.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&s.backend));
-            let _ = writeln!(out, "      \"dim\": {},", s.dim);
-            let _ = writeln!(out, "      \"capacity\": {},", s.capacity);
-            let _ = writeln!(out, "      \"initial\": {},", s.initial);
-            let _ = writeln!(out, "      \"ops\": {},", s.ops);
-            let _ = writeln!(out, "      \"replicas\": {},", s.replicas);
-            let _ = writeln!(out, "      \"inserts\": {},", s.inserts);
-            let _ = writeln!(out, "      \"updates\": {},", s.updates);
-            let _ = writeln!(out, "      \"deletes\": {},", s.deletes);
-            let _ = writeln!(out, "      \"checkpoints\": {},", s.checkpoints);
-            let _ = writeln!(out, "      \"checkpoints_matched\": {},", s.checkpoints_matched);
-            let _ = writeln!(out, "      \"searches\": {},", s.searches);
-            let _ = writeln!(out, "      \"recall_milli\": {},", s.recall_milli);
-            let _ = writeln!(out, "      \"oracle_fallbacks\": {},", s.oracle_fallbacks);
-            let _ = writeln!(out, "      \"disagreements\": {},", s.disagreements);
-            let _ = writeln!(out, "      \"live_rows\": {},", s.live_rows);
-            let _ = writeln!(out, "      \"wear\": {}", s.wear.to_json_inline());
-            out.push_str(if i + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"churn\": {\n");
-        let _ = writeln!(out, "    \"capacity\": {},", self.churn.capacity);
-        let _ = writeln!(out, "    \"live\": {},", self.churn.live);
-        let _ = writeln!(out, "    \"rounds\": {},", self.churn.rounds);
-        let _ = writeln!(out, "    \"hot_ids\": {},", self.churn.hot_ids);
-        let _ = writeln!(out, "    \"maintenance_period\": {},", self.churn.maintenance_period);
-        let _ = writeln!(out, "    \"leveled\": {},", self.churn.leveled.to_json_inline());
-        let _ = writeln!(out, "    \"unleveled\": {}", self.churn.unleveled.to_json_inline());
-        out.push_str("  }\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed).num("bits", self.bits);
+            o.objects("scenarios", &self.scenarios, false, |o, s| {
+                o.str("name", &s.name)
+                    .str("metric", &s.metric)
+                    .str("backend", &s.backend)
+                    .num("dim", s.dim)
+                    .num("capacity", s.capacity)
+                    .num("initial", s.initial)
+                    .num("ops", s.ops)
+                    .num("replicas", s.replicas)
+                    .num("inserts", s.inserts)
+                    .num("updates", s.updates)
+                    .num("deletes", s.deletes)
+                    .num("checkpoints", s.checkpoints)
+                    .num("checkpoints_matched", s.checkpoints_matched)
+                    .num("searches", s.searches)
+                    .num("recall_milli", s.recall_milli)
+                    .num("oracle_fallbacks", s.oracle_fallbacks)
+                    .num("disagreements", s.disagreements)
+                    .num("live_rows", s.live_rows)
+                    .object("wear", true, |o| s.wear.members(o));
+            });
+            let c = &self.churn;
+            o.object("churn", false, |o| {
+                o.num("capacity", c.capacity)
+                    .num("live", c.live)
+                    .num("rounds", c.rounds)
+                    .num("hot_ids", c.hot_ids)
+                    .num("maintenance_period", c.maintenance_period)
+                    .object("leveled", true, |o| c.leveled.members(o))
+                    .object("unleveled", true, |o| c.unleveled.members(o));
+            });
+        })
     }
 }
 
@@ -714,62 +627,49 @@ impl LoadReport {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&s.name));
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&s.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&s.backend));
-            let _ = writeln!(out, "      \"rows\": {},", s.rows);
-            let _ = writeln!(out, "      \"dim\": {},", s.dim);
-            let _ = writeln!(out, "      \"tenants\": {},", s.tenants);
-            let _ = writeln!(out, "      \"arrivals\": \"{}\",", json_escape(&s.arrivals));
-            let _ = writeln!(out, "      \"burst\": \"{}\",", json_escape(&s.burst));
-            match s.hot_tenant {
-                Some(h) => {
-                    let _ = writeln!(out, "      \"hot_tenant\": {h},");
-                }
-                None => {
-                    let _ = writeln!(out, "      \"hot_tenant\": null,");
-                }
-            }
-            let _ = writeln!(out, "      \"n_requests\": {},", s.n_requests);
-            let _ = writeln!(out, "      \"target_batch\": {},", s.target_batch);
-            let _ = writeln!(out, "      \"deadline_ticks\": {},", s.deadline_ticks);
-            let _ = writeln!(out, "      \"queue_capacity\": {},", s.queue_capacity);
-            let _ = writeln!(out, "      \"quantum\": {},", s.quantum);
-            let _ = writeln!(out, "      \"setup_ticks\": {},", s.setup_ticks);
-            let _ = writeln!(out, "      \"per_query_ticks\": {},", s.per_query_ticks);
-            let _ = writeln!(out, "      \"replicas\": {},", s.replicas);
-            let _ = writeln!(out, "      \"reads\": {},", s.reads);
-            let _ = writeln!(out, "      \"agree\": {},", s.agree);
-            let _ = writeln!(out, "      \"kill\": \"{}\",", json_escape(&s.kill));
-            let _ = writeln!(out, "      \"revive\": \"{}\",", json_escape(&s.revive));
-            let _ = writeln!(out, "      \"submitted\": {},", s.submitted);
-            let _ = writeln!(out, "      \"served\": {},", s.served);
-            let _ = writeln!(out, "      \"shed_capacity\": {},", s.shed_capacity);
-            let _ = writeln!(out, "      \"shed_deadline\": {},", s.shed_deadline);
-            let _ = writeln!(out, "      \"batches\": {},", s.batches);
-            let _ = writeln!(out, "      \"max_batch\": {},", s.max_batch);
-            let _ = writeln!(out, "      \"busy_ticks\": {},", s.busy_ticks);
-            let _ = writeln!(out, "      \"ticks\": {},", s.ticks);
-            let _ = writeln!(out, "      \"p50\": {},", s.p50);
-            let _ = writeln!(out, "      \"p99\": {},", s.p99);
-            let _ = writeln!(out, "      \"p999\": {},", s.p999);
-            let _ = writeln!(out, "      \"max_latency\": {},", s.max_latency);
-            let _ = writeln!(out, "      \"goodput_milli\": {},", s.goodput_milli);
-            let _ = writeln!(out, "      \"recall_at_1\": {},", json_num(s.recall_at_1));
-            let _ = writeln!(out, "      \"oracle_fallbacks\": {},", s.oracle_fallbacks);
-            let _ = writeln!(out, "      \"tenant_served\": {},", json_u64_array(&s.tenant_served));
-            let _ = writeln!(out, "      \"tenant_shed\": {}", json_u64_array(&s.tenant_shed));
-            out.push_str(if i + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed);
+            o.objects("scenarios", &self.scenarios, false, |o, s| {
+                o.str("name", &s.name)
+                    .str("metric", &s.metric)
+                    .str("backend", &s.backend)
+                    .num("rows", s.rows)
+                    .num("dim", s.dim)
+                    .num("tenants", s.tenants)
+                    .str("arrivals", &s.arrivals)
+                    .str("burst", &s.burst)
+                    .opt("hot_tenant", s.hot_tenant)
+                    .num("n_requests", s.n_requests)
+                    .num("target_batch", s.target_batch)
+                    .num("deadline_ticks", s.deadline_ticks)
+                    .num("queue_capacity", s.queue_capacity)
+                    .num("quantum", s.quantum)
+                    .num("setup_ticks", s.setup_ticks)
+                    .num("per_query_ticks", s.per_query_ticks)
+                    .num("replicas", s.replicas)
+                    .num("reads", s.reads)
+                    .num("agree", s.agree)
+                    .str("kill", &s.kill)
+                    .str("revive", &s.revive)
+                    .num("submitted", s.submitted)
+                    .num("served", s.served)
+                    .num("shed_capacity", s.shed_capacity)
+                    .num("shed_deadline", s.shed_deadline)
+                    .num("batches", s.batches)
+                    .num("max_batch", s.max_batch)
+                    .num("busy_ticks", s.busy_ticks)
+                    .num("ticks", s.ticks)
+                    .num("p50", s.p50)
+                    .num("p99", s.p99)
+                    .num("p999", s.p999)
+                    .num("max_latency", s.max_latency)
+                    .num("goodput_milli", s.goodput_milli)
+                    .float("recall_at_1", s.recall_at_1)
+                    .num("oracle_fallbacks", s.oracle_fallbacks)
+                    .nums("tenant_served", &s.tenant_served)
+                    .nums("tenant_shed", &s.tenant_shed);
+            });
+        })
     }
 }
 
@@ -910,89 +810,59 @@ impl LoadV2Report {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(Self::SCHEMA));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&s.name));
-            let _ = writeln!(out, "      \"metric\": \"{}\",", json_escape(&s.metric));
-            let _ = writeln!(out, "      \"backend\": \"{}\",", json_escape(&s.backend));
-            let _ = writeln!(out, "      \"arrivals\": \"{}\",", json_escape(&s.arrivals));
-            let _ = writeln!(out, "      \"n_requests\": {},", s.n_requests);
-            let _ = writeln!(out, "      \"target_batch\": {},", s.target_batch);
-            let _ = writeln!(out, "      \"deadline_ticks\": {},", s.deadline_ticks);
-            let _ = writeln!(out, "      \"max_wait_ticks\": {},", s.max_wait_ticks);
-            let _ = writeln!(out, "      \"replicas\": {},", s.replicas);
-            let _ = writeln!(out, "      \"reads\": {},", s.reads);
-            let _ = writeln!(out, "      \"agree\": {},", s.agree);
-            let _ = writeln!(out, "      \"slow\": \"{}\",", json_escape(&s.slow));
-            let _ = writeln!(out, "      \"degrade\": \"{}\",", json_escape(&s.degrade));
-            let _ = writeln!(out, "      \"hedge\": \"{}\",", json_escape(&s.hedge));
-            let _ = writeln!(out, "      \"brownout\": \"{}\",", json_escape(&s.brownout));
-            let _ = writeln!(out, "      \"submitted\": {},", s.submitted);
-            let _ = writeln!(out, "      \"served\": {},", s.served);
-            let _ = writeln!(out, "      \"shed_capacity\": {},", s.shed_capacity);
-            let _ = writeln!(out, "      \"shed_deadline\": {},", s.shed_deadline);
-            let _ = writeln!(out, "      \"batches\": {},", s.batches);
-            let _ = writeln!(out, "      \"hedges_issued\": {},", s.hedges_issued);
-            let _ = writeln!(out, "      \"hedge_wins\": {},", s.hedge_wins);
-            let _ = writeln!(out, "      \"brownout_demotions\": {},", s.brownout_demotions);
-            let _ = writeln!(out, "      \"reprobes\": {},", s.reprobes);
-            let _ = writeln!(out, "      \"p50\": {},", s.p50);
-            let _ = writeln!(out, "      \"p99\": {},", s.p99);
-            let _ = writeln!(out, "      \"p999\": {},", s.p999);
-            let _ = writeln!(out, "      \"max_latency\": {},", s.max_latency);
-            let _ = writeln!(out, "      \"goodput_milli\": {},", s.goodput_milli);
-            let _ = writeln!(out, "      \"recall_at_1\": {},", json_num(s.recall_at_1));
-            let _ = writeln!(out, "      \"unhedged_served\": {},", s.unhedged_served);
-            let _ = writeln!(out, "      \"unhedged_p50\": {},", s.unhedged_p50);
-            let _ = writeln!(out, "      \"unhedged_p99\": {},", s.unhedged_p99);
-            let _ = writeln!(out, "      \"unhedged_p999\": {},", s.unhedged_p999);
-            let _ =
-                writeln!(out, "      \"unhedged_goodput_milli\": {},", s.unhedged_goodput_milli);
-            out.push_str("      \"per_replica\": [\n");
-            for (j, r) in s.per_replica.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"replica\": {}, \"model\": \"{}\", \"reads\": {}, \
-                     \"p50_ticks\": {}, \"p99_ticks\": {}, \"max_ticks\": {}, \
-                     \"ewma_milli\": {}, \"hedged_against\": {}, \"hedge_wins\": {}, \
-                     \"demerit_milli\": {}}}",
-                    r.replica,
-                    json_escape(&r.model),
-                    r.reads,
-                    r.p50_ticks,
-                    r.p99_ticks,
-                    r.max_ticks,
-                    r.ewma_milli,
-                    r.hedged_against,
-                    r.hedge_wins,
-                    r.demerit_milli,
-                );
-                out.push_str(if j + 1 < s.per_replica.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            o.str("schema", Self::SCHEMA).num("seed", self.seed);
+            o.objects("scenarios", &self.scenarios, false, |o, s| {
+                o.str("name", &s.name)
+                    .str("metric", &s.metric)
+                    .str("backend", &s.backend)
+                    .str("arrivals", &s.arrivals)
+                    .num("n_requests", s.n_requests)
+                    .num("target_batch", s.target_batch)
+                    .num("deadline_ticks", s.deadline_ticks)
+                    .num("max_wait_ticks", s.max_wait_ticks)
+                    .num("replicas", s.replicas)
+                    .num("reads", s.reads)
+                    .num("agree", s.agree)
+                    .str("slow", &s.slow)
+                    .str("degrade", &s.degrade)
+                    .str("hedge", &s.hedge)
+                    .str("brownout", &s.brownout)
+                    .num("submitted", s.submitted)
+                    .num("served", s.served)
+                    .num("shed_capacity", s.shed_capacity)
+                    .num("shed_deadline", s.shed_deadline)
+                    .num("batches", s.batches)
+                    .num("hedges_issued", s.hedges_issued)
+                    .num("hedge_wins", s.hedge_wins)
+                    .num("brownout_demotions", s.brownout_demotions)
+                    .num("reprobes", s.reprobes)
+                    .num("p50", s.p50)
+                    .num("p99", s.p99)
+                    .num("p999", s.p999)
+                    .num("max_latency", s.max_latency)
+                    .num("goodput_milli", s.goodput_milli)
+                    .float("recall_at_1", s.recall_at_1)
+                    .num("unhedged_served", s.unhedged_served)
+                    .num("unhedged_p50", s.unhedged_p50)
+                    .num("unhedged_p99", s.unhedged_p99)
+                    .num("unhedged_p999", s.unhedged_p999)
+                    .num("unhedged_goodput_milli", s.unhedged_goodput_milli)
+                    .objects("per_replica", &s.per_replica, true, |o, r| {
+                        o.num("replica", r.replica)
+                            .str("model", &r.model)
+                            .num("reads", r.reads)
+                            .num("p50_ticks", r.p50_ticks)
+                            .num("p99_ticks", r.p99_ticks)
+                            .num("max_ticks", r.max_ticks)
+                            .num("ewma_milli", r.ewma_milli)
+                            .num("hedged_against", r.hedged_against)
+                            .num("hedge_wins", r.hedge_wins)
+                            .num("demerit_milli", r.demerit_milli);
+                    });
+            });
+        })
     }
-}
-
-/// Formats a `u64` slice as a compact JSON array literal.
-fn json_u64_array(xs: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
@@ -1280,11 +1150,5 @@ mod tests {
         let mut unbalanced = report.clone();
         unbalanced.scenarios[0].served = 1;
         assert!(!unbalanced.scenarios[0].counters_balance());
-    }
-
-    #[test]
-    fn escaping_is_json_safe() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\tend"), "tab\\u0009end");
     }
 }

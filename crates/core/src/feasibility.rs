@@ -13,8 +13,8 @@
 //! 3. **Constraint 3 (threshold ordering)** — across search lines, each
 //!    FeFET's ON-sets must be realizable by a fixed stored-V_th order, i.e.
 //!    form a chain under inclusion ([`chain_compatible`]). Enforced by AC-3
-//!    over the search-line variables, then an explicit backtracking solve to
-//!    extract a witness configuration.
+//!    over the search-line variables of [`chain_problem`], then an explicit
+//!    backtracking solve to extract a witness configuration.
 
 use crate::dm::DistanceMatrix;
 use ferex_csp::{ac3, Ac3Outcome, Ac3Stats, Problem, SolveStats, Solver};
@@ -257,39 +257,39 @@ impl RowSearch<'_> {
     }
 }
 
-/// Enumerates up to `limit` complete chain-consistent solutions at cell
-/// size `k` (the paper notes that replacing AC-3 with exhaustive
-/// backtracking yields *all* feasible current sets; this is that mode,
-/// bounded).
-///
-/// # Errors
-///
-/// Same resource errors as [`detect_feasibility`].
-pub fn enumerate_solutions(
-    dm: &DistanceMatrix,
-    k: usize,
-    levels: &[u32],
-    config: &FeasibilityConfig,
-    limit: usize,
-) -> Result<Vec<Vec<RowConfig>>, FeasibilityError> {
-    let outcome = detect_feasibility(dm, k, levels, config)?;
-    let Some(region) = outcome.region else {
-        return Ok(Vec::new());
-    };
-    let mut problem: Problem<RowConfig> = Problem::new();
-    let vars: Vec<_> = region
-        .domains
+/// The constraint-3 CSP over per-search-line domains: one variable per
+/// search line, and a chain-compatibility constraint between every pair.
+pub fn chain_problem(domains: &[Vec<RowConfig>]) -> Problem<RowConfig> {
+    let mut problem = Problem::new();
+    let vars: Vec<_> = domains
         .iter()
         .enumerate()
         .map(|(i, d)| problem.add_variable(format!("searchline{i}"), d.clone()))
         .collect();
-    for i in 0..vars.len() {
-        for j in (i + 1)..vars.len() {
-            problem.add_binary(vars[i], vars[j], "chain", chain_compatible);
+    for (i, &a) in vars.iter().enumerate() {
+        for &b in vars.iter().skip(i + 1) {
+            problem.add_binary(a, b, "chain", chain_compatible);
         }
     }
+    problem
+}
+
+/// Enumerates up to `limit` complete chain-consistent solutions over a
+/// feasible region that [`detect_feasibility`] returned (the paper notes
+/// that replacing AC-3 with exhaustive backtracking yields *all* feasible
+/// current sets; this is that mode, bounded).
+///
+/// # Errors
+///
+/// [`FeasibilityError::SearchAborted`] if the node limit is hit before any
+/// solution is found.
+pub fn enumerate_solutions(
+    region: &FeasibleRegion,
+    config: &FeasibilityConfig,
+    limit: usize,
+) -> Result<Vec<Vec<RowConfig>>, FeasibilityError> {
     let solver = Solver { node_limit: config.node_limit, ..Solver::new() };
-    let (solutions, stats) = solver.enumerate(&problem, limit);
+    let (solutions, stats) = solver.enumerate(&chain_problem(&region.domains), limit);
     if stats.aborted && solutions.is_empty() {
         return Err(FeasibilityError::SearchAborted);
     }
@@ -349,17 +349,7 @@ pub fn detect_feasibility(
         return Err(FeasibilityError::SearchAborted);
     }
 
-    let mut problem: Problem<RowConfig> = Problem::new();
-    let vars: Vec<_> = domains
-        .iter()
-        .enumerate()
-        .map(|(i, d)| problem.add_variable(format!("searchline{i}"), d.clone()))
-        .collect();
-    for i in 0..vars.len() {
-        for j in (i + 1)..vars.len() {
-            problem.add_binary(vars[i], vars[j], "chain", chain_compatible);
-        }
-    }
+    let problem = chain_problem(&domains);
 
     // AC-3 pass: the paper's feasibility filter.
     let mut pruned = problem.domains();
@@ -375,21 +365,10 @@ pub fn detect_feasibility(
         });
     }
 
-    // Witness extraction with backtracking over the pruned domains.
-    let mut pruned_problem: Problem<RowConfig> = Problem::new();
-    let pvars: Vec<_> = pruned
-        .iter()
-        .enumerate()
-        .map(|(i, d)| pruned_problem.add_variable(format!("searchline{i}"), d.clone()))
-        .collect();
-    for i in 0..pvars.len() {
-        for j in (i + 1)..pvars.len() {
-            pruned_problem.add_binary(pvars[i], pvars[j], "chain", chain_compatible);
-        }
-    }
-    // Domains are already arc-consistent; skip the redundant AC-3 pass.
+    // Witness extraction with backtracking over the pruned domains, which
+    // are already arc-consistent: skip the redundant AC-3 pass.
     let solver = Solver { node_limit: config.node_limit, preprocess_ac3: false, ..Solver::new() };
-    let outcome = solver.solve(&pruned_problem);
+    let outcome = solver.solve(&chain_problem(&pruned));
     if outcome.stats.aborted {
         return Err(FeasibilityError::SearchAborted);
     }

@@ -93,8 +93,8 @@ pub use serve::{
 pub use stats::percentile;
 
 pub use feasibility::{
-    chain_compatible, detect_feasibility, enumerate_solutions, FeasibilityConfig, FeasibilityError,
-    FeasibilityOutcome, FeasibleRegion, FetRow, RowConfig,
+    chain_compatible, chain_problem, detect_feasibility, enumerate_solutions, FeasibilityConfig,
+    FeasibilityError, FeasibilityOutcome, FeasibleRegion, FetRow, RowConfig,
 };
 pub use sizing::{current_range, find_minimal_cell, SizingOptions, SizingReport};
 pub use tile::TiledArray;

@@ -24,10 +24,11 @@ pub struct SizingOptions {
     pub feasibility: FeasibilityConfig,
     /// Hardware budget the final encoding must fit.
     pub limits: EncodingLimits,
-    /// How many feasible solutions to score per K when picking the most
-    /// compact encoding.
-    pub solution_candidates: usize,
 }
+
+/// How many feasible solutions are scored per K when picking the most
+/// compact encoding.
+const SOLUTION_CANDIDATES: usize = 512;
 
 impl Default for SizingOptions {
     fn default() -> Self {
@@ -35,7 +36,6 @@ impl Default for SizingOptions {
             max_k: 8,
             feasibility: FeasibilityConfig::default(),
             limits: EncodingLimits { max_vth_levels: 4, max_search_levels: 5, max_vds_multiple: 9 },
-            solution_candidates: 512,
         }
     }
 }
@@ -98,17 +98,15 @@ pub fn find_minimal_cell(
     let mut best_level_error: Option<EncodeError> = None;
     for k in 1..=options.max_k {
         let outcome = detect_feasibility(dm, k, &levels, &options.feasibility)?;
-        let feasible = outcome.is_feasible();
         attempts.push(SizingAttempt {
             k,
-            feasible,
-            row_domain_sizes: outcome.row_domain_sizes.clone(),
+            feasible: outcome.is_feasible(),
+            row_domain_sizes: outcome.row_domain_sizes,
         });
-        if !feasible {
+        let Some(region) = outcome.region else {
             continue;
-        }
-        let solutions =
-            enumerate_solutions(dm, k, &levels, &options.feasibility, options.solution_candidates)?;
+        };
+        let solutions = enumerate_solutions(&region, &options.feasibility, SOLUTION_CANDIDATES)?;
         let scored = solutions.len();
         let mut best: Option<CellEncoding> = None;
         for sol in &solutions {
