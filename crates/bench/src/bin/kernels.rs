@@ -4,8 +4,8 @@
 //!
 //! Every grid point computes a batch of row distances through
 //! [`ferex_core::FerexArray::distances_batch`], checks a sample of them
-//! (against the exact digital oracle on Ideal, bit for bit against the
-//! per-query row loop on Noisy), folds the exact bit pattern of every
+//! (against the exact digital oracle on Ideal, bit for bit against
+//! one-query reads on Noisy), folds the exact bit pattern of every
 //! distance into a deterministic checksum, and (on timed runs) measures
 //! the batch and the per-query loop. The committed report is therefore
 //! two things at once: a perf trajectory (timings, informational) and a
@@ -16,7 +16,7 @@
 //! `FEREX_BENCH_SEED`), `--report PATH` (write the timed JSON report),
 //! `--check PATH` (recompute checksums without timing and fail on schema
 //! or checksum drift against a previous report), `--gate-speedup X` (fail
-//! unless the worst Noisy 64-query × 10k-row point beats the scalar loop
+//! unless the worst Noisy 64-query × 10k-row point beats the per-query loop
 //! by ≥ X — used when regenerating the committed baseline, not in CI,
 //! where runner speed is not a contract).
 

@@ -5,8 +5,9 @@
 //! [`ferex_core::FerexArray::distances`] calls (each a batch of one), over
 //! the {metric × bits × backend × rows × batch} grid. Ideal answers are
 //! checked against the exact digital oracle ([`ferex_conformance::Oracle`]),
-//! Noisy batches against the per-query row loop they must reproduce
-//! bit-identically. Every grid point carries
+//! Noisy batches against one-query reads, which must reproduce them
+//! bit-identically (the independent Noisy reference, the row loop the
+//! kernel replaced, lives in the core array tests). Every grid point carries
 //! a deterministic checksum folded from the exact bit pattern of every
 //! distance the batch kernel returns, so the committed report doubles as a
 //! determinism fixture: `--check` recomputes the checksums (no timing) and
@@ -19,10 +20,10 @@
 //! per-query fan-out by construction and a 10k-row grid point would
 //! dominate the whole suite's runtime without exercising any batch kernel.
 //!
-//! The `scalar_ns_per_query` key keeps its name for schema stability. On
-//! Noisy points it times the per-query row loop; on Ideal points, where no
-//! scalar path is left, it times the per-query loop through the same SoA
-//! kernel, so it shows what batching saves over one-at-a-time serving.
+//! The `scalar_ns_per_query` key keeps its name for schema stability. No
+//! backend has a scalar path left: on every point it times the per-query
+//! loop through the same kernel, so it shows what batching saves over
+//! one-at-a-time serving.
 //!
 //! The report is written through [`ferex_conformance::json`], the writer
 //! every conformance report shares.
@@ -204,8 +205,7 @@ pub struct PointResult {
     /// untimed (check) run.
     pub batch_ns_per_query: Option<f64>,
     /// Mean wall time per query through a loop of single `distances`
-    /// calls (the Noisy row loop; on Ideal, the same kernel one query at a
-    /// time).
+    /// calls (the same kernel, one query at a time).
     pub scalar_ns_per_query: Option<f64>,
 }
 
@@ -241,7 +241,7 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
 /// distances, checks them on a sample of queries (all of them up to 4 —
 /// the full-grid proof lives in the core property tests and the
 /// conformance sweep) against the exact digital oracle on Ideal and bit
-/// for bit against the per-query row loop on Noisy, folds the checksum,
+/// for bit against one-query reads on Noisy, folds the checksum,
 /// and (when `timed`) measures the batch and the per-query loop.
 ///
 /// # Errors
@@ -476,8 +476,8 @@ mod tests {
         for (noisy, metric, batch, kernel) in [
             (false, DistanceMetric::Hamming, 5, "bitplane-popcount"),
             (false, DistanceMetric::Manhattan, 5, "lut"),
-            (true, DistanceMetric::Hamming, 1, "scalar"),
-            (true, DistanceMetric::EuclideanSquared, 5, "contrib-table"),
+            (true, DistanceMetric::Hamming, 1, "first-on"),
+            (true, DistanceMetric::EuclideanSquared, 5, "first-on"),
         ] {
             let point = tiny(noisy, metric, batch);
             let engine = grid_engine(&point, 7).expect("fixture builds");

@@ -124,8 +124,8 @@ pub enum Command {
         /// the serving loop mid-stream. 0 disables.
         churn: u64,
     },
-    /// One-point kernel micro-benchmark: the batched distance path
-    /// against the scalar per-query loop it must reproduce bit-identically.
+    /// One-point kernel micro-benchmark: one batched distance read against
+    /// a loop of one-query reads it must reproduce bit-identically.
     BenchKernels {
         /// Target metric.
         metric: DistanceMetric,
@@ -807,11 +807,11 @@ SERVING LOOP (serve-sim with --open-loop RATE or --closed-loop W):
   the summary reports the mutation count and final wear imbalance.
 
 KERNEL BENCH (bench-kernels):
-  fills a seeded random array, serves one query batch through the
-  structure-of-arrays batch kernels and the scalar per-query loop,
-  checks them bit-identical, and prints both timings with the kernel
-  the batch dispatched to. Circuit re-solves the crossbar per query,
-  so keep --rows small on that backend.
+  fills a seeded random array, serves one query batch in one read and
+  one query at a time (the \"scalar\" line), checks them bit-identical,
+  and prints both timings with the kernel the batch dispatched to.
+  Circuit re-solves the crossbar per query, so keep --rows small on
+  that backend.
 
 EXAMPLES:
   ferex encode --metric hamming

@@ -15,13 +15,18 @@
 //! * [`Backend::Noisy`] — statistical variation model with the same error
 //!   mechanisms but no per-cell device objects; tractable at
 //!   application scale (HDC/KNN) and cross-validated against `Circuit`.
+//!   Programming draws each cell's variation sample and derives the first
+//!   gate level that turns the cell on, one byte per cell; every Noisy
+//!   read, at any batch size, and the scrub probe run one row-block
+//!   kernel over those levels.
 //!
 //! # Lifecycle: program, then search
 //!
 //! Mutation and sensing are separate phases, mirroring the hardware. Writes
 //! ([`FerexArray::store`], [`FerexArray::update`], …) mark the physical
 //! state stale; [`FerexArray::program`] is the explicit, idempotent
-//! transition that instantiates it (crossbar cells or variation samples).
+//! transition that instantiates it (crossbar cells, or variation samples
+//! and first-ON levels).
 //! Every read — [`FerexArray::distances`], [`FerexArray::search`],
 //! [`FerexArray::search_batch`] — then takes `&self`, so a programmed array
 //! can serve queries from many threads concurrently. Searching a stochastic
@@ -62,12 +67,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// disjoint from the per-tile seed derivation that feeds the same mixer.
 const QUERY_STREAM_SALT: u64 = 0x51E0_D9AD_35B6_9E21;
 
-/// Largest `Noisy` batch served by the per-query row loop instead of the
-/// dense per-batch contribution table. Building the table evaluates every
-/// stored cell against *all* `n_search` drive symbols — about `n_search`
-/// row-loop query passes of work — so batches of one or two queries finish
-/// sooner on the row loop they are bit-identical to anyway.
-const NOISY_LUT_CROSSOVER: usize = 2;
+/// The first-ON level of a `Noisy` cell that no gate level turns on: a
+/// stuck-high or open cell, or a threshold above the whole search ladder.
+/// Every gate level is below it, because a technology has fewer than 255
+/// threshold levels (the sizing step never uses more than 64).
+const NEVER_ON: u8 = u8::MAX;
+
+/// Rows per block of the `Noisy` kernel: the block's contributions stay
+/// cache-resident while every query of the batch is summed over them, and
+/// one query's sums over a block fit in registers.
+const NOISY_BLOCK_ROWS: usize = 16;
 
 /// Resistance scale applied to a [`CellFault::ResistorOpen`] cell in the
 /// device-level backend: large enough that the residual current is far
@@ -172,6 +181,12 @@ pub struct FerexArray {
     crossbar: Option<Crossbar>,
     /// Per-cell variation samples of the `Noisy` backend (row-major).
     noisy_samples: Option<Vec<ferex_fefet::DeviceSample>>,
+    /// The `Noisy` backend's programmed responses, one byte per physical
+    /// cell (row-major, beside `noisy_samples`): the first gate-ladder
+    /// level that turns the cell on, or [`NEVER_ON`]. Derived by
+    /// [`FerexArray::program`] and kept in step with every later change
+    /// to a programmed cell by [`FerexArray::sync_first_on`].
+    first_on: Option<Vec<u8>>,
     /// Per-cell hard-fault map (row-major physical cells), materialized by
     /// [`FerexArray::program`] when the backend's fault plan is non-benign.
     fault_map: Option<Vec<CellFault>>,
@@ -213,6 +228,7 @@ impl Clone for FerexArray {
             codes: self.codes.clone(),
             crossbar: self.crossbar.clone(),
             noisy_samples: self.noisy_samples.clone(),
+            first_on: self.first_on.clone(),
             fault_map: self.fault_map.clone(),
             aged_vth: self.aged_vth.clone(),
             seed: self.seed,
@@ -249,6 +265,7 @@ impl FerexArray {
             codes: SoaCodes::new(dim, plane_bits),
             crossbar: None,
             noisy_samples: None,
+            first_on: None,
             fault_map: None,
             aged_vth: None,
             seed,
@@ -327,6 +344,7 @@ impl FerexArray {
     fn invalidate_physical_state(&mut self) {
         self.crossbar = None;
         self.noisy_samples = None;
+        self.first_on = None;
         self.fault_map = None;
         self.aged_vth = None;
         self.row_map.clear();
@@ -464,6 +482,37 @@ impl FerexArray {
         Ok(())
     }
 
+    /// Replaces the stored rows with a copy of `source`'s, code buffer to
+    /// code buffer (the bit-planes come along when `source` has built them
+    /// at this array's width): how a replica is built, with no row widened
+    /// to `u32` and re-narrowed. The codes are checked against this array's
+    /// alphabet in one pass over the bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::DimensionMismatch`] or [`FerexError::SymbolOutOfRange`]
+    /// when `source` holds rows this array cannot;
+    /// [`FerexError::InvalidPolicy`] on a mutation-enabled array. The array
+    /// is unchanged on error.
+    pub(crate) fn copy_rows_from(&mut self, source: &FerexArray) -> Result<(), FerexError> {
+        if self.mutation.is_some() {
+            return Err(FerexError::InvalidPolicy {
+                what: "positional store on a mutation-enabled array; use insert(id, vector)",
+            });
+        }
+        if source.dim != self.dim {
+            return Err(FerexError::DimensionMismatch { expected: self.dim, got: source.dim });
+        }
+        let n_values = self.n_codes();
+        if let Some(&c) = source.codes.as_slice().iter().find(|&&c| usize::from(c) >= n_values) {
+            return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
+        }
+        self.codes = source.codes.clone();
+        self.codes.set_plane_bits(soa::plane_bits(&self.encoding));
+        self.invalidate_physical_state();
+        Ok(())
+    }
+
     /// Clears all stored vectors. On a mutation-enabled array this also
     /// drops the slot table and wear counters — the array reverts to the
     /// positional-mutator lifecycle.
@@ -538,12 +587,12 @@ impl FerexArray {
     }
 
     /// Programs the physical state for the current contents: the crossbar
-    /// cells (`Circuit`) or the per-cell variation samples (`Noisy`). The
-    /// explicit write→search phase transition: idempotent — re-invoking on
-    /// an already-programmed array is a no-op — and required after any
-    /// mutation before the `&self` read path will serve a stochastic
-    /// backend. The ideal backend has no physical state; for it this is
-    /// always a no-op.
+    /// cells (`Circuit`) or the per-cell variation samples and first-ON
+    /// gate levels (`Noisy`). The explicit write→search phase transition:
+    /// idempotent — re-invoking on an already-programmed array is a no-op —
+    /// and required after any mutation before the `&self` read path will
+    /// serve a stochastic backend. The ideal backend has no physical state;
+    /// for it this is always a no-op.
     pub fn program(&mut self) {
         // A repair policy reserves spare and sentinel rows *after* the
         // logical rows, so the logical rows' variation draws and fault-map
@@ -606,23 +655,40 @@ impl FerexArray {
                 if self.noisy_samples.is_some() || self.is_empty() {
                     return;
                 }
-                let n = self.physical_rows() * self.physical_cols();
+                let cols = self.physical_cols();
+                let n = self.physical_rows() * cols;
                 let variation = cfg.variation;
                 let plan = cfg.faults;
-                let samples = (0..n)
-                    .map(|_| {
+                if !plan.is_benign() {
+                    self.fault_map = Some(plan.fault_map(self.seed, n));
+                    self.aged_vth = Some(plan.aged_vth_table(&self.tech));
+                }
+                // One pass draws each physical row's samples (in cell
+                // order, so the stream is the same as ever) and derives the
+                // row's first-ON levels while they are hot; a second pass
+                // over the samples would add to every set-up. Spare rows
+                // stay NEVER_ON until a remap stores a vector onto them.
+                let ladder = self.ladder();
+                let mut samples = Vec::with_capacity(n);
+                let mut first_on = vec![NEVER_ON; n];
+                for (phys, levels) in first_on.chunks_mut(cols.max(1)).enumerate() {
+                    let start = samples.len();
+                    samples.extend((0..cols).map(|_| {
                         if variation.is_nominal() {
                             ferex_fefet::DeviceSample::NOMINAL
                         } else {
                             variation.sample(&mut self.program_rng)
                         }
-                    })
-                    .collect();
-                self.noisy_samples = Some(samples);
-                if !plan.is_benign() {
-                    self.fault_map = Some(plan.fault_map(self.seed, n));
-                    self.aged_vth = Some(plan.aged_vth_table(&self.tech));
+                    }));
+                    let sentinel = phys.checked_sub(self.sentinel_phys(0));
+                    let codeword = sentinel.map(|j| self.sentinel_codeword(j));
+                    if let Some(codes) = codeword.as_deref().or_else(|| self.codes.row(phys)) {
+                        let row_samples = samples.get(start..).unwrap_or_default();
+                        self.derive_first_on(&ladder, row_samples, phys, codes, levels);
+                    }
                 }
+                self.noisy_samples = Some(samples);
+                self.first_on = Some(first_on);
             }
         }
     }
@@ -703,11 +769,11 @@ impl FerexArray {
     ///   per call), every other encoding runs per-query current LUTs laid
     ///   out contiguously, both cache-blocked rows-outer / queries-inner
     ///   over balanced query chunks.
-    /// * `Noisy` batches of up to two queries run a per-query row loop;
-    ///   larger batches precompute one table of (stored cell × query
-    ///   symbol) current contributions — built row-parallel — turning the
-    ///   per-query inner loop into pure lookups. The table costs `n_search`
-    ///   row-loop passes to build, and the two paths are bit-identical.
+    /// * `Noisy` runs one kernel at every batch size, over the first-ON
+    ///   gate levels [`FerexArray::program`] derived: it builds the
+    ///   contributions of one cache-sized row block at a time, for the
+    ///   query symbols the batch drives, and sums every query over each
+    ///   block before the next, row blocks fanned out over threads.
     /// * `Circuit` solves the crossbar once per query, fanned out over
     ///   threads.
     ///
@@ -736,30 +802,32 @@ impl FerexArray {
         }
         match &self.backend {
             Backend::Ideal => Ok(self.ideal_distances_batch_soa(queries)),
-            Backend::Noisy(_) if queries.len() <= NOISY_LUT_CROSSOVER => {
-                queries.iter().map(|q| self.noisy_distances(q)).collect()
-            }
-            Backend::Noisy(_) => self.noisy_distances_batch(queries),
+            Backend::Noisy(_) => self.noisy_units(
+                self.len(),
+                |r| Some((self.physical_row(r)?, self.codes.row(r)?)),
+                queries,
+            ),
             Backend::Circuit(cfg) => {
                 queries.par_iter().map(|q| self.circuit_distances(cfg, q)).collect()
             }
         }
     }
 
-    /// Names the kernel [`FerexArray::distances_batch`] would dispatch a
-    /// batch of `batch` queries to, mirroring its dispatch exactly:
-    /// `"bitplane-popcount"` (Ideal + realized XOR-popcount encoding),
-    /// `"lut"` (Ideal per-query current LUTs), `"contrib-table"` (Noisy
-    /// dense contribution table), or `"scalar"` (the Noisy per-query row
-    /// loop for tiny batches, and the per-query Circuit crossbar solve).
+    /// Names the kernel [`FerexArray::distances_batch`] dispatches a batch
+    /// to, mirroring its dispatch exactly: `"bitplane-popcount"` (Ideal +
+    /// realized XOR-popcount encoding), `"lut"` (Ideal per-query current
+    /// LUTs), `"first-on"` (the Noisy block kernel over programmed first-ON
+    /// levels), or `"scalar"` (the per-query Circuit crossbar solve). No
+    /// backend switches kernels with the batch size any more; the
+    /// parameter stays so callers that label a batch keep compiling.
     /// Purely informational — used by benchmarks and reports to label
     /// measurements.
-    pub fn batch_kernel(&self, batch: usize) -> &'static str {
+    pub fn batch_kernel(&self, _batch: usize) -> &'static str {
         match &self.backend {
             Backend::Ideal if soa::is_xor_popcount(&self.encoding) => "bitplane-popcount",
             Backend::Ideal => "lut",
-            Backend::Noisy(_) if batch > NOISY_LUT_CROSSOVER => "contrib-table",
-            Backend::Noisy(_) | Backend::Circuit(_) => "scalar",
+            Backend::Noisy(_) => "first-on",
+            Backend::Circuit(_) => "scalar",
         }
     }
 
@@ -782,64 +850,6 @@ impl FerexArray {
                     .map_or(f64::INFINITY, |i| i.value() / i_unit)
             })
             .collect())
-    }
-
-    /// One query's `Noisy` read through the per-row cell loop
-    /// ([`FerexArray::noisy_row_units`]); excluded rows read `INFINITY`.
-    fn noisy_distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
-        let (Some(samples), Backend::Noisy(cfg)) = (self.noisy_samples.as_deref(), &self.backend)
-        else {
-            return Err(FerexError::NotProgrammed);
-        };
-        Ok((0..self.len())
-            .map(|r| match (self.physical_row(r), self.codes.row(r)) {
-                (Some(phys), Some(codes)) => {
-                    self.noisy_row_units(samples, &cfg.faults, phys, codes, query)
-                }
-                _ => f64::INFINITY,
-            })
-            .collect())
-    }
-
-    /// The current (in `I_unit` multiples) physical row `phys`, holding
-    /// `codes`, sinks under `query`'s drives on the `Noisy` backend: cell
-    /// contributions summed in d-major, FeFET-minor order — the order the
-    /// contribution table reproduces. Shared by the per-query read and the
-    /// scrub probe.
-    fn noisy_row_units(
-        &self,
-        samples: &[ferex_fefet::DeviceSample],
-        plan: &FaultPlan,
-        phys: usize,
-        codes: &[u8],
-        query: &[u32],
-    ) -> f64 {
-        let k = self.encoding.k;
-        let cols = self.physical_cols();
-        let mut units = 0.0f64;
-        // lint:allow(panic-safety/index, reason = "stored/query symbols are validated at store and search time; f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
-        for (d, (&s, &q)) in codes.iter().zip(query).enumerate() {
-            let st = &self.encoding.stored[usize::from(s)];
-            let se = &self.encoding.search[q as usize];
-            for f in 0..k {
-                let m = se.vds_multiples[f];
-                if m == 0 {
-                    continue;
-                }
-                let index = phys * cols + d * k + f;
-                let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
-                // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major order shared with the contribution table")
-                units += self.noisy_cell_units(
-                    plan,
-                    index,
-                    st.vth_levels[f],
-                    &samples[index],
-                    v_gate,
-                    m,
-                );
-            }
-        }
-        units
     }
 
     /// The `Ideal` batched kernels over the structure-of-arrays code
@@ -936,127 +946,270 @@ impl FerexArray {
         per_chunk.into_iter().flatten().collect()
     }
 
-    /// One `Noisy`-backend cell's current contribution in `I_unit`
-    /// multiples — the single definition shared by the row loop
-    /// ([`FerexArray::noisy_row_units`]) and the contribution table
-    /// ([`FerexArray::noisy_distances_batch`]), so the two stay
-    /// bit-identical under any fault plan. With no fault state materialized
-    /// this reduces to the nominal resistor-clamp expression
-    /// `I = m / r_factor` gated on `V_gate > V_th + ΔV_th`.
-    #[inline]
-    fn noisy_cell_units(
+    /// The voltages a first-ON derivation compares.
+    fn ladder(&self) -> Ladder {
+        debug_assert!(self.tech.n_vth_levels < usize::from(NEVER_ON), "first-ON levels are bytes");
+        Ladder {
+            gates: (0..=self.tech.n_vth_levels).map(|j| self.tech.search_voltage(j)).collect(),
+            fresh: (0..self.tech.n_vth_levels).map(|i| self.tech.vth_level(i)).collect(),
+        }
+    }
+
+    /// One programmed `Noisy` cell's electrical state: its threshold
+    /// (`None`: it never conducts) and its resistor factor. With fault
+    /// state materialized this is [`FaultPlan::effective_cell`] of the
+    /// cell's fault, aged level and sample; without, `vth_level(level) +
+    /// ΔV_th` and the sample's own `r_factor`. Neither reads the gate, so
+    /// once programmed, a cell's response to every drive is fixed.
+    fn noisy_cell(
         &self,
-        plan: &FaultPlan,
         index: usize,
         level: usize,
         sample: &ferex_fefet::DeviceSample,
-        v_gate: Volt,
-        m: u32,
-    ) -> f64 {
-        if let (Some(map), Some(aged)) = (&self.fault_map, &self.aged_vth) {
-            let fault = map.get(index).copied().unwrap_or(CellFault::None);
-            let eff: EffectiveCell = plan.effective_cell(&self.tech, fault, aged, level, sample);
-            match eff.vth {
-                Some(vth) if v_gate > vth => m as f64 / eff.r_factor,
-                _ => 0.0,
+    ) -> EffectiveCell {
+        match (&self.fault_map, &self.aged_vth, &self.backend) {
+            (Some(map), Some(aged), Backend::Noisy(cfg)) => {
+                let fault = map.get(index).copied().unwrap_or(CellFault::None);
+                cfg.faults.effective_cell(&self.tech, fault, aged, level, sample)
             }
-        } else {
-            let vth = self.tech.vth_level(level) + sample.dvth;
-            if v_gate > vth {
-                // Resistor clamp: I = V_ds / (R·r_factor).
-                m as f64 / sample.r_factor
-            } else {
-                0.0
+            _ => EffectiveCell {
+                vth: Some(self.tech.vth_level(level) + sample.dvth),
+                r_factor: sample.r_factor,
+            },
+        }
+    }
+
+    /// Derives the first-ON level of every cell of physical row `phys`,
+    /// programmed with `codes`, into `out` (one byte per cell), from the
+    /// row's variation `samples`: the smallest `j` with `ladder[j] > V_th`,
+    /// or [`NEVER_ON`].
+    ///
+    /// Exact, because the ladder rises with `j`: the gates at or below
+    /// `V_th` are a prefix of it, so their count is that smallest `j` (see
+    /// [`Ladder::first_on`]), and for every gate level `g`, `g ≥ first_on`
+    /// holds exactly when `search_voltage(g) > V_th`, the float comparison
+    /// that defines the cell's conduction.
+    fn derive_first_on(
+        &self,
+        ladder: &Ladder,
+        samples: &[ferex_fefet::DeviceSample],
+        phys: usize,
+        codes: &[u8],
+        out: &mut [u8],
+    ) {
+        let k = self.encoding.k;
+        let row_base = phys * self.physical_cols();
+        let faulted = self.fault_map.is_some() && self.aged_vth.is_some();
+        let cells = samples.chunks(k).zip(out.chunks_mut(k)).zip(codes);
+        for (d, ((cell_samples, cell_out), &s)) in cells.enumerate() {
+            let Some(st) = self.encoding.stored.get(usize::from(s)) else { continue };
+            let fets = st.vth_levels.iter().zip(cell_samples).zip(cell_out);
+            for (f, ((&level, sample), first_on)) in fets.enumerate() {
+                *first_on = if faulted {
+                    let vth = self.noisy_cell(row_base + d * k + f, level, sample).vth;
+                    vth.map_or(NEVER_ON, |vth| ladder.first_on(vth, level))
+                } else {
+                    // `noisy_cell`'s `vth_level(level) + ΔV_th`, from the
+                    // cached levels.
+                    match ladder.fresh.get(level) {
+                        Some(&fresh) => ladder.first_on(fresh + sample.dvth, level),
+                        None => NEVER_ON,
+                    }
+                };
             }
         }
     }
 
-    /// The `Noisy` fast path: one contribution table per batch.
+    /// Re-derives the first-ON levels of physical row `phys` from the
+    /// codes it now holds: the one patch point for every change to a
+    /// programmed `Noisy` row after [`FerexArray::program`] — a trim, a
+    /// spare brought up, a code write. A no-op without `Noisy` state.
+    fn sync_first_on(&mut self, phys: usize, codes: &[u8]) {
+        let Some(mut first_on) = self.first_on.take() else { return };
+        let cols = self.physical_cols();
+        let ladder = self.ladder();
+        let row = phys * cols..(phys + 1) * cols;
+        let samples = self.noisy_samples.as_deref().and_then(|s| s.get(row.clone()));
+        if let (Some(samples), Some(out)) = (samples, first_on.get_mut(row)) {
+            self.derive_first_on(&ladder, samples, phys, codes, out);
+        }
+        self.first_on = Some(first_on);
+    }
+
+    /// Writes `vector` into slot `slot`'s codes (zeroes them when `None`)
+    /// and keeps the first-ON levels of the physical row serving the slot
+    /// in step.
+    fn write_slot(&mut self, slot: usize, vector: Option<&[u32]>) {
+        match vector {
+            Some(v) => self.codes.set_row(slot, v),
+            None => self.codes.zero_row(slot),
+        }
+        if self.first_on.is_none() {
+            return;
+        }
+        if let (Some(phys), Some(codes)) = (self.phys_for_slot(slot), self.codes.row(slot)) {
+            let codes = codes.to_vec();
+            self.sync_first_on(phys, &codes);
+        }
+    }
+
+    /// The `Noisy` read kernel, behind every Noisy read at any batch size
+    /// and the scrub probe: the current (in `I_unit` multiples) each of
+    /// `queries` sinks from each of `rows` rows, query-major. `row_at(i)`
+    /// names row `i`'s physical row and stored codes, or `None` for a row
+    /// excluded from search, which reads `INFINITY`.
     ///
-    /// `contrib[((r·dim + d)·n_search + q)·k + f]` holds the current (in
-    /// `I_unit` multiples) cell `(r, d, f)` adds when driven with query
-    /// symbol `q` — zero for OFF cells. Summation order over `(d, f)`
-    /// matches the row loop exactly, and adding the 0.0 entries the row
-    /// loop skips is exact for these non-negative terms, so batch distances
-    /// are bit-identical to [`FerexArray::noisy_distances`].
-    fn noisy_distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
-        let (Some(samples), Backend::Noisy(cfg)) = (self.noisy_samples.as_ref(), &self.backend)
+    /// Rows go in blocks of [`NOISY_BLOCK_ROWS`], fanned out over threads.
+    /// For each block the kernel builds, from the first-ON levels, the
+    /// contribution of every cell under every query symbol the batch
+    /// drives it with: `m / r_factor` when the gate level reaches the
+    /// cell's first-ON level, `0.0` otherwise (`m` is the drain multiple,
+    /// `r_factor` the sample's, or [`FaultPlan::effective_cell`]'s for a
+    /// faulted cell). It then sums every query over the block, each block
+    /// row one accumulator lane, so the sums vectorize across rows while
+    /// each row adds its terms in d-major, FeFET-minor order. Undriven
+    /// (`m = 0`) terms are skipped: a sum starts at `+0.0` and never
+    /// becomes `-0.0`, so `x + 0.0 == x` and skipping a zero changes no
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::NotProgrammed`] without programmed `Noisy` state;
+    /// [`FerexError::SymbolOutOfRange`] for a query symbol past the search
+    /// alphabet.
+    fn noisy_units<'c>(
+        &self,
+        rows: usize,
+        row_at: impl Fn(usize) -> Option<(usize, &'c [u8])> + Sync,
+        queries: &[Vec<u32>],
+    ) -> Result<Vec<Vec<f64>>, FerexError> {
+        let (Some(samples), Some(first_on)) =
+            (self.noisy_samples.as_deref(), self.first_on.as_deref())
         else {
             return Err(FerexError::NotProgrammed);
         };
-        let plan = &cfg.faults;
         let k = self.encoding.k;
-        let dim = self.dim;
         let cols = self.physical_cols();
-        let n_search = self.encoding.search.len();
-        let rows = self.len();
-        let row_stride = dim * n_search * k;
-
-        // Each logical row reads through its current physical row (itself,
-        // or the spare it was remapped to); excluded rows keep a zeroed LUT
-        // slice and are forced to INFINITY after accumulation, matching the
-        // row loop bit for bit.
-        let phys_of: Vec<Option<usize>> = (0..rows).map(|r| self.physical_row(r)).collect();
-        // Build the table row-parallel: each worker owns one row's
-        // contiguous `row_stride` slice, so there is no sharing and the
-        // table contents are independent of the thread count.
-        let mut contrib = vec![0.0f64; rows * row_stride];
-        // lint:allow(panic-safety/index, reason = "hot kernel: each worker owns one row_stride slice of the table it indexes with offsets sized from the same dims; stored/encoding indices are validated at store time")
-        contrib.par_chunks_mut(row_stride).enumerate().for_each(|(r, row_lut)| {
-            let (Some(phys), Some(codes)) = (phys_of[r], self.codes.row(r)) else { return };
-            for (d, &s) in codes.iter().enumerate() {
-                let st = &self.encoding.stored[usize::from(s)];
-                let cell_base = d * n_search * k;
-                for (q, se) in self.encoding.search.iter().enumerate() {
+        let n_search = self.encoding.n_search();
+        // Each search symbol's drive per FeFET: (gate level, drain multiple).
+        let drives: Vec<(usize, u32)> = self
+            .encoding
+            .search
+            .iter()
+            .flat_map(|se| se.vgs_levels.iter().copied().zip(se.vds_multiples.iter().copied()))
+            .collect();
+        // The (dimension, symbol) pairs the batch drives, d-major: only
+        // they get contributions built.
+        let mut pair_of = vec![usize::MAX; self.dim * n_search];
+        for q in queries {
+            for (d, &s) in q.iter().enumerate() {
+                if s as usize >= n_search {
+                    return Err(FerexError::SymbolOutOfRange { value: s, n_values: n_search });
+                }
+                if let Some(p) = pair_of.get_mut(d * n_search + s as usize) {
+                    *p = 0;
+                }
+            }
+        }
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (i, p) in pair_of.iter_mut().enumerate() {
+            if *p != usize::MAX {
+                *p = pairs.len();
+                pairs.push((i / n_search, i % n_search));
+            }
+        }
+        // Each query's terms: the table entry of every driven (d, f), in
+        // d-major, FeFET-minor order.
+        // lint:allow(panic-safety/index, reason = "symbols were checked below n_search above, d < dim sizes pair_of, and f < k indexes the k drives of each symbol")
+        let terms: Vec<Vec<usize>> = queries
+            .iter()
+            .map(|q| {
+                let mut terms = Vec::with_capacity(self.dim * k);
+                for (d, &s) in q.iter().enumerate() {
+                    let p = pair_of[d * n_search + s as usize];
                     for f in 0..k {
-                        let m = se.vds_multiples[f];
-                        if m == 0 {
-                            continue;
+                        if drives[s as usize * k + f].1 != 0 {
+                            terms.push(p * k + f);
                         }
-                        let index = phys * cols + d * k + f;
-                        let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
-                        row_lut[cell_base + q * k + f] = self.noisy_cell_units(
-                            plan,
-                            index,
-                            st.vth_levels[f],
-                            &samples[index],
-                            v_gate,
-                            m,
-                        );
+                    }
+                }
+                terms
+            })
+            .collect();
+
+        // Contiguous runs of blocks, one per worker, each writing its own
+        // rows of every query's output.
+        let n_blocks = rows.div_ceil(NOISY_BLOCK_ROWS);
+        let ranges = soa::balanced_ranges(n_blocks, rayon::current_num_threads());
+        let mut out: Vec<Vec<f64>> = queries.iter().map(|_| vec![0.0f64; rows]).collect();
+        let mut shares: Vec<Vec<&mut [f64]>> =
+            ranges.iter().map(|_| Vec::with_capacity(queries.len())).collect();
+        for query_out in &mut out {
+            let mut rest = query_out.as_mut_slice();
+            for (blocks, share) in ranges.iter().zip(&mut shares) {
+                let span =
+                    rows.min(blocks.end * NOISY_BLOCK_ROWS) - blocks.start * NOISY_BLOCK_ROWS;
+                let (mine, later) = std::mem::take(&mut rest).split_at_mut(span);
+                share.push(mine);
+                rest = later;
+            }
+        }
+        // lint:allow(panic-safety/index, reason = "hot kernel: lanes < NOISY_BLOCK_ROWS, table entries p * k + f < pairs * k, cell indices < physical rows x cols by construction from the dims the programmed state was sized with; codes are validated at store time")
+        shares.par_chunks_mut(1).enumerate().for_each(|(i, share)| {
+            let (Some(blocks), Some(share)) = (ranges.get(i), share.first_mut()) else { return };
+            let first = blocks.start * NOISY_BLOCK_ROWS;
+            let end = rows.min(blocks.end * NOISY_BLOCK_ROWS);
+            let mut table = vec![[0.0f64; NOISY_BLOCK_ROWS]; pairs.len() * k];
+            // The block's cells, lane-major: each cell's first-ON level (as
+            // f64, so the gate comparison vectorizes) and resistor factor.
+            // A lane without a row reads as never ON.
+            let mut cell_on = vec![[0.0f64; NOISY_BLOCK_ROWS]; self.dim * k];
+            let mut cell_r = vec![[1.0f64; NOISY_BLOCK_ROWS]; self.dim * k];
+            for lo in (first..end).step_by(NOISY_BLOCK_ROWS) {
+                let n = NOISY_BLOCK_ROWS.min(end - lo);
+                let lanes: [Option<(usize, &[u8])>; NOISY_BLOCK_ROWS] =
+                    std::array::from_fn(|lane| (lane < n).then(|| row_at(lo + lane)).flatten());
+                for (d, (cell_on, cell_r)) in
+                    cell_on.chunks_mut(k).zip(cell_r.chunks_mut(k)).enumerate()
+                {
+                    for (f, (on, r)) in cell_on.iter_mut().zip(cell_r.iter_mut()).enumerate() {
+                        for (lane, row) in lanes.iter().enumerate() {
+                            let Some((phys, codes)) = *row else {
+                                on[lane] = f64::from(NEVER_ON);
+                                continue;
+                            };
+                            let index = phys * cols + d * k + f;
+                            on[lane] = f64::from(first_on[index]);
+                            r[lane] = match self.fault_map.as_ref().map(|m| m[index]) {
+                                None | Some(CellFault::None) => samples[index].r_factor,
+                                Some(_) => {
+                                    let level =
+                                        self.encoding.stored[usize::from(codes[d])].vth_levels[f];
+                                    self.noisy_cell(index, level, &samples[index]).r_factor
+                                }
+                            };
+                        }
+                    }
+                }
+                for (p, &(d, s)) in pairs.iter().enumerate() {
+                    for f in 0..k {
+                        let (gate, m) = drives[s * k + f];
+                        if m != 0 {
+                            let (on, r) = (&cell_on[d * k + f], &cell_r[d * k + f]);
+                            lane_units(&mut table[p * k + f], gate as f64, f64::from(m), on, r);
+                        }
+                    }
+                }
+                for (terms, query_out) in terms.iter().zip(share.iter_mut()) {
+                    let sums = lane_sums(&table, terms);
+                    let query_out = &mut query_out[lo - first..lo - first + n];
+                    for ((out, &units), row) in query_out.iter_mut().zip(&sums).zip(&lanes) {
+                        *out = if row.is_some() { units } else { f64::INFINITY };
                     }
                 }
             }
         });
-
-        // Fan queries out in balanced contiguous chunks — every worker gets
-        // a chunk, sizes differing by at most one (the old `div_ceil`
-        // chunking could idle workers on non-divisible batches). Within a
-        // chunk iterate rows outer / queries inner so one row's table slice
-        // stays cache-hot across the whole chunk.
-        let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
-        // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), table offsets are sized from the same dims the table was built with; query symbols are validated before dispatch")
-        let per_chunk: Vec<Vec<Vec<f64>>> = ranges
-            .par_iter()
-            .map(|range| {
-                let qs = &queries[range.clone()];
-                let mut out = vec![vec![0.0f64; rows]; qs.len()];
-                for r in 0..rows {
-                    let row_lut = &contrib[r * row_stride..(r + 1) * row_stride];
-                    for (qi, query) in qs.iter().enumerate() {
-                        let mut units = 0.0f64;
-                        for (d, &q) in query.iter().enumerate() {
-                            let base = (d * n_search + q as usize) * k;
-                            for c in &row_lut[base..base + k] {
-                                units += c; // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major LUT order shared with the row loop")
-                            }
-                        }
-                        out[qi][r] = if phys_of[r].is_some() { units } else { f64::INFINITY };
-                    }
-                }
-                out
-            })
-            .collect();
-        Ok(per_chunk.into_iter().flatten().collect())
+        Ok(out)
     }
 
     /// One associative search with an explicit query id: senses all rows
@@ -1070,13 +1223,45 @@ impl FerexArray {
     /// As [`FerexArray::distances`].
     pub fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
         let distances = self.distances(query)?;
-        Ok(self.sense_nearest(distances, qid))
+        let nearest = self.sense_loser(&distances, qid);
+        Ok(SearchOutcome { distances, nearest })
     }
 
-    fn sense_nearest(&self, distances: Vec<f64>, qid: u64) -> SearchOutcome {
-        let currents = self.to_currents(&distances);
-        let decision = self.lta().sense(&currents, &mut self.rng_for_query(qid));
-        SearchOutcome { distances, nearest: decision.loser }
+    /// The LTA's loser row for one query's distances, drawing sensing
+    /// noise from the stream of `qid`.
+    fn sense_loser(&self, distances: &[f64], qid: u64) -> usize {
+        let currents = self.to_currents(distances);
+        self.lta().sense(&currents, &mut self.rng_for_query(qid)).loser
+    }
+
+    /// Runs `sense(distances[i], qids[i])` for every query of a batch, in
+    /// order. When the LTA draws offsets the queries sense in parallel:
+    /// each draws only from its own `qid` stream, so the split changes no
+    /// draw. A zero-offset LTA is a plain argmin, too cheap to fan out.
+    fn sense_each<T: Send>(
+        &self,
+        distances: &[Vec<f64>],
+        qids: &[u64],
+        sense: impl Fn(&[f64], u64) -> T + Sync,
+    ) -> Vec<T> {
+        let batch: Vec<(&Vec<f64>, u64)> = distances.iter().zip(qids.iter().copied()).collect();
+        let one = |&(d, qid): &(&Vec<f64>, u64)| sense(d, qid);
+        if self.lta().offset_sigma.value() > 0.0 {
+            batch.par_iter().map(one).collect()
+        } else {
+            batch.iter().map(one).collect()
+        }
+    }
+
+    /// Senses a whole batch into outcomes (see
+    /// [`FerexArray::sense_each`]).
+    fn sense_batch(&self, distances: Vec<Vec<f64>>, qids: &[u64]) -> Vec<SearchOutcome> {
+        let nearest = self.sense_each(&distances, qids, |d, qid| self.sense_loser(d, qid));
+        distances
+            .into_iter()
+            .zip(nearest)
+            .map(|(distances, nearest)| SearchOutcome { distances, nearest })
+            .collect()
     }
 
     /// One associative search: [`FerexArray::search_at`] with the next id
@@ -1103,11 +1288,8 @@ impl FerexArray {
     /// As [`FerexArray::distances_batch`].
     pub fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
         let distances = self.distances_batch(queries)?;
-        Ok(distances
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| self.sense_nearest(d, i as u64))
-            .collect())
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        Ok(self.sense_batch(distances, &qids))
     }
 
     /// Searches a whole batch with an explicit query id per entry:
@@ -1131,7 +1313,7 @@ impl FerexArray {
             return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
         }
         let distances = self.distances_batch(queries)?;
-        Ok(distances.into_iter().zip(qids).map(|(d, &qid)| self.sense_nearest(d, qid)).collect())
+        Ok(self.sense_batch(distances, qids))
     }
 
     /// Digital distance readout: senses all rows and digitizes the row
@@ -1213,7 +1395,8 @@ impl FerexArray {
         k: usize,
     ) -> Result<Vec<Vec<usize>>, FerexError> {
         let distances = self.distances_batch(queries)?;
-        distances.into_iter().enumerate().map(|(i, d)| self.sense_k(&d, k, i as u64)).collect()
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        self.sense_each(&distances, &qids, |d, qid| self.sense_k(d, k, qid)).into_iter().collect()
     }
 
     // ------------------------------------------------------------------
@@ -1437,6 +1620,10 @@ impl FerexArray {
                 }
             }
         }
+        if rv.repaired > 0 {
+            // A trim moved some thresholds: their first-ON levels follow.
+            self.sync_first_on(phys, codes);
+        }
         Ok(rv)
     }
 
@@ -1496,6 +1683,9 @@ impl FerexArray {
                 );
                 self.crossbar = Some(xb);
             }
+            // A Noisy spare's cells keep their samples; their first-ON
+            // levels follow the vector the spare now holds.
+            self.sync_first_on(phys, &codes);
             let rv = self.verify_row(phys, &codes, policy)?;
             result.retries += rv.retries;
             if rv.bad.len() <= policy.max_bad_cells_per_row {
@@ -1595,46 +1785,65 @@ impl FerexArray {
         Ok(report)
     }
 
-    /// Probes physical row `phys`, holding `codes`, with every uniform
-    /// codeword and compares each readback against the exact expected
-    /// current; returns a finding when any probe diverges beyond the
-    /// policy's tolerances. The Ideal backend has no physical state, so
-    /// it reads back exactly the expectation.
+    /// Every probe's readback of the probed rows: `readback[q][i]` is the
+    /// current (in `I_unit` multiples) probed row `i` — a physical row and
+    /// the codes it holds — sinks under the uniform codeword `q`, one
+    /// probe per stored symbol. `None` on the Ideal backend, which has no
+    /// physical state and reads back exactly the expectation.
     ///
     /// # Errors
     ///
     /// [`FerexError::NotProgrammed`] when the backend's physical state is
     /// missing; probe-validation errors from the drive encoding.
+    fn scrub_readback(
+        &self,
+        probed: &[(usize, &[u8])],
+    ) -> Result<Option<Vec<Vec<f64>>>, FerexError> {
+        // lint:allow(cast-truncation/narrowing, reason = "q < n_stored, which fits u32 by construction")
+        let probes: Vec<Vec<u32>> =
+            (0..self.encoding.n_stored()).map(|q| vec![q as u32; self.dim]).collect();
+        match &self.backend {
+            Backend::Ideal => Ok(None),
+            Backend::Noisy(_) => {
+                self.noisy_units(probed.len(), |i| probed.get(i).copied(), &probes).map(Some)
+            }
+            Backend::Circuit(cfg) => {
+                let i_unit = self.tech.i_unit().value();
+                let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+                let readback = probes.iter().map(|probe| {
+                    let drives = self.drives_for(probe)?;
+                    Ok(probed
+                        .iter()
+                        .map(|&(phys, _)| {
+                            xb.row_current(phys, &drives, &cfg.options).value() / i_unit
+                        })
+                        .collect())
+                });
+                readback.collect::<Result<Vec<Vec<f64>>, FerexError>>().map(Some)
+            }
+        }
+    }
+
+    /// Compares logical or sentinel row `row_id`, holding `codes`, against
+    /// the exact expected current under every probe; `measured(q)` is its
+    /// readback under probe `q` (`None`: the expectation itself). Returns a
+    /// finding when any probe diverges beyond the policy's tolerances.
     fn scrub_row(
         &self,
-        phys: usize,
         row_id: usize,
         codes: &[u8],
+        measured: impl Fn(usize) -> Option<f64>,
         policy: &RepairPolicy,
-    ) -> Result<Option<ScrubFinding>, FerexError> {
-        let i_unit = self.tech.i_unit().value();
+    ) -> Option<ScrubFinding> {
         let mut worst: Option<(f64, f64)> = None;
         let mut saw_pos = false;
         let mut saw_neg = false;
         for q in 0..self.encoding.n_stored() {
-            let probe = vec![q as u32; self.dim]; // lint:allow(cast-truncation/narrowing, reason = "q < n_stored, which fits u32 by construction")
             let expected: f64 = codes
                 .iter()
                 .map(|&s| f64::from(self.encoding.cell_current(q, usize::from(s))))
                 .sum(); // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the probe path")
-            let measured = match &self.backend {
-                Backend::Ideal => expected,
-                Backend::Circuit(cfg) => {
-                    let drives = self.drives_for(&probe)?;
-                    let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
-                    xb.row_current(phys, &drives, &cfg.options).value() / i_unit
-                }
-                Backend::Noisy(cfg) => {
-                    let samples = self.noisy_samples.as_deref().ok_or(FerexError::NotProgrammed)?;
-                    self.noisy_row_units(samples, &cfg.faults, phys, codes, &probe)
-                }
-            };
-            let div = measured - expected;
+            let div = measured(q).unwrap_or(expected) - expected;
             let tol = policy.scrub_abs_tolerance.max(policy.scrub_rel_tolerance * expected);
             if div.abs() > tol {
                 if div > 0.0 {
@@ -1647,7 +1856,7 @@ impl FerexArray {
                 }
             }
         }
-        Ok(worst.map(|(divergence, expected)| ScrubFinding {
+        worst.map(|(divergence, expected)| ScrubFinding {
             row: row_id,
             divergence,
             expected,
@@ -1656,7 +1865,7 @@ impl FerexArray {
                 (true, false) => FaultAttribution::ExcessCurrent,
                 _ => FaultAttribution::MissingCurrent,
             },
-        }))
+        })
     }
 
     /// Modeled duration of one scrub probe (a single-row read) under the
@@ -1698,24 +1907,28 @@ impl FerexArray {
         if self.row_map.is_empty() {
             self.row_map = vec![RowHealth::Healthy; self.len()];
         }
+        // Every active logical row, then every sentinel, read back in one
+        // probe pass.
+        let sentinel_codes: Vec<Vec<u8>> =
+            (0..self.sentinels()).map(|j| self.sentinel_codeword(j)).collect();
+        let mut probed: Vec<(usize, usize, &[u8])> = (0..self.len())
+            .filter_map(|r| Some((self.physical_row(r)?, r, self.codes.row(r)?)))
+            .collect();
+        let checked_logical = probed.len();
+        probed.extend(
+            sentinel_codes
+                .iter()
+                .enumerate()
+                .map(|(j, c)| (self.sentinel_phys(j), self.len() + j, c.as_slice())),
+        );
+        let rows: Vec<(usize, &[u8])> = probed.iter().map(|&(phys, _, c)| (phys, c)).collect();
+        let readback = self.scrub_readback(&rows)?;
         let mut findings: Vec<ScrubFinding> = Vec::new();
-        let mut checked_logical = 0usize;
-        for r in 0..self.len() {
-            let (Some(phys), Some(codes)) = (self.physical_row(r), self.codes.row(r)) else {
-                continue;
-            };
-            checked_logical += 1;
-            if let Some(f) = self.scrub_row(phys, r, codes, &policy)? {
-                findings.push(f);
-            }
-        }
         let mut sentinel_findings = 0usize;
-        for j in 0..self.sentinels() {
-            let codeword = self.sentinel_codeword(j);
-            let finding =
-                self.scrub_row(self.sentinel_phys(j), self.len() + j, &codeword, &policy)?;
-            if let Some(f) = finding {
-                sentinel_findings += 1;
+        for (i, &(_, row_id, codes)) in probed.iter().enumerate() {
+            let measured = |q: usize| readback.as_ref().and_then(|rb| rb.get(q)?.get(i).copied());
+            if let Some(f) = self.scrub_row(row_id, codes, measured, &policy) {
+                sentinel_findings += usize::from(i >= checked_logical);
                 findings.push(f);
             }
         }
@@ -1933,7 +2146,8 @@ impl FerexArray {
         }
         // The Ideal backend has no physical state, and the Noisy backend
         // reads the stored codes against persistent per-cell samples: for
-        // both, the committed code row *is* the write.
+        // both, the committed code row (with the first-ON levels
+        // `write_slot` re-derived from it) *is* the write.
         if matches!(self.backend, Backend::Ideal) {
             return Ok(());
         }
@@ -2005,10 +2219,10 @@ impl FerexArray {
             }
             None => return Err(FerexError::CapacityExhausted { capacity }),
         };
-        self.codes.set_row(slot, &vector);
+        self.write_slot(slot, Some(&vector));
         if let Err(e) = self.mutation_write_slot(slot) {
             // Never made live: zero the logical contents back out.
-            self.codes.zero_row(slot);
+            self.write_slot(slot, None);
             return Err(e);
         }
         self.mutation_commit_live(id, slot);
@@ -2035,9 +2249,9 @@ impl FerexArray {
         let target = if m.policy.wear_leveling { m.choose_insert_slot() } else { None };
         match target {
             Some(new) if new != old => {
-                self.codes.set_row(new, &vector);
+                self.write_slot(new, Some(&vector));
                 if let Err(e) = self.mutation_write_slot(new) {
-                    self.codes.zero_row(new);
+                    self.write_slot(new, None);
                     return Err(e);
                 }
                 self.mutation_commit_move(id, old, new);
@@ -2046,13 +2260,13 @@ impl FerexArray {
             }
             _ => {
                 let previous = self.row_vector(old).unwrap_or_default();
-                self.codes.set_row(old, &vector);
+                self.write_slot(old, Some(&vector));
                 match self.mutation_write_slot(old) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // Crash consistency: roll the row back to its old
                         // contents, logically and (best-effort) physically.
-                        self.codes.set_row(old, &previous);
+                        self.write_slot(old, Some(&previous));
                         let _ = self.mutation_write_slot(old);
                         Err(e)
                     }
@@ -2107,7 +2321,7 @@ impl FerexArray {
         }
         let report = CompactionReport { reclaimed: reclaimed.len(), rotated: 0 };
         for i in reclaimed {
-            self.codes.zero_row(i);
+            self.write_slot(i, None);
         }
         if report.reclaimed > 0 {
             self.program_report = None;
@@ -2146,11 +2360,11 @@ impl FerexArray {
             return report;
         };
         let vector = self.row_vector(src).unwrap_or_default();
-        self.codes.set_row(dst, &vector);
+        self.write_slot(dst, Some(&vector));
         if self.mutation_write_slot(dst).is_err() {
             // Abandon the rotation: the destination stays free (its stale
             // physical content is excluded from search), no logical change.
-            self.codes.zero_row(dst);
+            self.write_slot(dst, None);
             return report;
         }
         self.mutation_commit_move(id, src, dst);
@@ -2167,7 +2381,7 @@ impl FerexArray {
     /// Crate-internal: replaces slot contents without touching slot state
     /// (phase one of a coordinated mutation, or its rollback).
     pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: &[u32]) {
-        self.codes.set_row(slot, vector);
+        self.write_slot(slot, Some(vector));
     }
 
     /// Crate-internal: marks a prepared slot live for `id` (phase two of a
@@ -2265,6 +2479,70 @@ struct RemapResult {
     burned: usize,
     /// Retry pulses spent bringing spares up.
     retries: usize,
+}
+
+/// The voltages a `Noisy` first-ON derivation compares.
+struct Ladder {
+    /// The search ladder: `search_voltage(j)` for `j ∈ 0..=n_vth_levels`,
+    /// rising in `j`.
+    gates: Vec<Volt>,
+    /// Each stored level's fresh threshold, `vth_level(i)`.
+    fresh: Vec<Volt>,
+}
+
+impl Ladder {
+    /// The first-ON level of a cell with threshold `vth` stored at
+    /// `level`: the count of gates at or below `vth` (a prefix, as the
+    /// ladder rises), or [`NEVER_ON`] when every gate is. A threshold that
+    /// still sits between gates `level` and `level + 1`, where the ladder
+    /// places it, has the count `level + 1` without counting.
+    #[inline]
+    fn first_on(&self, vth: Volt, level: usize) -> u8 {
+        let gates = &self.gates;
+        let below = match (gates.get(level), gates.get(level + 1)) {
+            (Some(&lo), Some(&hi)) if lo <= vth && vth < hi => level + 1,
+            _ => gates.iter().filter(|&&v| v <= vth).count(),
+        };
+        if below < gates.len() {
+            u8::try_from(below).unwrap_or(NEVER_ON)
+        } else {
+            NEVER_ON
+        }
+    }
+}
+
+/// One `Noisy` contribution entry across a row block's lanes: `m / r`
+/// where the gate level reaches the lane's first-ON level, `0.0`
+/// elsewhere. Out of line on purpose: as a function's own arguments, the
+/// lanes are known not to alias, which lets the compiler divide two lanes
+/// per instruction with no branch per lane (a branch on the data-dependent
+/// ON test mispredicts).
+#[inline(never)]
+fn lane_units(
+    entry: &mut [f64; NOISY_BLOCK_ROWS],
+    gate: f64,
+    m: f64,
+    on: &[f64; NOISY_BLOCK_ROWS],
+    r: &[f64; NOISY_BLOCK_ROWS],
+) {
+    for ((entry, &on), &r) in entry.iter_mut().zip(on).zip(r) {
+        *entry = if gate >= on { m / r } else { 0.0 };
+    }
+}
+
+/// One query's sums over a row block: each lane adds the `terms` entries
+/// of its row in order. Out of line on purpose: on its own, the compiler
+/// keeps the lanes' sums in registers, two per instruction, where inside
+/// the kernel it shuffled and spilled them and ran half as fast.
+#[inline(never)]
+fn lane_sums(table: &[[f64; NOISY_BLOCK_ROWS]], terms: &[usize]) -> [f64; NOISY_BLOCK_ROWS] {
+    let mut sums = [0.0f64; NOISY_BLOCK_ROWS];
+    for entry in terms.iter().filter_map(|&e| table.get(e)) {
+        for (sum, &units) in sums.iter_mut().zip(entry) {
+            *sum += units; // lint:allow(float-order/accumulation, reason = "each lane adds one row's non-negative terms in the fixed d-major, FeFET-minor order")
+        }
+    }
+    sums
 }
 
 /// Programs one physical crossbar row with the encoding of `codes`,
@@ -2442,6 +2720,32 @@ mod tests {
         );
         a.store(vec![255, 0, 1, 2]).unwrap();
         assert_eq!(a.row_vector(0), Some(vec![255, 0, 1, 2]), "255 survives the byte store");
+    }
+
+    #[test]
+    fn copied_rows_equal_stored_rows() {
+        let mut source = hamming_array(3, Backend::Ideal);
+        source.store_all([vec![0, 3, 1], vec![2, 2, 2]]).unwrap();
+        source.distances(&[0, 0, 0]).unwrap(); // builds the bit-planes
+        let mut copy = hamming_array(3, noisy_cfg(1));
+        copy.copy_rows_from(&source).unwrap();
+        assert_eq!(rows(&copy), rows(&source));
+        assert_eq!(copy.soa_codes().cached_planes(), source.soa_codes().cached_planes());
+        assert!(!copy.is_programmed(), "a copy re-stales the physical state");
+        // The copy checks the rows against its own shape and alphabet.
+        let mut narrow = hamming_array(2, Backend::Ideal);
+        assert_eq!(
+            narrow.copy_rows_from(&source),
+            Err(FerexError::DimensionMismatch { expected: 2, got: 3 })
+        );
+        let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 1);
+        let one_bit = find_minimal_cell(&dm, &SizingOptions::default()).unwrap().encoding;
+        let mut binary = FerexArray::new(Technology::default(), one_bit, 3, Backend::Ideal);
+        assert_eq!(
+            binary.copy_rows_from(&source),
+            Err(FerexError::SymbolOutOfRange { value: 3, n_values: 2 })
+        );
+        assert!(binary.is_empty(), "a refused copy changes nothing");
     }
 
     #[test]
@@ -2748,13 +3052,15 @@ mod tests {
             endurance_cycles: 1.0e8,
             ..Default::default()
         };
-        // Full variation on top of the faults: the scalar and batched reads
-        // must still agree bit-for-bit.
+        // Full variation on top of the faults: batched and single reads
+        // must both equal the row-loop reference bit for bit.
         let cfg = CircuitConfig { faults: plan, seed: 21, ..Default::default() };
         let (a, queries) = batch_fixture(Backend::Noisy(Box::new(cfg)));
         let batched = a.distances_batch(&queries).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], a.distances(q).unwrap(), "query {i}");
+            let want = noisy_reference::reference(&a, q);
+            assert_eq!(batched[i], want, "query {i}");
+            assert_eq!(a.distances(q).unwrap(), want, "query {i}, read alone");
         }
     }
 
@@ -3316,5 +3622,261 @@ mod tests {
         assert_eq!(w.total_writes, 3);
         // A non-mutating array reports zero wear.
         assert_eq!(hamming_array(4, Backend::Ideal).wear(), WearSummary::default());
+    }
+
+    // ------------------------------------------------------------------
+    // The Noisy kernel against an independent reference.
+    // ------------------------------------------------------------------
+
+    mod noisy_reference {
+        use super::*;
+        use ferex_fefet::math::splitmix64;
+        use proptest::prelude::*;
+
+        /// Symbols per stored vector: small, so a case stays cheap.
+        const DIM: usize = 5;
+
+        /// The per-query row loop the Noisy reads once ran, kept as the
+        /// reference: every driven cell of physical row `phys` (holding
+        /// `codes`) is judged from its sample and fault state with the
+        /// float gate comparison `V_gate > V_th`, and the ON cells' `m /
+        /// r_factor` currents are summed d-major, FeFET-minor.
+        fn reference_row(a: &FerexArray, phys: usize, codes: &[u8], query: &[u32]) -> f64 {
+            let k = a.encoding.k;
+            let cols = a.physical_cols();
+            let mut units = 0.0f64;
+            for (d, (&s, &q)) in codes.iter().zip(query).enumerate() {
+                let st = &a.encoding.stored[usize::from(s)];
+                let se = &a.encoding.search[q as usize];
+                for f in 0..k {
+                    let m = se.vds_multiples[f];
+                    if m == 0 {
+                        continue;
+                    }
+                    let cell = reference_cell(a, phys * cols + d * k + f, st.vth_levels[f]);
+                    let v_gate = a.tech.search_voltage(se.vgs_levels[f]);
+                    if cell.vth.is_some_and(|vth| v_gate > vth) {
+                        units += m as f64 / cell.r_factor;
+                    }
+                }
+            }
+            units
+        }
+
+        /// Cell `index`'s threshold and resistor factor, programmed to
+        /// `level`, straight from its sample and fault state.
+        fn reference_cell(a: &FerexArray, index: usize, level: usize) -> EffectiveCell {
+            let (Some(samples), Backend::Noisy(cfg)) = (a.noisy_samples.as_deref(), &a.backend)
+            else {
+                panic!("the reference reads a programmed Noisy array");
+            };
+            let sample = &samples[index];
+            match (&a.fault_map, &a.aged_vth) {
+                (Some(map), Some(aged)) => {
+                    cfg.faults.effective_cell(&a.tech, map[index], aged, level, sample)
+                }
+                _ => EffectiveCell {
+                    vth: Some(a.tech.vth_level(level) + sample.dvth),
+                    r_factor: sample.r_factor,
+                },
+            }
+        }
+
+        /// Every row a read or a scrub reaches — each slot's serving
+        /// physical row, with the slot's codes, then each sentinel, with
+        /// its codeword.
+        fn reachable_rows(a: &FerexArray) -> Vec<(usize, Vec<u8>)> {
+            let mut rows: Vec<(usize, Vec<u8>)> = (0..a.len())
+                .filter_map(|r| Some((a.phys_for_slot(r)?, a.codes.row(r)?.to_vec())))
+                .collect();
+            rows.extend((0..a.sentinels()).map(|j| (a.sentinel_phys(j), a.sentinel_codeword(j))));
+            rows
+        }
+
+        /// The stored first-ON levels of every reachable row equal a fresh
+        /// derivation: the first ladder level whose gate voltage exceeds the
+        /// cell's threshold.
+        fn assert_levels_fresh(a: &FerexArray) {
+            let levels = a.first_on.as_deref().expect("a programmed Noisy array keeps levels");
+            let ladder: Vec<Volt> =
+                (0..=a.tech.n_vth_levels).map(|j| a.tech.search_voltage(j)).collect();
+            let (k, cols) = (a.encoding.k, a.physical_cols());
+            for (phys, codes) in reachable_rows(a) {
+                for (d, &s) in codes.iter().enumerate() {
+                    for f in 0..k {
+                        let index = phys * cols + d * k + f;
+                        let level = a.encoding.stored[usize::from(s)].vth_levels[f];
+                        let want = reference_cell(a, index, level)
+                            .vth
+                            .and_then(|vth| ladder.iter().position(|&v| v > vth))
+                            .map_or(NEVER_ON, |j| j as u8);
+                        assert_eq!(
+                            levels[index], want,
+                            "stale first-ON level at row {phys}, cell {d}.{f}"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The scrub probe reads every reachable row like the reference.
+        fn assert_probe_matches(a: &FerexArray) {
+            let rows = reachable_rows(a);
+            let probed: Vec<(usize, &[u8])> =
+                rows.iter().map(|(p, c)| (*p, c.as_slice())).collect();
+            let readback =
+                a.scrub_readback(&probed).expect("programmed").expect("Noisy reads back");
+            for (q, units) in readback.iter().enumerate() {
+                let probe = vec![q as u32; DIM];
+                for (&(phys, codes), &got) in probed.iter().zip(units) {
+                    let want = reference_row(a, phys, codes, &probe);
+                    assert_eq!(got.to_bits(), want.to_bits(), "probe {q} of row {phys}");
+                }
+            }
+        }
+
+        /// The reference for one query over every logical row; rows
+        /// excluded from search read `INFINITY`.
+        pub(super) fn reference(a: &FerexArray, q: &[u32]) -> Vec<f64> {
+            (0..a.len())
+                .map(|r| match (a.physical_row(r), a.codes.row(r)) {
+                    (Some(phys), Some(codes)) => reference_row(a, phys, codes, q),
+                    _ => f64::INFINITY,
+                })
+                .collect()
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|d| d.to_bits()).collect()
+        }
+
+        fn vector(seed: u64, n: usize) -> Vec<u32> {
+            (0..DIM as u64).map(|d| (splitmix64(seed ^ (d << 40)) % n as u64) as u32).collect()
+        }
+
+        /// Every Noisy read equals the reference bit for bit — batches of
+        /// one, two and three queries and larger ones, single reads and
+        /// the scrub probe — and the stored first-ON levels are fresh.
+        fn assert_reads_match(a: &FerexArray, seed: u64) {
+            let n = a.encoding.n_search();
+            for batch in [1usize, 2, 3, 9, 20] {
+                let qs: Vec<Vec<u32>> =
+                    (0..batch as u64).map(|i| vector(splitmix64(seed ^ i), n)).collect();
+                let want: Vec<Vec<f64>> = qs.iter().map(|q| reference(a, q)).collect();
+                match a.distances_batch(&qs) {
+                    Ok(got) => {
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(bits(g), bits(w), "batch of {batch} left the reference");
+                        }
+                    }
+                    Err(e) => {
+                        assert_eq!(e, FerexError::Empty, "batch of {batch}");
+                        assert!(
+                            want.iter().flatten().all(|d| d.is_infinite()),
+                            "refused a servable array"
+                        );
+                    }
+                }
+                if let Ok(single) = a.distances(&qs[0]) {
+                    assert_eq!(bits(&single), bits(&want[0]), "single read left the reference");
+                }
+            }
+            assert_levels_fresh(a);
+            assert_probe_matches(a);
+        }
+
+        fn plan(idx: usize) -> FaultPlan {
+            match idx {
+                0 => FaultPlan::none(),
+                1 => FaultPlan { sa0_rate: 0.08, sa1_rate: 0.08, ..Default::default() },
+                2 => FaultPlan {
+                    open_rate: 0.08,
+                    short_rate: 0.1,
+                    short_residual_r: 0.4,
+                    ..Default::default()
+                },
+                3 => FaultPlan {
+                    endurance_cycles: 1.0e9,
+                    retention_seconds: 1.0e7,
+                    ..Default::default()
+                },
+                _ => FaultPlan {
+                    sa0_rate: 0.05,
+                    sa1_rate: 0.05,
+                    open_rate: 0.05,
+                    short_rate: 0.05,
+                    retention_seconds: 1.0e7,
+                    endurance_cycles: 1.0e8,
+                    ..Default::default()
+                },
+            }
+        }
+
+        proptest! {
+            /// Every Noisy read, at every batch size, equals the row-loop
+            /// reference after every step of an arbitrary schedule: each
+            /// fault plan (aging and shorts included), with and without
+            /// variation, write-verify trims, remaps onto spares,
+            /// exclusions, sentinel scrubs, and the slot-table mutators.
+            /// The stored first-ON levels equal a fresh derivation after
+            /// every step.
+            #[test]
+            fn noisy_reads_match_the_row_loop_reference(
+                rows in 1usize..40,
+                metric_idx in 0usize..3,
+                plan_idx in 0usize..5,
+                mode in 0usize..3,
+                nominal in any::<bool>(),
+                ops in prop::collection::vec((0u8..8, any::<u64>()), 0..10),
+                seed in 0u64..1_000,
+            ) {
+                let metric = DistanceMetric::ALL[metric_idx];
+                let dm = DistanceMatrix::from_metric(metric, 2);
+                let enc = find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes").encoding;
+                let n = enc.n_stored();
+                // Without variation write-verify trims nothing, so a spare
+                // brought up gets its levels from the remap alone.
+                let variation = if nominal { VariationModel::none() } else { VariationModel::default() };
+                let cfg = CircuitConfig { variation, faults: plan(plan_idx), seed, ..Default::default() };
+                let mut a = FerexArray::new(Technology::default(), enc, DIM, Backend::Noisy(Box::new(cfg)));
+                // Mode 0: plain program. Mode 1: write-verify with spares
+                // and sentinels. Mode 2: the slot table, verified too.
+                if mode >= 1 {
+                    a.set_repair_policy(RepairPolicy { spare_rows: 3, sentinel_rows: 2, ..Default::default() })
+                        .expect("valid policy");
+                }
+                if mode == 2 {
+                    a.enable_mutation(MutationPolicy::with_capacity(rows + 4)).expect("valid policy");
+                    for id in 0..rows as u64 {
+                        a.insert(id, vector(seed ^ (id << 8), n)).expect("capacity");
+                    }
+                } else {
+                    a.store_all((0..rows as u64).map(|r| vector(seed ^ (r << 8), n))).expect("valid");
+                }
+                if mode >= 1 {
+                    let _ = a.program_verified();
+                }
+                a.program();
+                assert_reads_match(&a, seed);
+                let mut next_id = 1_000u64;
+                for &(op, e) in &ops {
+                    let ids = a.live_ids();
+                    let id = ids.get((e >> 8) as usize % ids.len().max(1)).copied().unwrap_or(0);
+                    match op {
+                        0 if a.mutation_enabled() => {
+                            let _ = a.insert(next_id, vector(e, n));
+                            next_id += 1;
+                        }
+                        1 if a.mutation_enabled() => { let _ = a.update_id(id, vector(e, n)); }
+                        2 if a.mutation_enabled() => { let _ = a.delete(id); }
+                        3 => { a.compact(); }
+                        4 => { a.maintenance(); }
+                        5 => { let _ = a.scrub(); }
+                        _ => { let _ = a.quarantine_row((e >> 8) as usize % a.len()); }
+                    }
+                    assert_reads_match(&a, e);
+                }
+            }
+        }
     }
 }

@@ -456,7 +456,7 @@ impl Ferex {
                     a.insert(id, v)?;
                 }
             } else {
-                a.store_all((0..self.array.len()).filter_map(|r| self.array.row_vector(r)))?;
+                a.copy_rows_from(&self.array)?;
             }
             if self.array.repair_policy().is_some() {
                 a.program_verified()?;

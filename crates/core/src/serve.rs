@@ -66,6 +66,11 @@ impl CostModel {
     /// 64-query × 10k-row measurement: the batched kernel ran 5.7x faster
     /// per query than the sequential path, which `(52 + 10·B)/B` ticks
     /// reproduces at `B = 64` (62 ticks alone vs ~10.8 amortized).
+    ///
+    /// These constants still reflect the per-read contribution table the
+    /// Noisy kernel once rebuilt, not today's first-ON block kernel. They
+    /// stay as they are because the pinned load reports replay them;
+    /// ROADMAP item 2 derives the model from counted work instead.
     pub fn noisy_10k() -> Self {
         CostModel { batch_setup_ticks: 52, per_query_ticks: 10 }
     }

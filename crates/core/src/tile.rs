@@ -247,8 +247,8 @@ impl TiledArray {
     /// Accumulated distances for every query of a batch, served through
     /// each tile's [`FerexArray::distances_batch`] — so every tile
     /// independently dispatches to its kernel (bit-plane popcount,
-    /// contiguous LUT, contribution table, or per-query loop; see
-    /// [`FerexArray::batch_kernel`]). Partials accumulate in tile order per
+    /// contiguous LUT, the Noisy first-ON kernel, or the per-query Circuit
+    /// solve; see [`FerexArray::batch_kernel`]). Partials accumulate in tile order per
     /// row, so a query's totals do not depend on the batch it rides in.
     ///
     /// # Errors

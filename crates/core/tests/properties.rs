@@ -357,14 +357,14 @@ proptest! {
     /// The batched SoA/bit-sliced kernels are exact and batch-independent
     /// — for every metric (Hamming exercises the packed bit-plane popcount
     /// kernel, Manhattan/Euclidean² the per-query LUT kernel), every
-    /// backend (Noisy additionally crosses between the per-query row loop
-    /// and the dense contribution table as the batch grows), under
-    /// hard-fault/aging plans, and with quarantined (excluded) or spared
-    /// (remapped) rows in the mix. `distances_batch` must reproduce a loop
-    /// of `distances` calls exactly, INFINITY sentinels included; on Ideal
-    /// every row must also equal the independent f64 reference
-    /// `Σ cell_current(q, s)` over its stored vector; and the full search
-    /// path on top of it must reproduce `search_at`.
+    /// backend, under hard-fault/aging plans, and with quarantined
+    /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
+    /// must reproduce a loop of `distances` calls exactly, INFINITY
+    /// sentinels included; on Ideal every row must also equal the
+    /// independent f64 reference `Σ cell_current(q, s)` over its stored
+    /// vector (the Noisy kernel's independent reference, the row loop it
+    /// replaced, is the `noisy_reference` property test in `array.rs`);
+    /// and the full search path on top of it must reproduce `search_at`.
     #[test]
     fn batched_kernels_are_bit_identical_to_scalar_path(
         data in prop::collection::vec(prop::collection::vec(0u32..4, 6), 2..7),
