@@ -46,9 +46,7 @@ use crate::health::{
     FaultAttribution, HealthCounters, HealthSnapshot, ProgramReport, RepairPolicy, RowHealth,
     ScrubFinding, ScrubReport, SpareState,
 };
-use crate::mutate::{
-    CompactionReport, MutableNode, MutationPolicy, MutationState, SlotState, WearSummary,
-};
+use crate::mutate::{CompactionReport, MutationPolicy, MutationState, SlotState, WearSummary};
 use crate::soa::{self, SoaCodes};
 use ferex_analog::crossbar::{ArrayOptions, ColumnDrive, Crossbar};
 use ferex_analog::delay::DelayModel;
@@ -64,7 +62,7 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Domain-separation salt for per-query sensing streams, keeping them
-/// disjoint from the per-tile seed derivation that feeds the same mixer.
+/// disjoint from the other seed derivations that feed the same mixer.
 const QUERY_STREAM_SALT: u64 = 0x51E0_D9AD_35B6_9E21;
 
 /// The first-ON level of a `Noisy` cell that no gate level turns on: a
@@ -328,7 +326,7 @@ impl FerexArray {
     /// re-programmed on the next search.
     pub fn reconfigure(&mut self, encoding: CellEncoding) -> Result<(), FerexError> {
         let n_values = encoding.n_stored();
-        if let Some(&c) = self.codes.as_slice().iter().find(|&&c| usize::from(c) >= n_values) {
+        if let Some(c) = soa::first_out_of_range(self.codes.as_slice(), n_values) {
             return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
         }
         self.codes.set_plane_bits(soa::plane_bits(&encoding));
@@ -431,11 +429,11 @@ impl FerexArray {
 
     /// Checks that a vector has this array's dimension and that every
     /// symbol is representable under the current encoding, without storing
-    /// anything (used by callers that need all-or-nothing store semantics,
-    /// e.g. [`crate::tile::TiledArray::store`]). Symbols must also be below
-    /// 256, whatever the encoding's alphabet: the array stores one byte per
-    /// symbol, so this cap is what makes that store lossless (the CSP
-    /// encoder never exceeds 64 levels).
+    /// anything (used by callers that must refuse bad input before any
+    /// state changes, e.g. [`crate::replica::ReplicaSet::check_query`]).
+    /// Symbols must also be below 256, whatever the encoding's alphabet:
+    /// the array stores one byte per symbol, so this cap is what makes that
+    /// store lossless (the CSP encoder never exceeds 64 levels).
     ///
     /// # Errors
     ///
@@ -446,8 +444,8 @@ impl FerexArray {
             return Err(FerexError::DimensionMismatch { expected: self.dim, got: vector.len() });
         }
         let n_values = self.n_codes();
-        match vector.iter().find(|&&s| s as usize >= n_values) {
-            Some(&value) => Err(FerexError::SymbolOutOfRange { value, n_values }),
+        match soa::first_out_of_range(vector, n_values) {
+            Some(value) => Err(FerexError::SymbolOutOfRange { value, n_values }),
             None => Ok(()),
         }
     }
@@ -504,7 +502,7 @@ impl FerexArray {
             return Err(FerexError::DimensionMismatch { expected: self.dim, got: source.dim });
         }
         let n_values = self.n_codes();
-        if let Some(&c) = source.codes.as_slice().iter().find(|&&c| usize::from(c) >= n_values) {
+        if let Some(c) = soa::first_out_of_range(source.codes.as_slice(), n_values) {
             return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
         }
         self.codes = source.codes.clone();
@@ -1321,7 +1319,7 @@ impl FerexArray {
     /// maximum if `adc.full_scale` is zero). Returns per-row distance
     /// *codes* plus the conversion cost — the readout mode used when the
     /// application needs distance values rather than just the argmin
-    /// (e.g. cross-tile accumulation or confidence scores).
+    /// (e.g. confidence scores).
     ///
     /// # Errors
     ///
@@ -2053,13 +2051,13 @@ impl FerexArray {
 
     /// The installed mutation policy, if mutation is enabled.
     pub fn mutation_policy(&self) -> Option<&MutationPolicy> {
-        self.mutation.as_ref().map(|m| &m.policy)
+        self.mutation.as_ref().map(MutationState::policy)
     }
 
     /// Occupancy of physical slot `slot` (`None` out of range or when
     /// mutation is disabled).
     pub fn slot_state(&self, slot: usize) -> Option<SlotState> {
-        self.mutation.as_ref().and_then(|m| m.slots.get(slot).copied())
+        self.mutation.as_ref().and_then(|m| m.slot(slot))
     }
 
     /// The logical id slot `slot` serves, when live.
@@ -2128,16 +2126,13 @@ impl FerexArray {
     /// [`FerexError::VerifyFailed`] under a strict repair policy;
     /// [`FerexError::NotProgrammed`] when the physical state vanished
     /// mid-write.
-    pub(crate) fn mutation_write_slot(&mut self, slot: usize) -> Result<(), FerexError> {
+    fn mutation_write_slot(&mut self, slot: usize) -> Result<(), FerexError> {
         let Some(m) = self.mutation.as_mut() else {
             return Err(FerexError::InvalidPolicy {
                 what: "mutation is not enabled on this array",
             });
         };
-        m.writes += 1;
-        if let Some(c) = m.row_cycles.get_mut(slot) {
-            *c += 1;
-        }
+        m.bump_cycles(slot);
         // Whatever verify report was cached describes the pre-mutation
         // contents.
         self.program_report = None;
@@ -2206,7 +2201,7 @@ impl FerexArray {
         if m.id_to_slot.contains_key(&id) {
             return Err(FerexError::DuplicateId { id });
         }
-        let capacity = m.policy.capacity;
+        let capacity = m.policy().capacity;
         let slot = match m.choose_insert_slot() {
             Some(s) => s,
             None if m.tombstones() > 0 => {
@@ -2246,7 +2241,7 @@ impl FerexArray {
         let Some(&old) = m.id_to_slot.get(&id) else {
             return Err(FerexError::UnknownId { id });
         };
-        let target = if m.policy.wear_leveling { m.choose_insert_slot() } else { None };
+        let target = if m.policy().wear_leveling { m.choose_insert_slot() } else { None };
         match target {
             Some(new) if new != old => {
                 self.write_slot(new, Some(&vector));
@@ -2292,9 +2287,7 @@ impl FerexArray {
         let Some(slot) = m.id_to_slot.remove(&id) else {
             return Err(FerexError::UnknownId { id });
         };
-        if let Some(s) = m.slots.get_mut(slot) {
-            *s = SlotState::Dead;
-        }
+        m.set_slot(slot, SlotState::Dead);
         // The cached verify report counted this row live.
         self.program_report = None;
         self.maybe_auto_compact();
@@ -2311,14 +2304,7 @@ impl FerexArray {
         let Some(m) = self.mutation.as_mut() else {
             return CompactionReport::default();
         };
-        m.compactions += 1;
-        let mut reclaimed = Vec::new();
-        for (i, s) in m.slots.iter_mut().enumerate() {
-            if matches!(s, SlotState::Dead) {
-                *s = SlotState::Free;
-                reclaimed.push(i);
-            }
-        }
+        let reclaimed = m.reclaim_tombstones();
         let report = CompactionReport { reclaimed: reclaimed.len(), rotated: 0 };
         for i in reclaimed {
             self.write_slot(i, None);
@@ -2356,7 +2342,7 @@ impl FerexArray {
         let Some((src, dst)) = m.rotation_candidate() else {
             return report;
         };
-        let Some(SlotState::Live(id)) = m.slots.get(src).copied() else {
+        let Some(SlotState::Live(id)) = m.slot(src) else {
             return report;
         };
         let vector = self.row_vector(src).unwrap_or_default();
@@ -2372,89 +2358,24 @@ impl FerexArray {
         report
     }
 
-    /// Crate-internal: the mutation book-keeping, for the tiled array's
-    /// two-phase coordination.
-    pub(crate) fn mutation_state(&self) -> Option<&MutationState> {
-        self.mutation.as_ref()
-    }
-
-    /// Crate-internal: replaces slot contents without touching slot state
-    /// (phase one of a coordinated mutation, or its rollback).
-    pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: &[u32]) {
-        self.write_slot(slot, Some(vector));
-    }
-
-    /// Crate-internal: marks a prepared slot live for `id` (phase two of a
-    /// coordinated insert). Infallible and purely logical.
-    pub(crate) fn mutation_commit_live(&mut self, id: u64, slot: usize) {
+    /// Marks a written slot live for `id` (the commit of an insert).
+    /// Infallible and purely logical.
+    fn mutation_commit_live(&mut self, id: u64, slot: usize) {
         if let Some(m) = self.mutation.as_mut() {
-            if let Some(s) = m.slots.get_mut(slot) {
-                *s = SlotState::Live(id);
-            }
+            m.set_slot(slot, SlotState::Live(id));
             m.id_to_slot.insert(id, slot);
         }
     }
 
-    /// Crate-internal: commits a move of `id` from `src` to the prepared
-    /// slot `dst`, tombstoning `src` (phase two of a coordinated
-    /// out-of-place update or wear rotation). Infallible and purely
-    /// logical.
-    pub(crate) fn mutation_commit_move(&mut self, id: u64, src: usize, dst: usize) {
+    /// Commits a move of `id` from `src` to the written slot `dst`,
+    /// tombstoning `src` (the commit of an out-of-place update or a wear
+    /// rotation). Infallible and purely logical.
+    fn mutation_commit_move(&mut self, id: u64, src: usize, dst: usize) {
         if let Some(m) = self.mutation.as_mut() {
-            if let Some(s) = m.slots.get_mut(dst) {
-                *s = SlotState::Live(id);
-            }
-            if let Some(s) = m.slots.get_mut(src) {
-                *s = SlotState::Dead;
-            }
+            m.set_slot(dst, SlotState::Live(id));
+            m.set_slot(src, SlotState::Dead);
             m.id_to_slot.insert(id, dst);
         }
-    }
-}
-
-impl MutableNode for FerexArray {
-    fn insert(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
-        FerexArray::insert(self, id, vector)
-    }
-
-    fn update(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
-        FerexArray::update_id(self, id, vector)
-    }
-
-    fn delete(&mut self, id: u64) -> Result<(), FerexError> {
-        FerexArray::delete(self, id)
-    }
-
-    fn compact(&mut self) -> CompactionReport {
-        FerexArray::compact(self)
-    }
-
-    fn maintenance(&mut self) -> CompactionReport {
-        FerexArray::maintenance(self)
-    }
-
-    fn slot_of(&self, id: u64) -> Option<usize> {
-        FerexArray::slot_of(self, id)
-    }
-
-    fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
-        FerexArray::vector_of(self, id)
-    }
-
-    fn live_ids(&self) -> Vec<u64> {
-        FerexArray::live_ids(self)
-    }
-
-    fn live_len(&self) -> usize {
-        FerexArray::live_len(self)
-    }
-
-    fn tombstones(&self) -> usize {
-        FerexArray::tombstones(self)
-    }
-
-    fn wear(&self) -> WearSummary {
-        FerexArray::wear(self)
     }
 }
 
@@ -3489,7 +3410,7 @@ mod tests {
         assert_eq!(a.slot_of(1), Some(0));
         // Re-enable leveling for the maintenance step.
         if let Some(m) = a.mutation.as_mut() {
-            m.policy.wear_leveling = true;
+            m.set_wear_leveling(true);
         }
         let report = a.maintenance();
         assert_eq!(report.rotated, 1);

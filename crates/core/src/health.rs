@@ -6,9 +6,8 @@
 //! online scrub walks the array between batches to catch retention drift and
 //! latent hard faults before they surface as wrong nearest neighbors. This
 //! module holds the knobs ([`RepairPolicy`]) and the structured results
-//! ([`ProgramReport`], [`ScrubReport`], [`HealthSnapshot`]) shared by
-//! [`FerexArray`](crate::array::FerexArray) and
-//! [`TiledArray`](crate::tile::TiledArray).
+//! ([`ProgramReport`], [`ScrubReport`], [`HealthSnapshot`]) of
+//! [`FerexArray`](crate::array::FerexArray).
 
 use ferex_fefet::VerifyPolicy;
 
@@ -237,7 +236,7 @@ pub struct HealthCounters {
 /// Point-in-time health view of an array: row and spare health only,
 /// cheap enough for the replica router to read on every batch. Wear
 /// under online mutation is a separate surface,
-/// [`MutableNode::wear`](crate::mutate::MutableNode::wear).
+/// [`FerexArray::wear`](crate::array::FerexArray::wear).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HealthSnapshot {
     /// Lifetime counters.

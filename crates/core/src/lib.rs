@@ -66,7 +66,6 @@ pub mod serve;
 pub mod sizing;
 mod soa;
 pub mod stats;
-pub mod tile;
 pub mod verify;
 
 pub use array::{Backend, CircuitConfig, FerexArray, SearchOutcome};
@@ -80,7 +79,7 @@ pub use health::{
     ScrubFinding, ScrubReport,
 };
 pub use latency::{qln_quantile_milli, HedgePolicy, LatencyModel};
-pub use mutate::{CompactionReport, MutableNode, MutationPolicy, SlotState, WearSummary};
+pub use mutate::{CompactionReport, MutationPolicy, SlotState, WearSummary};
 pub use replica::{
     derive_replica_seed, replicate_backend, BreakerPolicy, BreakerState, BrownoutPolicy,
     QuorumPolicy, ReplicaNode, ReplicaPolicy, ReplicaSet, ReplicaSetStats, ReplicaStatus,
@@ -97,5 +96,4 @@ pub use feasibility::{
     FeasibilityError, FeasibilityOutcome, FeasibleRegion, FetRow, RowConfig,
 };
 pub use sizing::{current_range, find_minimal_cell, SizingOptions, SizingReport};
-pub use tile::TiledArray;
 pub use verify::{cosimulate, CosimReport, PairMeasurement};

@@ -32,12 +32,12 @@
 //! so the counters isolate exactly the differential wear that online
 //! churn adds. Leveling reads only those cycle counts, never the
 //! endurance model. Slot choices are pure functions of `(slots, cycles)`
-//! — never of the repair row map — so two arrays (or the per-dimension
-//! tiles of a [`TiledArray`](crate::tile::TiledArray)) fed the same
-//! mutation sequence always converge to the same layout.
+//! — never of the repair row map — so two arrays (the replicas of a
+//! [`ReplicaSet`](crate::replica::ReplicaSet)) fed the same mutation
+//! sequence always converge to the same layout.
 
 use crate::error::FerexError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Knobs of the online-mutation subsystem. Construct via
 /// [`MutationPolicy::with_capacity`] and adjust fields as needed.
@@ -136,21 +136,34 @@ impl WearSummary {
 }
 
 /// Book-keeping state of a mutation-enabled array. Crate-internal: the
-/// arrays own one and expose typed accessors.
+/// array owns one and exposes typed accessors.
+///
+/// Every change to a slot's state or cycle count goes through
+/// [`MutationState::set_slot`] or [`MutationState::bump_cycles`], which keep
+/// two indexes in step with the slot table: the free slots, ordered by the
+/// insert rule, and the tombstone count. An insert's slot choice and the
+/// auto-compaction check then read an index instead of scanning every
+/// slot.
 #[derive(Debug, Clone)]
 pub(crate) struct MutationState {
-    pub(crate) policy: MutationPolicy,
+    policy: MutationPolicy,
     /// One entry per physical slot (row) — `slots.len() == capacity`.
-    pub(crate) slots: Vec<SlotState>,
+    slots: Vec<SlotState>,
     /// Logical id → slot index. A `BTreeMap` so iteration order is the id
     /// order — deterministic, per the serving-crate lint rules.
     pub(crate) id_to_slot: BTreeMap<u64, usize>,
     /// Mutation-path write attempts per physical slot.
-    pub(crate) row_cycles: Vec<u64>,
+    row_cycles: Vec<u64>,
+    /// Every `Free` slot as `(key, slot)`: the key is the slot's cycle
+    /// count under wear leveling and 0 without it, so the first entry is
+    /// the insert rule's choice, ties to the lowest index.
+    free: BTreeSet<(u64, usize)>,
+    /// Count of `Dead` slots.
+    dead: usize,
     /// Compaction passes run.
-    pub(crate) compactions: u64,
+    compactions: u64,
     /// Lifetime mutation-path write attempts.
-    pub(crate) writes: u64,
+    writes: u64,
 }
 
 impl MutationState {
@@ -167,8 +180,63 @@ impl MutationState {
             slots,
             id_to_slot,
             row_cycles: vec![0; capacity],
+            free: (initial_live.min(capacity)..capacity).map(|r| (0, r)).collect(),
+            dead: 0,
             compactions: 0,
             writes: 0,
+        }
+    }
+
+    pub(crate) fn policy(&self) -> &MutationPolicy {
+        &self.policy
+    }
+
+    /// Occupancy of slot `slot`; `None` out of range.
+    pub(crate) fn slot(&self, slot: usize) -> Option<SlotState> {
+        self.slots.get(slot).copied()
+    }
+
+    fn cycles(&self, slot: usize) -> u64 {
+        self.row_cycles.get(slot).copied().unwrap_or(0)
+    }
+
+    /// Slot `slot`'s entry in the free-slot index.
+    fn free_key(&self, slot: usize) -> (u64, usize) {
+        (if self.policy.wear_leveling { self.cycles(slot) } else { 0 }, slot)
+    }
+
+    /// Sets slot `slot`'s occupancy (a no-op out of range), keeping the
+    /// free-slot index and the tombstone count in step.
+    pub(crate) fn set_slot(&mut self, slot: usize, state: SlotState) {
+        let key = self.free_key(slot);
+        let Some(s) = self.slots.get_mut(slot) else { return };
+        match std::mem::replace(s, state) {
+            SlotState::Free => {
+                self.free.remove(&key);
+            }
+            SlotState::Dead => self.dead -= 1,
+            SlotState::Live(_) => {}
+        }
+        match state {
+            SlotState::Free => {
+                self.free.insert(key);
+            }
+            SlotState::Dead => self.dead += 1,
+            SlotState::Live(_) => {}
+        }
+    }
+
+    /// Counts one mutation-path write attempt on `slot`: one more lifetime
+    /// write and one more cycle on the slot, re-keying it in the free-slot
+    /// index when it is free.
+    pub(crate) fn bump_cycles(&mut self, slot: usize) {
+        self.writes += 1;
+        let old = self.free_key(slot);
+        if let Some(c) = self.row_cycles.get_mut(slot) {
+            *c += 1;
+        }
+        if self.free.remove(&old) {
+            self.free.insert(self.free_key(slot));
         }
     }
 
@@ -177,30 +245,40 @@ impl MutationState {
     }
 
     pub(crate) fn tombstones(&self) -> usize {
-        self.slots.iter().filter(|s| matches!(s, SlotState::Dead)).count()
+        self.dead
     }
 
     pub(crate) fn is_live(&self, slot: usize) -> bool {
-        matches!(self.slots.get(slot), Some(SlotState::Live(_)))
+        matches!(self.slot(slot), Some(SlotState::Live(_)))
     }
 
     /// The slot an insert (or out-of-place update) should write: with wear
     /// leveling the coldest free slot (ties to the lowest index), without
     /// it the lowest-index free slot. Depends only on `(slots, cycles)` —
-    /// never on repair-map state — so independent tiles and replicas fed
-    /// the same operations choose identically.
+    /// never on repair-map state — so replicas fed the same operations
+    /// choose identically.
     pub(crate) fn choose_insert_slot(&self) -> Option<usize> {
-        let free = self
+        self.free.first().map(|&(_, slot)| slot)
+    }
+
+    /// Reclaims every tombstoned slot to `Free` and counts one compaction
+    /// pass; returns the reclaimed slots, ascending.
+    pub(crate) fn reclaim_tombstones(&mut self) -> Vec<usize> {
+        self.compactions += 1;
+        if self.dead == 0 {
+            return Vec::new();
+        }
+        let reclaimed: Vec<usize> = self
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s, SlotState::Free))
-            .map(|(i, _)| i);
-        if self.policy.wear_leveling {
-            free.min_by_key(|&i| (self.row_cycles.get(i).copied().unwrap_or(0), i))
-        } else {
-            free.min_by_key(|&i| i)
+            .filter(|(_, s)| matches!(s, SlotState::Dead))
+            .map(|(i, _)| i)
+            .collect();
+        for &i in &reclaimed {
+            self.set_slot(i, SlotState::Free);
         }
+        reclaimed
     }
 
     /// The hottest live slot (max cycles, ties to the lowest index) — the
@@ -211,7 +289,7 @@ impl MutationState {
             .enumerate()
             .filter(|(_, s)| matches!(s, SlotState::Live(_)))
             .map(|(i, _)| i)
-            .max_by_key(|&i| (self.row_cycles.get(i).copied().unwrap_or(0), usize::MAX - i))
+            .max_by_key(|&i| (self.cycles(i), usize::MAX - i))
     }
 
     /// The coldest live slot (min cycles, ties to the lowest index) — the
@@ -224,7 +302,7 @@ impl MutationState {
             .enumerate()
             .filter(|(_, s)| matches!(s, SlotState::Live(_)))
             .map(|(i, _)| i)
-            .min_by_key(|&i| (self.row_cycles.get(i).copied().unwrap_or(0), i))
+            .min_by_key(|&i| (self.cycles(i), i))
     }
 
     /// The hottest free slot (max cycles, ties to the lowest index) — the
@@ -236,7 +314,7 @@ impl MutationState {
             .enumerate()
             .filter(|(_, s)| matches!(s, SlotState::Free))
             .map(|(i, _)| i)
-            .max_by_key(|&i| (self.row_cycles.get(i).copied().unwrap_or(0), usize::MAX - i))
+            .max_by_key(|&i| (self.cycles(i), usize::MAX - i))
     }
 
     /// The wear-leveling rotation worth doing now, as `(src, dst)`: either
@@ -246,22 +324,21 @@ impl MutationState {
     /// cold data and the barely-worn slot it vacates joins the write
     /// pool). Picks whichever closes the larger cycle gap; gaps of one
     /// cycle are noise. `None` when leveling is off or no move helps.
-    /// A pure function of `(slots, cycles)`, so tiles and replicas agree.
+    /// A pure function of `(slots, cycles)`, so replicas agree.
     pub(crate) fn rotation_candidate(&self) -> Option<(usize, usize)> {
         if !self.policy.wear_leveling {
             return None;
         }
-        let cycles = |s: usize| self.row_cycles.get(s).copied().unwrap_or(0);
         let dynamic = match (self.hottest_live_slot(), self.choose_insert_slot()) {
             (Some(src), Some(dst)) => {
-                let gap = cycles(src).saturating_sub(cycles(dst));
+                let gap = self.cycles(src).saturating_sub(self.cycles(dst));
                 (gap > 1).then_some((src, dst, gap))
             }
             _ => None,
         };
         let stat = match (self.coldest_live_slot(), self.hottest_free_slot()) {
             (Some(src), Some(dst)) => {
-                let gap = cycles(dst).saturating_sub(cycles(src));
+                let gap = self.cycles(dst).saturating_sub(self.cycles(src));
                 (gap > 1).then_some((src, dst, gap))
             }
             _ => None,
@@ -306,58 +383,54 @@ impl MutationState {
     }
 }
 
-/// The mutation API shared by [`FerexArray`](crate::array::FerexArray),
-/// [`TiledArray`](crate::tile::TiledArray) and (through forwarding)
-/// [`ReplicaSet`](crate::replica::ReplicaSet): logical-id keyed
-/// insert/update/delete, compaction, and the wear surface.
-pub trait MutableNode {
-    /// Inserts a new `(id, vector)` pair, programming exactly one row.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::DuplicateId`] when `id` is live;
-    /// [`FerexError::CapacityExhausted`] when no slot can be freed;
-    /// validation and (strict-mode) write-verify errors.
-    fn insert(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError>;
-    /// Replaces the vector of a live `id` — out of place (onto the coldest
-    /// free slot, tombstoning the old one) under wear leveling, in place
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::UnknownId`]; validation and write-verify errors.
-    fn update(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError>;
-    /// Tombstones a live `id`. Purely logical — no physical write.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::UnknownId`].
-    fn delete(&mut self, id: u64) -> Result<(), FerexError>;
-    /// Reclaims every tombstoned slot to `Free`. Deterministic and purely
-    /// logical, so it cannot fail or diverge across tiles/replicas.
-    fn compact(&mut self) -> CompactionReport;
-    /// One background maintenance step: auto-compaction at the policy
-    /// threshold plus (under wear leveling) at most one hot→cold row
-    /// rotation. Meant to run on the scrub cadence.
-    fn maintenance(&mut self) -> CompactionReport;
-    /// The slot currently serving `id`, if live.
-    fn slot_of(&self, id: u64) -> Option<usize>;
-    /// The stored vector of a live `id` (owned — tiled nodes reassemble
-    /// it across per-dimension chunks).
-    fn vector_of(&self, id: u64) -> Option<Vec<u32>>;
-    /// Live logical ids, ascending.
-    fn live_ids(&self) -> Vec<u64>;
-    /// Count of live ids.
-    fn live_len(&self) -> usize;
-    /// Count of tombstoned slots awaiting compaction.
-    fn tombstones(&self) -> usize;
-    /// The wear distribution across physical slots.
-    fn wear(&self) -> WearSummary;
+#[cfg(test)]
+impl MutationState {
+    /// Switches wear leveling and re-keys the free-slot index. Tests
+    /// only: a policy is fixed once mutation is enabled.
+    pub(crate) fn set_wear_leveling(&mut self, on: bool) {
+        self.policy.wear_leveling = on;
+        self.free = self.free.iter().map(|&(_, slot)| self.free_key(slot)).collect();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A state whose slot `i` took `cycles[i]` writes, then became
+    /// `slots[i]`.
+    fn state(policy: MutationPolicy, slots: &[SlotState], cycles: &[u64]) -> MutationState {
+        let mut st = MutationState::new(policy, 0);
+        for (i, (&s, &c)) in slots.iter().zip(cycles).enumerate() {
+            for _ in 0..c {
+                st.bump_cycles(i);
+            }
+            st.set_slot(i, s);
+        }
+        st
+    }
+
+    /// The insert rule as a scan of every slot: the indexed
+    /// [`MutationState::choose_insert_slot`] must answer the same.
+    fn scanned_insert_slot(st: &MutationState) -> Option<usize> {
+        let free = st
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(s, SlotState::Free))
+            .map(|(i, _)| i);
+        if st.policy.wear_leveling {
+            free.min_by_key(|&i| (st.row_cycles.get(i).copied().unwrap_or(0), i))
+        } else {
+            free.min_by_key(|&i| i)
+        }
+    }
+
+    /// The tombstones as a scan of every slot.
+    fn scanned_tombstones(st: &MutationState) -> usize {
+        st.slots.iter().filter(|s| matches!(s, SlotState::Dead)).count()
+    }
 
     #[test]
     fn policy_validation_names_the_knob() {
@@ -379,46 +452,53 @@ mod tests {
         assert_eq!(st.slots[4..], vec![SlotState::Free, SlotState::Free][..]);
         assert_eq!(st.live_len(), 4);
         assert_eq!(st.tombstones(), 0);
+        assert_eq!(st.choose_insert_slot(), Some(4));
     }
 
     #[test]
     fn slot_choice_is_coldest_free_under_leveling_lowest_index_otherwise() {
-        let mut st = MutationState::new(MutationPolicy::with_capacity(5), 2);
-        st.row_cycles = vec![9, 9, 3, 1, 2];
+        let live = SlotState::Live(0);
+        let slots = [live, live, SlotState::Free, SlotState::Free, SlotState::Free];
+        let cycles = [9, 9, 3, 1, 2];
+        let mut policy = MutationPolicy::with_capacity(5);
+        let mut st = state(policy, &slots, &cycles);
         assert_eq!(st.choose_insert_slot(), Some(3), "coldest free slot wins");
-        st.policy.wear_leveling = false;
+        policy.wear_leveling = false;
+        assert_eq!(state(policy, &slots, &cycles).choose_insert_slot(), Some(2));
+        st.set_wear_leveling(false);
         assert_eq!(st.choose_insert_slot(), Some(2), "lowest free index wins");
-        st.slots = vec![SlotState::Live(0); 5];
+        for i in 2..5 {
+            st.set_slot(i, live);
+        }
         assert_eq!(st.choose_insert_slot(), None);
     }
 
     #[test]
     fn hottest_live_slot_breaks_ties_to_the_lowest_index() {
-        let mut st = MutationState::new(MutationPolicy::with_capacity(4), 3);
-        st.row_cycles = vec![5, 5, 2, 0];
-        assert_eq!(st.hottest_live_slot(), Some(0));
-        st.row_cycles = vec![1, 5, 2, 0];
-        assert_eq!(st.hottest_live_slot(), Some(1));
+        let policy = MutationPolicy::with_capacity(4);
+        let live = [SlotState::Live(0), SlotState::Live(1), SlotState::Live(2), SlotState::Free];
+        assert_eq!(state(policy, &live, &[5, 5, 2, 0]).hottest_live_slot(), Some(0));
+        assert_eq!(state(policy, &live, &[1, 5, 2, 0]).hottest_live_slot(), Some(1));
     }
 
     #[test]
     fn auto_compaction_threshold_is_a_per_mille_fraction() {
         let mut st = MutationState::new(MutationPolicy::with_capacity(8), 8);
         assert!(!st.should_auto_compact());
-        st.slots[0] = SlotState::Dead;
+        st.set_slot(0, SlotState::Dead);
         assert!(!st.should_auto_compact(), "1/8 = 125 milli < 250");
-        st.slots[1] = SlotState::Dead;
+        st.set_slot(1, SlotState::Dead);
         assert!(st.should_auto_compact(), "2/8 = 250 milli hits the threshold");
-        st.policy.compact_tombstone_milli = 0;
-        assert!(!st.should_auto_compact(), "0 disables the trigger");
+        let mut off = MutationPolicy::with_capacity(8);
+        off.compact_tombstone_milli = 0;
+        let dead = [SlotState::Dead; 8];
+        assert!(!state(off, &dead, &[0; 8]).should_auto_compact(), "0 disables the trigger");
     }
 
     #[test]
     fn wear_summary_percentiles_and_imbalance() {
-        let mut st = MutationState::new(MutationPolicy::with_capacity(4), 4);
-        st.row_cycles = vec![1, 1, 2, 8];
-        st.writes = 12;
-        let w = st.wear();
+        let live = [SlotState::Live(0); 4];
+        let w = state(MutationPolicy::with_capacity(4), &live, &[1, 1, 2, 8]).wear();
         assert_eq!(w.max_cycles, 8);
         assert_eq!(w.mean_milli, 3000);
         assert_eq!(w.p50_cycles, 1);
@@ -427,5 +507,45 @@ mod tests {
         // 8 / 3.0 = 2.666… → 2666 milli.
         assert_eq!(w.imbalance_milli(), 2666);
         assert_eq!(WearSummary::default().imbalance_milli(), 0);
+    }
+
+    proptest! {
+        /// The free-slot index and the tombstone count answer exactly as
+        /// scans of the slot table do, through arbitrary sequences of
+        /// slot-state writes (in and out of range), write cycles,
+        /// compactions and leveling switches.
+        #[test]
+        fn indexes_answer_as_the_slot_table_scans(
+            capacity in 1usize..10,
+            initial in 0usize..12,
+            leveling in any::<bool>(),
+            ops in prop::collection::vec((0u8..6, 0usize..12, 0u64..4), 0..64),
+        ) {
+            let mut policy = MutationPolicy::with_capacity(capacity);
+            policy.wear_leveling = leveling;
+            let mut st = MutationState::new(policy, initial);
+            for &(kind, slot, id) in &ops {
+                match kind {
+                    0 | 1 => st.bump_cycles(slot),
+                    2 => st.set_slot(slot, SlotState::Free),
+                    3 => st.set_slot(slot, SlotState::Dead),
+                    4 => st.set_slot(slot, SlotState::Live(id)),
+                    _ if id == 0 => {
+                        let flipped = !st.policy.wear_leveling;
+                        st.set_wear_leveling(flipped);
+                    }
+                    _ => {
+                        let dead: Vec<usize> = (0..capacity)
+                            .filter(|&i| st.slots[i] == SlotState::Dead)
+                            .collect();
+                        prop_assert_eq!(st.reclaim_tombstones(), dead);
+                    }
+                }
+                prop_assert_eq!(st.choose_insert_slot(), scanned_insert_slot(&st));
+                prop_assert_eq!(st.tombstones(), scanned_tombstones(&st));
+                let free = st.slots.iter().filter(|s| matches!(s, SlotState::Free)).count();
+                prop_assert_eq!(st.free.len(), free);
+            }
+        }
     }
 }

@@ -43,10 +43,8 @@ use crate::distance::DistanceMetric;
 use crate::error::FerexError;
 use crate::health::HealthSnapshot;
 use crate::latency::LatencyModel;
-use crate::mutate::{CompactionReport, MutableNode, WearSummary};
-use crate::tile::TiledArray;
+use crate::mutate::{CompactionReport, WearSummary};
 use ferex_fefet::math::splitmix64;
-use ferex_fefet::Technology;
 
 /// Domain-separation salt for replica seed derivation, so replica streams
 /// can never collide with the query, fault, or conformance streams.
@@ -298,8 +296,8 @@ impl ReplicaPolicy {
 /// Anything the supervisor can replicate: one store of vectors with a
 /// deterministic search path, a scrub pass, and a health surface.
 ///
-/// Implemented for [`FerexArray`] (sensing noise keyed on the query id)
-/// and [`TiledArray`] (digital cross-tile argmin; the query id is unused).
+/// Implemented by [`FerexArray`], whose sensing noise is keyed on the
+/// query id.
 pub trait ReplicaNode {
     /// Stored vector count (logical rows).
     fn rows(&self) -> usize;
@@ -335,9 +333,7 @@ pub trait ReplicaNode {
     /// immutable nodes; mutation-enabled nodes report their slot table, so
     /// the supervisor's digital fallback skips free and tombstoned slots
     /// exactly like the device kernels do.
-    fn row_live(&self, _r: usize) -> bool {
-        true
-    }
+    fn row_live(&self, r: usize) -> bool;
     /// Row `r`'s logical contents (the vector the digital fallback scores),
     /// or `None` past the last row.
     fn logical_row(&self, r: usize) -> Option<Vec<u32>>;
@@ -370,55 +366,6 @@ impl ReplicaNode for FerexArray {
 
     fn row_live(&self, r: usize) -> bool {
         self.slot_live(r)
-    }
-
-    fn logical_row(&self, r: usize) -> Option<Vec<u32>> {
-        self.row_vector(r)
-    }
-}
-
-impl ReplicaNode for TiledArray {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-
-    fn check_query(&self, query: &[u32]) -> Result<(), FerexError> {
-        if query.len() != self.dim() {
-            return Err(FerexError::DimensionMismatch { expected: self.dim(), got: query.len() });
-        }
-        let n = self.tiles().first().map(|t| t.encoding().n_stored()).unwrap_or(0);
-        for &s in query {
-            if s as usize >= n {
-                return Err(FerexError::SymbolOutOfRange { value: s, n_values: n });
-            }
-        }
-        Ok(())
-    }
-
-    fn search_batch_at(
-        &self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<Vec<SearchOutcome>, FerexError> {
-        // Digital cross-tile argmin: query ids key no noise stream, so the
-        // batch path is already id-independent.
-        if qids.len() != queries.len() {
-            return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
-        }
-        TiledArray::search_batch(self, queries)
-    }
-
-    fn scrub_now(&mut self) -> Result<usize, FerexError> {
-        Ok(self.scrub()?.iter().map(|r| r.findings.len()).sum())
-    }
-
-    fn health(&self) -> HealthSnapshot {
-        TiledArray::health(self)
-    }
-
-    fn row_live(&self, r: usize) -> bool {
-        // Lockstep tiles share one slot table; tile 0 speaks for all.
-        self.tiles().first().is_none_or(|t| t.slot_live(r))
     }
 
     fn logical_row(&self, r: usize) -> Option<Vec<u32>> {
@@ -562,8 +509,8 @@ struct ReplicaState {
 }
 
 /// The replicated serving supervisor. See the module docs for the state
-/// machine; construct via [`ReplicaSet::new`],
-/// [`crate::Ferex::replica_set`], or [`ReplicaSet::tiled`].
+/// machine; construct via [`ReplicaSet::new`] or
+/// [`crate::Ferex::replica_set`].
 #[derive(Debug, Clone)]
 pub struct ReplicaSet<A: ReplicaNode> {
     replicas: Vec<A>,
@@ -1232,7 +1179,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     }
 }
 
-impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
+impl ReplicaSet<FerexArray> {
     /// Applies one mutation to every replica; the digital fallback reads
     /// replica 0's rows, so nothing else needs updating. Replicas fed the
     /// same operation sequence make identical slot decisions (the mutation
@@ -1245,7 +1192,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
     /// fail on validation errors that hit every replica alike.
     fn apply_mutation<T>(
         &mut self,
-        op: impl Fn(&mut A) -> Result<T, FerexError>,
+        op: impl Fn(&mut FerexArray) -> Result<T, FerexError>,
     ) -> Result<T, FerexError> {
         let mut first_ok: Option<T> = None;
         let mut first_err: Option<FerexError> = None;
@@ -1273,7 +1220,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
     ///
     /// # Errors
     ///
-    /// As [`MutableNode::insert`].
+    /// As [`FerexArray::insert`].
     pub fn insert(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
         self.apply_mutation(|r| r.insert(id, vector.clone()))
     }
@@ -1282,16 +1229,16 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
     ///
     /// # Errors
     ///
-    /// As [`MutableNode::update`].
+    /// As [`FerexArray::update_id`].
     pub fn update(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
-        self.apply_mutation(|r| r.update(id, vector.clone()))
+        self.apply_mutation(|r| r.update_id(id, vector.clone()))
     }
 
     /// Tombstones `id` on every replica.
     ///
     /// # Errors
     ///
-    /// As [`MutableNode::delete`].
+    /// As [`FerexArray::delete`].
     pub fn delete(&mut self, id: u64) -> Result<(), FerexError> {
         self.apply_mutation(|r| r.delete(id))
     }
@@ -1317,47 +1264,6 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
     /// the per-replica write counters identical).
     pub fn wear(&self) -> WearSummary {
         self.replicas.first().map(|r| r.wear()).unwrap_or_default()
-    }
-}
-
-impl ReplicaSet<TiledArray> {
-    /// Builds a supervisor over `n` independently seeded [`TiledArray`]
-    /// replicas of `vectors`, each running the full CSP sizing pipeline
-    /// for `metric`.
-    ///
-    /// # Errors
-    ///
-    /// Encoding-pipeline or store-validation failures; as
-    /// [`ReplicaSet::new`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn tiled(
-        metric: DistanceMetric,
-        bits: u32,
-        dim: usize,
-        tile_dim: usize,
-        backend: &Backend,
-        tech: Technology,
-        vectors: Vec<Vec<u32>>,
-        n: usize,
-        policy: ReplicaPolicy,
-    ) -> Result<Self, FerexError> {
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let mut t = TiledArray::for_metric(
-                metric,
-                bits,
-                dim,
-                tile_dim,
-                replicate_backend(backend, i),
-                tech.clone(),
-            )?;
-            for v in &vectors {
-                t.store(v.clone())?;
-            }
-            t.program();
-            replicas.push(t);
-        }
-        ReplicaSet::new(replicas, metric, policy)
     }
 }
 
@@ -1687,30 +1593,5 @@ mod tests {
             assert!(served.outcome.distances[r].is_infinite(), "device served slot {r}");
             assert!(oracle.distances[r].is_infinite(), "oracle scored slot {r}");
         }
-    }
-
-    #[test]
-    fn tiled_replica_set_serves_through_the_trait() {
-        // Four rows only: the `vectors` helper repeats mod 4, and duplicate
-        // rows would legitimately steal self-query argmins.
-        let vs = vectors(4, 8);
-        let mut set = ReplicaSet::tiled(
-            DistanceMetric::Manhattan,
-            2,
-            8,
-            4,
-            &Backend::Ideal,
-            ferex_fefet::Technology::default(),
-            vs.clone(),
-            2,
-            ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() },
-        )
-        .expect("builds");
-        for (r, q) in vs.iter().enumerate() {
-            let served = set.serve(q).unwrap();
-            assert_eq!(served.outcome.nearest, r);
-            assert_eq!(served.source, ServeSource::Replica(0));
-        }
-        assert_eq!(set.stats().oracle_fallbacks, 0);
     }
 }

@@ -35,9 +35,10 @@
 //! sampled latency to the set, whose brownout ladder (beside the error
 //! breaker, see [`crate::replica`]) runs on the loop's virtual tick.
 
+use crate::array::FerexArray;
 use crate::error::FerexError;
 use crate::latency::{qln_quantile_milli, HedgePolicy};
-use crate::mutate::{CompactionReport, MutableNode};
+use crate::mutate::CompactionReport;
 use crate::replica::{ReplicaNode, ReplicaSet, ServedOutcome};
 use std::collections::VecDeque;
 
@@ -813,7 +814,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
     }
 }
 
-impl<A: ReplicaNode + MutableNode> ServeLoop<A> {
+impl ServeLoop<FerexArray> {
     /// Inserts `(id, vector)` into the wrapped replica set between
     /// batches. Mutations are instantaneous on the virtual clock — the
     /// loop's queue, clock, and in-flight batch are untouched, so serving

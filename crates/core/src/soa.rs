@@ -6,6 +6,8 @@
 //! still speaks `Vec<u32>` (queries, `row_vector`), but nothing keeps a
 //! second, row-per-allocation copy. This module owns:
 //!
+//! * [`first_out_of_range`] — the one symbol-range check, behind every
+//!   store, query, replica copy and reconfiguration.
 //! * [`SoaCodes`] — the `u8` code buffer, written by the array's mutators
 //!   and read by every kernel, plus the stored rows' packed bit-planes.
 //!   The planes are packed lazily, on the first bit-plane kernel call;
@@ -51,6 +53,23 @@ use std::sync::OnceLock;
 /// alphabet, so the `u8` codes are lossless by construction; the CSP
 /// encoder never produces more than 64 levels anyway.
 pub(crate) const CODE_LEVELS: usize = 256;
+
+/// The first of `symbols` at or above `n_values`, if any. A branch-free
+/// max over the slice comes first because it vectorizes, so a valid
+/// slice costs a few instructions per vector of symbols wherever the loop
+/// lands in the binary (a one-symbol-at-a-time search ran up to 2x slower
+/// when its loop straddled a 32-byte boundary); only a refused slice is
+/// searched.
+pub(crate) fn first_out_of_range<T>(symbols: &[T], n_values: usize) -> Option<T>
+where
+    T: Copy + Ord + Default + Into<u32>,
+{
+    let max = symbols.iter().fold(T::default(), |m, &s| m.max(s));
+    if (max.into() as usize) < n_values {
+        return None;
+    }
+    symbols.iter().copied().find(|&s| s.into() as usize >= n_values)
+}
 
 /// Contiguous `rows × dim` buffer of stored symbol codes, one byte per
 /// symbol, and the bit-planes packed from it.
@@ -304,10 +323,16 @@ pub(crate) fn query_lut(encoding: &CellEncoding, query: &[u32]) -> Vec<u64> {
 }
 
 /// Row distance through a per-query LUT: `Σ_d lut[d · n_stored + codes[d]]`.
+/// Every stored code is below `n_stored` (validated at store and at
+/// reconfiguration), so no `get` misses; a miss would add 0, not panic.
+/// An empty alphabet has an empty LUT, hence the width of at least one
+/// that `chunks_exact` requires.
 #[inline]
 pub(crate) fn lut_distance(lut: &[u64], n_stored: usize, codes: &[u8]) -> u64 {
-    // lint:allow(panic-safety/index, reason = "hot kernel: lut is dim x n_stored for the same dim as codes, and every code is below n_stored (validated at store time)")
-    codes.iter().enumerate().map(|(d, &c)| lut[d * n_stored + c as usize]).sum()
+    lut.chunks_exact(n_stored.max(1))
+        .zip(codes)
+        .map(|(row, &c)| row.get(usize::from(c)).copied().unwrap_or(0))
+        .sum()
 }
 
 #[cfg(test)]
@@ -343,6 +368,15 @@ mod tests {
         soa.zero_row(7);
         assert_eq!(soa.as_slice(), &[0, 0, 0, 4, 5, 6]);
         assert_eq!(soa.rows(), 2);
+    }
+
+    #[test]
+    fn range_check_reports_the_first_symbol_out_of_range_not_the_largest() {
+        assert_eq!(first_out_of_range(&[0u32, 5, 1, 9, 2], 4), Some(5));
+        assert_eq!(first_out_of_range(&[3u8, 0, 255, 7], 4), Some(255));
+        assert_eq!(first_out_of_range(&[3u8, 0, 1], 4), None);
+        assert_eq!(first_out_of_range::<u32>(&[], 0), None);
+        assert_eq!(first_out_of_range(&[0u8], 0), Some(0));
     }
 
     #[test]
@@ -404,7 +438,6 @@ mod tests {
         use crate::health::RowHealth;
         use crate::mutate::MutationPolicy;
         use crate::sizing::{find_minimal_cell, SizingOptions};
-        use crate::tile::TiledArray;
         use ferex_fefet::math::splitmix64;
         use ferex_fefet::Technology;
         use proptest::prelude::*;
@@ -489,20 +522,6 @@ mod tests {
             }
         }
 
-        /// The tiled reference: per-tile references over zero-padded
-        /// query chunks, accumulated in tile order.
-        fn tiled_reference(t: &TiledArray, q: &[u32]) -> Vec<f64> {
-            let mut total = vec![0.0f64; t.len()];
-            for (i, tile) in t.tiles().iter().enumerate() {
-                let mut chunk: Vec<u32> = q.iter().copied().skip(i * t.tile_dim()).collect();
-                chunk.resize(t.tile_dim(), 0);
-                for (sum, part) in total.iter_mut().zip(ideal_reference(tile, &chunk)) {
-                    *sum += part;
-                }
-            }
-            total
-        }
-
         fn queries(seed: u64, n: usize) -> Vec<Vec<u32>> {
             (0..3).map(|i| vector(seed.wrapping_add(i), n)).collect()
         }
@@ -562,52 +581,6 @@ mod tests {
                     let qs = queries(e, a.encoding().n_stored());
                     assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
                     assert_planes_fresh(a.soa_codes());
-                }
-            }
-
-            /// The same invariant on every tile of a tiled array driven
-            /// through its coordinated mutators.
-            #[test]
-            fn planes_track_every_tiled_mutator(
-                ops in prop::collection::vec((0u8..8, any::<u64>()), 1..24),
-            ) {
-                let encs = encodings();
-                let mut t =
-                    TiledArray::new(Technology::default(), encs[0].clone(), DIM, 32, Backend::Ideal);
-                for s in 1..4 {
-                    t.store(vector(s, 4)).expect("valid");
-                }
-                let mut next_id = 1_000;
-                for &(op, e) in &ops {
-                    let n = t.tiles()[0].encoding().n_stored();
-                    let ids = t.tiles()[0].live_ids();
-                    let id = ids.get((e >> 8) as usize % ids.len().max(1)).copied().unwrap_or(0);
-                    match op {
-                        0 | 1 if t.mutation_enabled() => {
-                            let _ = t.insert(next_id, vector(e, n));
-                            next_id += 1;
-                        }
-                        0 | 1 => t.store(vector(e, n)).expect("valid"),
-                        2 => { let _ = t.update_id(id, vector(e, n)); }
-                        3 => { let _ = t.delete(id); }
-                        4 => {
-                            t.compact();
-                            t.maintenance();
-                        }
-                        5 => { let _ = t.reconfigure(encs[e as usize % 3].clone()); }
-                        6 if !t.mutation_enabled() => t
-                            .enable_mutation(MutationPolicy::with_capacity(t.len() + 4))
-                            .expect("capacity covers the stored rows"),
-                        _ => { let _ = t.quarantine_row((e >> 8) as usize % t.len()); }
-                    }
-                    for tile in t.tiles() {
-                        assert_planes_fresh(tile.soa_codes());
-                    }
-                    let qs = queries(e, t.tiles()[0].encoding().n_stored());
-                    assert_batch_is_exact(t.distances_batch(&qs), |q| tiled_reference(&t, q), &qs);
-                    for tile in t.tiles() {
-                        assert_planes_fresh(tile.soa_codes());
-                    }
                 }
             }
         }

@@ -7,19 +7,15 @@ use ferex_core::feasibility::{
 };
 use ferex_core::{
     find_minimal_cell, sizing_for, Backend, CellEncoding, CircuitConfig, DistanceMatrix,
-    DistanceMetric, EncodingLimits, FerexArray, MutableNode, MutationPolicy, QuorumPolicy,
-    RepairPolicy, ReplicaNode, ReplicaPolicy, ReplicaSet, RowHealth, SearchOutcome, ServeSource,
-    SizingOptions, TiledArray,
+    DistanceMetric, EncodingLimits, FerexArray, MutationPolicy, QuorumPolicy, RepairPolicy,
+    ReplicaPolicy, ReplicaSet, RowHealth, SearchOutcome, ServeSource, SizingOptions,
 };
 use ferex_fefet::{Technology, VariationModel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Symbols per vector of the churn fallback property; the tiled leg uses
-/// `CHURN_TILE_DIM`-symbol tiles, which do not divide it, so the last tile
-/// pads.
+/// Symbols per vector of the churn fallback property.
 const CHURN_DIM: usize = 6;
-const CHURN_TILE_DIM: usize = 4;
 /// Six slots under an eight-id pool: inserts hit a full table, and the
 /// few free slots heat up enough for maintenance to rotate.
 const CHURN_CAPACITY: usize = 6;
@@ -38,7 +34,7 @@ fn churn_initial(id: u64) -> Vec<u32> {
 
 /// A 2-replica, 2/2-quorum set with replica 1 killed, so every serve is
 /// the oracle fallback over replica 0's rows.
-fn fallback_only_set<A: ReplicaNode>(replicas: Vec<A>, metric: DistanceMetric) -> ReplicaSet<A> {
+fn fallback_only_set(replicas: Vec<FerexArray>, metric: DistanceMetric) -> ReplicaSet<FerexArray> {
     let policy =
         ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
     let mut set = ReplicaSet::new(replicas, metric, policy).expect("2/2 quorum over 2 replicas");
@@ -51,8 +47,8 @@ fn fallback_only_set<A: ReplicaNode>(replicas: Vec<A>, metric: DistanceMetric) -
 /// served answer against brute force over a `BTreeMap` live-set model:
 /// each live slot reads its id's exact distance, every other slot reads
 /// +inf, and the nearest slot holds a live id at the minimum distance.
-fn check_fallback_through_churn<A: ReplicaNode + MutableNode>(
-    mut set: ReplicaSet<A>,
+fn check_fallback_through_churn(
+    mut set: ReplicaSet<FerexArray>,
     metric: DistanceMetric,
     ops: &[(u8, u64, u32, u32)],
 ) {
@@ -528,12 +524,11 @@ proptest! {
     }
 
     /// The oracle fallback reads replica 0's logical rows, so it tracks
-    /// every supervisor mutation on both node types: arbitrary insert,
-    /// update, delete, compact and wear-leveling maintenance schedules
-    /// leave a fallback-only set exact against the live-set model, on a
-    /// flat `FerexArray` and on a `TiledArray` whose last tile pads.
+    /// every supervisor mutation: arbitrary insert, update, delete,
+    /// compact and wear-leveling maintenance schedules leave a
+    /// fallback-only set exact against the live-set model.
     #[test]
-    fn oracle_fallback_is_exact_through_churn_on_both_node_types(
+    fn oracle_fallback_is_exact_through_churn(
         ops in prop::collection::vec((0u8..5, 0u64..8, 0u32..4096, 0u32..4096), 1..48),
         metric_idx in 0usize..3,
     ) {
@@ -544,7 +539,7 @@ proptest! {
         let enc = find_minimal_cell(&dm, &sizing_for(&Technology::default()))
             .expect("paper metrics encode at 2 bits")
             .encoding;
-        let flat: Vec<FerexArray> = (0..2)
+        let replicas: Vec<FerexArray> = (0..2)
             .map(|_| {
                 let mut a =
                     FerexArray::new(Technology::default(), enc.clone(), CHURN_DIM, Backend::Ideal);
@@ -556,26 +551,6 @@ proptest! {
                 a
             })
             .collect();
-        check_fallback_through_churn(fallback_only_set(flat, metric), metric, &ops);
-
-        let tiled: Vec<TiledArray> = (0..2)
-            .map(|_| {
-                let mut t = TiledArray::new(
-                    Technology::default(),
-                    enc.clone(),
-                    CHURN_DIM,
-                    CHURN_TILE_DIM,
-                    Backend::Ideal,
-                );
-                t.enable_mutation(policy).unwrap();
-                for id in 0..CHURN_INITIAL {
-                    t.insert(id, churn_initial(id)).unwrap();
-                }
-                t.program();
-                t
-            })
-            .collect();
-        prop_assert_eq!(tiled[0].n_tiles(), 2);
-        check_fallback_through_churn(fallback_only_set(tiled, metric), metric, &ops);
+        check_fallback_through_churn(fallback_only_set(replicas, metric), metric, &ops);
     }
 }

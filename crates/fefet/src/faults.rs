@@ -258,6 +258,8 @@ impl FaultPlan {
     ///
     /// Benign identity: with `CellFault::None` and no aging, this returns
     /// exactly `vth_level(level) + dvth` and the sample's own `r_factor`.
+    /// A `level` past the aged table has no threshold (`vth: None`), so
+    /// the cell never conducts.
     pub fn effective_cell(
         &self,
         tech: &Technology,
@@ -267,9 +269,10 @@ impl FaultPlan {
         sample: &DeviceSample,
     ) -> EffectiveCell {
         match fault {
-            CellFault::None => {
-                EffectiveCell { vth: Some(aged[level] + sample.dvth), r_factor: sample.r_factor }
-            }
+            CellFault::None => EffectiveCell {
+                vth: aged.get(level).map(|&v| v + sample.dvth),
+                r_factor: sample.r_factor,
+            },
             CellFault::StuckAtLowVth => EffectiveCell {
                 // Pinned polarization does not age; variation (a transistor
                 // property) still shifts the read threshold.
@@ -280,7 +283,7 @@ impl FaultPlan {
                 EffectiveCell { vth: None, r_factor: f64::INFINITY }
             }
             CellFault::ResistorShort => EffectiveCell {
-                vth: Some(aged[level] + sample.dvth),
+                vth: aged.get(level).map(|&v| v + sample.dvth),
                 r_factor: sample.scaled_r(self.short_residual_r).r_factor,
             },
         }
@@ -378,6 +381,21 @@ mod tests {
 
         let short = plan.effective_cell(&tech, CellFault::ResistorShort, &aged, 2, &sample);
         assert_eq!(short.vth, healthy.vth);
+        assert!((short.r_factor - 1.1 * 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_level_past_the_aged_table_never_conducts() {
+        let tech = Technology::default();
+        let plan = FaultPlan { short_rate: 0.1, short_residual_r: 0.2, ..Default::default() };
+        let aged = plan.aged_vth_table(&tech);
+        let sample = DeviceSample { dvth: Volt(0.01), r_factor: 1.1 };
+        let past = aged.len();
+        let cell = plan.effective_cell(&tech, CellFault::None, &aged, past, &sample);
+        assert_eq!(cell.vth, None);
+        assert_eq!(cell.r_factor, 1.1);
+        let short = plan.effective_cell(&tech, CellFault::ResistorShort, &aged, past, &sample);
+        assert_eq!(short.vth, None);
         assert!((short.r_factor - 1.1 * 0.2).abs() < 1e-12);
     }
 

@@ -1,10 +1,16 @@
 //! Hardware-fidelity integration tests: the statistical backend tracks the
-//! device-level backend, and the Fig. 7 Monte-Carlo behavior reproduces at
-//! test scale.
+//! device-level backend, the Fig. 7 Monte-Carlo behavior reproduces at
+//! test scale, and the ADC readout agrees with the analog decision.
 
+use ferex::analog::adc::AdcParams;
 use ferex::analog::montecarlo::MonteCarlo;
-use ferex::core::{Backend, CircuitConfig, DistanceMetric, Ferex};
+use ferex::core::{
+    find_minimal_cell, sizing_for, Backend, CircuitConfig, DistanceMatrix, DistanceMetric, Ferex,
+    FerexArray,
+};
 use ferex::datasets::synth::flip_symbol_bits;
+use ferex::fefet::units::Amp;
+use ferex::fefet::Technology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,5 +108,42 @@ fn circuit_and_noisy_mc_agree() {
 fn ideal_backend_is_perfect() {
     for seed in 0..20 {
         assert!(worst_case_trial(Backend::Ideal, seed, 5, 6));
+    }
+}
+
+fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<u32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| (0..dim).map(|_| rng.gen_range(0..4u32)).collect()).collect()
+}
+
+/// Digital readout through the auto-ranged ADC preserves the LTA's nearest
+/// decision and yields codes proportional to distance.
+#[test]
+fn adc_readout_agrees_with_analog_decision() {
+    let tech = Technology::default();
+    let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 2);
+    let enc = find_minimal_cell(&dm, &sizing_for(&tech)).expect("sizes").encoding;
+    let mut array = FerexArray::new(tech, enc, 32, Backend::Ideal);
+    let stored = random_vectors(6, 32, 5);
+    for v in &stored {
+        array.store(v.clone()).unwrap();
+    }
+    let query = random_vectors(1, 32, 6).remove(0);
+    let analog = array.search(&query).unwrap();
+    let adc = AdcParams { bits: 12, full_scale: Amp(0.0), ..Default::default() };
+    let readout = array.read_digital(&query, &adc, 4).unwrap();
+    let digital_nearest =
+        readout.codes.iter().enumerate().min_by_key(|(_, &c)| c).map(|(i, _)| i).unwrap();
+    assert_eq!(digital_nearest, analog.nearest);
+    // Codes preserve the full distance ordering at 12-bit resolution.
+    let mut by_distance: Vec<usize> = (0..stored.len()).collect();
+    by_distance.sort_by(|&a, &b| analog.distances[a].total_cmp(&analog.distances[b]));
+    let mut by_code: Vec<usize> = (0..stored.len()).collect();
+    by_code.sort_by_key(|&i| (readout.codes[i], i));
+    // Orderings agree whenever distances are distinct.
+    for (da, ca) in by_distance.iter().zip(&by_code) {
+        if analog.distances[*da] != analog.distances[*ca] {
+            panic!("orderings diverge: distance-ranked {da} vs code-ranked {ca}");
+        }
     }
 }
