@@ -47,13 +47,16 @@ impl AdcParams {
         self.full_scale / (self.n_codes() - 1) as f64
     }
 
-    /// Converts a current to its digital code (clamped to the code range).
+    /// Converts a current to its digital code (clamped to the code range):
+    /// any current above full scale, `+∞` included, saturates at the top
+    /// code. A row excluded from search senses `+∞`, so it reads as the
+    /// farthest distance.
     ///
     /// # Panics
     ///
-    /// Panics if the input is negative or non-finite.
+    /// Panics if the input is negative or NaN.
     pub fn convert(&self, input: Amp) -> u32 {
-        assert!(input.value().is_finite() && input.value() >= 0.0, "invalid ADC input");
+        assert!(input.value() >= 0.0, "invalid ADC input");
         let t = input.value() / self.full_scale.value();
         let code = (t * (self.n_codes() - 1) as f64).round();
         (code as u32).min(self.n_codes() - 1) // lint:allow(cast-truncation/narrowing, reason = "float-to-int `as` saturates and the code is clamped to n_codes - 1")
@@ -108,8 +111,9 @@ mod tests {
         let adc = AdcParams::default();
         assert_eq!(adc.convert(Amp(0.0)), 0);
         assert_eq!(adc.convert(adc.full_scale), adc.n_codes() - 1);
-        // Above full scale clamps.
+        // Above full scale clamps, infinity included.
         assert_eq!(adc.convert(adc.full_scale * 2.0), adc.n_codes() - 1);
+        assert_eq!(adc.convert(Amp(f64::INFINITY)), adc.n_codes() - 1);
     }
 
     #[test]

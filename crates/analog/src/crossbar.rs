@@ -126,30 +126,32 @@ impl Crossbar {
         &self.wire
     }
 
-    /// The cell at (row, col).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn cell(&self, row: usize, col: usize) -> &Cell {
-        &self.cells[self.index(row, col)]
+    /// The cell at (row, col), or `None` out of range.
+    pub fn cell(&self, row: usize, col: usize) -> Option<&Cell> {
+        self.cells.get(self.index(row, col)?)
     }
 
-    /// Mutable access to the cell at (row, col).
-    pub fn cell_mut(&mut self, row: usize, col: usize) -> &mut Cell {
-        let i = self.index(row, col);
-        &mut self.cells[i]
+    /// Mutable access to the cell at (row, col), or `None` out of range.
+    pub fn cell_mut(&mut self, row: usize, col: usize) -> Option<&mut Cell> {
+        let i = self.index(row, col)?;
+        self.cells.get_mut(i)
     }
 
-    fn index(&self, row: usize, col: usize) -> usize {
-        assert!(row < self.rows && col < self.cols, "cell ({row},{col}) out of range");
-        row * self.cols + col
+    fn index(&self, row: usize, col: usize) -> Option<usize> {
+        (row < self.rows && col < self.cols).then_some(row * self.cols + col)
     }
 
     /// Ideally programs the cell at (row, col) to threshold level `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if (row, col) is out of range.
     pub fn program(&mut self, row: usize, col: usize, level: usize) {
+        assert!(row < self.rows && col < self.cols, "cell ({row},{col}) out of range");
         let tech = self.tech.clone();
-        self.cell_mut(row, col).fefet_mut().set_level(&tech, level);
+        if let Some(cell) = self.cell_mut(row, col) {
+            cell.fefet_mut().set_level(&tech, level);
+        }
     }
 
     /// Programs an entire row with ISPP pulses while applying half-voltage
@@ -173,20 +175,20 @@ impl Crossbar {
         assert!(row < self.rows, "row {row} out of range");
         let tech = self.tech.clone();
         let mut total_pulses = 0usize;
-        for (col, &level) in levels.iter().enumerate() {
-            let i = self.index(row, col);
-            let report = scheme.program_to_level(self.cells[i].fefet_mut(), &tech, level)?;
-            total_pulses += report.pulses + 1; // +1 for the erase
+        if let Some(cells) = self.cells.chunks_exact_mut(self.cols).nth(row) {
+            for (cell, &level) in cells.iter_mut().zip(levels) {
+                let report = scheme.program_to_level(cell.fefet_mut(), &tech, level)?;
+                total_pulses += report.pulses + 1; // +1 for the erase
+            }
         }
         // Every pulse applied to the selected row exposes unselected rows to
         // V_write/2 on the shared column lines.
-        for r in 0..self.rows {
+        for (r, cells) in self.cells.chunks_exact_mut(self.cols).enumerate() {
             if r == row {
                 continue;
             }
-            for col in 0..self.cols {
-                let i = self.index(r, col);
-                scheme.disturb(self.cells[i].fefet_mut(), &tech, total_pulses.min(64));
+            for cell in cells {
+                scheme.disturb(cell.fefet_mut(), &tech, total_pulses.min(64));
             }
         }
         Ok(())
@@ -204,38 +206,44 @@ impl Crossbar {
     pub fn row_current(&self, row: usize, drives: &[ColumnDrive], options: &ArrayOptions) -> Amp {
         assert_eq!(drives.len(), self.cols, "one drive per column required");
         assert!(row < self.rows, "row {row} out of range");
-        let cell_current = |col: usize, v_scl_local: Volt| -> Amp {
-            let cell = &self.cells[row * self.cols + col];
-            let d = drives[col];
+        let Some(cells) = self.cells.chunks_exact(self.cols).nth(row) else {
+            return Amp(0.0);
+        };
+        let cell_current = |cell: &Cell, d: &ColumnDrive, v_scl_local: Volt| -> Amp {
             if options.exact_cell_solve {
                 cell.current(&self.tech, d.v_gate, d.v_dl, v_scl_local)
             } else {
                 cell.current_approx(&self.tech, d.v_gate, d.v_dl, v_scl_local)
             }
         };
+        let columns = || cells.iter().zip(drives);
         if !options.ir_drop {
-            return (0..self.cols).map(|c| cell_current(c, options.v_scl)).sum();
+            return columns().map(|(cell, d)| cell_current(cell, d, options.v_scl)).sum();
         }
         // Fixed-point on the local ScL potential: the op-amp clamps the line
         // at column 0; current from far cells flows through the accumulated
         // wire resistance.
         let rw = self.wire.r_per_cell.value();
         let mut currents: Vec<f64> =
-            (0..self.cols).map(|c| cell_current(c, options.v_scl).value()).collect();
+            columns().map(|(cell, d)| cell_current(cell, d, options.v_scl).value()).collect();
         for _ in 0..3 {
             // Potential at column j = sum over segments m<=j of Rw * (current
-            // flowing through segment m) = Rw * Σ_{m<=j} Σ_{k>=m} I_k.
-            let mut suffix: Vec<f64> = vec![0.0; self.cols + 1];
-            for c in (0..self.cols).rev() {
-                suffix[c] = suffix[c + 1] + currents[c];
+            // flowing through segment m) = Rw * Σ_{m<=j} Σ_{k>=m} I_k. The
+            // suffix sums run in from the far end: suffix[c] = suffix[c+1] + I_c.
+            let mut suffix = vec![0.0f64; self.cols];
+            let mut tail = 0.0f64;
+            for (s, &i) in suffix.iter_mut().zip(&currents).rev() {
+                tail += i; // lint:allow(float-order/accumulation, reason = "one row's ScL solve sums its columns in one fixed far-to-near order, the same for every read and batch shape")
+                *s = tail;
             }
             let mut potential = options.v_scl.value();
-            let mut next = Vec::with_capacity(self.cols);
-            for (c, _) in currents.iter().enumerate() {
-                potential += rw * suffix[c];
-                next.push(cell_current(c, Volt(potential)).value());
-            }
-            currents = next;
+            currents = columns()
+                .zip(&suffix)
+                .map(|((cell, d), s)| {
+                    potential += rw * s;
+                    cell_current(cell, d, Volt(potential)).value()
+                })
+                .collect();
         }
         Amp(currents.iter().sum())
     }
@@ -370,17 +378,20 @@ mod tests {
         xb.program_row_with_inhibit(0, &[1, 2], &scheme).expect("row 0 programs");
         xb.program_row_with_inhibit(1, &[0, 3], &scheme).expect("row 1 programs");
         // Row 0's levels must survive row 1's write thanks to inhibition.
-        assert_eq!(xb.cell(0, 0).fefet().level(&tech), Some(1));
-        assert_eq!(xb.cell(0, 1).fefet().level(&tech), Some(2));
-        assert_eq!(xb.cell(1, 0).fefet().level(&tech), Some(0));
-        assert_eq!(xb.cell(1, 1).fefet().level(&tech), Some(3));
+        let level = |r, c| xb.cell(r, c).and_then(|cell| cell.fefet().level(&tech));
+        assert_eq!(level(0, 0), Some(1));
+        assert_eq!(level(0, 1), Some(2));
+        assert_eq!(level(1, 0), Some(0));
+        assert_eq!(level(1, 1), Some(3));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn cell_access_bounds_checked() {
-        let (_, xb) = simple_array(2, 2);
-        let _ = xb.cell(2, 0);
+        let (_, mut xb) = simple_array(2, 2);
+        assert!(xb.cell(1, 1).is_some());
+        assert!(xb.cell(2, 0).is_none());
+        assert!(xb.cell(0, 2).is_none());
+        assert!(xb.cell_mut(2, 0).is_none());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! let drive = ColumnDrive { v_gate: tech.search_voltage(1), v_dl: tech.vds_for_multiple(1) };
 //! let currents = xb.search(&vec![drive; 2], &ArrayOptions::default());
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let nearest = LtaParams::ideal().sense(&currents, &mut rng).loser;
+//! let nearest = LtaParams::ideal().sense(&currents, &mut rng);
 //! assert_eq!(nearest, 0);
 //! ```
 
@@ -54,7 +54,7 @@ pub use delay::{DelayBreakdown, DelayModel};
 pub use driver::DriverParams;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use interface::{RowInterface, RowMode};
-pub use lta::{LtaDecision, LtaParams};
+pub use lta::LtaParams;
 pub use montecarlo::{McResult, MonteCarlo};
 pub use noise::NoiseModel;
 pub use opamp::OpAmpParams;

@@ -67,8 +67,8 @@ impl LtaParams {
     }
 
     /// Returns the index of the row with minimal current after applying one
-    /// fresh offset sample per row, plus the perturbed currents (exposed so
-    /// callers can inspect sensing margins).
+    /// fresh offset sample per row — the LTA's only output. Distance values
+    /// come from a separate ADC readout.
     ///
     /// Ties break toward the lower index, matching a deterministic
     /// comparator tree.
@@ -76,47 +76,21 @@ impl LtaParams {
     /// With zero offset (`offset_sigma == 0`, the ideal comparator) no
     /// sample is drawn and `rng` is left untouched: `i + 0·z == i` for
     /// every finite `z` and every non-negative or infinite current `i`,
-    /// so drawing would return the same currents bit for bit.
+    /// so drawing would pick the same row.
     ///
     /// # Panics
     ///
     /// Panics if `currents` is empty.
-    pub fn sense<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> LtaDecision {
+    pub fn sense<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> usize {
         assert!(!currents.is_empty(), "LTA needs at least one row");
         if self.offset_sigma.value() == 0.0 {
-            return LtaDecision { loser: argmin(currents), perturbed: currents.to_vec() };
+            return argmin(currents);
         }
         let perturbed: Vec<Amp> = currents
             .iter()
             .map(|i| Amp(normal(rng, i.value(), self.offset_sigma.value())))
             .collect();
-        let loser = argmin(&perturbed);
-        LtaDecision { loser, perturbed }
-    }
-
-    /// Winner-take-all mode: the row with *maximal* current. The same
-    /// comparator topology run in its WTA polarity (Liu et al. use the WTA
-    /// flavor for cosine-similarity search; FeReX uses the LTA mirror for
-    /// distance minimization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `currents` is empty.
-    pub fn sense_max<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> LtaDecision {
-        assert!(!currents.is_empty(), "WTA needs at least one row");
-        let perturbed: Vec<Amp> = currents
-            .iter()
-            .map(|i| Amp(normal(rng, i.value(), self.offset_sigma.value())))
-            .collect();
-        // Non-empty by the assert above; the fallback row keeps this
-        // serving path panic-free regardless.
-        let winner = perturbed
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.value().total_cmp(&b.value()))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        LtaDecision { loser: winner, perturbed }
+        argmin(&perturbed)
     }
 
     /// Iteratively extracts the `k` smallest rows: after each decision the
@@ -153,15 +127,6 @@ impl LtaParams {
     }
 }
 
-/// One LTA comparison outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LtaDecision {
-    /// Index of the row sensed as having minimal current.
-    pub loser: usize,
-    /// The offset-perturbed currents the comparator actually saw.
-    pub perturbed: Vec<Amp>,
-}
-
 fn argmin(values: &[Amp]) -> usize {
     // Callers assert non-emptiness; row 0 is the panic-free fallback.
     values
@@ -183,27 +148,14 @@ mod tests {
         let lta = LtaParams::ideal();
         let mut rng = StdRng::seed_from_u64(0);
         let currents = vec![Amp(5e-7), Amp(2e-7), Amp(9e-7), Amp(3e-7)];
-        let d = lta.sense(&currents, &mut rng);
-        assert_eq!(d.loser, 1);
-        assert_eq!(d.perturbed, currents);
-    }
-
-    #[test]
-    fn wta_mode_returns_argmax() {
-        let lta = LtaParams::ideal();
-        let mut rng = StdRng::seed_from_u64(0);
-        let currents = vec![Amp(5e-7), Amp(2e-7), Amp(9e-7), Amp(3e-7)];
-        assert_eq!(lta.sense_max(&currents, &mut rng).loser, 2);
-        // WTA and LTA are mirror images: max of negated = min of original.
-        assert_eq!(lta.sense(&currents, &mut rng).loser, 1);
+        assert_eq!(lta.sense(&currents, &mut rng), 1);
     }
 
     #[test]
     fn ties_break_to_lower_index() {
         let lta = LtaParams::ideal();
         let mut rng = StdRng::seed_from_u64(0);
-        let d = lta.sense(&[Amp(1e-7), Amp(1e-7)], &mut rng);
-        assert_eq!(d.loser, 0);
+        assert_eq!(lta.sense(&[Amp(1e-7), Amp(1e-7)], &mut rng), 0);
     }
 
     #[test]
@@ -214,7 +166,7 @@ mod tests {
         let far = vec![Amp(1e-7), Amp(11e-7)];
         let mut errors = 0;
         for _ in 0..1000 {
-            if lta.sense(&far, &mut rng).loser != 0 {
+            if lta.sense(&far, &mut rng) != 0 {
                 errors += 1;
             }
         }
@@ -223,7 +175,7 @@ mod tests {
         let near = vec![Amp(1.00e-7), Amp(1.02e-7)];
         let mut flips = 0;
         for _ in 0..1000 {
-            if lta.sense(&near, &mut rng).loser != 0 {
+            if lta.sense(&near, &mut rng) != 0 {
                 flips += 1;
             }
         }

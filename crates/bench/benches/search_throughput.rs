@@ -64,6 +64,7 @@ fn bench_batched_serving(c: &mut Criterion) {
     let mut engine = random_filled_engine(rows, dim, noisy_backend(3), 1).expect("builds");
     let queries: Vec<Vec<u32>> =
         (0..n_queries).map(|i| random_query(dim, 100 + i as u64)).collect();
+    let qids: Vec<u64> = (0..n_queries as u64).collect();
     // Program outside the timed loops so both cases measure pure serving.
     engine.program();
     group.bench_function("single_search_loop", |b| {
@@ -74,7 +75,10 @@ fn bench_batched_serving(c: &mut Criterion) {
         });
     });
     group.bench_function("search_batch", |b| {
-        b.iter(|| black_box(engine.search_batch(black_box(&queries)).expect("searches")));
+        b.iter(|| {
+            let out = engine.array().search_batch_at(black_box(&queries), &qids);
+            black_box(out.expect("searches"))
+        });
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Measures the batched distance kernels of
 //! [`ferex_core::FerexArray::distances_batch`] against a per-query loop of
-//! [`ferex_core::FerexArray::distances`] calls (each a batch of one), over
+//! batches of one through the same method, over
 //! the {metric × bits × backend × rows × batch} grid. Ideal answers are
 //! checked against the exact digital oracle ([`ferex_conformance::Oracle`]),
 //! Noisy batches against one-query reads, which must reproduce them
@@ -204,8 +204,8 @@ pub struct PointResult {
     /// Mean wall time per query through `distances_batch`, or `None` on an
     /// untimed (check) run.
     pub batch_ns_per_query: Option<f64>,
-    /// Mean wall time per query through a loop of single `distances`
-    /// calls (the same kernel, one query at a time).
+    /// Mean wall time per query through a loop of `distances_batch`
+    /// calls on batches of one (the same kernel, one query at a time).
     pub scalar_ns_per_query: Option<f64>,
 }
 
@@ -263,7 +263,8 @@ pub fn measure_point(
         let (want, reference) = match &oracle {
             Some(o) => (o.distances(q).into_iter().map(|d| d as f64).collect(), "digital oracle"),
             None => {
-                (array.distances(q).map_err(|e| format!("{}: {e}", point.id()))?, "per-query path")
+                let alone = array.distances_batch(std::slice::from_ref(q));
+                (alone.map_err(|e| format!("{}: {e}", point.id()))?.concat(), "per-query path")
             }
         };
         if *got != want {
@@ -281,7 +282,9 @@ pub fn measure_point(
         }) / point.batch as f64;
         let s = time_ns(|| {
             for q in &queries {
-                let out = array.distances(q).expect("measured scalar repeats");
+                let out = array
+                    .distances_batch(std::slice::from_ref(q))
+                    .expect("measured scalar repeats");
                 std::hint::black_box(out);
             }
         }) / point.batch as f64;

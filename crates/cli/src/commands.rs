@@ -187,8 +187,8 @@ fn render_bench_kernels(
         (0..batch).map(|_| (0..dim).map(|_| rng.gen_range(0..top)).collect()).collect();
     let array = engine.array();
     let batched = array.distances_batch(&queries)?;
-    for (i, q) in queries.iter().take(4).enumerate() {
-        if array.distances(q)? != batched[i] {
+    for (i, (q, got)) in queries.iter().zip(&batched).take(4).enumerate() {
+        if array.distances_batch(std::slice::from_ref(q))?.concat() != *got {
             return Err(CommandError(format!(
                 "batch kernel diverged from a one-query read on query {i} — this is a bug"
             )));
@@ -199,7 +199,8 @@ fn render_bench_kernels(
     }) / batch as f64;
     let scalar_ns = mean_ns(|| {
         for q in &queries {
-            std::hint::black_box(array.distances(q).expect("repeat of a served query"));
+            let alone = array.distances_batch(std::slice::from_ref(q));
+            std::hint::black_box(alone.expect("repeat of a served query"));
         }
     }) / batch as f64;
     let mut out = String::new();

@@ -223,6 +223,7 @@ pub fn run_sweep(spec: &SweepSpec) -> DegradationCurve {
     let queries =
         gen_unambiguous_queries(&oracle, spec.n_queries, spec.dim, spec.bits, &mut data_rng);
     let expected: Vec<usize> = queries.iter().map(|q| oracle.nearest(q)).collect();
+    let qids: Vec<u64> = (0..queries.len() as u64).collect();
 
     let mut points = Vec::with_capacity(spec.rates.len());
     for &rate in &spec.rates {
@@ -244,8 +245,8 @@ pub fn run_sweep(spec: &SweepSpec) -> DegradationCurve {
             );
             array.store_all(stored.iter().cloned()).expect("in-range by construction");
             array.program();
-            let top1 = array.search_batch(&queries).expect("programmed");
-            let topk = array.search_k_batch(&queries, spec.k).expect("programmed");
+            let top1 = array.search_batch_at(&queries, &qids).expect("programmed");
+            let topk = array.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
             for (i, want) in expected.iter().enumerate() {
                 hit1 += usize::from(top1[i].nearest == *want);
                 hitk += usize::from(topk[i].contains(want));
@@ -351,6 +352,7 @@ pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
     let queries =
         gen_unambiguous_queries(&oracle, spec.n_queries, spec.dim, spec.bits, &mut data_rng);
     let expected: Vec<usize> = queries.iter().map(|q| oracle.nearest(q)).collect();
+    let qids: Vec<u64> = (0..queries.len() as u64).collect();
 
     let mut points = Vec::with_capacity(spec.rates.len());
     for &rate in &spec.rates {
@@ -379,8 +381,8 @@ pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
             );
             array.store_all(stored.iter().cloned()).expect("in-range by construction");
             array.program();
-            let top1 = array.search_batch(&queries).expect("programmed");
-            let topk = array.search_k_batch(&queries, spec.k).expect("programmed");
+            let top1 = array.search_batch_at(&queries, &qids).expect("programmed");
+            let topk = array.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
             for (i, want) in expected.iter().enumerate() {
                 faulted1 += usize::from(top1[i].nearest == *want);
                 faultedk += usize::from(topk[i].contains(want));
@@ -404,14 +406,14 @@ pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
             // curves can show the collapse past the spare pool's capacity.
             let active = healed.health().rows_active;
             if active >= spec.k {
-                let top1 = healed.search_batch(&queries).expect("programmed");
-                let topk = healed.search_k_batch(&queries, spec.k).expect("programmed");
+                let top1 = healed.search_batch_at(&queries, &qids).expect("programmed");
+                let topk = healed.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
                 for (i, want) in expected.iter().enumerate() {
                     healed1 += usize::from(top1[i].nearest == *want);
                     healedk += usize::from(topk[i].contains(want));
                 }
             } else if active >= 1 {
-                let top1 = healed.search_batch(&queries).expect("programmed");
+                let top1 = healed.search_batch_at(&queries, &qids).expect("programmed");
                 for (i, want) in expected.iter().enumerate() {
                     healed1 += usize::from(top1[i].nearest == *want);
                 }

@@ -130,12 +130,15 @@ fn checkpoint_matches(
     if ids != rebuilt.live_ids() || ids != mirror_ids {
         return false;
     }
-    for (qi, q) in probes.iter().enumerate() {
-        // Fixed query ids keep the sensing-noise stream (a no-op under the
-        // corner config) identical on both sides.
-        let (Ok(a), Ok(b)) = (live.search_at(q, qi as u64), rebuilt.search_at(q, qi as u64)) else {
-            return false;
-        };
+    // Fixed query ids keep the sensing-noise stream (a no-op under the
+    // corner config) identical on both sides.
+    let qids: Vec<u64> = (0..probes.len() as u64).collect();
+    let (Ok(live_out), Ok(rebuilt_out)) =
+        (live.search_batch_at(probes, &qids), rebuilt.search_batch_at(probes, &qids))
+    else {
+        return false;
+    };
+    for (a, b) in live_out.iter().zip(&rebuilt_out) {
         for &id in &ids {
             let (Some(sa), Some(sb)) = (live.slot_of(id), rebuilt.slot_of(id)) else {
                 return false;

@@ -59,31 +59,26 @@ fn ideal_backend_is_bit_exact_against_oracle() {
         array.store_all(stored).unwrap();
         array.program();
 
-        for q in &queries {
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let batched = array.search_batch_at(&queries, &qids).unwrap();
+        let ranked: Vec<Vec<Vec<usize>>> =
+            (1..=3).map(|k| array.search_k_batch_at(&queries, k, &qids).unwrap()).collect();
+        for (i, q) in queries.iter().enumerate() {
             // Distances are exact integers: compare with == on the floats.
             let want: Vec<f64> = oracle.distances(q).iter().map(|&d| d as f64).collect();
-            assert_eq!(array.distances(q).unwrap(), want, "{metric} @{bits}b distances");
+            assert_eq!(batched[i].distances, want, "{metric} @{bits}b distances");
             // Tie policy matches end to end: lowest index wins every rank.
-            assert_eq!(
-                array.search(q).unwrap().nearest,
-                oracle.nearest(q),
-                "{metric} @{bits}b top-1"
-            );
-            for k in 1..=3 {
-                assert_eq!(
-                    array.search_k(q, k).unwrap(),
-                    oracle.nearest_k(q, k),
-                    "{metric} @{bits}b top-{k}"
-                );
+            assert_eq!(batched[i].nearest, oracle.nearest(q), "{metric} @{bits}b top-1");
+            for (k, ranked) in (1..=3).zip(&ranked) {
+                assert_eq!(ranked[i], oracle.nearest_k(q, k), "{metric} @{bits}b top-{k}");
             }
         }
 
-        // Serving-path equivalence: batched == sequential, bit for bit.
-        let batched = array.search_batch(&queries).unwrap();
+        // Serving-path equivalence: batched == batches of one, bit for bit.
         let sequential: Vec<SearchOutcome> = queries
             .iter()
-            .enumerate()
-            .map(|(i, q)| array.search_at(q, i as u64).unwrap())
+            .zip(&qids)
+            .flat_map(|(q, &qid)| array.search_batch_at(std::slice::from_ref(q), &[qid]).unwrap())
             .collect();
         assert_eq!(batched, sequential, "{metric} @{bits}b batch path");
     }
@@ -119,18 +114,17 @@ fn stochastic_backends_match_oracle_at_the_fault_free_corner() {
         circuit.store_all(stored.iter().cloned()).unwrap();
         circuit.program();
 
-        for q in &queries {
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let noisy_out = noisy.search_batch_at(&queries, &qids).unwrap();
+        let circuit_out = circuit.search_batch_at(&queries, &qids).unwrap();
+        for ((q, n), c) in queries.iter().zip(&noisy_out).zip(&circuit_out) {
             let want: Vec<f64> = oracle.distances(q).iter().map(|&d| d as f64).collect();
-            assert_eq!(noisy.distances(q).unwrap(), want, "{metric} noisy corner");
-            assert_eq!(noisy.search(q).unwrap().nearest, oracle.nearest(q), "{metric} noisy top-1");
-            for (dc, w) in circuit.distances(q).unwrap().iter().zip(&want) {
+            assert_eq!(n.distances, want, "{metric} noisy corner");
+            assert_eq!(n.nearest, oracle.nearest(q), "{metric} noisy top-1");
+            for (dc, w) in c.distances.iter().zip(&want) {
                 assert!((dc - w).abs() < 0.2, "{metric} circuit corner: {dc} vs {w}");
             }
-            assert_eq!(
-                circuit.search(q).unwrap().nearest,
-                oracle.nearest(q),
-                "{metric} circuit top-1 (unambiguous query)"
-            );
+            assert_eq!(c.nearest, oracle.nearest(q), "{metric} circuit top-1 (unambiguous query)");
         }
     }
 }
@@ -166,10 +160,10 @@ fn noisy_and_circuit_agree_within_tolerance_on_identical_fault_maps() {
         })));
         assert_eq!(noisy.fault_map().unwrap(), circuit.fault_map().unwrap(), "{metric} maps");
 
-        for q in &queries {
-            let dn = noisy.distances(q).unwrap();
-            let dc = circuit.distances(q).unwrap();
-            for (n, c) in dn.iter().zip(&dc) {
+        let noisy_out = noisy.distances_batch(&queries).unwrap();
+        let circuit_out = circuit.distances_batch(&queries).unwrap();
+        for (dn, dc) in noisy_out.iter().zip(&circuit_out) {
+            for (n, c) in dn.iter().zip(dc) {
                 // Stated tolerance: 15 % relative, floored at 0.5 units for
                 // near-zero rows (leakage + solver error).
                 assert!(
@@ -203,11 +197,18 @@ fn batched_and_sequential_serving_agree_under_fault_plans() {
         let mut a = array_with(DistanceMetric::Hamming, bits, dim, kind.backend(cfg));
         a.store_all(stored.iter().cloned()).unwrap();
         a.program();
-        let batched = a.search_batch(&queries).unwrap();
-        let k_batched = a.search_k_batch(&queries, k).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let batched = a.search_batch_at(&queries, &qids).unwrap();
+        let k_batched = a.search_k_batch_at(&queries, k, &qids).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], a.search_at(q, i as u64).unwrap(), "{kind:?} query {i}");
-            assert_eq!(k_batched[i], a.search_k_at(q, k, i as u64).unwrap(), "{kind:?} top-{k}");
+            let alone = std::slice::from_ref(q);
+            let id = &qids[i..=i];
+            assert_eq!(batched[i..=i], a.search_batch_at(alone, id).unwrap(), "{kind:?} query {i}");
+            assert_eq!(
+                k_batched[i..=i],
+                a.search_k_batch_at(alone, k, id).unwrap(),
+                "{kind:?} top-{k}"
+            );
         }
     }
 }

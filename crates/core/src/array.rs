@@ -23,22 +23,22 @@
 //! # Lifecycle: program, then search
 //!
 //! Mutation and sensing are separate phases, mirroring the hardware. Writes
-//! ([`FerexArray::store`], [`FerexArray::update`], …) mark the physical
+//! ([`FerexArray::store`], [`FerexArray::insert`], …) mark the physical
 //! state stale; [`FerexArray::program`] is the explicit, idempotent
 //! transition that instantiates it (crossbar cells, or variation samples
 //! and first-ON levels).
-//! Every read — [`FerexArray::distances`], [`FerexArray::search`],
-//! [`FerexArray::search_batch`] — then takes `&self`, so a programmed array
-//! can serve queries from many threads concurrently. Searching a stochastic
-//! backend whose state is stale returns [`FerexError::NotProgrammed`]; the
-//! ideal backend has no physical state and never needs programming.
+//! Every read — [`FerexArray::distances_batch`],
+//! [`FerexArray::search_batch_at`], [`FerexArray::search_k_batch_at`] and
+//! [`FerexArray::read_digital`] — then takes `&self` and changes no state,
+//! so a programmed array can serve queries from many threads concurrently.
+//! Searching a stochastic backend whose state is stale returns
+//! [`FerexError::NotProgrammed`]; the ideal backend has no physical state
+//! and never needs programming.
 //!
-//! Sensing noise (the LTA offset) is drawn from a generator derived per
-//! query: [`FerexArray::search_at`] seeds it from the backend seed and the
-//! caller's query id, [`FerexArray::search`] assigns ids from an internal
-//! counter, and [`FerexArray::search_batch`] uses the batch index — so on a
-//! freshly programmed array, a loop of single searches and one batched call
-//! produce bit-identical outcomes.
+//! Sensing noise (the LTA offset) is drawn from a generator derived from
+//! the backend seed and the caller's query id, so a search depends only on
+//! its `(query, qid)` pairs: one batched call and a loop of batches of one
+//! with the same ids produce bit-identical outcomes.
 
 use crate::encoding::CellEncoding;
 use crate::error::FerexError;
@@ -59,7 +59,6 @@ use ferex_fefet::{CellFault, CellReadback, CellVerify, FaultPlan, Technology, Va
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Domain-separation salt for per-query sensing streams, keeping them
 /// disjoint from the other seed derivations that feed the same mixer.
@@ -160,12 +159,12 @@ pub struct SearchOutcome {
 /// array.store(vec![0, 1, 2, 3])?;
 /// array.store(vec![3, 2, 1, 0])?;
 /// array.program(); // explicit write→search transition (no-op for Ideal)
-/// let out = array.search(&[0, 1, 2, 2])?;
-/// assert_eq!(out.nearest, 0);
+/// let out = array.search_batch_at(&[vec![0, 1, 2, 2]], &[0])?;
+/// assert_eq!(out[0].nearest, 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FerexArray {
     tech: Technology,
     encoding: CellEncoding,
@@ -195,10 +194,6 @@ pub struct FerexArray {
     seed: u64,
     /// Generator consumed by [`FerexArray::program`] (variation sampling).
     program_rng: StdRng,
-    /// Monotone query-id source for [`FerexArray::search`] /
-    /// [`FerexArray::search_k`]; atomic so issuing searches needs only
-    /// `&self`.
-    query_counter: AtomicU64,
     /// Self-healing policy; `None` keeps the array byte-identical to the
     /// policy-free behavior (no spares, no sentinels, no verification).
     repair: Option<RepairPolicy>,
@@ -214,32 +209,6 @@ pub struct FerexArray {
     /// Online-mutation state (`None` keeps the legacy positional-mutator
     /// behavior byte-identical); see [`FerexArray::enable_mutation`].
     mutation: Option<MutationState>,
-}
-
-impl Clone for FerexArray {
-    fn clone(&self) -> Self {
-        FerexArray {
-            tech: self.tech.clone(),
-            encoding: self.encoding.clone(),
-            dim: self.dim,
-            backend: self.backend.clone(),
-            codes: self.codes.clone(),
-            crossbar: self.crossbar.clone(),
-            noisy_samples: self.noisy_samples.clone(),
-            first_on: self.first_on.clone(),
-            fault_map: self.fault_map.clone(),
-            aged_vth: self.aged_vth.clone(),
-            seed: self.seed,
-            program_rng: self.program_rng.clone(),
-            query_counter: AtomicU64::new(self.query_counter.load(Ordering::Relaxed)),
-            repair: self.repair.clone(),
-            row_map: self.row_map.clone(),
-            spare_state: self.spare_state.clone(),
-            counters: self.counters,
-            program_report: self.program_report.clone(),
-            mutation: self.mutation.clone(),
-        }
-    }
 }
 
 impl FerexArray {
@@ -268,7 +237,6 @@ impl FerexArray {
             aged_vth: None,
             seed,
             program_rng: StdRng::seed_from_u64(seed),
-            query_counter: AtomicU64::new(0),
             repair: None,
             row_map: Vec::new(),
             spare_state: Vec::new(),
@@ -520,51 +488,6 @@ impl FerexArray {
         self.invalidate_physical_state();
     }
 
-    /// Removes the vector at `row` (later rows shift up — the physical
-    /// analogue is erasing the row and compacting the row map). Returns the
-    /// removed vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range, or on a mutation-enabled array
-    /// (row indices shift here, which would corrupt the slot table — use
-    /// [`FerexArray::delete`]).
-    pub fn remove(&mut self, row: usize) -> Vec<u32> {
-        assert!(
-            self.mutation.is_none(),
-            "positional remove on a mutation-enabled array; use delete(id)"
-        );
-        assert!(row < self.len(), "row {row} out of range");
-        let removed = self.row_vector(row).unwrap_or_default();
-        self.codes.remove_row(row);
-        self.invalidate_physical_state();
-        removed
-    }
-
-    /// Replaces the vector at `row` in place (a row re-program).
-    ///
-    /// # Errors
-    ///
-    /// Validation errors; [`FerexError::InvalidPolicy`] on a
-    /// mutation-enabled array (use [`FerexArray::update_id`]). The array
-    /// is unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn update(&mut self, row: usize, vector: Vec<u32>) -> Result<(), FerexError> {
-        if self.mutation.is_some() {
-            return Err(FerexError::InvalidPolicy {
-                what: "positional update on a mutation-enabled array; use update_id(id, vector)",
-            });
-        }
-        assert!(row < self.len(), "row {row} out of range");
-        self.validate(&vector)?;
-        self.codes.set_row(row, &vector);
-        self.invalidate_physical_state();
-        Ok(())
-    }
-
     /// Builds the column drives for a query (shared by search and the cost
     /// models).
     pub fn drives_for(&self, query: &[u32]) -> Result<Vec<ColumnDrive>, FerexError> {
@@ -738,24 +661,6 @@ impl FerexArray {
         distances.iter().map(|&d| Amp(d * i_unit)).collect()
     }
 
-    /// Raw sensed row distances (in `I_unit` multiples) for a query,
-    /// without the LTA decision: [`FerexArray::distances_batch`] on a batch
-    /// of one, so a single read takes the same kernel as any batch.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::Empty`] if nothing is stored; validation errors for a
-    /// malformed query; [`FerexError::NotProgrammed`] if a stochastic
-    /// backend's state is stale (call [`FerexArray::program`] after
-    /// mutating).
-    /// Quarantined rows (no spare left) sense as `f64::INFINITY`: they
-    /// still occupy their logical index — so every other row keeps its id —
-    /// but can never win the LTA.
-    pub fn distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
-        let mut batch = self.distances_batch(&[query.to_vec()])?;
-        batch.pop().ok_or(FerexError::Empty)
-    }
-
     /// Row distances for every query of a batch — the one read path every
     /// search, single or batched, goes through. It matches on the backend
     /// once:
@@ -776,12 +681,17 @@ impl FerexArray {
     ///   threads.
     ///
     /// Every backend reports rows excluded from search (quarantined, or
-    /// free/tombstoned slots in mutation mode) as `f64::INFINITY`.
+    /// free/tombstoned slots in mutation mode) as `f64::INFINITY`: they
+    /// keep their index, so every other row keeps its id, but can never
+    /// win the LTA.
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::distances`]; the whole batch is validated before
-    /// any work happens.
+    /// [`FerexError::Empty`] if nothing is stored (or every row is
+    /// excluded); validation errors for a malformed query;
+    /// [`FerexError::NotProgrammed`] if a stochastic backend's state is
+    /// stale (call [`FerexArray::program`] after mutating). The whole
+    /// batch is validated before any work happens.
     pub fn distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
         // An empty batch asks for nothing: answer it before any state
         // checks, so it cannot trip over an empty or stale array.
@@ -1210,26 +1120,11 @@ impl FerexArray {
         Ok(out)
     }
 
-    /// One associative search with an explicit query id: senses all rows
-    /// and reports the LTA's nearest row, drawing sensing noise from the
-    /// stream derived for `qid`. The deterministic building block —
-    /// `search_at(q, i)` always reproduces the same outcome on the same
-    /// programmed array, from any thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances`].
-    pub fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
-        let distances = self.distances(query)?;
-        let nearest = self.sense_loser(&distances, qid);
-        Ok(SearchOutcome { distances, nearest })
-    }
-
     /// The LTA's loser row for one query's distances, drawing sensing
     /// noise from the stream of `qid`.
     fn sense_loser(&self, distances: &[f64], qid: u64) -> usize {
         let currents = self.to_currents(distances);
-        self.lta().sense(&currents, &mut self.rng_for_query(qid)).loser
+        self.lta().sense(&currents, &mut self.rng_for_query(qid))
     }
 
     /// Runs `sense(distances[i], qids[i])` for every query of a batch, in
@@ -1251,52 +1146,12 @@ impl FerexArray {
         }
     }
 
-    /// Senses a whole batch into outcomes (see
-    /// [`FerexArray::sense_each`]).
-    fn sense_batch(&self, distances: Vec<Vec<f64>>, qids: &[u64]) -> Vec<SearchOutcome> {
-        let nearest = self.sense_each(&distances, qids, |d, qid| self.sense_loser(d, qid));
-        distances
-            .into_iter()
-            .zip(nearest)
-            .map(|(distances, nearest)| SearchOutcome { distances, nearest })
-            .collect()
-    }
-
-    /// One associative search: [`FerexArray::search_at`] with the next id
-    /// from the array's internal query counter (fresh sensing noise per
-    /// call, no `&mut` needed).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances`].
-    pub fn search(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        let qid = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        self.search_at(query, qid)
-    }
-
-    /// Searches a whole batch, assigning query ids `0..queries.len()`:
-    /// equivalent to `queries.iter().enumerate().map(|(i, q)|
-    /// self.search_at(q, i as u64))`, with distances served through the
-    /// batched fast path of [`FerexArray::distances_batch`]. Pure in
-    /// `&self` — concurrent batches over a shared array return identical
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances_batch`].
-    pub fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        let distances = self.distances_batch(queries)?;
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
-        Ok(self.sense_batch(distances, &qids))
-    }
-
-    /// Searches a whole batch with an explicit query id per entry:
-    /// equivalent to `queries.iter().zip(qids).map(|(q, &id)|
-    /// self.search_at(q, id))`, with distances served through the batched
-    /// fast path. Because sensing noise is keyed purely on the query id,
-    /// outcomes are bit-identical to the individual searches regardless of
-    /// how requests were grouped into batches — the property the serving
-    /// loop's batch former relies on.
+    /// Associative search of a batch, query `i` sensed with id `qids[i]`:
+    /// distances come through [`FerexArray::distances_batch`], and the LTA
+    /// reports each query's nearest row with sensing noise drawn from the
+    /// stream of its id. The outcome depends only on the `(query, qid)`
+    /// pairs, never on how requests were grouped into batches or on earlier
+    /// reads — the property the serving loop's batch former relies on.
     ///
     /// # Errors
     ///
@@ -1311,45 +1166,39 @@ impl FerexArray {
             return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
         }
         let distances = self.distances_batch(queries)?;
-        Ok(self.sense_batch(distances, qids))
+        let nearest = self.sense_each(&distances, qids, |d, qid| self.sense_loser(d, qid));
+        Ok(distances
+            .into_iter()
+            .zip(nearest)
+            .map(|(distances, nearest)| SearchOutcome { distances, nearest })
+            .collect())
     }
 
-    /// Digital distance readout: senses all rows and digitizes the row
-    /// currents with the given ADC (full scale auto-ranged to the encoding
-    /// maximum if `adc.full_scale` is zero). Returns per-row distance
-    /// *codes* plus the conversion cost — the readout mode used when the
-    /// application needs distance values rather than just the argmin
-    /// (e.g. confidence scores).
+    /// k-nearest search of a batch via iterative LTA masking, query `i`
+    /// sensed with id `qids[i]` (see [`FerexArray::search_batch_at`]).
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::distances`].
-    pub fn read_digital(
+    /// As [`FerexArray::search_batch_at`]; [`FerexError::InvalidK`] when
+    /// `k` is zero or exceeds the number of rows served.
+    pub fn search_k_batch_at(
         &self,
-        query: &[u32],
-        adc: &ferex_analog::adc::AdcParams,
-        parallelism: usize,
-    ) -> Result<ferex_analog::adc::AdcReadout, FerexError> {
-        let distances = self.distances(query)?;
-        let i_unit = self.tech.i_unit().value();
-        let currents = self.to_currents(&distances);
-        let adc = if adc.full_scale.value() > 0.0 {
-            *adc
-        } else {
-            // Auto-range: the worst-case row distance is max-DM-entry per
-            // symbol across the whole vector.
-            let max_units =
-                (self.encoding.max_vds_multiple as usize * self.encoding.k * self.dim) as f64;
-            ferex_analog::adc::AdcParams { full_scale: Amp(max_units * i_unit), ..*adc }
-        };
-        Ok(adc.read_out(&currents, parallelism))
+        queries: &[Vec<u32>],
+        k: usize,
+        qids: &[u64],
+    ) -> Result<Vec<Vec<usize>>, FerexError> {
+        if qids.len() != queries.len() {
+            return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
+        }
+        let distances = self.distances_batch(queries)?;
+        self.sense_each(&distances, qids, |d, qid| self.sense_k(d, k, qid)).into_iter().collect()
     }
 
     fn sense_k(&self, distances: &[f64], k: usize, qid: u64) -> Result<Vec<usize>, FerexError> {
-        // Quarantined rows sense as INFINITY: they stay in the current
-        // vector (so RNG draws and logical ids line up with the healthy
-        // case) but can never be reported, so k is bounded by the rows
-        // actually served.
+        // Excluded rows sense as INFINITY: they stay in the current vector
+        // (so RNG draws and logical ids line up with the healthy case) but
+        // can never be reported, so k is bounded by the rows actually
+        // served.
         let active = distances.iter().filter(|d| d.is_finite()).count();
         if k == 0 || k > active {
             return Err(FerexError::InvalidK { k, rows: active });
@@ -1358,43 +1207,43 @@ impl FerexArray {
         Ok(self.lta().sense_k(&currents, k, &mut self.rng_for_query(qid)))
     }
 
-    /// k-nearest search via iterative LTA masking, with an explicit query
-    /// id (see [`FerexArray::search_at`]).
+    /// Digital distance readout: senses all rows and digitizes the row
+    /// currents with the given ADC (full scale auto-ranged to the encoding
+    /// maximum if `adc.full_scale` is zero), `parallelism` converters
+    /// working concurrently. Returns per-row distance *codes* plus the
+    /// conversion cost — the readout mode used when the application needs
+    /// distance values rather than just the argmin (e.g. confidence
+    /// scores). A row excluded from search senses `+∞` and reads as the
+    /// top code.
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::distances`]; [`FerexError::InvalidK`] when `k` is
-    /// zero or exceeds the number of stored vectors.
-    pub fn search_k_at(&self, query: &[u32], k: usize, qid: u64) -> Result<Vec<usize>, FerexError> {
-        let distances = self.distances(query)?;
-        self.sense_k(&distances, k, qid)
-    }
-
-    /// k-nearest search via iterative LTA masking, drawing the query id
-    /// from the internal counter.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::search_k_at`].
-    pub fn search_k(&self, query: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
-        let qid = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        self.search_k_at(query, k, qid)
-    }
-
-    /// k-nearest search for a whole batch, assigning query ids
-    /// `0..queries.len()`; distances come through the batched fast path.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances_batch`] and [`FerexArray::search_k_at`].
-    pub fn search_k_batch(
+    /// [`FerexError::InvalidPolicy`] when `parallelism` is zero; otherwise
+    /// as [`FerexArray::distances_batch`].
+    pub fn read_digital(
         &self,
-        queries: &[Vec<u32>],
-        k: usize,
-    ) -> Result<Vec<Vec<usize>>, FerexError> {
-        let distances = self.distances_batch(queries)?;
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
-        self.sense_each(&distances, &qids, |d, qid| self.sense_k(d, k, qid)).into_iter().collect()
+        query: &[u32],
+        adc: &ferex_analog::adc::AdcParams,
+        parallelism: usize,
+    ) -> Result<ferex_analog::adc::AdcReadout, FerexError> {
+        if parallelism == 0 {
+            return Err(FerexError::InvalidPolicy {
+                what: "ADC readout needs at least one converter",
+            });
+        }
+        let distances = self.distances_batch(&[query.to_vec()])?;
+        let currents = self.to_currents(distances.first().ok_or(FerexError::Empty)?);
+        let adc = if adc.full_scale.value() > 0.0 {
+            *adc
+        } else {
+            // Auto-range: the worst-case row distance is max-DM-entry per
+            // symbol across the whole vector.
+            let max_units =
+                (self.encoding.max_vds_multiple as usize * self.encoding.k * self.dim) as f64;
+            let i_unit = self.tech.i_unit().value();
+            ferex_analog::adc::AdcParams { full_scale: Amp(max_units * i_unit), ..*adc }
+        };
+        Ok(adc.read_out(&currents, parallelism))
     }
 
     // ------------------------------------------------------------------
@@ -1530,7 +1379,8 @@ impl FerexArray {
                 }
             }
             Backend::Circuit(_) => {
-                let cell = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?.cell(phys, col);
+                let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+                let cell = xb.cell(phys, col).ok_or(FerexError::NotProgrammed)?;
                 let (conducts, repairable) = match fault {
                     CellFault::None => (true, true),
                     CellFault::StuckAtLowVth | CellFault::ResistorShort => (true, false),
@@ -1570,6 +1420,7 @@ impl FerexArray {
                     .as_mut()
                     .ok_or(FerexError::NotProgrammed)?
                     .cell_mut(phys, col)
+                    .ok_or(FerexError::NotProgrammed)?
                     .fefet_mut()
                     .ferroelectric_mut();
                 let base = tech.vth_from_polarization(fe.polarization());
@@ -2501,13 +2352,14 @@ fn program_crossbar_row(
                         // device's own ΔVth stays intact.
                         let vth = aged.get(level).copied().unwrap_or_else(|| tech.vth_level(level));
                         let p = tech.polarization_for_vth(vth);
-                        xb.cell_mut(phys_row, col)
-                            .fefet_mut()
-                            .ferroelectric_mut()
-                            .set_polarization(p);
+                        if let Some(cell) = xb.cell_mut(phys_row, col) {
+                            cell.fefet_mut().ferroelectric_mut().set_polarization(p);
+                        }
                     }
                     if fault == CellFault::ResistorShort {
-                        xb.cell_mut(phys_row, col).scale_resistance(plan.short_residual_r);
+                        if let Some(cell) = xb.cell_mut(phys_row, col) {
+                            cell.scale_resistance(plan.short_residual_r);
+                        }
                     }
                 }
                 // Stuck fully set: conducts as the lowest level.
@@ -2517,7 +2369,9 @@ fn program_crossbar_row(
                 CellFault::StuckAtHighVth => {}
                 CellFault::ResistorOpen => {
                     xb.program(phys_row, col, level);
-                    xb.cell_mut(phys_row, col).scale_resistance(OPEN_RESISTANCE_SCALE);
+                    if let Some(cell) = xb.cell_mut(phys_row, col) {
+                        cell.scale_resistance(OPEN_RESISTANCE_SCALE);
+                    }
                 }
             }
         }
@@ -2549,7 +2403,7 @@ mod tests {
         a.store(vec![3, 2, 1, 0]).unwrap();
         a.store(vec![0, 0, 0, 0]).unwrap();
         let q = [0, 1, 2, 0];
-        let out = a.search(&q).unwrap();
+        let out = a.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         let m = DistanceMetric::Hamming;
         for (r, stored) in rows(&a).iter().enumerate() {
             let expected = m.vector_distance(&q, stored) as f64;
@@ -2574,8 +2428,8 @@ mod tests {
         }
         let q = [0, 1, 2, 3, 1, 1];
         circuit.program();
-        let oi = ideal.search(&q).unwrap();
-        let oc = circuit.search(&q).unwrap();
+        let oi = ideal.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
+        let oc = circuit.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         assert_eq!(oi.nearest, oc.nearest);
         for (a, b) in oi.distances.iter().zip(&oc.distances) {
             assert!((a - b).abs() < 0.1, "ideal {a} vs circuit {b}");
@@ -2588,7 +2442,7 @@ mod tests {
         a.store(vec![0, 0, 0, 0]).unwrap(); // d = 4 from q
         a.store(vec![1, 1, 1, 1]).unwrap(); // d = 0
         a.store(vec![1, 1, 0, 0]).unwrap(); // d = 2
-        let top = a.search_k(&[1, 1, 1, 1], 3).unwrap();
+        let top = a.search_k_batch_at(&[vec![1, 1, 1, 1]], 3, &[0]).unwrap().remove(0);
         assert_eq!(top, vec![1, 2, 0]);
     }
 
@@ -2601,7 +2455,7 @@ mod tests {
         let enc = find_minimal_cell(&dm, &SizingOptions::default()).unwrap().encoding;
         a.reconfigure(enc).unwrap();
         let q = [0, 3, 0];
-        let out = a.search(&q).unwrap();
+        let out = a.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         let m = DistanceMetric::Manhattan;
         for (r, stored) in rows(&a).iter().enumerate() {
             assert_eq!(out.distances[r], m.vector_distance(&q, stored) as f64);
@@ -2619,7 +2473,7 @@ mod tests {
             a.store(vec![0, 1, 4]),
             Err(FerexError::SymbolOutOfRange { value: 4, .. })
         ));
-        assert!(matches!(a.search(&[0, 0, 0]), Err(FerexError::Empty)));
+        assert!(matches!(a.search_batch_at(&[vec![0, 0, 0]], &[0]), Err(FerexError::Empty)));
     }
 
     #[test]
@@ -2647,7 +2501,7 @@ mod tests {
     fn copied_rows_equal_stored_rows() {
         let mut source = hamming_array(3, Backend::Ideal);
         source.store_all([vec![0, 3, 1], vec![2, 2, 2]]).unwrap();
-        source.distances(&[0, 0, 0]).unwrap(); // builds the bit-planes
+        source.distances_batch(&[vec![0, 0, 0]]).unwrap(); // builds the bit-planes
         let mut copy = hamming_array(3, noisy_cfg(1));
         copy.copy_rows_from(&source).unwrap();
         assert_eq!(rows(&copy), rows(&source));
@@ -2684,8 +2538,8 @@ mod tests {
         }
         let q = [0, 1, 2, 3, 3, 2, 1, 0];
         noisy.program();
-        let oi = ideal.search(&q).unwrap();
-        let on = noisy.search(&q).unwrap();
+        let oi = ideal.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
+        let on = noisy.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         assert_eq!(oi.distances, on.distances);
         assert_eq!(oi.nearest, on.nearest);
     }
@@ -2696,12 +2550,12 @@ mod tests {
         // backend's current statistics on the same workload: identical ON
         // counts in the nominal part, comparable spread under variation.
         let stored = vec![vec![0u32; 12], vec![1; 12]];
-        let q = vec![3u32; 12]; // every cell conducts per the ladder
+        let q = [vec![3u32; 12]]; // every cell conducts per the ladder
         let run = |backend: Backend| -> Vec<f64> {
             let mut a = hamming_array(12, backend);
             a.store_all(stored.clone()).unwrap();
             a.program();
-            a.distances(&q).unwrap()
+            a.distances_batch(&q).unwrap().remove(0)
         };
         let mut noisy_spread = Vec::new();
         let mut circuit_spread = Vec::new();
@@ -2742,23 +2596,22 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_update_rows() {
+    fn digital_readout_with_no_converter_is_a_typed_error() {
         let mut a = hamming_array(2, Backend::Ideal);
-        a.store(vec![0, 0]).unwrap();
-        a.store(vec![1, 1]).unwrap();
-        a.store(vec![2, 2]).unwrap();
-        let removed = a.remove(1);
-        assert_eq!(removed, vec![1, 1]);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.row_vector(1), Some(vec![2, 2]));
-        a.update(0, vec![3, 3]).unwrap();
-        let out = a.search(&[3, 3]).unwrap();
-        assert_eq!(out.nearest, 0);
-        assert_eq!(out.distances[0], 0.0);
-        // Invalid update leaves the array unchanged.
-        assert!(a.update(0, vec![9, 9]).is_err());
-        assert_eq!(a.row_vector(0), Some(vec![3, 3]));
-        assert_eq!(a.row_vector(2), None);
+        a.store(vec![0, 1]).unwrap();
+        let adc = ferex_analog::adc::AdcParams::default();
+        assert!(matches!(a.read_digital(&[0, 1], &adc, 0), Err(FerexError::InvalidPolicy { .. })));
+    }
+
+    #[test]
+    fn digital_readout_reads_excluded_rows_as_the_top_code() {
+        // Three free slots sense +inf: they saturate at the top code
+        // instead of tripping the converter.
+        let mut a = mutable_ideal(4);
+        a.insert(1, vec![0, 1, 2, 3]).unwrap();
+        let adc = ferex_analog::adc::AdcParams::default();
+        let readout = a.read_digital(&[0, 1, 2, 3], &adc, 2).unwrap();
+        assert_eq!(readout.codes, vec![0, 63, 63, 63]);
     }
 
     #[test]
@@ -2769,7 +2622,7 @@ mod tests {
             a.store(vec![0; 8]).unwrap();
             a.store(vec![1; 8]).unwrap();
             a.program();
-            a.search(&[0, 0, 0, 0, 1, 1, 1, 1]).unwrap()
+            a.search_batch_at(&[vec![0, 0, 0, 0, 1, 1, 1, 1]], &[0]).unwrap().remove(0)
         };
         assert_eq!(mk(), mk());
     }
@@ -2782,18 +2635,18 @@ mod tests {
     fn stale_stochastic_state_is_rejected_until_programmed() {
         let mut a = hamming_array(4, noisy_cfg(11));
         a.store(vec![0, 1, 2, 3]).unwrap();
-        assert_eq!(a.search(&[0, 1, 2, 3]), Err(FerexError::NotProgrammed));
+        assert_eq!(a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]), Err(FerexError::NotProgrammed));
         assert!(!a.is_programmed());
         a.program();
         assert!(a.is_programmed());
-        assert!(a.search(&[0, 1, 2, 3]).is_ok());
+        assert!(a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).is_ok());
         // Any mutation re-stales the state…
         a.store(vec![3, 3, 3, 3]).unwrap();
-        assert_eq!(a.distances(&[0; 4]), Err(FerexError::NotProgrammed));
+        assert_eq!(a.distances_batch(&[vec![0; 4]]), Err(FerexError::NotProgrammed));
         // …and program() is idempotent once re-run.
         a.program();
         a.program();
-        assert!(a.search_k(&[0; 4], 2).is_ok());
+        assert!(a.search_k_batch_at(&[vec![0; 4]], 2, &[0]).is_ok());
     }
 
     #[test]
@@ -2801,9 +2654,9 @@ mod tests {
         let mut a = hamming_array(6, noisy_cfg(5));
         a.store(vec![0; 6]).unwrap();
         a.program();
-        let before = a.distances(&[3; 6]).unwrap();
+        let before = a.distances_batch(&[vec![3; 6]]).unwrap().remove(0);
         a.program(); // no-op: must not redraw the variation samples
-        assert_eq!(before, a.distances(&[3; 6]).unwrap());
+        assert_eq!(before, a.distances_batch(&[vec![3; 6]]).unwrap().remove(0));
     }
 
     #[test]
@@ -2811,11 +2664,17 @@ mod tests {
         let mut a = hamming_array(2, Backend::Ideal);
         a.store(vec![0, 0]).unwrap();
         a.store(vec![1, 1]).unwrap();
-        assert_eq!(a.search_k(&[0, 0], 0), Err(FerexError::InvalidK { k: 0, rows: 2 }));
-        assert_eq!(a.search_k(&[0, 0], 3), Err(FerexError::InvalidK { k: 3, rows: 2 }));
+        assert_eq!(
+            a.search_k_batch_at(&[vec![0, 0]], 0, &[0]),
+            Err(FerexError::InvalidK { k: 0, rows: 2 })
+        );
+        assert_eq!(
+            a.search_k_batch_at(&[vec![0, 0]], 3, &[0]),
+            Err(FerexError::InvalidK { k: 3, rows: 2 })
+        );
         // An empty array still reports Empty, not InvalidK.
         let empty = hamming_array(2, Backend::Ideal);
-        assert_eq!(empty.search_k(&[0, 0], 1), Err(FerexError::Empty));
+        assert_eq!(empty.search_k_batch_at(&[vec![0, 0]], 1, &[0]), Err(FerexError::Empty));
     }
 
     fn batch_fixture(backend: Backend) -> (FerexArray, Vec<Vec<u32>>) {
@@ -2837,27 +2696,27 @@ mod tests {
             Backend::Noisy(Box::new(CircuitConfig { seed: 77, ..Default::default() })),
         ] {
             let (a, queries) = batch_fixture(backend.clone());
-            let batched = a.search_batch(&queries).unwrap();
+            let qids: Vec<u64> = (100..100 + queries.len() as u64).collect();
+            let batched = a.search_batch_at(&queries, &qids).unwrap();
             let sequential: Vec<SearchOutcome> = queries
                 .iter()
-                .enumerate()
-                .map(|(i, q)| a.search_at(q, i as u64).unwrap())
+                .zip(&qids)
+                .map(|(q, &qid)| {
+                    a.search_batch_at(std::slice::from_ref(q), &[qid]).unwrap().remove(0)
+                })
                 .collect();
             assert_eq!(batched, sequential, "backend {backend:?}");
-            // On a fresh array the counter starts at 0, so plain search()
-            // in a loop reproduces the batch too.
-            let counted: Vec<SearchOutcome> =
-                queries.iter().map(|q| a.search(q).unwrap()).collect();
-            assert_eq!(batched, counted, "counter path, backend {backend:?}");
         }
     }
 
     #[test]
     fn batch_search_k_is_bit_identical_to_sequential() {
         let (a, queries) = batch_fixture(noisy_cfg(13));
-        let batched = a.search_k_batch(&queries, 3).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let batched = a.search_k_batch_at(&queries, 3, &qids).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], a.search_k_at(q, 3, i as u64).unwrap());
+            let alone = a.search_k_batch_at(std::slice::from_ref(q), 3, &[qids[i]]).unwrap();
+            assert_eq!(vec![batched[i].clone()], alone);
         }
     }
 
@@ -2865,11 +2724,16 @@ mod tests {
     fn batch_validates_every_query_before_serving() {
         let (a, mut queries) = batch_fixture(Backend::Ideal);
         queries.last_mut().unwrap()[0] = 9; // out of range, last query
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
         assert!(matches!(
-            a.search_batch(&queries),
+            a.search_batch_at(&queries, &qids),
             Err(FerexError::SymbolOutOfRange { value: 9, .. })
         ));
-        assert_eq!(a.search_batch(&[]).unwrap(), Vec::<SearchOutcome>::new());
+        assert_eq!(
+            a.search_batch_at(&queries, &qids[1..]),
+            Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() - 1 })
+        );
+        assert_eq!(a.search_batch_at(&[], &[]).unwrap(), Vec::<SearchOutcome>::new());
     }
 
     /// Deterministic fault-study corner: no variation, ideal LTA, so every
@@ -2902,7 +2766,11 @@ mod tests {
             let mut a = hamming_array(4, Backend::Noisy(Box::new(faulty_cfg(plan, 1))));
             a.store(vec![0, 1, 2, 3]).unwrap();
             a.program();
-            assert_eq!(a.distances(&[3, 2, 1, 0]).unwrap(), vec![0.0], "{plan:?}");
+            assert_eq!(
+                a.distances_batch(&[vec![3, 2, 1, 0]]).unwrap().remove(0),
+                vec![0.0],
+                "{plan:?}"
+            );
         }
     }
 
@@ -2925,7 +2793,7 @@ mod tests {
                     .sum::<f64>()
             })
             .sum();
-        assert_eq!(a.distances(&q).unwrap(), vec![expected]);
+        assert_eq!(a.distances_batch(&[q.to_vec()]).unwrap().remove(0), vec![expected]);
     }
 
     #[test]
@@ -2935,7 +2803,7 @@ mod tests {
             let mut a = hamming_array(4, Backend::Noisy(Box::new(faulty_cfg(plan, 1))));
             a.store(vec![0, 1, 2, 3]).unwrap();
             a.program();
-            a.distances(&[2, 2, 2, 2]).unwrap()
+            a.distances_batch(&[vec![2, 2, 2, 2]]).unwrap().remove(0)
         };
         let benign = run(FaultPlan::none());
         let shorted = run(short);
@@ -2955,7 +2823,7 @@ mod tests {
             a.store(vec![0, 1, 2, 3, 0, 1]).unwrap();
             a.store(vec![3, 2, 1, 0, 3, 2]).unwrap();
             a.program();
-            a.distances(&[0, 1, 2, 3, 3, 3]).unwrap()
+            a.distances_batch(&[vec![0, 1, 2, 3, 3, 3]]).unwrap().remove(0)
         };
         let aged = run(plan);
         assert_eq!(aged, run(plan), "aging must be deterministic");
@@ -2981,7 +2849,11 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             let want = noisy_reference::reference(&a, q);
             assert_eq!(batched[i], want, "query {i}");
-            assert_eq!(a.distances(q).unwrap(), want, "query {i}, read alone");
+            assert_eq!(
+                a.distances_batch(std::slice::from_ref(q)).unwrap().remove(0),
+                want,
+                "query {i}, read alone"
+            );
         }
     }
 
@@ -2999,9 +2871,9 @@ mod tests {
         let circuit = mk(Backend::Circuit(Box::new(faulty_cfg(plan, 17))));
         // Same config seed → identical fault maps across backends.
         assert_eq!(noisy.fault_map().unwrap(), circuit.fault_map().unwrap());
-        let q = vec![3u32; 12]; // drives every healthy cell on
-        let dn = noisy.distances(&q).unwrap();
-        let dc = circuit.distances(&q).unwrap();
+        let q = [vec![3u32; 12]]; // drives every healthy cell on
+        let dn = noisy.distances_batch(&q).unwrap().remove(0);
+        let dc = circuit.distances_batch(&q).unwrap().remove(0);
         for (n, c) in dn.iter().zip(&dc) {
             assert!((n - c).abs() < 0.1 * n.max(1.0), "noisy {n} vs circuit {c}");
         }
@@ -3032,8 +2904,9 @@ mod tests {
         a.store(vec![0, 1]).unwrap();
         a.store(vec![1, 0]).unwrap();
         a.program();
-        let wins: Vec<usize> =
-            (0..64).map(|qid| a.search_at(&[0, 0], qid).unwrap().nearest).collect();
+        let qids: Vec<u64> = (0..64).collect();
+        let outcomes = a.search_batch_at(&vec![vec![0, 0]; 64], &qids).unwrap();
+        let wins: Vec<usize> = outcomes.iter().map(|o| o.nearest).collect();
         assert!(wins.contains(&0) && wins.contains(&1), "offsets look frozen: {wins:?}");
     }
 
@@ -3099,7 +2972,7 @@ mod tests {
         // the 200 mV decision margin: each cell's ON/OFF decision is exact
         // and only the ±8 % resistor spread remains on the magnitude.
         let q = [0, 1, 2, 3];
-        let out = a.search(&q).unwrap();
+        let out = a.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         for (r, stored) in rows(&a).iter().enumerate() {
             let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
             assert!(
@@ -3125,7 +2998,7 @@ mod tests {
             let report = a.program_verified().unwrap();
             assert!(!report.rows_remapped.is_empty(), "seed must fault at least one row");
             let q = [0, 1, 2, 3];
-            let out = a.search(&q).unwrap();
+            let out = a.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
             assert_eq!(out.distances.len(), 6, "results stay keyed by logical row id");
             for (r, stored) in rows(&a).iter().enumerate() {
                 let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
@@ -3156,12 +3029,15 @@ mod tests {
         assert_eq!(a.row_health(0), RowHealth::Remapped { spare });
         assert_eq!(a.quarantine_row(1), Err(FerexError::SparesExhausted { row: 1, spares: 1 }));
         assert_eq!(a.row_health(1), RowHealth::Quarantined);
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).unwrap().remove(0);
         assert!(out.distances[1].is_infinite(), "excluded row reads ∞");
         assert_eq!(out.distances[0], 0.0, "remapped row still serves its vector");
         // k-nearest sees 5 active rows, not 6.
-        assert_eq!(a.search_k(&[0, 1, 2, 3], 5).unwrap().len(), 5);
-        assert_eq!(a.search_k(&[0, 1, 2, 3], 6), Err(FerexError::InvalidK { k: 6, rows: 5 }));
+        assert_eq!(a.search_k_batch_at(&[vec![0, 1, 2, 3]], 5, &[0]).unwrap().remove(0).len(), 5);
+        assert_eq!(
+            a.search_k_batch_at(&[vec![0, 1, 2, 3]], 6, &[0]),
+            Err(FerexError::InvalidK { k: 6, rows: 5 })
+        );
         let h = a.health();
         assert_eq!((h.spares_in_use, h.rows_quarantined_now, h.rows_active), (1, 1, 5));
     }
@@ -3222,7 +3098,7 @@ mod tests {
         }
         assert_eq!(report.rows_excluded.len(), 6);
         // Graceful floor: with every row excluded there is no neighbor left.
-        assert_eq!(a.search(&[0, 1, 2, 3]), Err(FerexError::Empty));
+        assert_eq!(a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]), Err(FerexError::Empty));
     }
 
     #[test]
@@ -3316,12 +3192,12 @@ mod tests {
         let mut a = mutable_ideal(4);
         a.insert(10, vec![0, 1, 2, 3]).unwrap();
         a.insert(20, vec![3, 2, 1, 0]).unwrap();
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).unwrap().remove(0);
         let nearest_id = a.id_at(out.nearest).unwrap();
         assert_eq!(nearest_id, 10);
         assert_eq!(a.live_len(), 2);
         // Free slots are excluded, not served as zero vectors.
-        let zero_out = a.search(&[0, 0, 0, 0]).unwrap();
+        let zero_out = a.search_batch_at(&[vec![0, 0, 0, 0]], &[0]).unwrap().remove(0);
         assert!(a.id_at(zero_out.nearest).is_some(), "free slot won the search");
     }
 
@@ -3333,7 +3209,7 @@ mod tests {
         a.insert(1, vec![0, 0, 0, 0]).unwrap();
         a.insert(2, vec![3, 3, 3, 3]).unwrap();
         a.delete(1).unwrap();
-        let out = a.search(&[0, 0, 0, 0]).unwrap();
+        let out = a.search_batch_at(&[vec![0, 0, 0, 0]], &[0]).unwrap().remove(0);
         assert_eq!(a.id_at(out.nearest), Some(2), "tombstoned row must not serve");
         let slot = 0; // id 1 lived in slot 0
         assert!(out.distances[slot].is_infinite());
@@ -3354,7 +3230,6 @@ mod tests {
         ));
         // Positional mutation is rejected in mutation mode.
         assert!(matches!(a.store(vec![0; 4]), Err(FerexError::InvalidPolicy { .. })));
-        assert!(matches!(a.update(0, vec![0; 4]), Err(FerexError::InvalidPolicy { .. })));
     }
 
     #[test]
@@ -3415,7 +3290,7 @@ mod tests {
         let report = a.maintenance();
         assert_eq!(report.rotated, 1);
         assert_ne!(a.slot_of(1), Some(0), "hot row must move off its worn slot");
-        let out = a.search(&[0; 4]).unwrap();
+        let out = a.search_batch_at(&[vec![0; 4]], &[0]).unwrap().remove(0);
         assert_eq!(a.id_at(out.nearest), Some(1));
     }
 
@@ -3471,8 +3346,8 @@ mod tests {
             fresh.insert(id, a.vector_of(id).unwrap()).unwrap();
         }
         let q = [1, 2, 3, 0];
-        let got = a.search(&q).unwrap();
-        let want = fresh.search(&q).unwrap();
+        let got = a.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
+        let want = fresh.search_batch_at(&[q.to_vec()], &[0]).unwrap().remove(0);
         for id in a.live_ids() {
             let da = got.distances[a.slot_of(id).unwrap()];
             let db = want.distances[fresh.slot_of(id).unwrap()];
@@ -3495,10 +3370,10 @@ mod tests {
         // Delta write against live physical state: no full re-program.
         a.insert(3, vec![0, 0, 3, 3]).unwrap();
         assert!(a.is_programmed(), "delta write must not invalidate the crossbar");
-        let out = a.search(&[0, 0, 3, 3]).unwrap();
+        let out = a.search_batch_at(&[vec![0, 0, 3, 3]], &[0]).unwrap().remove(0);
         assert_eq!(a.id_at(out.nearest), Some(3));
         a.delete(1).unwrap();
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).unwrap().remove(0);
         assert_ne!(a.id_at(out.nearest), Some(1));
     }
 
@@ -3519,7 +3394,7 @@ mod tests {
             a.insert(2, vec![3, 3, 3, 3]).unwrap();
             a.program();
             a.delete(1).unwrap();
-            let out = a.search_at(&[0, 1, 2, 3], 0).unwrap();
+            let out = a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).unwrap().remove(0);
             assert_eq!(a.id_at(out.nearest), Some(2), "{backend:?}");
             let slot2 = a.slot_of(2).unwrap();
             for (slot, d) in out.distances.iter().enumerate() {
@@ -3676,8 +3551,8 @@ mod tests {
         }
 
         /// Every Noisy read equals the reference bit for bit — batches of
-        /// one, two and three queries and larger ones, single reads and
-        /// the scrub probe — and the stored first-ON levels are fresh.
+        /// one, two and three queries and larger ones, and the scrub
+        /// probe — and the stored first-ON levels are fresh.
         fn assert_reads_match(a: &FerexArray, seed: u64) {
             let n = a.encoding.n_search();
             for batch in [1usize, 2, 3, 9, 20] {
@@ -3697,9 +3572,6 @@ mod tests {
                             "refused a servable array"
                         );
                     }
-                }
-                if let Ok(single) = a.distances(&qs[0]) {
-                    assert_eq!(bits(&single), bits(&want[0]), "single read left the reference");
                 }
             }
             assert_levels_fresh(a);

@@ -131,6 +131,7 @@ impl FerexBuilder {
             sizing,
             report,
             array,
+            next_qid: 0,
         })
     }
 }
@@ -166,6 +167,9 @@ pub struct Ferex {
     sizing: SizingOptions,
     report: SizingReport,
     array: FerexArray,
+    /// The query id [`Ferex::search`] or [`Ferex::search_k`] senses with
+    /// next: each call takes one, in call order, even when its read fails.
+    next_qid: u64,
 }
 
 impl Ferex {
@@ -230,7 +234,7 @@ impl Ferex {
     /// (idempotent; see [`FerexArray::program`]). The engine's search
     /// methods call this themselves — it is exposed so callers can move
     /// the programming cost out of a timed or concurrent section and then
-    /// serve queries through [`Ferex::array`]'s `&self` read path.
+    /// serve queries through [`Ferex::array`]'s `&self` reads.
     pub fn program(&mut self) {
         self.array.program();
     }
@@ -238,9 +242,9 @@ impl Ferex {
     /// Brings the physical state up to date: a plain program without a
     /// repair policy, a verified (write-verify + sparing) program with one.
     /// Idempotent; public so callers holding `&mut` can pay the programming
-    /// cost once and then serve through the `&self` batch read paths
-    /// ([`Ferex::search_batch`] / [`Ferex::search_k_batch`]) from any
-    /// number of threads.
+    /// cost once and then serve through the array's `&self` batch reads
+    /// ([`FerexArray::search_batch_at`] / [`FerexArray::search_k_batch_at`])
+    /// from any number of threads.
     ///
     /// # Errors
     ///
@@ -256,7 +260,7 @@ impl Ferex {
 
     /// One associative search. Programs the array first if its physical
     /// state is stale (write-verifying it when a repair policy is
-    /// installed).
+    /// installed), then senses with the engine's next query id.
     ///
     /// # Errors
     ///
@@ -264,11 +268,14 @@ impl Ferex {
     /// verify errors under a strict repair policy.
     pub fn search(&mut self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
         self.ensure_programmed()?;
-        self.array.search(query)
+        let qid = self.next_qid;
+        self.next_qid = qid.wrapping_add(1);
+        self.array.search_batch_at(&[query.to_vec()], &[qid])?.pop().ok_or(FerexError::Empty)
     }
 
     /// k-nearest rows by iterative LTA masking. Programs the array first
-    /// if its physical state is stale.
+    /// if its physical state is stale, then senses with the engine's next
+    /// query id.
     ///
     /// # Errors
     ///
@@ -276,50 +283,9 @@ impl Ferex {
     /// `k`.
     pub fn search_k(&mut self, query: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
         self.ensure_programmed()?;
-        self.array.search_k(query, k)
-    }
-
-    /// Searches a whole batch through the array's batched fast path (see
-    /// [`FerexArray::search_batch`]).
-    ///
-    /// Pure in `&self` — the PR 1 read-path contract: a programmed engine
-    /// can serve concurrent batches from many threads sharing one
-    /// reference. Unlike [`Ferex::search`], this does *not* lazily program
-    /// a stale stochastic backend (that would need `&mut`); callers that
-    /// mutate must call [`Ferex::ensure_programmed`] (or
-    /// [`Ferex::program`]) first. The ideal backend never needs
-    /// programming.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::search_batch`]; in particular
-    /// [`FerexError::NotProgrammed`] when a stochastic backend's physical
-    /// state is stale.
-    pub fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        // An empty batch is a no-op: answered before any array state
-        // checks, so it never requires programming.
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.array.search_batch(queries)
-    }
-
-    /// k-nearest rows for a whole batch (see
-    /// [`FerexArray::search_k_batch`]). Pure in `&self`, with the same
-    /// programmed-array requirement as [`Ferex::search_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::search_k_batch`].
-    pub fn search_k_batch(
-        &self,
-        queries: &[Vec<u32>],
-        k: usize,
-    ) -> Result<Vec<Vec<usize>>, FerexError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.array.search_k_batch(queries, k)
+        let qid = self.next_qid;
+        self.next_qid = qid.wrapping_add(1);
+        self.array.search_k_batch_at(&[query.to_vec()], k, &[qid])?.pop().ok_or(FerexError::Empty)
     }
 
     /// Installs a self-healing policy on the array (see
@@ -495,11 +461,11 @@ impl Ferex {
     /// As [`Ferex::search`].
     pub fn cost_report(&mut self, query: &[u32]) -> Result<CostReport, FerexError> {
         self.array.program();
-        let distances = self.array.distances(query)?;
+        let distances = self.array.distances_batch(&[query.to_vec()])?;
         let drives = self.array.drives_for(query)?;
         let rows = self.array.len();
         let i_unit = self.tech.i_unit().value();
-        let currents: Vec<Amp> = distances.iter().map(|&d| Amp(d * i_unit)).collect();
+        let currents: Vec<Amp> = distances.iter().flatten().map(|&d| Amp(d * i_unit)).collect();
         let delay_model = DelayModel::default();
         let energy_model = EnergyModel { delay: delay_model.clone(), ..Default::default() };
         Ok(CostReport {
@@ -626,12 +592,41 @@ mod tests {
         ferex.store(vec![0, 1, 2, 3]).unwrap();
         // A zero-query batch is a no-op: Ok(vec![]) without touching the
         // physical state (no program, no LUT build).
-        assert_eq!(ferex.search_batch(&[]).unwrap(), Vec::new());
-        assert_eq!(ferex.search_k_batch(&[], 1).unwrap(), Vec::<Vec<usize>>::new());
+        assert_eq!(ferex.array().search_batch_at(&[], &[]).unwrap(), Vec::new());
+        assert_eq!(ferex.array().search_k_batch_at(&[], 1, &[]).unwrap(), Vec::<Vec<usize>>::new());
         assert!(!ferex.array().is_programmed(), "empty batch must not program the array");
         // Same contract on a completely empty engine.
         let blank = Ferex::builder().dim(4).build().expect("builds");
-        assert_eq!(blank.search_batch(&[]).unwrap(), Vec::new());
+        assert_eq!(blank.array().search_batch_at(&[], &[]).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn engine_searches_take_query_ids_in_call_order() {
+        // Noisy with the default LTA offset and two rows tied at distance
+        // 1, so the answer depends on the id the query is sensed with.
+        let mut ferex = Ferex::builder()
+            .dim(4)
+            .backend(Backend::Noisy(Box::default()))
+            .build()
+            .expect("builds");
+        ferex.store_all([vec![0, 1, 1, 1], vec![0, 0, 1, 0], vec![1, 1, 0, 0]]).unwrap();
+        let q = vec![0, 1, 1, 0];
+        // Calls in order, one id each: search (id 0), search_k (1), search
+        // (2), a failing search_k (3, still used up), then searches and one
+        // more search_k (6).
+        let mut top1 = vec![ferex.search(&q).unwrap()];
+        let mut topk = vec![ferex.search_k(&q, 2).unwrap()];
+        top1.push(ferex.search(&q).unwrap());
+        assert_eq!(ferex.search_k(&q, 9), Err(FerexError::InvalidK { k: 9, rows: 3 }));
+        top1.extend((0..2).map(|_| ferex.search(&q).unwrap()));
+        topk.push(ferex.search_k(&q, 2).unwrap());
+        top1.extend((0..3).map(|_| ferex.search(&q).unwrap()));
+        let array = ferex.array();
+        let ids = [0, 2, 4, 5, 7, 8, 9];
+        assert_eq!(top1, array.search_batch_at(&vec![q.clone(); ids.len()], &ids).unwrap());
+        assert_eq!(topk, array.search_k_batch_at(&vec![q.clone(); 2], 2, &[1, 6]).unwrap());
+        let by_id = array.search_batch_at(&vec![q; 64], &(0..64).collect::<Vec<u64>>()).unwrap();
+        assert!(by_id.iter().any(|o| o.nearest != by_id[0].nearest), "the id must matter");
     }
 
     #[test]

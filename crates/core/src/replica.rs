@@ -523,9 +523,9 @@ pub struct ReplicaSet<A: ReplicaNode> {
     policy: ReplicaPolicy,
     /// Virtual clock: total queries this set has served (or attempted).
     tick: u64,
-    /// Query-id counter for sequential searches — mirrors
-    /// [`FerexArray::search`]'s internal counter, so a 1-replica set is
-    /// bit-identical to the bare array.
+    /// Query-id counter for [`ReplicaSet::serve`]: ids 0, 1, 2… in call
+    /// order, as [`Ferex::search`](crate::engine::Ferex::search) draws
+    /// them, so a 1-replica set serves bit-identically to the engine.
     seq_counter: u64,
     stats: ReplicaSetStats,
 }
@@ -1067,9 +1067,9 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// Serves one query through the full ladder (routing → quorum →
     /// breaker bookkeeping → fallback), reporting provenance. A batch of
     /// one through the same core as [`ReplicaSet::serve_batch_read`], with
-    /// the next id of the set's sequential query counter — mirroring
-    /// [`FerexArray::search`]'s counter, so a 1-replica set reproduces the
-    /// bare array.
+    /// the next id of the set's sequential query counter — the ids
+    /// [`Ferex::search`](crate::engine::Ferex::search) draws, so a
+    /// 1-replica set reproduces the engine.
     ///
     /// # Errors
     ///
@@ -1366,14 +1366,13 @@ mod tests {
         bare.program();
         let mut set = build().replica_set(1, ReplicaPolicy::default()).expect("replicates");
         let queries = vectors(8, 6);
-        for q in &queries {
-            let lone = bare.array().search(q).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let lone = bare.array().search_batch_at(&queries, &qids).unwrap();
+        for (q, lone) in queries.iter().zip(&lone) {
             let served = set.serve(q).unwrap();
-            assert_eq!(served.outcome, lone);
+            assert_eq!(&served.outcome, lone);
             assert_eq!(served.source, ServeSource::Replica(0));
         }
-        let lone = bare.array().search_batch(&queries).unwrap();
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
         let (served, reads) = set.serve_batch_read(&queries, &qids).unwrap();
         assert_eq!(served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), lone);
         assert_eq!(reads, vec![0]);
@@ -1531,9 +1530,8 @@ mod tests {
             .expect("builds");
         bare.store_all(vectors(8, 6)).unwrap();
         bare.program();
-        for ((q, &qid), served) in queries.iter().zip(&qids).zip(&all) {
-            assert_eq!(served.outcome, bare.array().search_at(q, qid).unwrap());
-        }
+        let lone = bare.array().search_batch_at(&queries, &qids).unwrap();
+        assert_eq!(all.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), lone);
     }
 
     #[test]

@@ -132,17 +132,6 @@ impl SoaCodes {
         self.repack_row(r);
     }
 
-    /// Removes row `r`, shifting later rows up (mirrors
-    /// [`crate::array::FerexArray::remove`]).
-    pub(crate) fn remove_row(&mut self, r: usize) {
-        let base = r * self.dim;
-        self.codes.drain(base..base + self.dim);
-        let stride = self.plane_stride();
-        if let Some(planes) = self.planes.get_mut() {
-            planes.drain(r * stride..(r + 1) * stride);
-        }
-    }
-
     /// Drops every row, and the planes with them.
     pub(crate) fn clear(&mut self) {
         self.codes.clear();
@@ -350,9 +339,7 @@ mod tests {
         soa.set_row(1, &[9, 9, 9]);
         assert_eq!(soa.row(1), Some(&[9, 9, 9][..]));
         assert_eq!(soa.row(3), None);
-        soa.remove_row(0);
-        assert_eq!(soa.rows(), 2);
-        assert_eq!(soa.as_slice(), &[9, 9, 9, 6, 7, 8]);
+        assert_eq!(soa.as_slice(), &[0, 1, 2, 9, 9, 9, 6, 7, 8]);
         soa.clear();
         assert!(soa.as_slice().is_empty());
         assert_eq!(soa.rows(), 0);
@@ -565,9 +552,7 @@ mod tests {
                         }
                     } else {
                         match op {
-                            0 | 1 => a.store(vector(e, n)).expect("valid"),
-                            2 if len > 0 => a.update(pick(len), vector(e, n)).expect("valid"),
-                            3 if len > 0 => { a.remove(pick(len)); }
+                            0..=3 => a.store(vector(e, n)).expect("valid"),
                             4 => a.clear(),
                             5 => { let _ = a.reconfigure(encs[e as usize % 3].clone()); }
                             6 if len > 0 => { let _ = a.quarantine_row(pick(len)); }

@@ -8,7 +8,7 @@ use ferex_core::feasibility::{
 use ferex_core::{
     find_minimal_cell, sizing_for, Backend, CellEncoding, CircuitConfig, DistanceMatrix,
     DistanceMetric, EncodingLimits, FerexArray, MutationPolicy, QuorumPolicy, RepairPolicy,
-    ReplicaPolicy, ReplicaSet, RowHealth, SearchOutcome, ServeSource, SizingOptions,
+    ReplicaPolicy, ReplicaSet, RowHealth, ServeSource, SizingOptions,
 };
 use ferex_fefet::{Technology, VariationModel};
 use proptest::prelude::*;
@@ -202,7 +202,7 @@ proptest! {
         for v in &data {
             array.store(v.clone()).unwrap();
         }
-        let out = array.search(&query).unwrap();
+        let out = array.search_batch_at(std::slice::from_ref(&query), &[0]).unwrap().remove(0);
         let m = DistanceMetric::Hamming;
         for (r, stored) in data.iter().enumerate() {
             prop_assert_eq!(out.distances[r], m.vector_distance(&query, stored) as f64);
@@ -305,7 +305,7 @@ proptest! {
         let served: Vec<usize> = (0..data.len())
             .filter(|&r| array.row_health(r) != RowHealth::Quarantined)
             .collect();
-        let distances = array.distances(&query).unwrap();
+        let distances = array.distances_batch(std::slice::from_ref(&query)).unwrap().remove(0);
         let m = DistanceMetric::Hamming;
         for r in 0..data.len() {
             if served.contains(&r) {
@@ -323,29 +323,28 @@ proptest! {
         }
 
         if served.is_empty() {
-            prop_assert!(array.search(&query).is_err(), "nothing left to serve");
+            prop_assert!(array.search_batch_at(&[query], &[0]).is_err(), "nothing left to serve");
             return;
         }
-        let nearest = array.search(&query).unwrap().nearest;
+        // Batched serving is bit-identical to sequential, spares and all.
+        let queries = vec![query.clone(), data[served[0]].clone()];
+        let qids = [0, 1];
+        let batched = array.search_batch_at(&queries, &qids).unwrap();
+        let nearest = batched[0].nearest;
         let want = *served
             .iter()
             .min_by(|&&a, &&b| distances[a].partial_cmp(&distances[b]).unwrap())
             .unwrap();
         prop_assert_eq!(nearest, want, "nearest must be the argmin over served rows");
-
-        // Batched serving is bit-identical to sequential, spares and all.
-        let queries = vec![query.clone(), data[served[0]].clone()];
-        let batched = array.search_batch(&queries).unwrap();
-        let sequential: Vec<SearchOutcome> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| array.search_at(q, i as u64).unwrap())
-            .collect();
-        prop_assert_eq!(batched, sequential);
+        for (i, q) in queries.iter().enumerate() {
+            let alone = array.search_batch_at(std::slice::from_ref(q), &qids[i..=i]).unwrap();
+            prop_assert_eq!(&batched[i..=i], &alone[..]);
+        }
         if served.len() >= 2 {
-            let kb = array.search_k_batch(&queries, 2).unwrap();
+            let kb = array.search_k_batch_at(&queries, 2, &qids).unwrap();
             for (i, q) in queries.iter().enumerate() {
-                prop_assert_eq!(&kb[i], &array.search_k_at(q, 2, i as u64).unwrap());
+                let alone = array.search_k_batch_at(std::slice::from_ref(q), 2, &qids[i..=i]);
+                prop_assert_eq!(&kb[i..=i], &alone.unwrap()[..]);
             }
         }
     }
@@ -355,12 +354,12 @@ proptest! {
     /// kernel, Manhattan/Euclidean² the per-query LUT kernel), every
     /// backend, under hard-fault/aging plans, and with quarantined
     /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
-    /// must reproduce a loop of `distances` calls exactly, INFINITY
+    /// must reproduce a loop of batches of one exactly, INFINITY
     /// sentinels included; on Ideal every row must also equal the
     /// independent f64 reference `Σ cell_current(q, s)` over its stored
     /// vector (the Noisy kernel's independent reference, the row loop it
     /// replaced, is the `noisy_reference` property test in `array.rs`);
-    /// and the full search path on top of it must reproduce `search_at`.
+    /// and the full search path on top of it must reproduce batches of one.
     #[test]
     fn batched_kernels_are_bit_identical_to_scalar_path(
         data in prop::collection::vec(prop::collection::vec(0u32..4, 6), 2..7),
@@ -434,8 +433,8 @@ proptest! {
 
         let batched = array.distances_batch(&queries).unwrap();
         for (q, got) in queries.iter().zip(&batched) {
-            let want = array.distances(q).unwrap();
-            prop_assert_eq!(got.clone(), want, "kernel diverged from the per-query path");
+            let want = array.distances_batch(std::slice::from_ref(q)).unwrap();
+            prop_assert_eq!(vec![got.clone()], want, "kernel diverged from the per-query path");
             if backend_idx == 0 {
                 let enc = array.encoding();
                 let reference: Vec<f64> = (0..array.len())
@@ -454,9 +453,11 @@ proptest! {
                 prop_assert_eq!(bits(got), bits(&reference), "kernel diverged from the f64 reference");
             }
         }
-        let outcomes = array.search_batch(&queries).unwrap();
-        for (i, (q, got)) in queries.iter().zip(&outcomes).enumerate() {
-            prop_assert_eq!(got, &array.search_at(q, i as u64).unwrap());
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let outcomes = array.search_batch_at(&queries, &qids).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let alone = array.search_batch_at(std::slice::from_ref(q), &qids[i..=i]).unwrap();
+            prop_assert_eq!(&outcomes[i..=i], &alone[..]);
         }
     }
 
@@ -506,19 +507,17 @@ proptest! {
         };
         let mut set = ReplicaSet::new(replicas, metric, policy).unwrap();
 
-        // Sequential serving mirrors the bare array's query-id stream.
-        for (i, q) in queries.iter().enumerate() {
+        // Sequential serving mirrors the bare array read with query ids
+        // 0..len, and so does batched serving with the same ids.
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let want = bare.search_batch_at(&queries, &qids).unwrap();
+        for (q, want) in queries.iter().zip(&want) {
             let served = set.serve(q).unwrap();
             prop_assert!(matches!(served.source, ServeSource::Replica(_)));
-            prop_assert_eq!(served.outcome, bare.search_at(q, i as u64).unwrap());
+            prop_assert_eq!(&served.outcome, want);
         }
-        // Batched serving mirrors the bare batched path (query ids 0..len).
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
         let (served, _) = set.serve_batch_read(&queries, &qids).unwrap();
-        prop_assert_eq!(
-            served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(),
-            bare.search_batch(&queries).unwrap()
-        );
+        prop_assert_eq!(served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), want);
         prop_assert_eq!(set.stats().oracle_fallbacks, 0);
         prop_assert_eq!(set.stats().disagreements, 0);
     }

@@ -130,19 +130,20 @@ impl AmClassifier {
     }
 
     /// Classifies a batch of encoded queries through the batched serving
-    /// path ([`ferex_core::FerexArray::search_batch`]): the array is
-    /// programmed once and the per-batch cell-current tables are shared
-    /// across every query.
+    /// path ([`ferex_core::FerexArray::search_batch_at`], query ids
+    /// `0..n`): the array is programmed once and one kernel pass serves
+    /// every query.
     ///
     /// # Errors
     ///
     /// Search errors from the array.
     pub fn classify_batch(&mut self, hvs: &[Hypervector]) -> Result<Vec<usize>, FerexError> {
-        // The engine's batch path is a pure `&self` read; bring a stale
-        // stochastic backend up to date before serving.
+        // The array's batch read takes `&self` and never programs; bring a
+        // stale stochastic backend up to date before serving.
         self.ferex.ensure_programmed()?;
         let queries: Vec<Vec<u32>> = hvs.iter().map(|hv| self.quantize_query(hv)).collect();
-        let outcomes = self.ferex.search_batch(&queries)?;
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let outcomes = self.ferex.array().search_batch_at(&queries, &qids)?;
         Ok(outcomes.into_iter().map(|o| o.nearest).collect())
     }
 
@@ -158,7 +159,7 @@ impl AmClassifier {
     pub fn classify_with_margin(&mut self, hv: &Hypervector) -> Result<(usize, f64), FerexError> {
         let symbols = self.quantize_query(hv);
         let ranked = self.ferex.search_k(&symbols, 2)?;
-        let distances = self.ferex.array_mut().distances(&symbols)?;
+        let distances = self.ferex.array().distances_batch(&[symbols])?.concat();
         let d1 = distances[ranked[0]];
         let d2 = distances[ranked[1]];
         let margin = ((d2 - d1) / d2.max(1e-12)).clamp(0.0, 1.0);

@@ -2,7 +2,7 @@
 //!
 //! Reference vectors are stored one per array row; a query is one
 //! associative search, and k > 1 uses the iterative LTA masking of
-//! [`ferex_core::FerexArray::search_k`]. This is the workload of the
+//! [`ferex_core::FerexArray::search_k_batch_at`]. This is the workload of the
 //! paper's Fig. 7 Monte-Carlo study (MNIST KNN worst cases).
 
 use crate::exact::ExactKnn;
@@ -103,17 +103,19 @@ impl AmKnn {
 
     /// Classifies a whole query batch: the array is programmed once, the
     /// k-nearest lists come through the batched serving path
-    /// ([`ferex_core::FerexArray::search_k_batch`]), and each list is
+    /// ([`ferex_core::FerexArray::search_k_batch_at`], query ids `0..n`),
+    /// and each list is
     /// majority-voted exactly as in [`AmKnn::classify`].
     ///
     /// # Errors
     ///
     /// Search errors (including fewer than `k` stored points).
     pub fn classify_batch(&mut self, queries: &[Vec<u32>]) -> Result<Vec<usize>, FerexError> {
-        // The engine's batch path is a pure `&self` read; bring a stale
-        // stochastic backend up to date before serving.
+        // The array's batch read takes `&self` and never programs; bring a
+        // stale stochastic backend up to date before serving.
         self.ferex.ensure_programmed()?;
-        let ranked = self.ferex.search_k_batch(queries, self.k)?;
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let ranked = self.ferex.array().search_k_batch_at(queries, self.k, &qids)?;
         Ok(ranked.iter().map(|nearest| self.vote(nearest)).collect())
     }
 
@@ -127,7 +129,7 @@ impl AmKnn {
     /// Search errors from the array.
     pub fn classify_weighted(&mut self, query: &[u32]) -> Result<usize, FerexError> {
         let nearest = self.ferex.search_k(query, self.k)?;
-        let distances = self.ferex.array_mut().distances(query)?;
+        let distances = self.ferex.array().distances_batch(&[query.to_vec()])?.concat();
         let mut weights: Vec<(usize, f64)> = Vec::new();
         for &row in &nearest {
             let label = self.labels[row];

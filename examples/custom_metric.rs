@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut array = FerexArray::new(tech, report.encoding, 6, Backend::Ideal);
     array.store(vec![2, 2, 2, 2, 2, 2])?;
     array.store(vec![1, 1, 1, 1, 1, 1])?;
-    let out = array.search(&[2, 2, 2, 1, 1, 1])?;
-    println!("query [2,2,2,1,1,1] vs stored rows: costs {:?}", out.distances);
-    println!("nearest (lowest asymmetric cost): row {}", out.nearest);
+    let out = array.search_batch_at(&[vec![2, 2, 2, 1, 1, 1]], &[0])?;
+    println!("query [2,2,2,1,1,1] vs stored rows: costs {:?}", out[0].distances);
+    println!("nearest (lowest asymmetric cost): row {}", out[0].nearest);
     Ok(())
 }

@@ -51,12 +51,14 @@ fn concurrent_batches_match_sequential_on_all_backends() {
     for backend in backends() {
         let array = programmed_array(backend.clone(), 16, 12);
         let queries = random_vectors(8, 16, 22);
-        let sequential = array.search_batch(&queries).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let sequential = array.search_batch_at(&queries, &qids).unwrap();
 
         let shared = &array;
         let concurrent: Vec<_> = thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| shared.search_batch(&queries).unwrap())).collect();
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| shared.search_batch_at(&queries, &qids).unwrap()))
+                .collect();
             handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
 
@@ -70,30 +72,27 @@ fn concurrent_batches_match_sequential_on_all_backends() {
     }
 }
 
-/// `search_k_batch` is bit-identical to a loop of `search_k` for every
-/// metric and every backend. A batch assigns query id `i` to the `i`-th
-/// query without touching the array's counter, so on a fresh array (counter
-/// at zero) the stateful sequential loop consumes the same noise streams —
-/// batch first, then the loop.
+/// `search_k_batch_at` is bit-identical to a loop of batches of one with
+/// the same query ids, for every metric and every backend: each query's
+/// noise stream is keyed on its id alone.
 #[test]
 fn search_k_batch_equals_sequential_loop_on_every_metric_and_backend() {
     for metric in DistanceMetric::ALL {
         for backend in backends() {
             let array = programmed_metric_array(metric, backend.clone(), 10, 9);
             let queries = random_vectors(7, 10, 24);
+            let qids: Vec<u64> = (0..queries.len() as u64).map(|i| 3 * i + 1).collect();
             let k = 3;
-            let batched = array.search_k_batch(&queries, k).unwrap();
+            let batched = array.search_k_batch_at(&queries, k, &qids).unwrap();
 
             let explicit: Vec<_> = queries
                 .iter()
-                .enumerate()
-                .map(|(i, q)| array.search_k_at(q, k, i as u64).unwrap())
+                .zip(&qids)
+                .flat_map(|(q, &qid)| {
+                    array.search_k_batch_at(std::slice::from_ref(q), k, &[qid]).unwrap()
+                })
                 .collect();
             assert_eq!(batched, explicit, "{metric} {backend:?}: explicit query ids");
-
-            let sequential: Vec<_> =
-                queries.iter().map(|q| array.search_k(q, k).unwrap()).collect();
-            assert_eq!(batched, sequential, "{metric} {backend:?}: stateful loop");
         }
     }
 }
@@ -104,12 +103,13 @@ fn concurrent_search_k_batches_match_sequential() {
     for backend in backends() {
         let array = programmed_array(backend.clone(), 12, 10);
         let queries = random_vectors(6, 12, 23);
-        let sequential = array.search_k_batch(&queries, 3).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let sequential = array.search_k_batch_at(&queries, 3, &qids).unwrap();
 
         let shared = &array;
         thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
-                .map(|_| scope.spawn(|| shared.search_k_batch(&queries, 3).unwrap()))
+                .map(|_| scope.spawn(|| shared.search_k_batch_at(&queries, 3, &qids).unwrap()))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().expect("no panic"), sequential, "backend {backend:?}");
@@ -118,10 +118,10 @@ fn concurrent_search_k_batches_match_sequential() {
     }
 }
 
-/// The engine-level read-path contract (PR 1, restored): after
-/// `ensure_programmed()`, `Ferex::search_batch` / `search_k_batch` are
-/// pure `&self` reads, so one engine can serve concurrent batches from
-/// threads sharing a plain reference — no locking, bit-identical results.
+/// The engine-level read-path contract: after `ensure_programmed()`, the
+/// array's batch reads are pure `&self` reads, so one engine can serve
+/// concurrent batches from threads sharing a plain reference — no
+/// locking, bit-identical results.
 #[test]
 fn concurrent_engine_batches_share_one_engine() {
     use ferex::core::Ferex;
@@ -140,8 +140,9 @@ fn concurrent_engine_batches_share_one_engine() {
         // One `&mut` programming step, then `&self` serving only.
         engine.ensure_programmed().unwrap();
         let queries = random_vectors(6, 12, 32);
-        let sequential = engine.search_batch(&queries).unwrap();
-        let ranked = engine.search_k_batch(&queries, 3).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let sequential = engine.array().search_batch_at(&queries, &qids).unwrap();
+        let ranked = engine.array().search_k_batch_at(&queries, 3, &qids).unwrap();
 
         let shared = &engine;
         thread::scope(|scope| {
@@ -149,8 +150,8 @@ fn concurrent_engine_batches_share_one_engine() {
                 .map(|_| {
                     scope.spawn(|| {
                         (
-                            shared.search_batch(&queries).unwrap(),
-                            shared.search_k_batch(&queries, 3).unwrap(),
+                            shared.array().search_batch_at(&queries, &qids).unwrap(),
+                            shared.array().search_k_batch_at(&queries, 3, &qids).unwrap(),
                         )
                     })
                 })
@@ -187,13 +188,16 @@ fn stale_engine_batch_requires_reprogramming() {
         engine.store(v).unwrap();
     }
     let queries = random_vectors(3, 8, 42);
+    let qids = [0, 1, 2];
     // Never programmed: the pure read path must refuse.
-    assert!(matches!(engine.search_batch(&queries), Err(FerexError::NotProgrammed)));
+    let read = |e: &Ferex| e.array().search_batch_at(&queries, &qids);
+    assert!(matches!(read(&engine), Err(FerexError::NotProgrammed)));
     engine.ensure_programmed().unwrap();
-    assert!(engine.search_batch(&queries).is_ok());
+    assert!(read(&engine).is_ok());
     // Mutation re-stales the physical state.
     engine.store(random_vectors(1, 8, 43).remove(0)).unwrap();
-    assert!(matches!(engine.search_k_batch(&queries, 2), Err(FerexError::NotProgrammed)));
+    let read_k = |e: &Ferex| e.array().search_k_batch_at(&queries, 2, &qids);
+    assert!(matches!(read_k(&engine), Err(FerexError::NotProgrammed)));
     engine.ensure_programmed().unwrap();
-    assert!(engine.search_k_batch(&queries, 2).is_ok());
+    assert!(read_k(&engine).is_ok());
 }

@@ -129,7 +129,7 @@ fn adc_readout_agrees_with_analog_decision() {
         array.store(v.clone()).unwrap();
     }
     let query = random_vectors(1, 32, 6).remove(0);
-    let analog = array.search(&query).unwrap();
+    let analog = array.search_batch_at(std::slice::from_ref(&query), &[0]).unwrap().remove(0);
     let adc = AdcParams { bits: 12, full_scale: Amp(0.0), ..Default::default() };
     let readout = array.read_digital(&query, &adc, 4).unwrap();
     let digital_nearest =

@@ -6,8 +6,8 @@
 //! * **Bit-identity** — hedging, brownout demotion, and per-replica
 //!   latency models only move *when* batches complete, never *what* they
 //!   answer: every hedged completion reproduces the bare array's
-//!   `search_at` outcome for the same stable query id, across metrics and
-//!   backends, and the serving counters still balance exactly.
+//!   `search_batch_at` outcome for the same stable query id, across
+//!   metrics and backends, and the serving counters still balance exactly.
 //! * **Pinned schedule** — a 3-replica set with replica 1 at a
 //!   deterministic 8x slowdown serves a 48-request burst on an exact,
 //!   hand-checked batch/hedge schedule: one hedge fired and won by the
@@ -98,7 +98,7 @@ fn request_strategy() -> impl Strategy<Value = (usize, u32, u64, Vec<u32>)> {
 
 proptest! {
     /// Hedged serving across metrics and backends: every completion is
-    /// bit-identical to the bare array's `search_at` oracle, and the
+    /// bit-identical to the bare array's `search_batch_at` oracle, and the
     /// counters balance with hedges in play.
     #[test]
     fn hedged_answers_are_bit_identical_to_the_bare_array(
@@ -156,10 +156,13 @@ proptest! {
             b.program();
             b
         };
-        for c in &completions {
-            let want = bare.array().search_at(&by_qid[c.qid as usize], c.qid).expect("searches");
+        let queries: Vec<Vec<u32>> =
+            completions.iter().map(|c| by_qid[c.qid as usize].clone()).collect();
+        let qids: Vec<u64> = completions.iter().map(|c| c.qid).collect();
+        let wants = bare.array().search_batch_at(&queries, &qids).expect("searches");
+        for (c, want) in completions.iter().zip(&wants) {
             prop_assert_eq!(
-                &c.outcome.outcome, &want,
+                &c.outcome.outcome, want,
                 "qid {} answer drifted under hedging", c.qid
             );
         }

@@ -208,8 +208,10 @@ proptest! {
         // Search agreement on the fault-free legs: a live vector's nearest
         // slot resolves to an id at the oracle-minimal distance.
         if leg != Leg::NoisyFaulted && !mirror.is_empty() {
-            for (qi, probe) in mirror.values().take(3).enumerate() {
-                let out = array.search_at(probe, qi as u64).expect("live table serves");
+            let probes: Vec<Vec<u32>> = mirror.values().take(3).cloned().collect();
+            let qids: Vec<u64> = (0..probes.len() as u64).collect();
+            let outs = array.search_batch_at(&probes, &qids).expect("live table serves");
+            for (probe, out) in probes.iter().zip(&outs) {
                 let got_id = array.id_at(out.nearest).expect("nearest slot must be live");
                 let got = mirror
                     .get(&got_id)
