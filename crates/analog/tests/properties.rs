@@ -9,7 +9,63 @@ use ferex_fefet::units::{Amp, Volt};
 use ferex_fefet::Technology;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// Row currents that stress offset pruning. Each `(kind, u)` makes one
+/// row: near the minimum (`base` plus up to 4σ), far above it (1–11 µA
+/// up), an exact copy of an earlier row, or `+∞`. `all_infinite` makes
+/// every row `+∞`.
+fn mixed_currents(rows: &[(u8, f64)], base: f64, sigma: f64, all_infinite: bool) -> Vec<Amp> {
+    let mut out: Vec<Amp> = Vec::with_capacity(rows.len());
+    for &(kind, u) in rows {
+        let c = match kind {
+            _ if all_infinite => f64::INFINITY,
+            0 => base + u * 4.0 * sigma,
+            1 => base + 1e-6 + u * 1e-5,
+            2 => out.get((u * out.len() as f64) as usize).map_or(base, |c| c.value()),
+            _ => f64::INFINITY,
+        };
+        out.push(Amp(c));
+    }
+    out
+}
+
+/// The LTA read as its model states it: one `normal(rng, c, σ)` draw per
+/// row, loser by `total_cmp`, the lower index on ties.
+fn reference_sense(currents: &[Amp], sigma: f64, rng: &mut StdRng) -> usize {
+    let drawn: Vec<f64> = currents.iter().map(|c| normal(rng, c.value(), sigma)).collect();
+    let loser = drawn.iter().enumerate().min_by(|(_, a), (_, b)| a.total_cmp(b));
+    loser.map(|(i, _)| i).expect("at least one row")
+}
+
+/// k rounds of [`reference_sense`]'s draws over the unmasked rows, each
+/// round keeping the first row strictly below every earlier one.
+fn reference_sense_k(currents: &[Amp], k: usize, sigma: f64, rng: &mut StdRng) -> Vec<usize> {
+    let mut masked = vec![false; currents.len()];
+    let mut out = Vec::new();
+    for _ in 0..k {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in currents.iter().enumerate() {
+            if masked[i] {
+                continue;
+            }
+            let v = normal(rng, c.value(), sigma);
+            if best.is_none_or(|(_, b)| v < b) {
+                best = Some((i, v));
+            }
+        }
+        let (idx, _) = best.expect("k rows to sense");
+        masked[idx] = true;
+        out.push(idx);
+    }
+    out
+}
+
+/// An offset σ from 1 pA to 10 µA: tiny against the far rows' 1 µA gap at
+/// the low end, wider than every row's spread at the top.
+fn offset_sigma() -> impl Strategy<Value = f64> {
+    (-12.0f64..-5.0).prop_map(|e| 10f64.powf(e))
+}
 
 proptest! {
     /// An ideal LTA always returns the true argmin for arbitrary current
@@ -55,6 +111,55 @@ proptest! {
             .unwrap();
         let got = LtaParams::ideal().sense(&amps, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(got, want);
+    }
+
+    /// With an offset, `sense` transforms only the rows that can still
+    /// lose, yet returns the loser, and leaves the generator where a
+    /// transform of every row leaves it — over three calls on one stream,
+    /// then once more through a mapped iterator.
+    #[test]
+    fn offset_sense_equals_drawing_every_row(
+        rows in prop::collection::vec((0u8..4, 0.0f64..1.0), 1..40),
+        base in 0.0f64..1e-6,
+        sigma in offset_sigma(),
+        all_infinite in (0u8..10).prop_map(|x| x == 0),
+        seed in any::<u64>(),
+    ) {
+        let currents = mixed_currents(&rows, base, sigma, all_infinite);
+        let lta = LtaParams { offset_sigma: Amp(sigma), ..LtaParams::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut want_rng = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            let got = lta.sense(&currents, &mut rng);
+            prop_assert_eq!(got, reference_sense(&currents, sigma, &mut want_rng));
+            prop_assert_eq!(rng.clone().next_u64(), want_rng.clone().next_u64());
+        }
+        let streamed = lta.sense(currents.iter().map(|c| Amp(c.value())), &mut rng);
+        prop_assert_eq!(streamed, reference_sense(&currents, sigma, &mut want_rng));
+    }
+
+    /// `sense_k` prunes each round the same way and keeps its strict `<`
+    /// rule: the rows, and the generator's next word, match every
+    /// unmasked row drawing in every round.
+    #[test]
+    fn offset_sense_k_equals_drawing_every_row(
+        rows in prop::collection::vec((0u8..4, 0.0f64..1.0), 1..40),
+        base in 0.0f64..1e-6,
+        sigma in offset_sigma(),
+        all_infinite in (0u8..10).prop_map(|x| x == 0),
+        k_pick in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let currents = mixed_currents(&rows, base, sigma, all_infinite);
+        let k = 1 + k_pick % currents.len();
+        let lta = LtaParams { offset_sigma: Amp(sigma), ..LtaParams::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut want_rng = StdRng::seed_from_u64(seed);
+        for _ in 0..2 {
+            let got = lta.sense_k(&currents, k, &mut rng);
+            prop_assert_eq!(got, reference_sense_k(&currents, k, sigma, &mut want_rng));
+            prop_assert_eq!(rng.clone().next_u64(), want_rng.clone().next_u64());
+        }
     }
 
     /// sense_k with an ideal LTA returns indices sorted by ascending current
@@ -132,6 +237,6 @@ fn seeded_offset_sense_is_pinned() {
     let lta = LtaParams::default();
     let mut rng = StdRng::seed_from_u64(42);
     let currents = [Amp(1.00e-7), Amp(1.02e-7), Amp(1.01e-7), Amp(f64::INFINITY)];
-    let losers: Vec<usize> = (0..17).map(|_| lta.sense(&currents, &mut rng)).collect();
+    let losers: Vec<usize> = (0..17).map(|_| lta.sense(currents, &mut rng)).collect();
     assert_eq!(losers, [1, 2, 0, 2, 1, 2, 2, 0, 1, 2, 1, 1, 1, 1, 1, 2, 1]);
 }

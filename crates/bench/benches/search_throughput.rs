@@ -52,9 +52,9 @@ fn bench_circuit_search(c: &mut Criterion) {
 
 /// Batched serving vs a loop of single searches on the acceptance
 /// workload: 64 queries against 1k stored rows on the Noisy backend.
-/// The batch path builds the per-(query-symbol × stored-symbol)
-/// cell-current table once and reuses it for every query, so it must be
-/// at least 2x faster than the per-query loop.
+/// Both run the one first-ON kernel. The batch read builds each 16-row
+/// block's contributions once for all 64 queries, where the loop
+/// rebuilds them per query, and it senses its queries in parallel.
 fn bench_batched_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_serving");
     group.sample_size(10);

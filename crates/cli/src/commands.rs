@@ -203,6 +203,11 @@ fn render_bench_kernels(
             std::hint::black_box(alone.expect("repeat of a served query"));
         }
     }) / batch as f64;
+    let qids: Vec<u64> = (0..batch as u64).collect();
+    let search_ns = mean_ns(|| {
+        let sensed = array.search_batch_at(&queries, &qids);
+        std::hint::black_box(sensed.expect("repeat of a served batch"));
+    }) / batch as f64;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -212,6 +217,7 @@ fn render_bench_kernels(
     let _ = writeln!(out, "  batch ns/query   : {batch_ns:.0}");
     let _ = writeln!(out, "  scalar ns/query  : {scalar_ns:.0}");
     let _ = writeln!(out, "  speedup          : {:.2}x", scalar_ns / batch_ns.max(1e-9));
+    let _ = writeln!(out, "  search ns/query  : {search_ns:.0}");
     let _ =
         writeln!(out, "  bit-identity     : PASS (batch == one-query reads on sampled queries)");
     Ok(out)
@@ -840,6 +846,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("batch kernel     : first-on"), "{out}");
         assert!(out.contains("speedup"), "{out}");
+        assert!(out.contains("search ns/query  : "), "{out}");
     }
 
     #[test]

@@ -649,16 +649,29 @@ impl FerexArray {
         StdRng::seed_from_u64(splitmix64(self.seed ^ splitmix64(qid ^ QUERY_STREAM_SALT)))
     }
 
-    fn lta(&self) -> LtaParams {
-        match &self.backend {
+    /// The LTA a search senses with, checked before any work: an offset
+    /// σ that is negative or not finite is no standard deviation (a
+    /// negative or NaN one would panic the draws).
+    fn search_lta(&self) -> Result<LtaParams, FerexError> {
+        let lta = match &self.backend {
             Backend::Ideal => LtaParams::ideal(),
             Backend::Circuit(cfg) | Backend::Noisy(cfg) => cfg.lta,
+        };
+        let sigma = lta.offset_sigma.value();
+        if sigma.is_finite() && sigma >= 0.0 {
+            Ok(lta)
+        } else {
+            Err(FerexError::InvalidPolicy {
+                what: "LTA offset sigma must be finite and non-negative",
+            })
         }
     }
 
-    fn to_currents(&self, distances: &[f64]) -> Vec<Amp> {
+    /// One query's row currents, `d · I_unit` per row, computed as the
+    /// caller reads them: the LTA walks them without a copy.
+    fn currents<'a>(&self, distances: &'a [f64]) -> impl Iterator<Item = Amp> + Clone + 'a {
         let i_unit = self.tech.i_unit().value();
-        distances.iter().map(|&d| Amp(d * i_unit)).collect()
+        distances.iter().map(move |&d| Amp(d * i_unit))
     }
 
     /// Row distances for every query of a batch — the one read path every
@@ -1120,26 +1133,20 @@ impl FerexArray {
         Ok(out)
     }
 
-    /// The LTA's loser row for one query's distances, drawing sensing
-    /// noise from the stream of `qid`.
-    fn sense_loser(&self, distances: &[f64], qid: u64) -> usize {
-        let currents = self.to_currents(distances);
-        self.lta().sense(&currents, &mut self.rng_for_query(qid))
-    }
-
     /// Runs `sense(distances[i], qids[i])` for every query of a batch, in
-    /// order. When the LTA draws offsets the queries sense in parallel:
+    /// order. When `lta` draws offsets the queries sense in parallel:
     /// each draws only from its own `qid` stream, so the split changes no
     /// draw. A zero-offset LTA is a plain argmin, too cheap to fan out.
     fn sense_each<T: Send>(
         &self,
+        lta: &LtaParams,
         distances: &[Vec<f64>],
         qids: &[u64],
         sense: impl Fn(&[f64], u64) -> T + Sync,
     ) -> Vec<T> {
         let batch: Vec<(&Vec<f64>, u64)> = distances.iter().zip(qids.iter().copied()).collect();
         let one = |&(d, qid): &(&Vec<f64>, u64)| sense(d, qid);
-        if self.lta().offset_sigma.value() > 0.0 {
+        if lta.offset_sigma.value() > 0.0 {
             batch.par_iter().map(one).collect()
         } else {
             batch.iter().map(one).collect()
@@ -1156,7 +1163,9 @@ impl FerexArray {
     /// # Errors
     ///
     /// [`FerexError::DimensionMismatch`] when `qids` and `queries` differ
-    /// in length; otherwise as [`FerexArray::distances_batch`].
+    /// in length; [`FerexError::InvalidPolicy`] when the backend's LTA
+    /// offset σ is negative or not finite; otherwise as
+    /// [`FerexArray::distances_batch`].
     pub fn search_batch_at(
         &self,
         queries: &[Vec<u32>],
@@ -1165,8 +1174,11 @@ impl FerexArray {
         if qids.len() != queries.len() {
             return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
         }
+        let lta = self.search_lta()?;
         let distances = self.distances_batch(queries)?;
-        let nearest = self.sense_each(&distances, qids, |d, qid| self.sense_loser(d, qid));
+        let nearest = self.sense_each(&lta, &distances, qids, |d, qid| {
+            lta.sense(self.currents(d), &mut self.rng_for_query(qid))
+        });
         Ok(distances
             .into_iter()
             .zip(nearest)
@@ -1190,11 +1202,20 @@ impl FerexArray {
         if qids.len() != queries.len() {
             return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
         }
+        let lta = self.search_lta()?;
         let distances = self.distances_batch(queries)?;
-        self.sense_each(&distances, qids, |d, qid| self.sense_k(d, k, qid)).into_iter().collect()
+        self.sense_each(&lta, &distances, qids, |d, qid| self.sense_k(&lta, d, k, qid))
+            .into_iter()
+            .collect()
     }
 
-    fn sense_k(&self, distances: &[f64], k: usize, qid: u64) -> Result<Vec<usize>, FerexError> {
+    fn sense_k(
+        &self,
+        lta: &LtaParams,
+        distances: &[f64],
+        k: usize,
+        qid: u64,
+    ) -> Result<Vec<usize>, FerexError> {
         // Excluded rows sense as INFINITY: they stay in the current vector
         // (so RNG draws and logical ids line up with the healthy case) but
         // can never be reported, so k is bounded by the rows actually
@@ -1203,8 +1224,7 @@ impl FerexArray {
         if k == 0 || k > active {
             return Err(FerexError::InvalidK { k, rows: active });
         }
-        let currents = self.to_currents(distances);
-        Ok(self.lta().sense_k(&currents, k, &mut self.rng_for_query(qid)))
+        Ok(lta.sense_k(self.currents(distances), k, &mut self.rng_for_query(qid)))
     }
 
     /// Digital distance readout: senses all rows and digitizes the row
@@ -1232,7 +1252,8 @@ impl FerexArray {
             });
         }
         let distances = self.distances_batch(&[query.to_vec()])?;
-        let currents = self.to_currents(distances.first().ok_or(FerexError::Empty)?);
+        let currents: Vec<Amp> =
+            self.currents(distances.first().ok_or(FerexError::Empty)?).collect();
         let adc = if adc.full_scale.value() > 0.0 {
             *adc
         } else {
@@ -2601,6 +2622,30 @@ mod tests {
         a.store(vec![0, 1]).unwrap();
         let adc = ferex_analog::adc::AdcParams::default();
         assert!(matches!(a.read_digital(&[0, 1], &adc, 0), Err(FerexError::InvalidPolicy { .. })));
+    }
+
+    #[test]
+    fn bad_lta_offset_is_a_typed_error_before_any_read() {
+        fn invalid<T>(r: Result<T, FerexError>) -> bool {
+            matches!(r, Err(FerexError::InvalidPolicy { .. }))
+        }
+        for sigma in [-25e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = Box::new(CircuitConfig {
+                lta: LtaParams { offset_sigma: Amp(sigma), ..LtaParams::default() },
+                ..Default::default()
+            });
+            for backend in [Backend::Noisy(cfg.clone()), Backend::Circuit(cfg.clone())] {
+                let mut a = hamming_array(4, backend);
+                a.store(vec![0, 1, 2, 3]).unwrap();
+                a.store(vec![3, 2, 1, 0]).unwrap();
+                a.program();
+                let q = vec![vec![0, 1, 2, 0]];
+                assert!(invalid(a.search_batch_at(&q, &[0])), "sigma {sigma}");
+                assert!(invalid(a.search_k_batch_at(&q, 1, &[0])), "sigma {sigma}");
+                // The distance readouts never sense, so they still serve.
+                assert!(a.distances_batch(&q).is_ok());
+            }
+        }
     }
 
     #[test]

@@ -1419,6 +1419,42 @@ mod tests {
     }
 
     #[test]
+    fn bad_lta_offset_serves_through_the_oracle_fallback() {
+        // Every replica's reads fail with a typed error (a negative LTA
+        // offset), so the set serves each query from the digital oracle
+        // instead of panicking.
+        let dim = 6;
+        let vs = vectors(8, dim);
+        let engine = Ferex::builder().dim(dim).build().expect("builds");
+        let mut cfg = corner_cfg(FaultPlan::none(), 7);
+        cfg.lta.offset_sigma = ferex_fefet::units::Amp(-25e-9);
+        let mut replicas = Vec::new();
+        for _ in 0..2 {
+            let backend = Backend::Noisy(Box::new(cfg.clone()));
+            let mut a = FerexArray::new(
+                ferex_fefet::Technology::default(),
+                engine.encoding().clone(),
+                dim,
+                backend,
+            );
+            a.store_all(vs.iter().cloned()).unwrap();
+            a.program();
+            replicas.push(a);
+        }
+        let policy =
+            ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
+        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy).expect("valid");
+        let qids: Vec<u64> = (0..vs.len() as u64).collect();
+        let (served, reads) = set.serve_batch_read(&vs, &qids).expect("served");
+        assert!(reads.is_empty(), "no replica read succeeded: {reads:?}");
+        for (q, s) in vs.iter().zip(&served) {
+            assert_eq!(s.source, ServeSource::OracleFallback);
+            assert_eq!(s.outcome.nearest, set.digital_fallback(q).unwrap().nearest);
+        }
+        assert_eq!(set.stats().oracle_fallbacks, vs.len() as u64);
+    }
+
+    #[test]
     fn breaker_opens_after_threshold_and_probes_half_open() {
         let dim = 4;
         let vs = vectors(4, dim);

@@ -8,7 +8,8 @@
 use rand::Rng;
 
 /// Draws one standard-normal sample (mean 0, variance 1) using the
-/// Box–Muller transform.
+/// Box–Muller transform: [`box_muller`] of the two words
+/// [`uniform_pair`] draws.
 ///
 /// # Examples
 ///
@@ -19,11 +20,34 @@ use rand::Rng;
 /// assert!(x.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Guard against log(0): u1 is drawn from the half-open (0, 1].
+    let (u1, u2) = uniform_pair(rng);
+    box_muller(u1, u2)
+}
+
+/// Draws the two uniforms one Box–Muller sample consumes, one generator
+/// word each: `u1` from `(0, 1]` (so `ln u1` is finite; the generator's
+/// 53-bit grid makes its least value `2⁻⁵³`), then `u2` from `[0, 1)`.
+pub fn uniform_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
+    (u1, u2)
+}
+
+/// The Box–Muller transform of one [`uniform_pair`]: a standard-normal
+/// sample. `|box_muller(u1, u2)| ≤ BOX_MULLER_BOUND` for every pair
+/// [`uniform_pair`] can return.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
+
+/// A bound on `|box_muller(u1, u2)|` over every pair [`uniform_pair`] can
+/// return. The radius `√(−2 ln u1)` is largest at the least `u1`, `2⁻⁵³`:
+/// `√(106 ln 2) = 8.571674…`, and `|cos| ≤ 1`. The constant rounds that
+/// up, so a last-place error in `ln`, `sqrt` or the product cannot reach
+/// it. A sample never moves a value by more than `σ · BOX_MULLER_BOUND`,
+/// which is what lets the LTA skip the transform for rows that cannot
+/// lose (DESIGN §12).
+pub const BOX_MULLER_BOUND: f64 = 8.5717;
 
 /// Draws a normal sample with the given `mean` and standard deviation
 /// `sigma`.
@@ -152,6 +176,29 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(normal(&mut rng, 2.0, 0.0), 2.0);
+        }
+    }
+
+    #[test]
+    fn box_muller_bound_covers_the_extreme_uniforms() {
+        let least = 1.0 / (1u64 << 53) as f64;
+        // The least `u1` the generator can produce: the all-ones word.
+        let mut rng = AllOnes;
+        assert_eq!(uniform_pair(&mut rng), (least, 1.0 - least));
+        let top = box_muller(least, 0.0);
+        let bottom = box_muller(least, 0.5);
+        assert!(top > 0.0 && bottom < 0.0, "{top} {bottom}");
+        assert!(top <= BOX_MULLER_BOUND && -bottom <= BOX_MULLER_BOUND, "{top} {bottom}");
+        // Tight: the bound sits within 1e-4 of the largest sample.
+        assert!(BOX_MULLER_BOUND - top < 1e-4, "{top}");
+    }
+
+    /// A generator stuck on the all-ones word.
+    struct AllOnes;
+
+    impl rand::RngCore for AllOnes {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
         }
     }
 
