@@ -66,7 +66,7 @@ fn bench_batched_serving(c: &mut Criterion) {
         (0..n_queries).map(|i| random_query(dim, 100 + i as u64)).collect();
     let qids: Vec<u64> = (0..n_queries as u64).collect();
     // Program outside the timed loops so both cases measure pure serving.
-    engine.program();
+    engine.array_mut().program();
     group.bench_function("single_search_loop", |b| {
         b.iter(|| {
             for q in &queries {

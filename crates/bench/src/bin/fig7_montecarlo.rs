@@ -47,13 +47,13 @@ fn trial(backend_of: &dyn Fn(u64) -> Backend, d_near: usize, d_far: usize, seed:
         .backend(backend_of(seed))
         .build()
         .expect("2-bit Hamming always encodes");
-    engine.store(at_hamming_distance(&query, d_near, &mut rng)).expect("stores");
+    engine.array_mut().store(at_hamming_distance(&query, d_near, &mut rng)).expect("stores");
     for _ in 0..COMPETITORS {
-        engine.store(at_hamming_distance(&query, d_far, &mut rng)).expect("stores");
+        engine.array_mut().store(at_hamming_distance(&query, d_far, &mut rng)).expect("stores");
     }
     for _ in 0..BACKDROP {
         let d = rng.gen_range(3 * d_far..5 * d_far);
-        engine.store(at_hamming_distance(&query, d, &mut rng)).expect("stores");
+        engine.array_mut().store(at_hamming_distance(&query, d, &mut rng)).expect("stores");
     }
     engine.search(&query).expect("searches").nearest == 0
 }

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .backend(Backend::Ideal)
             .build()?;
         for _ in 0..spec.n_classes {
-            engine.store((0..HV_DIM).map(|_| rng.gen_range(0..4u32)).collect())?;
+            engine.array_mut().store((0..HV_DIM).map(|_| rng.gen_range(0..4u32)).collect())?;
         }
         let query: Vec<u32> = (0..HV_DIM).map(|_| rng.gen_range(0..4u32)).collect();
         let ferex_cost = engine.cost_report(&query)?;

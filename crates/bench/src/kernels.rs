@@ -178,7 +178,7 @@ pub fn grid_engine(point: &GridPoint, seed: u64) -> Result<Ferex, ferex_core::Fe
     let top = 1u32 << point.bits;
     let mut rng = StdRng::seed_from_u64(sub_seed(seed, point, 0xda));
     for _ in 0..point.rows {
-        engine.store((0..point.dim).map(|_| rng.gen_range(0..top)).collect())?;
+        engine.array_mut().store((0..point.dim).map(|_| rng.gen_range(0..top)).collect())?;
     }
     engine.ensure_programmed()?;
     Ok(engine)

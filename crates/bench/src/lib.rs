@@ -9,7 +9,6 @@ pub mod kernels;
 
 use ferex_core::{Backend, CircuitConfig, DistanceMetric, Ferex, FerexError};
 use ferex_datasets::dataset::Dataset;
-use ferex_datasets::quantize::Quantizer;
 use ferex_datasets::spec::DatasetSpec;
 use ferex_datasets::synth::{generate, SynthOptions};
 use ferex_hdc::encoder::ProjectionEncoder;
@@ -37,7 +36,7 @@ pub fn random_filled_engine(
         .build()?;
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..rows {
-        engine.store((0..dim).map(|_| rng.gen_range(0..4u32)).collect())?;
+        engine.array_mut().store((0..dim).map(|_| rng.gen_range(0..4u32)).collect())?;
     }
     Ok(engine)
 }
@@ -60,11 +59,6 @@ pub fn train_hdc(data: &Dataset, dim: usize, seed: u64) -> HdcModel {
     let mut model = HdcModel::train_single_pass(encoder, &data.train, data.n_classes());
     model.retrain(&data.train, 3);
     model
-}
-
-/// Fits a quantizer on a dataset's training features.
-pub fn fit_quantizer(data: &Dataset, bits: u32) -> Quantizer {
-    Quantizer::fit_samples(bits, &data.train)
 }
 
 /// The Noisy backend with a given seed — the standard hardware-accuracy

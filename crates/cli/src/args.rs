@@ -811,6 +811,7 @@ KERNEL BENCH (bench-kernels):
   one query at a time (the \"scalar\" line), checks them bit-identical,
   and prints both timings with the kernel the batch dispatched to. The
   \"search\" line times the batch's read with LTA sensing, query ids 0..N.
+  Each timing is the median of about 50 ms of individually timed repeats.
   Circuit re-solves the crossbar per query, so keep --rows small on
   that backend.
 

@@ -141,22 +141,24 @@ fn render_verify(metric: DistanceMetric, bits: u32) -> Result<String, CommandErr
     Ok(out)
 }
 
-/// Adaptive mean wall time of `f` in nanoseconds: one pilot run, then
-/// enough repeats to accumulate ~50 ms (slow configurations keep the
-/// single pilot measurement instead of stalling the command).
-fn mean_ns<F: FnMut()>(mut f: F) -> f64 {
-    let pilot = std::time::Instant::now();
-    f();
-    let first = pilot.elapsed().as_secs_f64();
+/// Median wall time of `f` in nanoseconds: one pilot run sizes about
+/// 50 ms of repeats, each timed on its own, so one slow call cannot skew
+/// the result (slow configurations keep the single pilot measurement
+/// instead of stalling the command).
+fn median_ns<F: FnMut()>(mut f: F) -> f64 {
+    let time = |f: &mut F| {
+        let start = std::time::Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    let first = time(&mut f);
     if first >= 0.2 {
         return first * 1e9;
     }
     let iters = ((0.05 / first.max(1e-9)).ceil() as usize).clamp(1, 200);
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64 * 1e9
+    let mut times: Vec<f64> = (0..iters).map(|_| time(&mut f)).collect();
+    times.sort_by(f64::total_cmp);
+    times[iters / 2] * 1e9
 }
 
 fn render_bench_kernels(
@@ -180,7 +182,7 @@ fn render_bench_kernels(
     let top = 1u32 << bits;
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..rows {
-        engine.store((0..dim).map(|_| rng.gen_range(0..top)).collect())?;
+        engine.array_mut().store((0..dim).map(|_| rng.gen_range(0..top)).collect())?;
     }
     engine.ensure_programmed()?;
     let queries: Vec<Vec<u32>> =
@@ -194,17 +196,17 @@ fn render_bench_kernels(
             )));
         }
     }
-    let batch_ns = mean_ns(|| {
+    let batch_ns = median_ns(|| {
         std::hint::black_box(array.distances_batch(&queries).expect("repeat of a served batch"));
     }) / batch as f64;
-    let scalar_ns = mean_ns(|| {
+    let scalar_ns = median_ns(|| {
         for q in &queries {
             let alone = array.distances_batch(std::slice::from_ref(q));
             std::hint::black_box(alone.expect("repeat of a served query"));
         }
     }) / batch as f64;
     let qids: Vec<u64> = (0..batch as u64).collect();
-    let search_ns = mean_ns(|| {
+    let search_ns = median_ns(|| {
         let sensed = array.search_batch_at(&queries, &qids);
         std::hint::black_box(sensed.expect("repeat of a served batch"));
     }) / batch as f64;
@@ -312,7 +314,7 @@ fn render_search(
     }
     let mut engine = builder.build().map_err(|e| CommandError(e.to_string()))?;
     for v in stored {
-        engine.store(v.clone())?;
+        engine.array_mut().store(v.clone())?;
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -346,7 +348,7 @@ fn render_search(
     }
     if spares > 0 {
         let report = engine.array().program_report().expect("search write-verified");
-        let h = engine.health();
+        let h = engine.array().health();
         let _ = writeln!(
             out,
             "self-heal: {} cells verified ({} clean, {} repaired in {} retries, {} failed)",
@@ -476,7 +478,8 @@ fn render_serve_sim(
             let findings = set.scrub_all();
             let _ = writeln!(out, "  -- maintenance scrub: {findings} findings");
         }
-        let served = set.serve(query)?;
+        let (served, _) = set.serve_batch_read(std::slice::from_ref(query), &[qi as u64])?;
+        let served = served.first().ok_or(FerexError::Empty)?;
         let nearest = served.outcome.nearest;
         let via = match served.source {
             ServeSource::Replica(i) => format!("replica {i}"),
@@ -511,7 +514,7 @@ fn render_serve_sim(
 #[allow(clippy::too_many_arguments)]
 fn render_serve_loop(
     metric: DistanceMetric,
-    mut set: ReplicaSet<FerexArray>,
+    mut set: ReplicaSet,
     queries: &[Vec<u32>],
     seed: u64,
     mode: LoadMode,
@@ -629,7 +632,7 @@ fn render_serve_loop(
                 lp.maintenance();
             }
         }
-        let submit = |lp: &mut ServeLoop<FerexArray>, i: usize, tick: u64| {
+        let submit = |lp: &mut ServeLoop, i: usize, tick: u64| {
             lp.submit(Request {
                 tenant: i % tenants,
                 priority: 0,
@@ -809,9 +812,12 @@ fn render_montecarlo(
             .backend(backend_of(backend, k, faults))
             .build()
             .expect("2-bit Hamming encodes");
-        engine.store(flip_symbol_bits(&query, BITS, near, &mut rng)).expect("stores");
+        engine.array_mut().store(flip_symbol_bits(&query, BITS, near, &mut rng)).expect("stores");
         for _ in 0..8 {
-            engine.store(flip_symbol_bits(&query, BITS, far, &mut rng)).expect("stores");
+            engine
+                .array_mut()
+                .store(flip_symbol_bits(&query, BITS, far, &mut rng))
+                .expect("stores");
         }
         engine.search(&query).expect("searches").nearest == 0
     });
@@ -847,6 +853,20 @@ mod tests {
         assert!(out.contains("batch kernel     : first-on"), "{out}");
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("search ns/query  : "), "{out}");
+    }
+
+    #[test]
+    fn median_ns_ignores_one_slow_repeat() {
+        // One 50 ms call among the ~200 repeats of a near-empty closure
+        // moves a mean to at least 250 µs.
+        let mut calls = 0;
+        let ns = median_ns(|| {
+            calls += 1;
+            if calls == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+        assert!(ns < 10_000.0, "median read {ns} ns");
     }
 
     #[test]
@@ -981,6 +1001,16 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("1/2 replicas alive"), "{out}");
+    }
+
+    #[test]
+    fn serve_sim_scrub_lines_count_findings_not_replicas() {
+        let out = run_line(
+            "serve-sim --metric hamming --store 0,1,2,3;3,2,1,0;1,1,2,2 \
+             --queries 0,1,2,3;3,2,1,0;1,1,2,2;0,1,2,2 --replicas 3 --chaos scrub=1 --seed 5",
+        )
+        .unwrap();
+        assert_eq!(out.matches("-- maintenance scrub: 0 findings").count(), 3, "{out}");
     }
 
     #[test]

@@ -319,25 +319,22 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         }
     }
 
-    let submit = |sim: &mut ServeLoop<FerexArray>,
-                  pool_of_qid: &mut Vec<usize>,
-                  n: usize,
-                  tick: u64,
-                  tenant: usize| {
-        let pi = (splitmix64(query_seed ^ splitmix64(n as u64)) % QUERY_POOL as u64) as usize;
-        let priority = (splitmix64(prio_seed ^ splitmix64(n as u64)) % 8) as u32; // lint:allow(cast-truncation/narrowing, reason = "value < 8 by the modulo")
-        let query = pool.get(pi).cloned().unwrap_or_default();
-        pool_of_qid.push(pi);
-        let req = Request {
-            tenant,
-            priority,
-            arrival_tick: tick,
-            deadline_ticks: spec.deadline_ticks,
-            query,
+    let submit =
+        |sim: &mut ServeLoop, pool_of_qid: &mut Vec<usize>, n: usize, tick: u64, tenant: usize| {
+            let pi = (splitmix64(query_seed ^ splitmix64(n as u64)) % QUERY_POOL as u64) as usize;
+            let priority = (splitmix64(prio_seed ^ splitmix64(n as u64)) % 8) as u32; // lint:allow(cast-truncation/narrowing, reason = "value < 8 by the modulo")
+            let query = pool.get(pi).cloned().unwrap_or_default();
+            pool_of_qid.push(pi);
+            let req = Request {
+                tenant,
+                priority,
+                arrival_tick: tick,
+                deadline_ticks: spec.deadline_ticks,
+                query,
+            };
+            // lint:allow(panic-safety/expect, reason = "tenant and payload are in range by construction")
+            sim.submit(req).expect("valid request");
         };
-        // lint:allow(panic-safety/expect, reason = "tenant and payload are in range by construction")
-        sim.submit(req).expect("valid request");
-    };
 
     loop {
         assert!(tick < spec.max_ticks, "load scenario failed to drain within max_ticks");

@@ -231,7 +231,8 @@ fn run_mutation_inner(spec: &MutationSpec) -> Result<MutationScenario, FerexErro
             // any id at that distance is a tie-safe hit.
             let id = pick(11).ok_or(FerexError::Empty)?;
             let q = mirror.get(&id).cloned().ok_or(FerexError::UnknownId { id })?;
-            let served = set.serve(&q)?;
+            let (served, _) = set.serve_batch_read(std::slice::from_ref(&q), &[searches as u64])?;
+            let served = served.first().ok_or(FerexError::Empty)?;
             let best =
                 mirror.values().map(|v| spec.metric.vector_distance(&q, v)).min().unwrap_or(0);
             let got = set

@@ -157,8 +157,9 @@ fn quorum_fallback_serves_the_oracle_answer_exactly() {
         ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
     let mut set = ReplicaSet::new(replicas, metric, policy).unwrap();
     set.kill(1);
-    for q in &queries {
-        let served = set.serve(q).unwrap();
+    let qids: Vec<u64> = (0..queries.len() as u64).collect();
+    let (served, _) = set.serve_batch_read(&queries, &qids).unwrap();
+    for (q, served) in queries.iter().zip(&served) {
         assert_eq!(served.source, ServeSource::OracleFallback);
         assert_eq!(served.outcome.nearest, oracle.nearest(q));
     }

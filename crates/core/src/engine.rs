@@ -11,8 +11,8 @@ use crate::distance::DistanceMetric;
 use crate::dm::DistanceMatrix;
 use crate::encoding::{CellEncoding, EncodingLimits};
 use crate::error::FerexError;
-use crate::health::{HealthSnapshot, ProgramReport, RepairPolicy, ScrubReport};
-use crate::mutate::{CompactionReport, MutationPolicy, WearSummary};
+use crate::health::RepairPolicy;
+use crate::mutate::MutationPolicy;
 use crate::replica::{replicate_backend, ReplicaPolicy, ReplicaSet};
 use crate::sizing::{find_minimal_cell, SizingOptions, SizingReport};
 use ferex_analog::delay::{DelayBreakdown, DelayModel};
@@ -33,7 +33,7 @@ use ferex_fefet::Technology;
 ///     .bits(2)
 ///     .dim(8)
 ///     .build()?;
-/// ferex.store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
+/// ferex.array_mut().store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
 /// let result = ferex.search(&[0, 1, 2, 3, 3, 2, 1, 0])?;
 /// assert_eq!(result.nearest, 0);
 /// # Ok(())
@@ -112,9 +112,16 @@ impl FerexBuilder {
     ///
     /// # Errors
     ///
-    /// Encoding failures ([`crate::error::EncodeError`]) wrapped in
-    /// [`FerexError`].
+    /// [`FerexError::InvalidPolicy`] when `bits` is outside `1..=6` or
+    /// `dim` is zero; encoding failures ([`crate::error::EncodeError`])
+    /// wrapped in [`FerexError`].
     pub fn build(self) -> Result<Ferex, FerexError> {
+        if !(1..=6).contains(&self.bits) {
+            return Err(FerexError::InvalidPolicy { what: "bits must be in 1..=6" });
+        }
+        if self.dim == 0 {
+            return Err(FerexError::InvalidPolicy { what: "vector dimension must be positive" });
+        }
         let sizing = self.sizing.unwrap_or_else(|| sizing_for(&self.tech));
         let dm = DistanceMatrix::from_metric(self.metric, self.bits);
         let report = find_minimal_cell(&dm, &sizing)?;
@@ -208,35 +215,20 @@ impl Ferex {
         &self.array
     }
 
-    /// Mutable access to the underlying array (e.g. to clear it).
+    /// Mutable access to the underlying array: storing, programming,
+    /// repair, scrubbing and mutation are the array's own operations.
     pub fn array_mut(&mut self) -> &mut FerexArray {
         &mut self.array
     }
 
-    /// Stores one vector.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors from the array.
-    pub fn store(&mut self, vector: Vec<u32>) -> Result<(), FerexError> {
-        self.array.store(vector)
-    }
-
-    /// Stores many vectors.
+    /// Stores many vectors ([`FerexArray::store_all`]). Like
+    /// [`Ferex::enable_mutation`] and [`Ferex::insert`], this forwarder
+    /// stays only because the `serve_e2e` benchmark calls it.
     pub fn store_all<I: IntoIterator<Item = Vec<u32>>>(
         &mut self,
         vectors: I,
     ) -> Result<(), FerexError> {
         self.array.store_all(vectors)
-    }
-
-    /// Programs the array's physical state for the current contents
-    /// (idempotent; see [`FerexArray::program`]). The engine's search
-    /// methods call this themselves — it is exposed so callers can move
-    /// the programming cost out of a timed or concurrent section and then
-    /// serve queries through [`Ferex::array`]'s `&self` reads.
-    pub fn program(&mut self) {
-        self.array.program();
     }
 
     /// Brings the physical state up to date: a plain program without a
@@ -288,45 +280,9 @@ impl Ferex {
         self.array.search_k_batch_at(&[query.to_vec()], k, &[qid])?.pop().ok_or(FerexError::Empty)
     }
 
-    /// Installs a self-healing policy on the array (see
-    /// [`FerexArray::set_repair_policy`]); the physical state is
-    /// invalidated and rebuilt verified on the next search.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::set_repair_policy`].
-    pub fn set_repair_policy(&mut self, policy: RepairPolicy) -> Result<(), FerexError> {
-        self.array.set_repair_policy(policy)
-    }
-
-    /// Programs and write-verifies the array (see
-    /// [`FerexArray::program_verified`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::program_verified`].
-    pub fn program_verified(&mut self) -> Result<ProgramReport, FerexError> {
-        self.array.program_verified()
-    }
-
-    /// Runs one online self-check pass (see [`FerexArray::scrub`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::scrub`].
-    pub fn scrub(&mut self) -> Result<ScrubReport, FerexError> {
-        self.array.scrub()
-    }
-
-    /// Point-in-time health view of the array (see [`FerexArray::health`]).
-    pub fn health(&self) -> HealthSnapshot {
-        self.array.health()
-    }
-
     /// Switches the array to the online-mutation slot-table discipline
-    /// (see [`FerexArray::enable_mutation`]). After this, content changes
-    /// go through [`Ferex::insert`] / [`Ferex::update`] /
-    /// [`Ferex::delete`] and program only their delta rows.
+    /// ([`FerexArray::enable_mutation`]); kept for the `serve_e2e`
+    /// benchmark, as [`Ferex::store_all`] is.
     ///
     /// # Errors
     ///
@@ -335,49 +291,15 @@ impl Ferex {
         self.array.enable_mutation(policy)
     }
 
-    /// Inserts `(id, vector)`, programming exactly one row (see
-    /// [`FerexArray::insert`]).
+    /// Inserts `(id, vector)`, programming exactly one row
+    /// ([`FerexArray::insert`]); kept for the `serve_e2e` benchmark, as
+    /// [`Ferex::store_all`] is.
     ///
     /// # Errors
     ///
     /// As [`FerexArray::insert`].
     pub fn insert(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
         self.array.insert(id, vector)
-    }
-
-    /// Replaces the vector of a live `id` (see [`FerexArray::update_id`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::update_id`].
-    pub fn update(&mut self, id: u64, vector: Vec<u32>) -> Result<(), FerexError> {
-        self.array.update_id(id, vector)
-    }
-
-    /// Tombstones a live `id` (see [`FerexArray::delete`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::delete`].
-    pub fn delete(&mut self, id: u64) -> Result<(), FerexError> {
-        self.array.delete(id)
-    }
-
-    /// Reclaims every tombstoned slot (see [`FerexArray::compact`]).
-    pub fn compact(&mut self) -> CompactionReport {
-        self.array.compact()
-    }
-
-    /// One background maintenance step: auto-compaction plus at most one
-    /// wear-leveling rotation (see [`FerexArray::maintenance`]).
-    pub fn maintenance(&mut self) -> CompactionReport {
-        self.array.maintenance()
-    }
-
-    /// The wear distribution across physical slots (see
-    /// [`FerexArray::wear`]).
-    pub fn wear(&self) -> WearSummary {
-        self.array.wear()
     }
 
     /// Builds a [`ReplicaSet`] of `n` independently seeded copies of this
@@ -391,11 +313,7 @@ impl Ferex {
     ///
     /// Store-validation or write-verify failures while building a replica;
     /// as [`ReplicaSet::new`] (empty set, invalid policy).
-    pub fn replica_set(
-        &self,
-        n: usize,
-        policy: ReplicaPolicy,
-    ) -> Result<ReplicaSet<FerexArray>, FerexError> {
+    pub fn replica_set(&self, n: usize, policy: ReplicaPolicy) -> Result<ReplicaSet, FerexError> {
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n as u64 {
             let backend = replicate_backend(self.array.backend(), i);
@@ -486,21 +404,30 @@ mod tests {
         assert_eq!(ferex.metric(), DistanceMetric::Hamming);
         assert_eq!(ferex.bits(), 2);
         assert_eq!(ferex.encoding().k, 3);
-        ferex.store(vec![0, 1, 2, 3]).unwrap();
+        ferex.array_mut().store(vec![0, 1, 2, 3]).unwrap();
         let r = ferex.search(&[0, 1, 2, 3]).unwrap();
         assert_eq!(r.nearest, 0);
         assert_eq!(r.distances[0], 0.0);
     }
 
     #[test]
+    fn out_of_range_bits_and_zero_dim_are_typed_build_errors() {
+        let invalid = |what| Err(FerexError::InvalidPolicy { what });
+        let build = |b: FerexBuilder| b.build().map(|_| ());
+        assert_eq!(build(Ferex::builder().bits(0)), invalid("bits must be in 1..=6"));
+        assert_eq!(build(Ferex::builder().bits(7)), invalid("bits must be in 1..=6"));
+        assert_eq!(build(Ferex::builder().dim(0)), invalid("vector dimension must be positive"));
+    }
+
+    #[test]
     fn reconfiguration_changes_distance_semantics() {
         let mut ferex = Ferex::builder().dim(2).build().expect("builds");
-        ferex.store(vec![0, 0]).unwrap(); // A
-        ferex.store(vec![3, 0]).unwrap(); // B
-                                          // Query (1, 0): Hamming d(1,0)=1, d(1,3)=1 → tie; Manhattan
-                                          // d=1 vs d=2 → A; Euclidean² d=1 vs 4 → A. Use query 2:
-                                          // Hamming: d(2,0)=1, d(2,3)=1 (10 vs 11 → 1 bit) tie again.
-                                          // Choose query (1,0): check distances directly per metric.
+        ferex.array_mut().store(vec![0, 0]).unwrap(); // A
+        ferex.array_mut().store(vec![3, 0]).unwrap(); // B
+                                                      // Query (1, 0): Hamming d(1,0)=1, d(1,3)=1 → tie; Manhattan
+                                                      // d=1 vs d=2 → A; Euclidean² d=1 vs 4 → A. Use query 2:
+                                                      // Hamming: d(2,0)=1, d(2,3)=1 (10 vs 11 → 1 bit) tie again.
+                                                      // Choose query (1,0): check distances directly per metric.
         let q = [1, 0];
         let r = ferex.search(&q).unwrap();
         assert_eq!(r.distances, vec![1.0, 1.0]); // Hamming tie
@@ -523,7 +450,7 @@ mod tests {
             .sizing(SizingOptions { max_k: 3, ..sizing_for(&Technology::default()) })
             .build()
             .expect("hamming fits in k=3");
-        ferex.store(vec![0, 3]).unwrap();
+        ferex.array_mut().store(vec![0, 3]).unwrap();
         // Euclidean² at 2 bits needs k > 3 — reconfiguration must fail…
         let before_metric = ferex.metric();
         let err = ferex.reconfigure(DistanceMetric::EuclideanSquared);
@@ -538,7 +465,7 @@ mod tests {
     fn cost_report_is_positive_and_consistent() {
         let mut ferex = Ferex::builder().dim(8).build().expect("builds");
         for i in 0..16 {
-            ferex.store(vec![i % 4; 8]).unwrap();
+            ferex.array_mut().store(vec![i % 4; 8]).unwrap();
         }
         let cost = ferex.cost_report(&[0; 8]).unwrap();
         assert!(cost.delay.total().value() > 0.0);
@@ -565,18 +492,18 @@ mod tests {
             .build()
             .expect("builds");
         for r in 0..6u32 {
-            ferex.store((0..4).map(|d| (r + d) % 4).collect()).unwrap();
+            ferex.array_mut().store((0..4).map(|d| (r + d) % 4).collect()).unwrap();
         }
         // Searching heals transparently: the verified program runs first.
         let out = ferex.search(&[0, 1, 2, 3]).unwrap();
         assert_eq!(out.nearest, 0);
         let report = ferex.array().program_report().expect("search verified the write");
         assert!(!report.rows_remapped.is_empty(), "seed 21 faults rows");
-        let h = ferex.health();
+        let h = ferex.array().health();
         assert_eq!(h.spares_in_use, report.rows_remapped.len());
         assert!(h.counters.rows_quarantined > 0);
         // A scrub on the healed array stays silent.
-        let scrub = ferex.scrub().unwrap();
+        let scrub = ferex.array_mut().scrub().unwrap();
         assert!(scrub.findings.is_empty(), "healed array flagged: {:?}", scrub.findings);
     }
 
@@ -589,7 +516,7 @@ mod tests {
             .backend(Backend::Noisy(Box::default()))
             .build()
             .expect("builds");
-        ferex.store(vec![0, 1, 2, 3]).unwrap();
+        ferex.array_mut().store(vec![0, 1, 2, 3]).unwrap();
         // A zero-query batch is a no-op: Ok(vec![]) without touching the
         // physical state (no program, no LUT build).
         assert_eq!(ferex.array().search_batch_at(&[], &[]).unwrap(), Vec::new());
@@ -637,8 +564,8 @@ mod tests {
             .backend(Backend::Circuit(Box::new(cfg)))
             .build()
             .expect("builds");
-        ferex.store(vec![0; 16]).unwrap();
-        ferex.store(vec![3; 16]).unwrap();
+        ferex.array_mut().store(vec![0; 16]).unwrap();
+        ferex.array_mut().store(vec![3; 16]).unwrap();
         // Query matching row 0 exactly: variation cannot flip a 32-unit gap.
         let r = ferex.search(&[0; 16]).unwrap();
         assert_eq!(r.nearest, 0);

@@ -36,8 +36,8 @@
 //!     .bits(2)
 //!     .dim(4)
 //!     .build()?;
-//! engine.store(vec![0, 1, 2, 3])?;
-//! engine.store(vec![3, 2, 1, 0])?;
+//! engine.array_mut().store(vec![0, 1, 2, 3])?;
+//! engine.array_mut().store(vec![3, 2, 1, 0])?;
 //!
 //! let result = engine.search(&[0, 1, 2, 2])?;
 //! assert_eq!(result.nearest, 0);
@@ -82,8 +82,8 @@ pub use latency::{qln_quantile_milli, HedgePolicy, LatencyModel};
 pub use mutate::{CompactionReport, MutationPolicy, SlotState, WearSummary};
 pub use replica::{
     derive_replica_seed, replicate_backend, BreakerPolicy, BreakerState, BrownoutPolicy,
-    QuorumPolicy, ReplicaNode, ReplicaPolicy, ReplicaSet, ReplicaSetStats, ReplicaStatus,
-    ServeSource, ServedOutcome,
+    QuorumPolicy, ReplicaPolicy, ReplicaSet, ReplicaSetStats, ReplicaStatus, ServeSource,
+    ServedOutcome,
 };
 pub use serve::{
     Admission, Completion, CostModel, Request, ServeLoop, ServeLoopStats, ServePolicy, ShedEvent,

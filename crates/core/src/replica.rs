@@ -8,7 +8,8 @@
 //!
 //! 1. **Health-gated routing** — every query is routed to the healthiest
 //!    eligible replicas, scored from each replica's
-//!    [`HealthSnapshot`] and its most recent scrub findings.
+//!    [`HealthSnapshot`](crate::health::HealthSnapshot) and its most
+//!    recent scrub findings.
 //! 2. **Quorum reads** — a [`QuorumPolicy`] reads up to `reads` replicas
 //!    per query and requires `agree` of them to report the same nearest
 //!    row. Dissenting replicas are escalated into targeted scrubs; when
@@ -27,21 +28,19 @@
 //!    [`ServeLoop`](crate::serve::ServeLoop) reports on its own tick;
 //!    open, it keeps the replica routable behind a demerit.
 //!
-//! Every query takes one path: [`ReplicaSet::serve`] is a batch of one
-//! through the same routing, read, vote and scrub core as
-//! [`ReplicaSet::serve_batch_read`]. Admission control lives one layer
-//! up, in the [`ServeLoop`](crate::serve::ServeLoop)'s queue.
+//! Every query takes one path: [`ReplicaSet::serve_batch_read`] routes,
+//! reads, votes and scrubs a batch with the caller's query ids. Admission
+//! control lives one layer up, in the
+//! [`ServeLoop`](crate::serve::ServeLoop)'s queue.
 //!
 //! With one replica and a 1/1 quorum the supervisor is transparent:
-//! replica 0 keeps the base backend seed and the supervisor assigns query
-//! ids exactly like a bare [`FerexArray`] (a private counter for
-//! sequential serves, the caller's ids for batches), so outcomes are
-//! bit-identical to serving without it.
+//! replica 0 keeps the base backend seed and reads with the caller's ids,
+//! exactly like a bare [`FerexArray`], so outcomes are bit-identical to
+//! serving without it.
 
 use crate::array::{Backend, FerexArray, SearchOutcome};
 use crate::distance::DistanceMetric;
 use crate::error::FerexError;
-use crate::health::HealthSnapshot;
 use crate::latency::LatencyModel;
 use crate::mutate::{CompactionReport, WearSummary};
 use ferex_fefet::math::splitmix64;
@@ -293,86 +292,6 @@ impl ReplicaPolicy {
     }
 }
 
-/// Anything the supervisor can replicate: one store of vectors with a
-/// deterministic search path, a scrub pass, and a health surface.
-///
-/// Implemented by [`FerexArray`], whose sensing noise is keyed on the
-/// query id.
-pub trait ReplicaNode {
-    /// Stored vector count (logical rows).
-    fn rows(&self) -> usize;
-    /// Validates a query against the node's dimension and symbol alphabet.
-    ///
-    /// # Errors
-    ///
-    /// Dimension or symbol-range violations.
-    fn check_query(&self, query: &[u32]) -> Result<(), FerexError>;
-    /// The supervisor's one read: a batched search with one explicit query
-    /// id per entry. Outcomes depend only on each `(query, qid)` pair, not
-    /// on how the pairs were grouped into batches.
-    ///
-    /// # Errors
-    ///
-    /// As the node's batched search path, plus a
-    /// [`FerexError::DimensionMismatch`] when `qids` and `queries` differ
-    /// in length.
-    fn search_batch_at(
-        &self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<Vec<SearchOutcome>, FerexError>;
-    /// One targeted scrub pass; returns the number of findings.
-    ///
-    /// # Errors
-    ///
-    /// As the node's scrub path (e.g. stale physical state).
-    fn scrub_now(&mut self) -> Result<usize, FerexError>;
-    /// Point-in-time health view.
-    fn health(&self) -> HealthSnapshot;
-    /// `true` when row `r` serves a live vector. Always `true` for
-    /// immutable nodes; mutation-enabled nodes report their slot table, so
-    /// the supervisor's digital fallback skips free and tombstoned slots
-    /// exactly like the device kernels do.
-    fn row_live(&self, r: usize) -> bool;
-    /// Row `r`'s logical contents (the vector the digital fallback scores),
-    /// or `None` past the last row.
-    fn logical_row(&self, r: usize) -> Option<Vec<u32>>;
-}
-
-impl ReplicaNode for FerexArray {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-
-    fn check_query(&self, query: &[u32]) -> Result<(), FerexError> {
-        self.validate(query)
-    }
-
-    fn search_batch_at(
-        &self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<Vec<SearchOutcome>, FerexError> {
-        FerexArray::search_batch_at(self, queries, qids)
-    }
-
-    fn scrub_now(&mut self) -> Result<usize, FerexError> {
-        self.scrub().map(|r| r.findings.len())
-    }
-
-    fn health(&self) -> HealthSnapshot {
-        FerexArray::health(self)
-    }
-
-    fn row_live(&self, r: usize) -> bool {
-        self.slot_live(r)
-    }
-
-    fn logical_row(&self, r: usize) -> Option<Vec<u32>> {
-        self.row_vector(r)
-    }
-}
-
 /// Where a served answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeSource {
@@ -395,15 +314,15 @@ pub struct ServedOutcome {
 
 /// Lifetime counters of a [`ReplicaSet`].
 ///
-/// Accounting invariant: every query accepted into a serving path counts
+/// Accounting invariant: every query accepted into a read counts
 /// into `queries_submitted` exactly once and then lands in
 /// `queries_served`, so on every successful return `queries_served ==
 /// queries_submitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaSetStats {
-    /// Queries validated and accepted into a serving path.
+    /// Queries validated and accepted into a read.
     pub queries_submitted: u64,
-    /// Queries answered (sequential + batched).
+    /// Queries answered.
     pub queries_served: u64,
     /// Successful replica reads that entered a vote.
     pub replica_reads: u64,
@@ -511,8 +430,10 @@ struct ReplicaState {
 /// The replicated serving supervisor. See the module docs for the state
 /// machine; construct via [`ReplicaSet::new`] or
 /// [`crate::Ferex::replica_set`].
+///
+/// `A` is always [`FerexArray`]; the `serve_e2e` benchmark still spells it.
 #[derive(Debug, Clone)]
-pub struct ReplicaSet<A: ReplicaNode> {
+pub struct ReplicaSet<A = FerexArray> {
     replicas: Vec<A>,
     states: Vec<ReplicaState>,
     /// Optional per-replica service-latency models; `None` everywhere by
@@ -523,18 +444,14 @@ pub struct ReplicaSet<A: ReplicaNode> {
     policy: ReplicaPolicy,
     /// Virtual clock: total queries this set has served (or attempted).
     tick: u64,
-    /// Query-id counter for [`ReplicaSet::serve`]: ids 0, 1, 2… in call
-    /// order, as [`Ferex::search`](crate::engine::Ferex::search) draws
-    /// them, so a 1-replica set serves bit-identically to the engine.
-    seq_counter: u64,
     stats: ReplicaSetStats,
 }
 
-impl<A: ReplicaNode> ReplicaSet<A> {
+impl ReplicaSet {
     /// Builds a supervisor over pre-constructed replicas. Every replica
     /// must already store the same vectors, row-aligned: replica 0's
-    /// logical rows are the truth the digital fallback recomputes against
-    /// (see [`ReplicaNode::logical_row`]).
+    /// logical rows ([`FerexArray::row_vector`]) are the truth the digital
+    /// fallback recomputes against.
     ///
     /// # Errors
     ///
@@ -542,17 +459,17 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// row count differs from replica 0's, or the policy is invalid for
     /// the replica count (see [`ReplicaPolicy::validate`]).
     pub fn new(
-        replicas: Vec<A>,
+        replicas: Vec<FerexArray>,
         metric: DistanceMetric,
         policy: ReplicaPolicy,
     ) -> Result<Self, FerexError> {
-        let Some(rows) = replicas.first().map(ReplicaNode::rows) else {
+        let Some(rows) = replicas.first().map(FerexArray::len) else {
             return Err(FerexError::InvalidPolicy {
                 what: "a replica set needs at least one replica",
             });
         };
         policy.validate(replicas.len())?;
-        if replicas.iter().any(|r| r.rows() != rows) {
+        if replicas.iter().any(|r| r.len() != rows) {
             return Err(FerexError::InvalidPolicy {
                 what: "every replica must store replica 0's row count",
             });
@@ -567,7 +484,6 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             metric,
             policy,
             tick: 0,
-            seq_counter: 0,
             stats: ReplicaSetStats::default(),
         })
     }
@@ -580,7 +496,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// Rows of the supervised store (replica 0's row count, which every
     /// replica shares).
     pub fn rows(&self) -> usize {
-        self.replicas.first().map_or(0, ReplicaNode::rows)
+        self.replicas.first().map_or(0, FerexArray::len)
     }
 
     /// Replicas not killed.
@@ -608,7 +524,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// # Panics
     ///
     /// Panics when `i` is at or past [`ReplicaSet::n_replicas`].
-    pub fn replica(&self, i: usize) -> &A {
+    pub fn replica(&self, i: usize) -> &FerexArray {
         // lint:allow(panic-safety/index, reason = "documented panicking accessor; callers pass i < n_replicas()")
         &self.replicas[i]
     }
@@ -618,7 +534,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// # Panics
     ///
     /// Panics when `i` is at or past [`ReplicaSet::n_replicas`].
-    pub fn replica_mut(&mut self, i: usize) -> &mut A {
+    pub fn replica_mut(&mut self, i: usize) -> &mut FerexArray {
         // lint:allow(panic-safety/index, reason = "documented panicking accessor; callers pass i < n_replicas()")
         &mut self.replicas[i]
     }
@@ -651,10 +567,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// requests waiting behind the batch, at the caller's virtual tick
     /// `tick` (drives the degrade slope). The health and scrub inflation
     /// terms are read off the replica's live state: its
-    /// [`HealthSnapshot::degraded_milli`] and whether an escalated or
-    /// scheduled scrub ran within the model's window on the set's own
-    /// tick clock. `None` when no model is attached (or `i` is out of
-    /// range) — the caller falls back to its uniform cost.
+    /// [`HealthSnapshot::degraded_milli`](crate::health::HealthSnapshot::degraded_milli)
+    /// and whether an escalated or scheduled scrub ran within the model's
+    /// window on the set's own tick clock. `None` when no model is attached
+    /// (or `i` is out of range) — the caller falls back to its uniform cost.
     pub fn latency_ticks(
         &self,
         i: usize,
@@ -750,7 +666,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// the set has no replicas to validate against (unreachable through
     /// [`ReplicaSet::new`], which rejects empty sets).
     pub fn check_query(&self, query: &[u32]) -> Result<(), FerexError> {
-        self.replicas.first().ok_or(FerexError::Empty)?.check_query(query)
+        self.replicas.first().ok_or(FerexError::Empty)?.validate(query)
     }
 
     /// Point-in-time view of one replica's serving state. Out-of-range
@@ -808,22 +724,24 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     }
 
     /// Runs a maintenance scrub on every live replica (the chaos harness's
-    /// scheduled scrub cycle); returns how many replicas were scrubbed.
+    /// scheduled scrub cycle); returns the findings summed over the
+    /// replicas scrubbed. [`ReplicaSetStats::scheduled_scrubs`] counts the
+    /// scrubs.
     pub fn scrub_all(&mut self) -> usize {
         let tick = self.tick;
-        let mut n = 0;
+        let mut total = 0;
         for (st, replica) in self.states.iter_mut().zip(&mut self.replicas) {
             if st.dead {
                 continue;
             }
-            if let Ok(findings) = replica.scrub_now() {
-                st.last_scrub_findings = findings;
+            if let Ok(report) = replica.scrub() {
+                st.last_scrub_findings = report.findings.len();
                 st.last_scrub_tick = Some(tick);
                 self.stats.scheduled_scrubs += 1;
-                n += 1;
+                total += report.findings.len();
             }
         }
-        n
+        total
     }
 
     /// Routing score of one replica: fraction of rows still served
@@ -931,9 +849,9 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         let first = self.replicas.first().ok_or(FerexError::Empty)?;
         // Non-live slots (free or tombstoned under online mutation) read as
         // +inf, exactly like the device kernels' exclusion of those rows.
-        let distances: Vec<f64> = (0..first.rows())
+        let distances: Vec<f64> = (0..first.len())
             .map(|r| {
-                let row = if first.row_live(r) { first.logical_row(r) } else { None };
+                let row = if first.slot_live(r) { first.row_vector(r) } else { None };
                 row.map_or(f64::INFINITY, |s| self.metric.vector_distance(query, &s) as f64)
             })
             .collect();
@@ -1053,10 +971,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
         st.last_scrub_tick = Some(tick);
         let Some(replica) = self.replicas.get_mut(i) else { return };
-        match replica.scrub_now() {
-            Ok(findings) => {
+        match replica.scrub() {
+            Ok(report) => {
                 if let Some(st) = self.states.get_mut(i) {
-                    st.last_scrub_findings = findings;
+                    st.last_scrub_findings = report.findings.len();
                 }
                 self.stats.scrubs_escalated += 1;
             }
@@ -1064,32 +982,11 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
     }
 
-    /// Serves one query through the full ladder (routing → quorum →
-    /// breaker bookkeeping → fallback), reporting provenance. A batch of
-    /// one through the same core as [`ReplicaSet::serve_batch_read`], with
-    /// the next id of the set's sequential query counter — the ids
-    /// [`Ferex::search`](crate::engine::Ferex::search) draws, so a
-    /// 1-replica set reproduces the engine.
-    ///
-    /// # Errors
-    ///
-    /// Query validation errors; [`FerexError::Empty`] when nothing is
-    /// stored. Replica-health errors never surface here — they divert to
-    /// healthier replicas or the digital fallback.
-    pub fn serve(&mut self, query: &[u32]) -> Result<ServedOutcome, FerexError> {
-        let queries = [query.to_vec()];
-        self.validate_batch(&queries)?;
-        self.stats.queries_submitted += 1;
-        let qid = self.seq_counter;
-        self.seq_counter += 1;
-        let (mut served, _) = self.serve_batch_core(&queries, &[qid])?;
-        served.pop().ok_or(FerexError::Empty)
-    }
-
-    /// Serves a batch with one explicit query id per entry — the serving
-    /// loop's entry point. Because per-query sensing noise is keyed purely
-    /// on the id, the outcomes are bit-identical to serving each request
-    /// alone with the same id, no matter how the batch former grouped the
+    /// Serves a batch through the full ladder (routing → quorum → breaker
+    /// bookkeeping → fallback) with one explicit query id per entry — the
+    /// set's one read. Because per-query sensing noise is keyed purely on
+    /// the id, the outcomes are bit-identical to serving each request
+    /// alone with the same id, no matter how the caller grouped the
     /// requests. The second element lists the replica indices whose
     /// batched reads fed the vote, in routing order; the serving loop's
     /// latency model charges each of those reads its own modeled service
@@ -1098,8 +995,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     /// # Errors
     ///
     /// A `qids` slice of the wrong length is a
-    /// [`FerexError::DimensionMismatch`]; otherwise as
-    /// [`ReplicaSet::serve`].
+    /// [`FerexError::DimensionMismatch`]; query validation errors;
+    /// [`FerexError::Empty`] when nothing is stored. Replica-health errors
+    /// never surface here — they divert to healthier replicas or the
+    /// digital fallback.
     pub fn serve_batch_read(
         &mut self,
         queries: &[Vec<u32>],
@@ -1111,32 +1010,13 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         if queries.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        self.serve_batch_core(queries, qids)
-    }
-
-    /// Validates every query of a submission against the replicas and
-    /// rejects an empty store — shared front door of both serving paths.
-    fn validate_batch(&self, queries: &[Vec<u32>]) -> Result<(), FerexError> {
         for q in queries {
             self.check_query(q)?;
         }
         if self.rows() == 0 {
             return Err(FerexError::Empty);
         }
-        Ok(())
-    }
-
-    /// Serves a pre-validated, pre-counted, non-empty batch through each
-    /// chosen replica's batched fast path with explicit query ids, voting
-    /// per query. Callers must have run [`ReplicaSet::validate_batch`] and
-    /// counted `queries_submitted`.
-    fn serve_batch_core(
-        &mut self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<(Vec<ServedOutcome>, Vec<usize>), FerexError> {
+        self.stats.queries_submitted += queries.len() as u64;
         let ranked = self.ranked_eligible();
         let reads = self.policy.quorum.reads;
         let budget = reads + self.policy.retry_budget;
@@ -1177,9 +1057,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
         Ok((served, reads_used))
     }
-}
 
-impl ReplicaSet<FerexArray> {
     /// Applies one mutation to every replica; the digital fallback reads
     /// replica 0's rows, so nothing else needs updating. Replicas fed the
     /// same operation sequence make identical slot decisions (the mutation
@@ -1289,6 +1167,12 @@ mod tests {
         (0..rows as u32).map(|r| (0..dim as u32).map(|d| (r + d) % 4).collect()).collect()
     }
 
+    /// One query through the set's batch read, sensed with id `qid`.
+    fn serve_one(set: &mut ReplicaSet, q: &[u32], qid: u64) -> Result<ServedOutcome, FerexError> {
+        let (mut served, _) = set.serve_batch_read(&[q.to_vec()], &[qid])?;
+        served.pop().ok_or(FerexError::Empty)
+    }
+
     #[test]
     fn replica_zero_keeps_the_base_seed() {
         assert_eq!(derive_replica_seed(0xFE12EC5, 0), 0xFE12EC5);
@@ -1363,13 +1247,13 @@ mod tests {
             f
         };
         let mut bare = build();
-        bare.program();
+        bare.array_mut().program();
         let mut set = build().replica_set(1, ReplicaPolicy::default()).expect("replicates");
         let queries = vectors(8, 6);
         let qids: Vec<u64> = (0..queries.len() as u64).collect();
         let lone = bare.array().search_batch_at(&queries, &qids).unwrap();
-        for (q, lone) in queries.iter().zip(&lone) {
-            let served = set.serve(q).unwrap();
+        for ((q, &qid), lone) in queries.iter().zip(&qids).zip(&lone) {
+            let served = serve_one(&mut set, q, qid).unwrap();
             assert_eq!(&served.outcome, lone);
             assert_eq!(served.source, ServeSource::Replica(0));
         }
@@ -1378,19 +1262,16 @@ mod tests {
         assert_eq!(reads, vec![0]);
     }
 
-    #[test]
-    fn quorum_outvotes_a_poisoned_replica_and_escalates_scrubs() {
-        let dim = 6;
-        let rows = 8;
-        let vs = vectors(rows, dim);
+    /// Three Noisy replicas of `vs` at the fault-isolation corner, quorum
+    /// 2 of 3: replica 0 carries a heavy stuck-at plan (SA0 cells conduct
+    /// unconditionally, inflating matched rows past their duplicates); 1
+    /// and 2 are clean.
+    fn poisoned_set(vs: &[Vec<u32>], dim: usize) -> ReplicaSet {
         let engine = Ferex::builder().dim(dim).build().expect("builds");
         let enc = engine.encoding().clone();
         let tech = ferex_fefet::Technology::default();
         let mut replicas = Vec::new();
         for i in 0..3u64 {
-            // Replica 0 carries a heavy stuck-at plan (SA0 cells conduct
-            // unconditionally, inflating matched rows past their
-            // duplicates); 1 and 2 are clean.
             let faults = if i == 0 {
                 FaultPlan { sa0_rate: 0.1, ..Default::default() }
             } else {
@@ -1404,11 +1285,17 @@ mod tests {
         }
         let policy =
             ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
-        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy).expect("valid");
-        for q in &vs {
+        ReplicaSet::new(replicas, DistanceMetric::Hamming, policy).expect("valid")
+    }
+
+    #[test]
+    fn quorum_outvotes_a_poisoned_replica_and_escalates_scrubs() {
+        let vs = vectors(8, 6);
+        let mut set = poisoned_set(&vs, 6);
+        for (qid, q) in (0..).zip(&vs) {
             // At the fault-isolation corner the two clean replicas are
             // exact, so the quorum answer is always the true nearest.
-            let served = set.serve(q).unwrap();
+            let served = serve_one(&mut set, q, qid).unwrap();
             let truth = set.digital_fallback(q).unwrap().nearest;
             assert_eq!(served.outcome.nearest, truth);
         }
@@ -1416,6 +1303,21 @@ mod tests {
         assert!(st.dissents > 0, "the poisoned replica never dissented");
         assert!(set.stats().disagreements > 0);
         assert!(set.stats().scrubs_escalated >= 1, "dissent should trigger a targeted scrub");
+    }
+
+    #[test]
+    fn scrub_all_returns_summed_findings_and_stats_count_the_scrubs() {
+        let vs = vectors(8, 6);
+        let mut engine = Ferex::builder().dim(6).build().expect("builds");
+        engine.store_all(vs.clone()).unwrap();
+        let mut clean = engine.replica_set(3, ReplicaPolicy::default()).expect("replicates");
+        assert_eq!(clean.scrub_all(), 0, "clean replicas have nothing to find");
+        assert_eq!(clean.stats().scheduled_scrubs, 3);
+        let mut poisoned = poisoned_set(&vs, 6);
+        let findings = poisoned.scrub_all();
+        assert!(findings > 0, "the stuck replica's scrub finds nothing");
+        assert_eq!(findings, (0..3).map(|i| poisoned.status(i).last_scrub_findings).sum());
+        assert_eq!(poisoned.stats().scheduled_scrubs, 3);
     }
 
     #[test]
@@ -1460,7 +1362,7 @@ mod tests {
         let vs = vectors(4, dim);
         let mut engine = Ferex::builder().dim(dim).build().expect("builds");
         engine.store_all(vs.clone()).unwrap();
-        engine.program();
+        engine.array_mut().program();
         let policy = ReplicaPolicy {
             quorum: QuorumPolicy { reads: 2, agree: 1 },
             breaker: BreakerPolicy {
@@ -1477,19 +1379,19 @@ mod tests {
             let _ = set.replica_mut(1).quarantine_row(r);
         }
         let q = &vs[0];
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 0).unwrap();
         assert_eq!(set.status(1).consecutive_failures, 1);
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 1).unwrap();
         let opened = set.status(1).breaker;
         assert_eq!(opened, BreakerState::Open { until_tick: 1 + 3 }, "threshold 2 trips at tick 1");
         assert_eq!(set.stats().breaker_trips, 1);
         // While open the replica is skipped — no failure accrues.
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 2).unwrap();
         assert_eq!(set.status(1).breaker, opened);
         // Past the backoff the breaker half-opens, the probe fails, and it
         // re-opens with doubled backoff.
-        set.serve(q).unwrap(); // tick 3
-        set.serve(q).unwrap(); // tick 4: eligible as half-open, probe fails
+        serve_one(&mut set, q, 3).unwrap(); // tick 3
+        serve_one(&mut set, q, 4).unwrap(); // tick 4: eligible as half-open, probe fails
         assert_eq!(set.status(1).breaker, BreakerState::Open { until_tick: 4 + 6 });
         assert_eq!(set.stats().breaker_trips, 2);
         // Every query was still answered by the healthy replica.
@@ -1499,7 +1401,7 @@ mod tests {
         let mut backoffs = vec![3, 6];
         while backoffs.len() < 4 && set.tick() < 100 {
             let (trips, at) = (set.stats().breaker_trips, set.tick());
-            set.serve(q).unwrap();
+            serve_one(&mut set, q, at).unwrap();
             if set.stats().breaker_trips > trips {
                 let BreakerState::Open { until_tick } = set.status(1).breaker else {
                     panic!("a trip must open the breaker");
@@ -1520,13 +1422,13 @@ mod tests {
         let balanced =
             |s: ReplicaSetStats| s.queries_served == s.queries_submitted && s.queries_shed == 0;
 
-        set.serve(&vs[0]).unwrap();
+        serve_one(&mut set, &vs[0], 0).unwrap();
         assert!(balanced(set.stats()));
         set.serve_batch_read(&vs[0..4], &[40, 41, 42, 43]).unwrap();
         assert!(balanced(set.stats()));
         assert_eq!(set.stats().queries_submitted, 5);
         // Rejected submissions count nothing: a bad query, mismatched ids.
-        assert!(set.serve(&[9; 4]).is_err());
+        assert!(serve_one(&mut set, &[9; 4], 1).is_err());
         assert!(set.serve_batch_read(&vs[0..2], &[1]).is_err());
         assert!(balanced(set.stats()));
         assert_eq!(set.stats().queries_served, 5);
@@ -1565,7 +1467,7 @@ mod tests {
             .build()
             .expect("builds");
         bare.store_all(vectors(8, 6)).unwrap();
-        bare.program();
+        bare.array_mut().program();
         let lone = bare.array().search_batch_at(&queries, &qids).unwrap();
         assert_eq!(all.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), lone);
     }
@@ -1582,11 +1484,11 @@ mod tests {
         set.kill(1);
         assert_eq!(set.alive(), 1);
         // One eligible replica cannot meet agree = 2: the oracle serves.
-        let served = set.serve(&vs[2]).unwrap();
+        let served = serve_one(&mut set, &vs[2], 0).unwrap();
         assert_eq!(served.source, ServeSource::OracleFallback);
         assert_eq!(served.outcome.nearest, 2);
         set.revive(1);
-        let served = set.serve(&vs[2]).unwrap();
+        let served = serve_one(&mut set, &vs[2], 1).unwrap();
         assert_eq!(served.source, ServeSource::Replica(0));
     }
 
@@ -1614,7 +1516,7 @@ mod tests {
         // The device quorum and the digital oracle agree on the new
         // contents (Ideal backend: both are exact).
         let slot9 = set.replica(0).slot_of(9).expect("id 9 is live");
-        let served = set.serve(&[3; 6]).unwrap();
+        let served = serve_one(&mut set, &[3; 6], 0).unwrap();
         assert_eq!(served.outcome.nearest, slot9);
         assert_eq!(served.source, ServeSource::Replica(0));
         assert_eq!(set.digital_fallback(&[3; 6]).unwrap().nearest, slot9);

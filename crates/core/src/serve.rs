@@ -39,7 +39,7 @@ use crate::array::FerexArray;
 use crate::error::FerexError;
 use crate::latency::{qln_quantile_milli, HedgePolicy};
 use crate::mutate::CompactionReport;
-use crate::replica::{ReplicaNode, ReplicaSet, ServedOutcome};
+use crate::replica::{ReplicaSet, ServedOutcome};
 use std::collections::VecDeque;
 
 /// Virtual-tick service-cost model of one batch activation.
@@ -276,8 +276,10 @@ struct Pending {
 /// machine; drive it by calling [`ServeLoop::submit`] for arrivals and
 /// [`ServeLoop::poll`] once per virtual tick (both with non-decreasing
 /// ticks).
+///
+/// `A` is always [`FerexArray`]; the `serve_e2e` benchmark still spells it.
 #[derive(Debug, Clone)]
-pub struct ServeLoop<A: ReplicaNode> {
+pub struct ServeLoop<A = FerexArray> {
     set: ReplicaSet<A>,
     policy: ServePolicy,
     /// Per-tenant FIFO queues; tenant ids are dense `0..tenants`.
@@ -311,7 +313,7 @@ pub struct ServeLoop<A: ReplicaNode> {
     held_sheds: Vec<ShedEvent>,
 }
 
-impl<A: ReplicaNode> ServeLoop<A> {
+impl ServeLoop {
     /// Builds a serving loop over a replica set for `tenants` tenants.
     ///
     /// # Errors
@@ -319,11 +321,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// [`FerexError::InvalidPolicy`] on zero tenants or an invalid
     /// [`ServePolicy`]; [`FerexError::Empty`] when the set stores nothing
     /// (an empty store can never serve).
-    pub fn new(
-        set: ReplicaSet<A>,
-        tenants: usize,
-        policy: ServePolicy,
-    ) -> Result<Self, FerexError> {
+    pub fn new(set: ReplicaSet, tenants: usize, policy: ServePolicy) -> Result<Self, FerexError> {
         policy.validate()?;
         if tenants == 0 {
             return Err(FerexError::InvalidPolicy { what: "tenant count must be at least 1" });
@@ -354,13 +352,13 @@ impl<A: ReplicaNode> ServeLoop<A> {
     }
 
     /// The wrapped replica set.
-    pub fn set(&self) -> &ReplicaSet<A> {
+    pub fn set(&self) -> &ReplicaSet {
         &self.set
     }
 
     /// Mutable access to the replica set (chaos injection: kill, revive,
     /// scrub).
-    pub fn set_mut(&mut self) -> &mut ReplicaSet<A> {
+    pub fn set_mut(&mut self) -> &mut ReplicaSet {
         &mut self.set
     }
 
@@ -377,11 +375,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// Requests currently queued.
     pub fn queue_depth(&self) -> usize {
         self.queued
-    }
-
-    /// `true` when no batch is in flight at `tick`.
-    pub fn idle_at(&self, tick: u64) -> bool {
-        tick >= self.busy_until
     }
 
     /// Lifetime counters.
@@ -812,9 +805,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
         }
         ShedEvent { tenant, qid, arrival_tick, tick: self.now, reason }
     }
-}
 
-impl ServeLoop<FerexArray> {
     /// Inserts `(id, vector)` into the wrapped replica set between
     /// batches. Mutations are instantaneous on the virtual clock — the
     /// loop's queue, clock, and in-flight batch are untouched, so serving
@@ -871,7 +862,7 @@ mod tests {
         (0..rows as u32).map(|r| (0..dim as u32).map(|d| (r + d) % 4).collect()).collect()
     }
 
-    fn loop_with(tenants: usize, policy: ServePolicy) -> ServeLoop<crate::FerexArray> {
+    fn loop_with(tenants: usize, policy: ServePolicy) -> ServeLoop {
         let mut engine = Ferex::builder().dim(4).build().expect("builds");
         engine.store_all(vectors(6, 4)).unwrap();
         let set = engine.replica_set(1, ReplicaPolicy::default()).expect("replicates");
@@ -883,7 +874,7 @@ mod tests {
         reads: usize,
         policy: ServePolicy,
         brownout: Option<BrownoutPolicy>,
-    ) -> ServeLoop<crate::FerexArray> {
+    ) -> ServeLoop {
         let mut engine = Ferex::builder().dim(4).build().expect("builds");
         engine.store_all(vectors(6, 4)).unwrap();
         let rp = ReplicaPolicy {
@@ -1101,7 +1092,7 @@ mod tests {
             BrownoutPolicy { demote_threshold_milli: 2500, reprobe_ticks: 2048, ewma_shift: 2 };
         let mut lp = loop_with_replicas(3, 2, policy, Some(brownout));
         let demoted =
-            |lp: &ServeLoop<_>| matches!(lp.set().status(1).brownout, BreakerState::Open { .. });
+            |lp: &ServeLoop| matches!(lp.set().status(1).brownout, BreakerState::Open { .. });
         lp.set_mut()
             .set_latency_model(1, crate::latency::LatencyModel::exact(cheap(), 8000, 7))
             .unwrap();
@@ -1134,7 +1125,7 @@ mod tests {
     /// slowdown, serving batches of one on a one-tick cost model: a healthy
     /// batch frees the array for the next tick's poll, so a re-probe runs
     /// at the first tick its backoff allows.
-    fn slow_replica_loop(brownout: BrownoutPolicy) -> ServeLoop<crate::FerexArray> {
+    fn slow_replica_loop(brownout: BrownoutPolicy) -> ServeLoop {
         let policy = ServePolicy { target_batch: 1, cost: one_tick(), ..Default::default() };
         let mut lp = loop_with_replicas(3, 2, policy, Some(brownout));
         set_slowdown(&mut lp, 8000);
@@ -1147,7 +1138,7 @@ mod tests {
 
     /// Replaces replica 1's latency model with an exact `factor_milli`
     /// slowdown of the one-tick cost.
-    fn set_slowdown(lp: &mut ServeLoop<crate::FerexArray>, factor_milli: u64) {
+    fn set_slowdown(lp: &mut ServeLoop, factor_milli: u64) {
         let model = crate::latency::LatencyModel::exact(one_tick(), factor_milli, 7);
         lp.set_mut().set_latency_model(1, model).unwrap();
     }
@@ -1158,7 +1149,7 @@ mod tests {
         // Serves one request per tick until `n` more re-probes ran, and
         // returns each re-probe's distance from the demotion it lifted.
         let (mut tick, mut demoted_at) = (0, 0);
-        let mut reprobe_intervals = |lp: &mut ServeLoop<_>, n: usize| {
+        let mut reprobe_intervals = |lp: &mut ServeLoop, n: usize| {
             let mut intervals = Vec::new();
             while intervals.len() < n && tick < 8192 {
                 lp.submit(req(0, 0, tick, 1_000_000)).unwrap();

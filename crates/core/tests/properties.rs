@@ -34,7 +34,7 @@ fn churn_initial(id: u64) -> Vec<u32> {
 
 /// A 2-replica, 2/2-quorum set with replica 1 killed, so every serve is
 /// the oracle fallback over replica 0's rows.
-fn fallback_only_set(replicas: Vec<FerexArray>, metric: DistanceMetric) -> ReplicaSet<FerexArray> {
+fn fallback_only_set(replicas: Vec<FerexArray>, metric: DistanceMetric) -> ReplicaSet {
     let policy =
         ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
     let mut set = ReplicaSet::new(replicas, metric, policy).expect("2/2 quorum over 2 replicas");
@@ -48,7 +48,7 @@ fn fallback_only_set(replicas: Vec<FerexArray>, metric: DistanceMetric) -> Repli
 /// each live slot reads its id's exact distance, every other slot reads
 /// +inf, and the nearest slot holds a live id at the minimum distance.
 fn check_fallback_through_churn(
-    mut set: ReplicaSet<FerexArray>,
+    mut set: ReplicaSet,
     metric: DistanceMetric,
     ops: &[(u8, u64, u32, u32)],
 ) {
@@ -82,7 +82,11 @@ fn check_fallback_through_churn(
         }
 
         let q = churn_vector(probe);
-        let served = set.serve(&q).expect("a capacity-sized store always serves");
+        let served = set
+            .serve_batch_read(std::slice::from_ref(&q), &[set.tick()])
+            .expect("a capacity-sized store always serves")
+            .0
+            .remove(0);
         prop_assert_eq!(served.source, ServeSource::OracleFallback);
         let first = set.replica(0);
         let slot_ids: BTreeMap<usize, u64> =
@@ -507,12 +511,12 @@ proptest! {
         };
         let mut set = ReplicaSet::new(replicas, metric, policy).unwrap();
 
-        // Sequential serving mirrors the bare array read with query ids
-        // 0..len, and so does batched serving with the same ids.
+        // Serving one query at a time mirrors the bare array read with
+        // query ids 0..len, and so does one batch with the same ids.
         let qids: Vec<u64> = (0..queries.len() as u64).collect();
         let want = bare.search_batch_at(&queries, &qids).unwrap();
-        for (q, want) in queries.iter().zip(&want) {
-            let served = set.serve(q).unwrap();
+        for ((q, &qid), want) in queries.iter().zip(&qids).zip(&want) {
+            let served = set.serve_batch_read(std::slice::from_ref(q), &[qid]).unwrap().0.remove(0);
             prop_assert!(matches!(served.source, ServeSource::Replica(_)));
             prop_assert_eq!(&served.outcome, want);
         }

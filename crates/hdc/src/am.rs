@@ -87,7 +87,7 @@ impl AmClassifier {
                     (t.clamp(0.0, 1.0) * top).round() as u32
                 })
                 .collect();
-            ferex.store(symbols)?;
+            ferex.array_mut().store(symbols)?;
         }
         Ok(AmClassifier { ferex, scale, bits: config.bits })
     }
@@ -95,11 +95,6 @@ impl AmClassifier {
     /// The underlying engine (for cost reporting or inspection).
     pub fn ferex(&self) -> &Ferex {
         &self.ferex
-    }
-
-    /// Mutable engine access.
-    pub fn ferex_mut(&mut self) -> &mut Ferex {
-        &mut self.ferex
     }
 
     /// Reconfigures the array to a different metric without retraining —

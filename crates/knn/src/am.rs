@@ -68,7 +68,7 @@ impl AmKnn {
     ///
     /// Vector validation errors.
     pub fn insert(&mut self, symbols: Vec<u32>, label: usize) -> Result<(), FerexError> {
-        self.ferex.store(symbols)?;
+        self.ferex.array_mut().store(symbols)?;
         self.labels.push(label);
         Ok(())
     }

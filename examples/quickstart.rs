@@ -21,9 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Store a few reference vectors (one array row each).
-    engine.store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
-    engine.store(vec![3, 3, 3, 3, 0, 0, 0, 0])?;
-    engine.store(vec![0, 0, 1, 1, 2, 2, 3, 3])?;
+    engine.array_mut().store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
+    engine.array_mut().store(vec![3, 3, 3, 3, 0, 0, 0, 0])?;
+    engine.array_mut().store(vec![0, 0, 1, 1, 2, 2, 3, 3])?;
 
     // One associative search returns the nearest row and all row distances.
     let query = [0, 1, 2, 3, 3, 2, 1, 1];

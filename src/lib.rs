@@ -14,7 +14,7 @@
 //!     .bits(2)
 //!     .dim(8)
 //!     .build()?;
-//! engine.store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
+//! engine.array_mut().store(vec![0, 1, 2, 3, 3, 2, 1, 0])?;
 //! let result = engine.search(&[0, 1, 2, 3, 3, 2, 1, 1])?;
 //! assert_eq!(result.nearest, 0);
 //! # Ok(())

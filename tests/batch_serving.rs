@@ -135,7 +135,7 @@ fn concurrent_engine_batches_share_one_engine() {
             .build()
             .expect("builds");
         for v in random_vectors(10, 12, 31) {
-            engine.store(v).unwrap();
+            engine.array_mut().store(v).unwrap();
         }
         // One `&mut` programming step, then `&self` serving only.
         engine.ensure_programmed().unwrap();
@@ -185,7 +185,7 @@ fn stale_engine_batch_requires_reprogramming() {
         .build()
         .expect("builds");
     for v in random_vectors(4, 8, 41) {
-        engine.store(v).unwrap();
+        engine.array_mut().store(v).unwrap();
     }
     let queries = random_vectors(3, 8, 42);
     let qids = [0, 1, 2];
@@ -195,7 +195,7 @@ fn stale_engine_batch_requires_reprogramming() {
     engine.ensure_programmed().unwrap();
     assert!(read(&engine).is_ok());
     // Mutation re-stales the physical state.
-    engine.store(random_vectors(1, 8, 43).remove(0)).unwrap();
+    engine.array_mut().store(random_vectors(1, 8, 43).remove(0)).unwrap();
     let read_k = |e: &Ferex| e.array().search_k_batch_at(&queries, 2, &qids);
     assert!(matches!(read_k(&engine), Err(FerexError::NotProgrammed)));
     engine.ensure_programmed().unwrap();

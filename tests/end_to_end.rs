@@ -29,7 +29,7 @@ fn every_metric_full_pipeline() {
         let stored =
             [vec![0u32; 16], vec![3u32; 16], (0..16).map(|i| i as u32 % 4).collect::<Vec<_>>()];
         for v in &stored {
-            engine.store(v.clone()).expect("stores");
+            engine.array_mut().store(v.clone()).expect("stores");
         }
         let query: Vec<u32> = (0..16).map(|i| (i as u32 + 1) % 4).collect();
         let out = engine.search(&query).expect("searches");
@@ -48,8 +48,8 @@ fn every_metric_full_pipeline() {
 #[test]
 fn reconfiguration_round_trip() {
     let mut engine = Ferex::builder().dim(8).build().expect("builds");
-    engine.store(vec![0, 1, 2, 3, 0, 1, 2, 3]).expect("stores");
-    engine.store(vec![3, 3, 0, 0, 3, 3, 0, 0]).expect("stores");
+    engine.array_mut().store(vec![0, 1, 2, 3, 0, 1, 2, 3]).expect("stores");
+    engine.array_mut().store(vec![3, 3, 0, 0, 3, 3, 0, 0]).expect("stores");
     let query = [1u32, 1, 2, 2, 0, 0, 3, 3];
     let before = engine.search(&query).expect("searches");
     for metric in
@@ -83,7 +83,7 @@ fn nominal_circuit_matches_software_for_all_metrics() {
             .unwrap_or_else(|e| panic!("{metric}: {e}"));
         let stored = [vec![0u32, 1, 2, 3, 2, 1], vec![3u32, 2, 1, 0, 1, 2]];
         for v in &stored {
-            engine.store(v.clone()).expect("stores");
+            engine.array_mut().store(v.clone()).expect("stores");
         }
         let query = [0u32, 1, 2, 3, 1, 1];
         let out = engine.search(&query).expect("searches");

@@ -27,9 +27,9 @@ fn worst_case_trial(backend: Backend, seed: u64, d_near: usize, d_far: usize) ->
         .backend(backend)
         .build()
         .expect("encodes");
-    engine.store(flip_symbol_bits(&query, BITS, d_near, &mut rng)).expect("stores");
+    engine.array_mut().store(flip_symbol_bits(&query, BITS, d_near, &mut rng)).expect("stores");
     for _ in 0..6 {
-        engine.store(flip_symbol_bits(&query, BITS, d_far, &mut rng)).expect("stores");
+        engine.array_mut().store(flip_symbol_bits(&query, BITS, d_far, &mut rng)).expect("stores");
     }
     engine.search(&query).expect("searches").nearest == 0
 }

@@ -20,7 +20,7 @@ use ferex::core::array::{Backend, CircuitConfig};
 use ferex::core::latency::{HedgePolicy, LatencyModel};
 use ferex::core::replica::{BreakerState, BrownoutPolicy, QuorumPolicy, ReplicaPolicy};
 use ferex::core::serve::{CostModel, Request, ServeLoop, ServePolicy};
-use ferex::core::{DistanceMetric, Ferex, FerexArray};
+use ferex::core::{DistanceMetric, Ferex};
 use ferex::fefet::{FaultPlan, VariationModel};
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ fn hedged_loop(
     backend_kind: u8,
     slow_milli: u64,
     hedge: HedgePolicy,
-) -> ServeLoop<FerexArray> {
+) -> ServeLoop {
     let policy = ReplicaPolicy {
         quorum: QuorumPolicy { reads: 2, agree: 1 },
         brownout: Some(BrownoutPolicy::default()),
@@ -153,7 +153,7 @@ proptest! {
         let bare = engine_with(metric, backend_of(backend_kind));
         let bare = {
             let mut b = bare;
-            b.program();
+            b.array_mut().program();
             b
         };
         let queries: Vec<Vec<u32>> =
@@ -187,7 +187,7 @@ proptest! {
 #[test]
 fn pinned_8x_slow_replica_hedge_schedule() {
     let cost = CostModel::noisy_10k();
-    let run = |slow_factor: u64, hedged: bool| -> (Vec<u64>, ServeLoop<FerexArray>) {
+    let run = |slow_factor: u64, hedged: bool| -> (Vec<u64>, ServeLoop) {
         let policy = ReplicaPolicy {
             quorum: QuorumPolicy { reads: 2, agree: 1 },
             brownout: hedged.then_some(BrownoutPolicy {

@@ -17,7 +17,7 @@ use ferex::analog::lta::LtaParams;
 use ferex::core::array::{Backend, CircuitConfig};
 use ferex::core::replica::ReplicaPolicy;
 use ferex::core::serve::{CostModel, Request, ServeLoop, ServePolicy};
-use ferex::core::{Ferex, FerexArray};
+use ferex::core::Ferex;
 use ferex::fefet::{FaultPlan, VariationModel};
 use proptest::prelude::*;
 
@@ -40,7 +40,7 @@ fn stored_rows() -> Vec<Vec<u32>> {
 }
 
 /// A serving loop over one Noisy replica at the fault-isolation corner.
-fn serving_loop(tenants: usize, policy: ServePolicy) -> ServeLoop<FerexArray> {
+fn serving_loop(tenants: usize, policy: ServePolicy) -> ServeLoop {
     let mut engine = Ferex::builder()
         .dim(DIM)
         .backend(Backend::Noisy(Box::new(corner_cfg(NOISY_SEED))))
@@ -59,7 +59,7 @@ fn bare_engine() -> Ferex {
         .build()
         .expect("builds");
     engine.store_all(stored_rows()).expect("in-range rows");
-    engine.program();
+    engine.array_mut().program();
     engine
 }
 
@@ -207,7 +207,7 @@ fn hot_tenant_cannot_starve_cold_tenants() {
         ..Default::default()
     };
     let mut lp = serving_loop(4, policy);
-    let submit = |lp: &mut ServeLoop<FerexArray>, tenant: usize| {
+    let submit = |lp: &mut ServeLoop, tenant: usize| {
         lp.submit(Request {
             tenant,
             priority: 0,
