@@ -478,7 +478,8 @@ mod tests {
     fn measured_points_are_bit_identical_and_label_their_kernel() {
         for (noisy, metric, batch, kernel) in [
             (false, DistanceMetric::Hamming, 5, "bitplane-popcount"),
-            (false, DistanceMetric::Manhattan, 5, "lut"),
+            (false, DistanceMetric::Manhattan, 5, "bitplane-sliced"),
+            (false, DistanceMetric::EuclideanSquared, 1, "bitplane-sliced"),
             (true, DistanceMetric::Hamming, 1, "first-on"),
             (true, DistanceMetric::EuclideanSquared, 5, "first-on"),
         ] {

@@ -808,7 +808,7 @@ SERVING LOOP (serve-sim with --open-loop RATE or --closed-loop W):
 
 KERNEL BENCH (bench-kernels):
   fills a seeded random array, serves one query batch in one read and
-  one query at a time (the \"scalar\" line), checks them bit-identical,
+  as one-query reads (the \"1-query\" line), checks them bit-identical,
   and prints both timings with the kernel the batch dispatched to. The
   \"search\" line times the batch's read with LTA sensing, query ids 0..N.
   Each timing is the median of about 50 ms of individually timed repeats.

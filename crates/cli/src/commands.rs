@@ -199,7 +199,7 @@ fn render_bench_kernels(
     let batch_ns = median_ns(|| {
         std::hint::black_box(array.distances_batch(&queries).expect("repeat of a served batch"));
     }) / batch as f64;
-    let scalar_ns = median_ns(|| {
+    let one_query_ns = median_ns(|| {
         for q in &queries {
             let alone = array.distances_batch(std::slice::from_ref(q));
             std::hint::black_box(alone.expect("repeat of a served query"));
@@ -217,8 +217,8 @@ fn render_bench_kernels(
     );
     let _ = writeln!(out, "  batch kernel     : {}", array.batch_kernel(batch));
     let _ = writeln!(out, "  batch ns/query   : {batch_ns:.0}");
-    let _ = writeln!(out, "  scalar ns/query  : {scalar_ns:.0}");
-    let _ = writeln!(out, "  speedup          : {:.2}x", scalar_ns / batch_ns.max(1e-9));
+    let _ = writeln!(out, "  1-query ns/query : {one_query_ns:.0}");
+    let _ = writeln!(out, "  speedup          : {:.2}x", one_query_ns / batch_ns.max(1e-9));
     let _ = writeln!(out, "  search ns/query  : {search_ns:.0}");
     let _ =
         writeln!(out, "  bit-identity     : PASS (batch == one-query reads on sampled queries)");
@@ -845,6 +845,10 @@ mod tests {
     fn bench_kernels_labels_its_kernel_and_passes_identity() {
         let out = run_line("bench-kernels --metric hamming --rows 40 --dim 16 --batch 4").unwrap();
         assert!(out.contains("batch kernel     : bitplane-popcount"), "{out}");
+        assert!(out.contains("bit-identity     : PASS"), "{out}");
+        let out = run_line("bench-kernels --metric l1 --rows 40 --dim 16 --batch 4").unwrap();
+        assert!(out.contains("batch kernel     : bitplane-sliced"), "{out}");
+        assert!(out.contains("1-query ns/query : "), "{out}");
         assert!(out.contains("bit-identity     : PASS"), "{out}");
         let out = run_line(
             "bench-kernels --metric l1 --rows 30 --dim 8 --batch 4 --backend noisy --seed 5",

@@ -678,13 +678,13 @@ impl FerexArray {
     /// search, single or batched, goes through. It matches on the backend
     /// once:
     ///
-    /// * `Ideal` runs the structure-of-arrays kernels over the code
-    ///   buffer: a Hamming-exact encoding runs word-parallel XOR + popcount
-    ///   over the stored rows' bit-planes (packed by the first such call,
-    ///   then kept in sync by every mutator, so only the queries are packed
-    ///   per call), every other encoding runs per-query current LUTs laid
-    ///   out contiguously, both cache-blocked rows-outer / queries-inner
-    ///   over balanced query chunks.
+    /// * `Ideal` runs the structure-of-arrays kernels over the stored
+    ///   rows' bit-planes (packed by the first Ideal read, then kept in
+    ///   sync by every mutator): a Hamming-exact encoding runs
+    ///   word-parallel XOR + popcount against the packed queries, every
+    ///   other encoding the bit-sliced current kernel (one-hot symbol
+    ///   masks per row, current bit slices per query), both cache-blocked
+    ///   rows-outer / queries-inner over balanced query chunks.
     /// * `Noisy` runs one kernel at every batch size, over the first-ON
     ///   gate levels [`FerexArray::program`] derived: it builds the
     ///   contributions of one cache-sized row block at a time, for the
@@ -736,8 +736,9 @@ impl FerexArray {
 
     /// Names the kernel [`FerexArray::distances_batch`] dispatches a batch
     /// to, mirroring its dispatch exactly: `"bitplane-popcount"` (Ideal +
-    /// realized XOR-popcount encoding), `"lut"` (Ideal per-query current
-    /// LUTs), `"first-on"` (the Noisy block kernel over programmed first-ON
+    /// realized XOR-popcount encoding), `"bitplane-sliced"` (Ideal, the
+    /// bit-sliced currents of any other encoding over the same planes),
+    /// `"first-on"` (the Noisy block kernel over programmed first-ON
     /// levels), or `"scalar"` (the per-query Circuit crossbar solve). No
     /// backend switches kernels with the batch size any more; the
     /// parameter stays so callers that label a batch keep compiling.
@@ -746,7 +747,7 @@ impl FerexArray {
     pub fn batch_kernel(&self, _batch: usize) -> &'static str {
         match &self.backend {
             Backend::Ideal if soa::is_xor_popcount(&self.encoding) => "bitplane-popcount",
-            Backend::Ideal => "lut",
+            Backend::Ideal => "bitplane-sliced",
             Backend::Noisy(_) => "first-on",
             Backend::Circuit(_) => "scalar",
         }
@@ -773,27 +774,27 @@ impl FerexArray {
             .collect())
     }
 
-    /// The `Ideal` batched kernels over the structure-of-arrays code
-    /// buffer. Dispatches to XOR-popcount over packed bit-planes when the
-    /// realized encoding is exactly bitwise Hamming, and to per-query
-    /// current LUTs otherwise. Both kernels accumulate exact integer
-    /// currents in `u64` and convert once per row — exactly the `f64` sum
-    /// of the cell currents, because every partial sum is an integer below
-    /// 2⁵³ (see `soa` module docs).
+    /// The `Ideal` batched kernels over the stored rows' packed
+    /// bit-planes, the one buffer every Ideal read scans. Dispatches to
+    /// XOR-popcount when the realized encoding is exactly bitwise
+    /// Hamming, and to the bit-sliced current kernel otherwise. Both
+    /// accumulate exact integer currents in `u64` and convert once per
+    /// row — exactly the `f64` sum of the cell currents, because every
+    /// partial sum is an integer below 2⁵³ (see `soa` module docs).
     fn ideal_distances_batch_soa(&self, queries: &[Vec<u32>]) -> Vec<Vec<f64>> {
         let rows = self.len();
         let dim = self.dim;
         let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
+        let (bits, words) = self.codes.plane_shape();
+        debug_assert_eq!(bits, soa::plane_bits(&self.encoding), "plane width out of sync");
+        let stride = bits as usize * words;
+        let row_planes = self.codes.bit_planes();
 
         if soa::is_xor_popcount(&self.encoding) {
-            // Bit-plane path: the stored rows' planes are cached beside the
-            // codes (row-major, planes contiguous per row); pack each
-            // chunk's queries the same way and reduce every (row, query)
-            // pair to XOR + popcount over `bits × ceil(dim/64)` words.
-            let (bits, words) = self.codes.plane_shape();
-            debug_assert_eq!(bits, soa::plane_bits(&self.encoding), "plane width out of sync");
-            let stride = bits as usize * words;
-            let row_planes = self.codes.bit_planes();
+            // Bit-plane path: pack each chunk's queries the same way as
+            // the rows (row-major, planes contiguous per row) and reduce
+            // every (row, query) pair to XOR + popcount over `bits ×
+            // ceil(dim/64)` words.
             // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), plane strides and row indices are sized in this function; checked indexing would defeat the batch win")
             let per_chunk: Vec<Vec<Vec<f64>>> = ranges
                 .par_iter()
@@ -832,33 +833,35 @@ impl FerexArray {
             return per_chunk.into_iter().flatten().collect();
         }
 
-        // LUT path: one contiguous current LUT per query in the chunk
-        // (`dim` rows of `n_stored` entries each), then rows-outer /
-        // queries-inner so each row's code slice stays cache-hot across
-        // the whole chunk.
-        let n_stored = self.encoding.n_stored();
-        let lut_stride = dim * n_stored;
-        // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), LUT strides and row indices are sized in this function; checked indexing would defeat the batch win")
+        // Bit-sliced path: each chunk's queries become current slices;
+        // rows-outer / queries-inner, each row's one-hot masks are built
+        // once from its planes and shared by the whole chunk.
+        let sliced = soa::SlicedCurrents::new(&self.encoding, dim);
+        let (q_len, e_len) = (sliced.query_len(), sliced.one_hot_len());
         let per_chunk: Vec<Vec<Vec<f64>>> = ranges
             .par_iter()
             .map(|range| {
-                let qs = &queries[range.clone()];
-                let mut luts = Vec::with_capacity(qs.len() * lut_stride);
-                for q in qs {
-                    luts.extend(soa::query_lut(&self.encoding, q));
+                let qs = queries.get(range.clone()).unwrap_or_default();
+                let mut slices = vec![0u64; qs.len() * q_len];
+                for (q, out) in qs.iter().zip(slices.chunks_exact_mut(q_len.max(1))) {
+                    sliced.pack_query(q, out);
                 }
+                let mut one_hot = vec![0u64; e_len];
                 let mut out = vec![vec![0.0f64; rows]; qs.len()];
                 for r in 0..rows {
-                    if self.physical_row(r).is_none() {
-                        for row_out in &mut out {
-                            row_out[r] = f64::INFINITY;
-                        }
-                        continue;
+                    let planes = self
+                        .physical_row(r)
+                        .and_then(|_| row_planes.get(r * stride..(r + 1) * stride));
+                    if let Some(planes) = planes {
+                        sliced.one_hot(planes, &mut one_hot);
                     }
-                    let codes = self.codes.row(r).unwrap_or_default();
                     for (qi, row_out) in out.iter_mut().enumerate() {
-                        let lut = &luts[qi * lut_stride..(qi + 1) * lut_stride];
-                        row_out[r] = soa::lut_distance(lut, n_stored, codes) as f64;
+                        let t = slices.get(qi * q_len..(qi + 1) * q_len).unwrap_or_default();
+                        let d =
+                            planes.map_or(f64::INFINITY, |_| sliced.distance(&one_hot, t) as f64);
+                        if let Some(slot) = row_out.get_mut(r) {
+                            *slot = d;
+                        }
                     }
                 }
                 out

@@ -137,6 +137,7 @@ impl FerexBuilder {
             dm,
             sizing,
             report,
+            sized: Vec::new(),
             array,
             next_qid: 0,
         })
@@ -172,7 +173,13 @@ pub struct Ferex {
     bits: u32,
     dm: DistanceMatrix,
     sizing: SizingOptions,
+    /// The current metric's sizing report.
     report: SizingReport,
+    /// Every other metric this engine has sized, with its report. Bits,
+    /// sizing options and technology are fixed for the engine's life and
+    /// Alg. 1 draws no randomness, so a metric's report never changes: a
+    /// switch back to it is a lookup, not a second CSP run.
+    sized: Vec<(DistanceMetric, SizingReport)>,
     array: FerexArray,
     /// The query id [`Ferex::search`] or [`Ferex::search_k`] senses with
     /// next: each call takes one, in call order, even when its read fails.
@@ -353,20 +360,32 @@ impl Ferex {
     }
 
     /// Reconfigures the engine to a different distance metric, keeping all
-    /// stored vectors. This re-runs the CSP encoding pipeline and marks the
-    /// array for re-programming — the paper's headline capability.
+    /// stored vectors, and marks the array for re-programming — the
+    /// paper's headline capability. The first switch to a metric runs the
+    /// CSP encoding pipeline; the engine keeps every report it has sized
+    /// (the build's included), so a later switch to that metric is a
+    /// lookup plus the array's range check over the stored codes.
     ///
     /// # Errors
     ///
     /// Encoding failures for the new metric; the engine is left unchanged
-    /// on error.
+    /// on error, and a failed sizing is not remembered.
     pub fn reconfigure(&mut self, metric: DistanceMetric) -> Result<(), FerexError> {
+        if metric == self.metric {
+            return self.array.reconfigure(self.report.encoding.clone());
+        }
         let dm = DistanceMatrix::from_metric(metric, self.bits);
-        let report = find_minimal_cell(&dm, &self.sizing)?;
-        self.array.reconfigure(report.encoding.clone())?;
-        self.metric = metric;
+        let report = match self.sized.iter().position(|(m, _)| *m == metric) {
+            Some(i) => self.sized.swap_remove(i).1,
+            None => find_minimal_cell(&dm, &self.sizing)?,
+        };
+        if let Err(e) = self.array.reconfigure(report.encoding.clone()) {
+            self.sized.push((metric, report));
+            return Err(e);
+        }
+        let previous = std::mem::replace(&mut self.report, report);
+        self.sized.push((std::mem::replace(&mut self.metric, metric), previous));
         self.dm = dm;
-        self.report = report;
         Ok(())
     }
 
@@ -455,10 +474,48 @@ mod tests {
         let before_metric = ferex.metric();
         let err = ferex.reconfigure(DistanceMetric::EuclideanSquared);
         assert!(err.is_err());
-        // …and the engine still answers Hamming queries.
+        // …and the engine still answers Hamming queries…
         assert_eq!(ferex.metric(), before_metric);
         let r = ferex.search(&[0, 3]).unwrap();
         assert_eq!(r.distances[0], 0.0);
+        // …remembers nothing of the failed sizing…
+        assert!(ferex.sized.is_empty(), "a failed sizing must not be remembered");
+        // …and still switches: Manhattan fits k = 3, and Hamming comes back
+        // from the memo.
+        ferex.reconfigure(DistanceMetric::Manhattan).unwrap();
+        assert_eq!(ferex.search(&[2, 3]).unwrap().distances, vec![2.0]);
+        ferex.reconfigure(DistanceMetric::Hamming).unwrap();
+        assert_eq!(ferex.search(&[2, 3]).unwrap().distances, vec![1.0]);
+        assert!(ferex.reconfigure(DistanceMetric::EuclideanSquared).is_err());
+        assert_eq!(ferex.metric(), DistanceMetric::Hamming);
+    }
+
+    #[test]
+    fn a_metric_switched_back_to_equals_a_fresh_build() {
+        let fresh = |m| Ferex::builder().metric(m).dim(2).build().expect("builds");
+        let mut ferex = fresh(DistanceMetric::Manhattan);
+        ferex.array_mut().store(vec![0, 3]).unwrap();
+        let cycle = [
+            DistanceMetric::EuclideanSquared,
+            DistanceMetric::Hamming,
+            DistanceMetric::Manhattan,
+            DistanceMetric::EuclideanSquared,
+            DistanceMetric::Hamming,
+        ];
+        for metric in cycle {
+            ferex.reconfigure(metric).unwrap();
+            let want = fresh(metric);
+            assert_eq!(ferex.metric(), metric);
+            assert_eq!(ferex.sizing_report(), want.sizing_report(), "{metric}");
+            assert_eq!(ferex.encoding(), want.encoding(), "{metric}");
+            assert_eq!(ferex.array().encoding(), want.encoding(), "{metric}");
+            assert_eq!(ferex.distance_matrix(), want.distance_matrix(), "{metric}");
+        }
+        // The two metrics not in use, each remembered once.
+        assert_eq!(ferex.sized.len(), 2);
+        for metric in [DistanceMetric::Manhattan, DistanceMetric::EuclideanSquared] {
+            assert!(ferex.sized.iter().any(|(m, _)| *m == metric), "{metric}");
+        }
     }
 
     #[test]

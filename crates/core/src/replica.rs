@@ -649,14 +649,6 @@ impl ReplicaSet {
         released
     }
 
-    /// The routing order a batch read would use right now: live replicas
-    /// with admitting breakers, healthiest first (ties to the lowest
-    /// index). Open breakers past their backoff transition to half-open,
-    /// exactly as a serve would.
-    pub fn route_order(&mut self) -> Vec<usize> {
-        self.ranked_eligible()
-    }
-
     /// Validates a query against the replicas' dimension and symbol
     /// alphabet without serving it — the serving loop's admission check.
     ///
@@ -771,7 +763,7 @@ impl ReplicaSet {
     /// Live replicas whose breaker admits traffic at the current tick
     /// (open breakers past their backoff transition to half-open here),
     /// ranked healthiest-first with index as the deterministic tiebreak.
-    fn ranked_eligible(&mut self) -> Vec<usize> {
+    pub(crate) fn ranked_eligible(&mut self) -> Vec<usize> {
         let tick = self.tick;
         for st in &mut self.states {
             // Dead replicas stay open until revived, as in

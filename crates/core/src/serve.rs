@@ -362,16 +362,6 @@ impl ServeLoop {
         &mut self.set
     }
 
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The loop's virtual clock.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Requests currently queued.
     pub fn queue_depth(&self) -> usize {
         self.queued
@@ -674,7 +664,7 @@ impl ServeLoop {
     /// The replica a hedge duplicates to: the best-routed replica not
     /// already reading this batch.
     fn hedge_candidate(&mut self, reads: &[usize]) -> Option<usize> {
-        self.set.route_order().into_iter().find(|i| !reads.contains(i))
+        self.set.ranked_eligible().into_iter().find(|i| !reads.contains(i))
     }
 
     /// Earliest completion deadline across all queued requests.

@@ -9,25 +9,29 @@
 //! * [`first_out_of_range`] — the one symbol-range check, behind every
 //!   store, query, replica copy and reconfiguration.
 //! * [`SoaCodes`] — the `u8` code buffer, written by the array's mutators
-//!   and read by every kernel, plus the stored rows' packed bit-planes.
-//!   The planes are packed lazily, on the first bit-plane kernel call;
-//!   from then on each mutator re-packs only the rows it touches. A
-//!   bit-plane query therefore pays for the rows it scans and nothing
-//!   else, and an array that never takes that kernel (Noisy, Circuit, a
-//!   LUT encoding) never allocates planes at all.
+//!   and read by every kernel, plus the stored rows' packed bit-planes,
+//!   the one buffer every Ideal read scans. The planes are packed lazily,
+//!   on the first Ideal read; from then on each mutator re-packs only the
+//!   rows it touches. Storing, copying and programming rows never packs,
+//!   so building an array or a replica costs nothing here, and an array
+//!   that is never read on the Ideal backend (Noisy, Circuit) never
+//!   allocates planes at all.
 //! * [`balanced_ranges`] — query-batch partitioning that hands every
 //!   worker a chunk (sizes differ by at most one), instead of the
 //!   `div_ceil`-sized chunks that left workers idle on non-divisible
 //!   batches.
-//! * Bit-plane packing ([`pack_bit_planes`]) and the XOR-popcount
-//!   detector ([`is_xor_popcount`]) behind the Hamming fast path: when
-//!   the programmed encoding's cell currents are exactly
-//!   `popcount(q XOR s)`, a row distance collapses to word-parallel
-//!   `XOR` + `count_ones` over packed planes.
-//! * The per-query current LUT ([`query_lut`]) for every other encoding:
-//!   `lut[d · n_stored + s]` is the exact integer current of stored
-//!   symbol `s` against query symbol `d`'s drive, laid out so one query's
-//!   rows are contiguous.
+//! * Bit-plane packing ([`pack_bit_planes`], branch-free: one multiply
+//!   gathers one bit of 8 codes) and the two Ideal kernels over the
+//!   planes:
+//!   - XOR-popcount ([`is_xor_popcount`], [`popcount_distance`]): when
+//!     the programmed encoding's cell currents are exactly
+//!     `popcount(q XOR s)`, a row distance is word-parallel `XOR` +
+//!     `count_ones` over the row's and the query's planes.
+//!   - Bit-sliced currents ([`SlicedCurrents`]) for every other encoding:
+//!     each row's planes become one-hot symbol masks `E[s]`, each query's
+//!     currents become masks `T[j][s]` (the dims whose current against
+//!     stored symbol `s` has bit `j` set), and a row distance is
+//!     `Σ_j 2^j · popcount(OR_s(E[s] AND T[j][s]))`.
 //!
 //! An Ideal read then senses with a zero-offset LTA, which
 //! (`LtaParams::sense`) is a plain argmin that draws no noise, so a batch
@@ -39,7 +43,12 @@
 //! distance is exactly `Σ_d cell_current(q_d, s_d)` as an `f64`: every
 //! partial sum is a non-negative integer far below 2⁵³ (the worst case,
 //! `max_vds_multiple × k × dim`, is ≤ 63 × 6 × dim), where the conversion
-//! is lossless. The f64 reference that checks this lives in the tests
+//! is lossless. The bit-sliced sum is that same integer: every dim holds
+//! exactly one stored symbol, so the `E[s]` are disjoint and the OR over
+//! `s` counts, for each `j`, the dims whose own current has bit `j` set
+//! (and, being disjoint, it may be split into groups of symbols whose
+//! popcounts add up to the same count).
+//! The f64 reference that checks this lives in the tests
 //! (`assert_batch_is_exact` below and the core property test
 //! `batched_kernels_are_bit_identical_to_scalar_path`).
 
@@ -186,7 +195,6 @@ impl SoaCodes {
         let Some(planes) = self.planes.get_mut() else { return };
         let codes = self.codes.get(r * self.dim..(r + 1) * self.dim);
         if let (Some(codes), Some(out)) = (codes, planes.get_mut(r * stride..(r + 1) * stride)) {
-            out.fill(0);
             pack_bit_planes(codes, bits, words, out);
         }
     }
@@ -260,28 +268,50 @@ pub(crate) fn is_xor_popcount(encoding: &CellEncoding) -> bool {
     true
 }
 
-/// Bits per symbol of an encoding's bit-planes: `⌈log2 n_stored⌉`, enough
-/// to hold every stored symbol (exactly `log2` for the power-of-two
-/// alphabets the bit-plane kernel serves).
+/// Bits per symbol of an encoding's bit-planes: `⌈log2 n⌉` for the `n`
+/// symbols a stored code can hold (the alphabet, capped at
+/// [`CODE_LEVELS`]), so at most 8, the bits of a code.
 pub(crate) fn plane_bits(encoding: &CellEncoding) -> u32 {
-    encoding.n_stored().next_power_of_two().trailing_zeros()
+    encoding.n_stored().min(CODE_LEVELS).next_power_of_two().trailing_zeros()
 }
+
+/// Bit `b` of each byte of a little-endian 8-code lane, moved to bit 0.
+const LANE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplier that gathers the eight 0/1 bytes of a masked lane into the
+/// top byte, byte `i`'s bit at bit `56 + i`: each byte meets exactly one
+/// power of two that lands it there, and no two partial products share
+/// a bit, so the product carries nothing.
+const LANE_GATHER: u64 = 0x0102_0408_1020_4080;
 
 /// Packs one row of symbol codes into `bits` bit-planes of `words`
 /// 64-symbol words each: bit `d % 64` of plane `b`'s word `d / 64` is
-/// bit `b` of symbol `d`. Tail bits beyond `dim` stay zero, so they
-/// cancel in any XOR between two packed rows.
+/// bit `b` of symbol `d`. Tail bits beyond the last code are zero, so
+/// they cancel in any XOR between two packed rows.
 ///
-/// `out` must hold exactly `bits × words` words and start zeroed.
+/// Branch-free: each word loads its 64 codes as eight 8-code lanes, and
+/// one multiply per (lane, plane) gathers that plane's bit of 8 codes.
+/// `out` must hold exactly `bits × words` words, with `bits ≤ 8` and
+/// `words = ⌈codes.len() / 64⌉`; every word is overwritten.
 pub(crate) fn pack_bit_planes(codes: &[u8], bits: u32, words: usize, out: &mut [u64]) {
+    debug_assert!(bits <= 8, "codes are bytes");
     debug_assert_eq!(out.len(), bits as usize * words);
-    // lint:allow(panic-safety/index, reason = "hot kernel: out is bits x words and d / 64 < words because words = ceil(dim / 64) and d < dim")
-    for (d, &c) in codes.iter().enumerate() {
-        let word = d / 64;
-        let bit = (d % 64) as u64;
-        for b in 0..bits {
-            if (c >> b) & 1 == 1 {
-                out[b as usize * words + word] |= 1u64 << bit;
+    for (w, word_codes) in codes.chunks(64).enumerate() {
+        let mut lanes = [0u64; 8];
+        for (lane, chunk) in lanes.iter_mut().zip(word_codes.chunks(8)) {
+            let mut bytes = [0u8; 8];
+            for (byte, &c) in bytes.iter_mut().zip(chunk) {
+                *byte = c;
+            }
+            *lane = u64::from_le_bytes(bytes);
+        }
+        for (b, plane) in out.chunks_exact_mut(words.max(1)).enumerate() {
+            let word = lanes.iter().enumerate().fold(0u64, |acc, (i, &lane)| {
+                let gathered = ((lane >> b) & LANE_LOW_BITS).wrapping_mul(LANE_GATHER) >> 56;
+                acc | gathered << (8 * i)
+            });
+            if let Some(slot) = plane.get_mut(w) {
+                *slot = word;
             }
         }
     }
@@ -296,32 +326,144 @@ pub(crate) fn popcount_distance(a: &[u64], b: &[u64]) -> u64 {
     a.iter().zip(b).map(|(&x, &y)| u64::from((x ^ y).count_ones())).sum()
 }
 
-/// Builds one query's current LUT: `lut[d · n_stored + s]` is the exact
-/// integer current stored symbol `s` contributes under query symbol
-/// `query[d]`'s column drive. One query's `dim` LUT rows are contiguous,
-/// so the row-distance loop walks two dense buffers in step.
-pub(crate) fn query_lut(encoding: &CellEncoding, query: &[u32]) -> Vec<u64> {
-    let n_stored = encoding.n_stored();
-    let mut lut = Vec::with_capacity(query.len() * n_stored);
-    for &q in query {
-        for s in 0..n_stored {
-            lut.push(u64::from(encoding.cell_current(q as usize, s)));
-        }
-    }
-    lut
+/// Symbol lanes the bit-sliced kernel ORs in one step: the masks of 4
+/// symbols, so the usual 2-bit alphabet is one unrolled step per word.
+const SLICE_LANES: usize = 4;
+
+/// An encoding's cell currents, bit-sliced for the kernel that reads
+/// every encoding but XOR-popcount from the stored rows' value planes.
+///
+/// Masks cover `lanes` symbols per word (the plane alphabet `2^bits`, at
+/// least [`SLICE_LANES`]) in groups of [`SLICE_LANES`]: a row's one-hot
+/// masks sit at word `w · lanes + s`, that is group `g = w · lanes / 4 +
+/// s / 4`, lane `s % 4`; a query's current slices sit at `(g ·
+/// current_bits + j) · 4 + s % 4`, so each group's slices for every
+/// current bit are contiguous. Lanes past the alphabet carry zero
+/// slices.
+#[derive(Debug, Clone)]
+pub(crate) struct SlicedCurrents {
+    /// Symbols a stored code can hold: the alphabet, capped at
+    /// [`CODE_LEVELS`].
+    n: usize,
+    /// Bits per symbol of the value planes ([`plane_bits`]).
+    bits: u32,
+    /// Mask slots per word, a multiple of [`SLICE_LANES`].
+    lanes: usize,
+    /// 64-symbol words per plane.
+    words: usize,
+    /// Bits of the largest cell current.
+    current_bits: u32,
+    /// `cell_current(q, s)` at `q · n + s`, for every search symbol `q`.
+    currents: Vec<u32>,
 }
 
-/// Row distance through a per-query LUT: `Σ_d lut[d · n_stored + codes[d]]`.
-/// Every stored code is below `n_stored` (validated at store and at
-/// reconfiguration), so no `get` misses; a miss would add 0, not panic.
-/// An empty alphabet has an empty LUT, hence the width of at least one
-/// that `chunks_exact` requires.
-#[inline]
-pub(crate) fn lut_distance(lut: &[u64], n_stored: usize, codes: &[u8]) -> u64 {
-    lut.chunks_exact(n_stored.max(1))
-        .zip(codes)
-        .map(|(row, &c)| row.get(usize::from(c)).copied().unwrap_or(0))
-        .sum()
+impl SlicedCurrents {
+    /// Slices `encoding`'s currents for `dim`-symbol rows.
+    pub(crate) fn new(encoding: &CellEncoding, dim: usize) -> Self {
+        let n = encoding.n_stored().min(CODE_LEVELS);
+        let bits = plane_bits(encoding);
+        let currents: Vec<u32> = (0..encoding.n_search())
+            .flat_map(|q| (0..n).map(move |s| encoding.cell_current(q, s)))
+            .collect();
+        let max = currents.iter().copied().max().unwrap_or(0);
+        SlicedCurrents {
+            n,
+            bits,
+            lanes: (1usize << bits).max(SLICE_LANES),
+            words: dim.div_ceil(64),
+            current_bits: u32::BITS - max.leading_zeros(),
+            currents,
+        }
+    }
+
+    /// Words of one query's current slices.
+    pub(crate) fn query_len(&self) -> usize {
+        self.current_bits as usize * self.one_hot_len()
+    }
+
+    /// Words of one row's one-hot masks.
+    pub(crate) fn one_hot_len(&self) -> usize {
+        self.words * self.lanes
+    }
+
+    /// Packs one query's current slices into `out` (`query_len` words,
+    /// zeroed): `T[j][s]` has bit `d` set iff bit `j` of
+    /// `cell_current(query[d], s)` is set. Tail bits past the last dim
+    /// stay zero, which is what clears the one-hot tails in
+    /// [`SlicedCurrents::distance`]. A search symbol the encoding does
+    /// not cover adds nothing; validated queries hold none.
+    pub(crate) fn pack_query(&self, query: &[u32], out: &mut [u64]) {
+        let n = self.n;
+        for (d, &q) in query.iter().enumerate() {
+            let (w, bit) = (d / 64, d % 64);
+            let q = q as usize;
+            let currents = self.currents.get(q * n..(q + 1) * n).unwrap_or_default();
+            for (s, &c) in currents.iter().enumerate() {
+                let group = (w * self.lanes + s) / SLICE_LANES;
+                for j in 0..self.current_bits {
+                    let at = (group * self.current_bits as usize + j as usize) * SLICE_LANES;
+                    if let Some(t) = out.get_mut(at + s % SLICE_LANES) {
+                        *t |= u64::from((c >> j) & 1) << bit;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Builds one row's one-hot masks from its value planes (`bits ×
+    /// words` words, plane-major): `E[s]` has bit `d` set iff the row's
+    /// code at `d` is `s`. Each plane splits every mask built so far in
+    /// two, the dims with that bit clear and set, so `bits` planes write
+    /// all `2^bits` masks; lanes past them are never written, and their
+    /// slices are zero. The complements set the tail bits past the last
+    /// dim in `E[0]`; the zero tails of every `T` clear them.
+    ///
+    /// Every slice is cut by multiplying out its offset: a `chunks_exact`
+    /// of a runtime width divides, which cost more than the masks here.
+    pub(crate) fn one_hot(&self, planes: &[u64], out: &mut [u64]) {
+        let (words, lanes) = (self.words, self.lanes);
+        for w in 0..words {
+            let Some(masks) = out.get_mut(w * lanes..(w + 1) * lanes) else { return };
+            if let Some(all) = masks.first_mut() {
+                *all = !0;
+            }
+            for b in 0..self.bits as usize {
+                let p = planes.get(b * words + w).copied().unwrap_or(0);
+                if let Some((clear, set)) = masks.split_at_mut_checked(1 << b) {
+                    for (c, s) in clear.iter_mut().zip(set) {
+                        *s = *c & p;
+                        *c &= !p;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One row's distance to one query: `Σ_j 2^j · popcount(OR_s(E[s]
+    /// AND T[j][s]))` over the row's one-hot masks and the query's
+    /// current slices, an exact integer (see the module docs). The `E[s]`
+    /// are disjoint, so the popcount of the OR over all symbols is the
+    /// sum of the popcounts of the OR over each group of 4: each group is
+    /// one unrolled step, with no state carried between groups.
+    #[inline]
+    pub(crate) fn distance(&self, one_hot: &[u64], slices: &[u64]) -> u64 {
+        let bits = self.current_bits as usize;
+        let (e, _) = one_hot.as_chunks::<SLICE_LANES>();
+        let (t, _) = slices.as_chunks::<SLICE_LANES>();
+        e.iter()
+            .enumerate()
+            .map(|(g, [e0, e1, e2, e3])| {
+                let t = t.get(g * bits..(g + 1) * bits).unwrap_or_default();
+                t.iter()
+                    .enumerate()
+                    .map(|(j, [t0, t1, t2, t3])| {
+                        let or = (e0 & t0) | (e1 & t1) | (e2 & t2) | (e3 & t3);
+                        u64::from(or.count_ones()) << j
+                    })
+                    .sum::<u64>()
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -415,12 +557,46 @@ mod tests {
         assert_eq!(popcount_distance(&pa, &pa), 0);
     }
 
+    /// The packer the branch-free one replaced, kept as its reference:
+    /// one branch per (symbol, bit) pair, into zeroed planes.
+    fn pack_reference(codes: &[u8], bits: u32, words: usize, out: &mut [u64]) {
+        for (d, &c) in codes.iter().enumerate() {
+            for b in 0..bits {
+                if (c >> b) & 1 == 1 {
+                    out[b as usize * words + d / 64] |= 1u64 << (d % 64);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Every width a byte code has, over dims on and off the 8-code
+        /// lanes and the 64-symbol words, with codes whose bits above the
+        /// width are set too; the output starts dirty, as a re-packed row
+        /// does.
+        #[test]
+        fn branch_free_packing_equals_the_per_bit_loop(
+            bits in 1u32..=8,
+            dim in 1usize..=200,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let codes: Vec<u8> =
+                (0..dim as u64).map(|d| ferex_fefet::math::splitmix64(seed ^ d) as u8).collect();
+            let words = dim.div_ceil(64);
+            let mut want = vec![0u64; bits as usize * words];
+            pack_reference(&codes, bits, words, &mut want);
+            let mut got = vec![!0u64; want.len()];
+            pack_bit_planes(&codes, bits, words, &mut got);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
     mod cached_planes {
         use super::super::{pack_bit_planes, SoaCodes};
         use crate::array::{Backend, FerexArray};
         use crate::distance::DistanceMetric;
         use crate::dm::DistanceMatrix;
-        use crate::encoding::CellEncoding;
+        use crate::encoding::{CellEncoding, SearchEncoding, StoredEncoding};
         use crate::error::FerexError;
         use crate::health::RowHealth;
         use crate::mutate::MutationPolicy;
@@ -429,31 +605,83 @@ mod tests {
         use ferex_fefet::Technology;
         use proptest::prelude::*;
 
-        /// Two plane words per bit.
-        const DIM: usize = 70;
+        /// Two plane words (the last one partial), one symbol, exactly
+        /// one word, and three words (the last one partial).
+        const DIMS: [usize; 4] = [70, 1, 64, 130];
 
-        /// Hamming 2-bit (bit-plane kernel), Manhattan 2-bit (LUT kernel,
-        /// same plane width, so built planes stay and must stay in sync
-        /// unread) and Hamming 1-bit (a width change drops them).
+        /// A 3-symbol alphabet (not a power of two) whose currents need 4
+        /// output bits (up to 13), built by hand: `cell_current(q, s) =
+        /// Σ_f [vth_f(s) < vgs_f(q)] · vds_f(q)`, rows q = 0, 1, 2 read
+        /// (13, 4, 0), (8, 8, 3) and (7, 7, 7).
+        fn three_symbols() -> CellEncoding {
+            let stored = |vth_levels: Vec<usize>| StoredEncoding { vth_levels };
+            let search = |vgs_levels: Vec<usize>, vds_multiples: Vec<u32>| SearchEncoding {
+                vgs_levels,
+                vds_multiples,
+            };
+            CellEncoding {
+                k: 2,
+                stored: vec![stored(vec![0, 0]), stored(vec![1, 0]), stored(vec![2, 1])],
+                search: vec![
+                    search(vec![1, 1], vec![9, 4]),
+                    search(vec![2, 2], vec![5, 3]),
+                    search(vec![3, 0], vec![7, 0]),
+                ],
+                vth_levels_used: 3,
+                search_levels_used: 4,
+                max_vds_multiple: 9,
+            }
+        }
+
+        /// A 6-symbol alphabet: 3 planes, so the one-hot masks span two
+        /// groups of 4 symbols, and currents up to 19 need 5 bits. Two
+        /// FeFETs split a symbol into `s % 3` and `s / 3`; search symbol
+        /// `q` drives them to gate levels `q % 3 + 1` and `q / 3 + 1` with
+        /// drain multiples `q + 1` and `2q + 3`.
+        fn six_symbols() -> CellEncoding {
+            CellEncoding {
+                k: 2,
+                stored: (0..6).map(|s| StoredEncoding { vth_levels: vec![s % 3, s / 3] }).collect(),
+                search: (0..6u32)
+                    .map(|q| SearchEncoding {
+                        vgs_levels: vec![q as usize % 3 + 1, q as usize / 3 + 1],
+                        vds_multiples: vec![q + 1, 2 * q + 3],
+                    })
+                    .collect(),
+                vth_levels_used: 3,
+                search_levels_used: 4,
+                max_vds_multiple: 13,
+            }
+        }
+
+        /// Hamming 2-bit (XOR-popcount), Manhattan and squared Euclidean
+        /// 2-bit (bit-sliced, same plane width, so built planes stay and
+        /// must stay in sync), Hamming 1-bit (a width change drops them)
+        /// and the hand-built 3- and 6-symbol alphabets (bit-sliced, 2 and
+        /// 3 planes).
         fn encodings() -> Vec<CellEncoding> {
-            [
+            let mut encs: Vec<CellEncoding> = [
                 (DistanceMetric::Hamming, 2),
                 (DistanceMetric::Manhattan, 2),
                 (DistanceMetric::Hamming, 1),
+                (DistanceMetric::EuclideanSquared, 2),
             ]
             .iter()
             .map(|&(m, bits)| {
                 let dm = DistanceMatrix::from_metric(m, bits);
                 find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes").encoding
             })
-            .collect()
+            .collect();
+            encs.push(three_symbols());
+            encs.push(six_symbols());
+            encs
         }
 
-        /// A vector of symbols below `n`; three seeds in four stay binary so
-        /// a later switch to the 1-bit encoding can succeed.
-        fn vector(seed: u64, n: usize) -> Vec<u32> {
+        /// A `dim`-symbol vector below `n`; three seeds in four stay
+        /// binary so a later switch to the 1-bit encoding can succeed.
+        fn vector(seed: u64, n: usize, dim: usize) -> Vec<u32> {
             let n = if seed.is_multiple_of(4) { n } else { n.min(2) } as u64;
-            (0..DIM as u64).map(|d| (splitmix64(seed ^ (d << 32)) % n) as u32).collect()
+            (0..dim as u64).map(|d| (splitmix64(seed ^ (d << 32)) % n) as u32).collect()
         }
 
         /// Built planes equal a fresh per-row pack of the codes.
@@ -509,8 +737,8 @@ mod tests {
             }
         }
 
-        fn queries(seed: u64, n: usize) -> Vec<Vec<u32>> {
-            (0..3).map(|i| vector(seed.wrapping_add(i), n)).collect()
+        fn queries(seed: u64, n: usize, dim: usize) -> Vec<Vec<u32>> {
+            (0..3).map(|i| vector(seed.wrapping_add(i), n, dim)).collect()
         }
 
         proptest! {
@@ -520,41 +748,48 @@ mod tests {
             /// stay bit-identical to the f64 reference after every step.
             #[test]
             fn planes_track_every_array_mutator(
+                dim_pick in 0usize..DIMS.len(),
+                first in 0usize..6,
                 ops in prop::collection::vec((0u8..10, any::<u64>()), 1..32),
             ) {
+                let dim = DIMS[dim_pick];
                 let encs = encodings();
-                let mut a = FerexArray::new(Technology::default(), encs[0].clone(), DIM, Backend::Ideal);
+                let enc = encs[first].clone();
+                let n0 = enc.n_stored();
+                let mut a = FerexArray::new(Technology::default(), enc, dim, Backend::Ideal);
                 for s in 1..5 {
-                    a.store(vector(s, 4)).expect("valid");
+                    a.store(vector(s, n0, dim)).expect("valid");
                 }
-                assert_batch_is_exact(a.distances_batch(&queries(0, 4)), |q| ideal_reference(&a, q), &queries(0, 4));
+                let qs = queries(0, n0, dim);
+                assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
                 prop_assert!(a.soa_codes().cached_planes().is_some(), "the first call builds the planes");
                 let mut next_id = 1_000;
                 for &(op, e) in &ops {
                     let n = a.encoding().n_stored();
                     let pick = |len: usize| (e >> 8) as usize % len.max(1);
                     let len = a.len();
+                    let switch = encs[e as usize % encs.len()].clone();
                     if a.mutation_enabled() {
                         let ids = a.live_ids();
                         let id = ids.get(pick(ids.len())).copied().unwrap_or(0);
                         match op {
                             0 | 1 => {
-                                let _ = a.insert(next_id, vector(e, n));
+                                let _ = a.insert(next_id, vector(e, n, dim));
                                 next_id += 1;
                             }
-                            2 => { let _ = a.update_id(id, vector(e, n)); }
+                            2 => { let _ = a.update_id(id, vector(e, n, dim)); }
                             3 => { let _ = a.delete(id); }
                             4 => { a.compact(); }
                             5 => { a.maintenance(); }
-                            6 => { let _ = a.reconfigure(encs[e as usize % 3].clone()); }
+                            6 => { let _ = a.reconfigure(switch); }
                             7 | 8 => { let _ = a.quarantine_row(pick(len)); }
                             _ => a.clear(),
                         }
                     } else {
                         match op {
-                            0..=3 => a.store(vector(e, n)).expect("valid"),
+                            0..=3 => a.store(vector(e, n, dim)).expect("valid"),
                             4 => a.clear(),
-                            5 => { let _ = a.reconfigure(encs[e as usize % 3].clone()); }
+                            5 => { let _ = a.reconfigure(switch); }
                             6 if len > 0 => { let _ = a.quarantine_row(pick(len)); }
                             7 | 8 => a
                                 .enable_mutation(MutationPolicy::with_capacity(len + 4))
@@ -563,7 +798,7 @@ mod tests {
                         }
                     }
                     assert_planes_fresh(a.soa_codes());
-                    let qs = queries(e, a.encoding().n_stored());
+                    let qs = queries(e, a.encoding().n_stored(), dim);
                     assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
                     assert_planes_fresh(a.soa_codes());
                 }

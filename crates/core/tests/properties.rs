@@ -354,8 +354,8 @@ proptest! {
     }
 
     /// The batched SoA/bit-sliced kernels are exact and batch-independent
-    /// — for every metric (Hamming exercises the packed bit-plane popcount
-    /// kernel, Manhattan/Euclidean² the per-query LUT kernel), every
+    /// — for every metric (Hamming exercises the XOR-popcount kernel,
+    /// Manhattan/Euclidean² the bit-sliced current kernel), every
     /// backend, under hard-fault/aging plans, and with quarantined
     /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
     /// must reproduce a loop of batches of one exactly, INFINITY
