@@ -810,7 +810,9 @@ KERNEL BENCH (bench-kernels):
   fills a seeded random array, serves one query batch in one read and
   as one-query reads (the \"1-query\" line), checks them bit-identical,
   and prints both timings with the kernel the batch dispatched to. The
-  \"search\" line times the batch's read with LTA sensing, query ids 0..N.
+  \"search\" line times the sensed read of the batch, query ids 0..N: on
+  ideal the kernel senses, and its nearest rows are checked against the
+  first least distances; noisy and circuit sense through the LTA.
   Each timing is the median of about 50 ms of individually timed repeats.
   Circuit re-solves the crossbar per query, so keep --rows small on
   that backend.

@@ -196,6 +196,25 @@ fn render_bench_kernels(
             )));
         }
     }
+    let qids: Vec<u64> = (0..batch as u64).collect();
+    if backend == BackendKind::Ideal {
+        // The Ideal kernel senses its own reads: its nearest row must be
+        // the first least distance, the zero-offset LTA's loser.
+        let sensed = array.search_batch_at(&queries, &qids)?;
+        for (i, (outcome, distances)) in sensed.iter().zip(&batched).enumerate() {
+            let first_least = distances
+                .iter()
+                .enumerate()
+                .fold((0, f64::INFINITY), |best, (r, &d)| if d < best.1 { (r, d) } else { best });
+            if outcome.nearest != first_least.0 {
+                return Err(CommandError(format!(
+                    "search reported row {} on query {i}, but the first least distance is row {} \
+                     — this is a bug",
+                    outcome.nearest, first_least.0
+                )));
+            }
+        }
+    }
     let batch_ns = median_ns(|| {
         std::hint::black_box(array.distances_batch(&queries).expect("repeat of a served batch"));
     }) / batch as f64;
@@ -205,7 +224,6 @@ fn render_bench_kernels(
             std::hint::black_box(alone.expect("repeat of a served query"));
         }
     }) / batch as f64;
-    let qids: Vec<u64> = (0..batch as u64).collect();
     let search_ns = median_ns(|| {
         let sensed = array.search_batch_at(&queries, &qids);
         std::hint::black_box(sensed.expect("repeat of a served batch"));

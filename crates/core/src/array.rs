@@ -81,6 +81,10 @@ const NOISY_BLOCK_ROWS: usize = 16;
 /// well-conditioned.
 const OPEN_RESISTANCE_SCALE: f64 = 1.0e9;
 
+/// A batch read: every query's row distances, and each query's nearest
+/// row when the kernel sensed it.
+type BatchRead = (Vec<Vec<f64>>, Option<Vec<usize>>);
+
 /// Circuit-backend configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitConfig {
@@ -138,7 +142,8 @@ pub struct SearchOutcome {
     /// Sensed row distances in `I_unit` multiples (circuit backends include
     /// analog error).
     pub distances: Vec<f64>,
-    /// Row index the LTA reported as nearest.
+    /// Row index the LTA reported as nearest (on `Ideal`, the kernel's
+    /// first least distance, which is the same row).
     pub nearest: usize,
 }
 
@@ -292,10 +297,19 @@ impl FerexArray {
     /// Swaps in a new encoding (reconfiguration to another distance
     /// function). Stored data is kept; the physical array will be
     /// re-programmed on the next search.
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::SymbolOutOfRange`] for the first stored code the new
+    /// alphabet cannot hold; the array is left unchanged. Only a smaller
+    /// alphabet is checked: every stored code is already below
+    /// the current one, checked when it was stored or last reconfigured.
     pub fn reconfigure(&mut self, encoding: CellEncoding) -> Result<(), FerexError> {
         let n_values = encoding.n_stored();
-        if let Some(c) = soa::first_out_of_range(self.codes.as_slice(), n_values) {
-            return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
+        if n_values < self.n_codes() {
+            if let Some(c) = soa::first_out_of_range(self.codes.as_slice(), n_values) {
+                return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
+            }
         }
         self.codes.set_plane_bits(soa::plane_bits(&encoding));
         self.encoding = encoding;
@@ -357,6 +371,12 @@ impl FerexArray {
             }
         }
         self.phys_for_slot(r)
+    }
+
+    /// `false` when [`FerexArray::physical_row`] serves every row: there
+    /// is no slot table and no repair map, so no row can be excluded.
+    fn excludes_rows(&self) -> bool {
+        self.mutation.is_some() || !self.row_map.is_empty()
     }
 
     /// The physical row backing slot `r` through the repair map alone,
@@ -674,17 +694,18 @@ impl FerexArray {
         distances.iter().map(move |&d| Amp(d * i_unit))
     }
 
-    /// Row distances for every query of a batch — the one read path every
-    /// search, single or batched, goes through. It matches on the backend
-    /// once:
+    /// Row distances for every query of a batch — the read every search,
+    /// single or batched, makes. It matches on the backend once:
     ///
     /// * `Ideal` runs the structure-of-arrays kernels over the stored
     ///   rows' bit-planes (packed by the first Ideal read, then kept in
-    ///   sync by every mutator): a Hamming-exact encoding runs
-    ///   word-parallel XOR + popcount against the packed queries, every
-    ///   other encoding the bit-sliced current kernel (one-hot symbol
-    ///   masks per row, current bit slices per query), both cache-blocked
-    ///   rows-outer / queries-inner over balanced query chunks.
+    ///   sync by every mutator): a Hamming-exact encoding scans the
+    ///   planes once per query with word-parallel XOR + popcount, every
+    ///   other encoding runs the bit-sliced current kernel (one-hot
+    ///   symbol masks per row, shared by a chunk's queries, against
+    ///   current bit slices per query), rows-outer / queries-inner. Both
+    ///   keep each query's nearest row as they go, which
+    ///   [`FerexArray::search_batch_at`] reports and this read drops.
     /// * `Noisy` runs one kernel at every batch size, over the first-ON
     ///   gate levels [`FerexArray::program`] derived: it builds the
     ///   contributions of one cache-sized row block at a time, for the
@@ -706,10 +727,17 @@ impl FerexArray {
     /// stale (call [`FerexArray::program`] after mutating). The whole
     /// batch is validated before any work happens.
     pub fn distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
+        Ok(self.read_batch(queries)?.0)
+    }
+
+    /// [`FerexArray::distances_batch`]'s read, with each query's nearest
+    /// row when the kernel sensed it (`Ideal`); `None` leaves sensing to
+    /// the LTA.
+    fn read_batch(&self, queries: &[Vec<u32>]) -> Result<BatchRead, FerexError> {
         // An empty batch asks for nothing: answer it before any state
         // checks, so it cannot trip over an empty or stale array.
         if queries.is_empty() {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), None));
         }
         for q in queries {
             self.validate(q)?;
@@ -722,14 +750,18 @@ impl FerexArray {
             return Err(FerexError::Empty);
         }
         match &self.backend {
-            Backend::Ideal => Ok(self.ideal_distances_batch_soa(queries)),
-            Backend::Noisy(_) => self.noisy_units(
-                self.len(),
-                |r| Some((self.physical_row(r)?, self.codes.row(r)?)),
-                queries,
-            ),
+            Backend::Ideal => {
+                let (distances, nearest) = self.ideal_reads(queries);
+                Ok((distances, Some(nearest)))
+            }
+            Backend::Noisy(_) => {
+                let rows = |r| Some((self.physical_row(r)?, self.codes.row(r)?));
+                Ok((self.noisy_units(self.len(), rows, queries)?, None))
+            }
             Backend::Circuit(cfg) => {
-                queries.par_iter().map(|q| self.circuit_distances(cfg, q)).collect()
+                let distances: Result<_, _> =
+                    queries.par_iter().map(|q| self.circuit_distances(cfg, q)).collect();
+                Ok((distances?, None))
             }
         }
     }
@@ -775,13 +807,18 @@ impl FerexArray {
     }
 
     /// The `Ideal` batched kernels over the stored rows' packed
-    /// bit-planes, the one buffer every Ideal read scans. Dispatches to
-    /// XOR-popcount when the realized encoding is exactly bitwise
-    /// Hamming, and to the bit-sliced current kernel otherwise. Both
-    /// accumulate exact integer currents in `u64` and convert once per
-    /// row — exactly the `f64` sum of the cell currents, because every
-    /// partial sum is an integer below 2⁵³ (see `soa` module docs).
-    fn ideal_distances_batch_soa(&self, queries: &[Vec<u32>]) -> Vec<Vec<f64>> {
+    /// bit-planes, the one buffer every Ideal read scans: each query's row
+    /// distances, and its nearest row. Dispatches to XOR-popcount when
+    /// the realized encoding is exactly bitwise Hamming, and to the
+    /// bit-sliced current kernel otherwise. Both accumulate exact integer
+    /// currents in `u64` and convert once per row — exactly the `f64` sum
+    /// of the cell currents, because every partial sum is an integer
+    /// below 2⁵³ (see `soa` module docs).
+    ///
+    /// Both keep each query's first least distance as they write it,
+    /// which is the zero-offset LTA's loser bit for bit (DESIGN §12), so
+    /// an Ideal search never runs the LTA.
+    fn ideal_reads(&self, queries: &[Vec<u32>]) -> (Vec<Vec<f64>>, Vec<usize>) {
         let rows = self.len();
         let dim = self.dim;
         let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
@@ -791,54 +828,44 @@ impl FerexArray {
         let row_planes = self.codes.bit_planes();
 
         if soa::is_xor_popcount(&self.encoding) {
-            // Bit-plane path: pack each chunk's queries the same way as
-            // the rows (row-major, planes contiguous per row) and reduce
-            // every (row, query) pair to XOR + popcount over `bits ×
-            // ceil(dim/64)` words.
-            // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), plane strides and row indices are sized in this function; checked indexing would defeat the batch win")
-            let per_chunk: Vec<Vec<Vec<f64>>> = ranges
+            // XOR-popcount: one scan of the planes per query, packed the
+            // same way as a row. The scan's minimum is the answer unless
+            // the array can exclude rows; then a second pass writes their
+            // `+∞` and takes the minimum again.
+            let excludes = self.excludes_rows();
+            let per_chunk: Vec<Vec<(Vec<f64>, usize)>> = ranges
                 .par_iter()
                 .map(|range| {
-                    let qs = &queries[range.clone()];
-                    let mut q_planes = vec![0u64; qs.len() * stride];
                     let mut q_codes = vec![0u8; dim];
-                    for (qi, q) in qs.iter().enumerate() {
-                        for (c, &s) in q_codes.iter_mut().zip(q.iter()) {
-                            *c = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits first; validate() caps symbols below 256")
-                        }
-                        soa::pack_bit_planes(
-                            &q_codes,
-                            bits,
-                            words,
-                            &mut q_planes[qi * stride..(qi + 1) * stride],
-                        );
-                    }
-                    let mut out = vec![vec![0.0f64; rows]; qs.len()];
-                    for r in 0..rows {
-                        if self.physical_row(r).is_none() {
-                            for row_out in &mut out {
-                                row_out[r] = f64::INFINITY;
+                    let mut q_planes = vec![0u64; stride];
+                    let qs = queries.get(range.clone()).unwrap_or_default();
+                    qs.iter()
+                        .map(|q| {
+                            for (c, &s) in q_codes.iter_mut().zip(q) {
+                                *c = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits first; validate() caps symbols below 256")
                             }
-                            continue;
-                        }
-                        let rp = &row_planes[r * stride..(r + 1) * stride];
-                        for (qi, row_out) in out.iter_mut().enumerate() {
-                            let qp = &q_planes[qi * stride..(qi + 1) * stride];
-                            row_out[r] = soa::popcount_distance(rp, qp) as f64;
-                        }
-                    }
-                    out
+                            soa::pack_bit_planes(&q_codes, bits, words, &mut q_planes);
+                            let mut distances = vec![0.0f64; rows];
+                            let mut nearest =
+                                soa::xor_popcount_scan(row_planes, &q_planes, &mut distances);
+                            if excludes {
+                                nearest = self.exclude_rows(&mut distances);
+                            }
+                            (distances, nearest)
+                        })
+                        .collect()
                 })
                 .collect();
-            return per_chunk.into_iter().flatten().collect();
+            return per_chunk.into_iter().flatten().unzip();
         }
 
         // Bit-sliced path: each chunk's queries become current slices;
         // rows-outer / queries-inner, each row's one-hot masks are built
-        // once from its planes and shared by the whole chunk.
+        // once from its planes and shared by the whole chunk, and each
+        // query keeps its first least distance, `+∞` for excluded rows.
         let sliced = soa::SlicedCurrents::new(&self.encoding, dim);
         let (q_len, e_len) = (sliced.query_len(), sliced.one_hot_len());
-        let per_chunk: Vec<Vec<Vec<f64>>> = ranges
+        let per_chunk: Vec<Vec<(Vec<f64>, usize)>> = ranges
             .par_iter()
             .map(|range| {
                 let qs = queries.get(range.clone()).unwrap_or_default();
@@ -848,6 +875,7 @@ impl FerexArray {
                 }
                 let mut one_hot = vec![0u64; e_len];
                 let mut out = vec![vec![0.0f64; rows]; qs.len()];
+                let mut best = vec![(0, f64::INFINITY); qs.len()];
                 for r in 0..rows {
                     let planes = self
                         .physical_row(r)
@@ -855,19 +883,42 @@ impl FerexArray {
                     if let Some(planes) = planes {
                         sliced.one_hot(planes, &mut one_hot);
                     }
-                    for (qi, row_out) in out.iter_mut().enumerate() {
+                    for (qi, (row_out, best)) in out.iter_mut().zip(&mut best).enumerate() {
                         let t = slices.get(qi * q_len..(qi + 1) * q_len).unwrap_or_default();
                         let d =
                             planes.map_or(f64::INFINITY, |_| sliced.distance(&one_hot, t) as f64);
                         if let Some(slot) = row_out.get_mut(r) {
                             *slot = d;
                         }
+                        if d < best.1 {
+                            *best = (r, d);
+                        }
                     }
                 }
-                out
+                out.into_iter()
+                    .zip(best)
+                    .map(|(distances, (nearest, _))| (distances, nearest))
+                    .collect()
             })
             .collect();
-        per_chunk.into_iter().flatten().collect()
+        per_chunk.into_iter().flatten().unzip()
+    }
+
+    /// The `Ideal` exclusion pass over one query's distances: writes `+∞`
+    /// over every row excluded from search and returns the first row with
+    /// the least distance, row 0 when every row is excluded, as the
+    /// zero-offset LTA gives.
+    fn exclude_rows(&self, distances: &mut [f64]) -> usize {
+        let mut best = (0, f64::INFINITY);
+        for (r, d) in distances.iter_mut().enumerate() {
+            if self.physical_row(r).is_none() {
+                *d = f64::INFINITY;
+            }
+            if *d < best.1 {
+                best = (r, *d);
+            }
+        }
+        best.0
     }
 
     /// The voltages a first-ON derivation compares.
@@ -1137,9 +1188,11 @@ impl FerexArray {
     }
 
     /// Runs `sense(distances[i], qids[i])` for every query of a batch, in
-    /// order. When `lta` draws offsets the queries sense in parallel:
+    /// order: the LTA's nearest row on Noisy and Circuit (an Ideal
+    /// kernel senses its own reads), and the k-nearest rows on every
+    /// backend. When `lta` draws offsets the queries sense in parallel:
     /// each draws only from its own `qid` stream, so the split changes no
-    /// draw. A zero-offset LTA is a plain argmin, too cheap to fan out.
+    /// draw. A zero-offset LTA draws nothing, too cheap to fan out.
     fn sense_each<T: Send>(
         &self,
         lta: &LtaParams,
@@ -1157,11 +1210,14 @@ impl FerexArray {
     }
 
     /// Associative search of a batch, query `i` sensed with id `qids[i]`:
-    /// distances come through [`FerexArray::distances_batch`], and the LTA
-    /// reports each query's nearest row with sensing noise drawn from the
-    /// stream of its id. The outcome depends only on the `(query, qid)`
-    /// pairs, never on how requests were grouped into batches or on earlier
-    /// reads — the property the serving loop's batch former relies on.
+    /// the read of [`FerexArray::distances_batch`], and each query's
+    /// nearest row. On Noisy and Circuit the LTA reports it, with sensing
+    /// noise drawn from the stream of the query's id. On Ideal the LTA
+    /// draws nothing and is an exact argmin, so the kernel keeps that
+    /// argmin as it writes the distances and the LTA never runs. The
+    /// outcome depends only on the `(query, qid)` pairs, never on how
+    /// requests were grouped into batches or on earlier reads — the
+    /// property the serving loop's batch former relies on.
     ///
     /// # Errors
     ///
@@ -1178,9 +1234,11 @@ impl FerexArray {
             return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
         }
         let lta = self.search_lta()?;
-        let distances = self.distances_batch(queries)?;
-        let nearest = self.sense_each(&lta, &distances, qids, |d, qid| {
-            lta.sense(self.currents(d), &mut self.rng_for_query(qid))
+        let (distances, sensed) = self.read_batch(queries)?;
+        let nearest = sensed.unwrap_or_else(|| {
+            self.sense_each(&lta, &distances, qids, |d, qid| {
+                lta.sense(self.currents(d), &mut self.rng_for_query(qid))
+            })
         });
         Ok(distances
             .into_iter()
@@ -2484,6 +2542,30 @@ mod tests {
         for (r, stored) in rows(&a).iter().enumerate() {
             assert_eq!(out.distances[r], m.vector_distance(&q, stored) as f64);
         }
+    }
+
+    #[test]
+    fn a_narrower_alphabet_is_refused_at_the_first_offending_code() {
+        let mut a = hamming_array(70, Backend::Ideal);
+        a.store(vec![1; 70]).unwrap();
+        let mut offending = vec![0; 70];
+        offending[5] = 2;
+        offending[9] = 3;
+        a.store(offending).unwrap();
+        a.distances_batch(&[vec![0; 70]]).unwrap();
+        let encoding = a.encoding().clone();
+        let codes = a.soa_codes().as_slice().to_vec();
+        let planes = a.soa_codes().cached_planes().map(<[u64]>::to_vec);
+        assert!(planes.is_some(), "the read built the planes");
+        let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 1);
+        let binary = find_minimal_cell(&dm, &SizingOptions::default()).unwrap().encoding;
+        assert!(matches!(
+            a.reconfigure(binary),
+            Err(FerexError::SymbolOutOfRange { value: 2, n_values: 2 })
+        ));
+        assert_eq!(a.encoding(), &encoding);
+        assert_eq!(a.soa_codes().as_slice(), codes.as_slice());
+        assert_eq!(a.soa_codes().cached_planes().map(<[u64]>::to_vec), planes);
     }
 
     #[test]

@@ -23,19 +23,22 @@
 //! * Bit-plane packing ([`pack_bit_planes`], branch-free: one multiply
 //!   gathers one bit of 8 codes) and the two Ideal kernels over the
 //!   planes:
-//!   - XOR-popcount ([`is_xor_popcount`], [`popcount_distance`]): when
+//!   - XOR-popcount ([`is_xor_popcount`], [`xor_popcount_scan`]): when
 //!     the programmed encoding's cell currents are exactly
 //!     `popcount(q XOR s)`, a row distance is word-parallel `XOR` +
-//!     `count_ones` over the row's and the query's planes.
+//!     `count_ones` over the row's and the query's planes, one scan of
+//!     every row per query.
 //!   - Bit-sliced currents ([`SlicedCurrents`]) for every other encoding:
 //!     each row's planes become one-hot symbol masks `E[s]`, each query's
 //!     currents become masks `T[j][s]` (the dims whose current against
 //!     stored symbol `s` has bit `j` set), and a row distance is
 //!     `Σ_j 2^j · popcount(OR_s(E[s] AND T[j][s]))`.
 //!
-//! An Ideal read then senses with a zero-offset LTA, which
-//! (`LtaParams::sense`) is a plain argmin that draws no noise, so a batch
-//! of one costs one kernel pass over the rows plus one argmin.
+//! An Ideal read senses with a zero-offset LTA, which draws no noise and
+//! returns the first least distance. Both kernels keep that row as they
+//! write each query's distances, so a batch of one costs one pass over
+//! the rows (two when the array can exclude rows: the second writes
+//! their `+∞` and takes the minimum again).
 //!
 //! # Exactness
 //!
@@ -49,7 +52,7 @@
 //! (and, being disjoint, it may be split into groups of symbols whose
 //! popcounts add up to the same count).
 //! The f64 reference that checks this lives in the tests
-//! (`assert_batch_is_exact` below and the core property test
+//! (`assert_reads_are_exact` below and the core property test
 //! `batched_kernels_are_bit_identical_to_scalar_path`).
 
 use crate::encoding::CellEncoding;
@@ -326,6 +329,46 @@ pub(crate) fn popcount_distance(a: &[u64], b: &[u64]) -> u64 {
     a.iter().zip(b).map(|(&x, &y)| u64::from((x ^ y).count_ones())).sum()
 }
 
+/// One query's XOR-popcount read: writes the distance from `query` (one
+/// packed row) to every row of `planes` (rows of `query.len()` words)
+/// into `out`, one slot per row, and returns the first row with the
+/// least distance, the zero-offset LTA's loser (row 0 if there is none).
+///
+/// The row stride is a compile-time constant for 1 and 2 words, the
+/// planes of 1- and 2-bit codes of up to 64 symbols, so those scans are
+/// fixed XOR-popcounts per row; a stride known only at run time ran
+/// about 2.7x slower per row. Every other stride runs a slice loop,
+/// whose longer rows amortize it. With no row words (a zero stride),
+/// `out` is left as it is.
+pub(crate) fn xor_popcount_scan(planes: &[u64], query: &[u64], out: &mut [f64]) -> usize {
+    let ones = |x: u64| u64::from(x.count_ones());
+    match *query {
+        [q] => first_least(planes.iter().map(|&r| ones(r ^ q)), out),
+        [q0, q1] => {
+            let (rows, _) = planes.as_chunks::<2>();
+            first_least(rows.iter().map(|&[r0, r1]| ones(r0 ^ q0) + ones(r1 ^ q1)), out)
+        }
+        _ => first_least(
+            planes.chunks_exact(query.len().max(1)).map(|row| popcount_distance(row, query)),
+            out,
+        ),
+    }
+}
+
+/// Writes each distance into `out` as an `f64` and returns the index of
+/// the first least one, kept with a strict `<` as the rows go by.
+#[inline(always)]
+fn first_least(distances: impl Iterator<Item = u64>, out: &mut [f64]) -> usize {
+    let mut best = (0, u64::MAX);
+    for (r, (d, slot)) in distances.zip(out).enumerate() {
+        *slot = d as f64;
+        if d < best.1 {
+            best = (r, d);
+        }
+    }
+    best.0
+}
+
 /// Symbol lanes the bit-sliced kernel ORs in one step: the masks of 4
 /// symbols, so the usual 2-bit alphabet is one unrolled step per word.
 const SLICE_LANES: usize = 4;
@@ -597,13 +640,16 @@ mod tests {
         use crate::distance::DistanceMetric;
         use crate::dm::DistanceMatrix;
         use crate::encoding::{CellEncoding, SearchEncoding, StoredEncoding};
-        use crate::error::FerexError;
         use crate::health::RowHealth;
         use crate::mutate::MutationPolicy;
         use crate::sizing::{find_minimal_cell, SizingOptions};
+        use ferex_analog::lta::LtaParams;
         use ferex_fefet::math::splitmix64;
+        use ferex_fefet::units::Amp;
         use ferex_fefet::Technology;
         use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
 
         /// Two plane words (the last one partial), one symbol, exactly
         /// one word, and three words (the last one partial).
@@ -714,26 +760,33 @@ mod tests {
                 .collect()
         }
 
-        /// The batch kernels equal the f64 reference bit for bit, excluded
-        /// rows (`INFINITY`) included; a refused batch means the reference
-        /// has no row to serve either.
-        fn assert_batch_is_exact(
-            batch: Result<Vec<Vec<f64>>, FerexError>,
-            reference: impl Fn(&[u32]) -> Vec<f64>,
-            queries: &[Vec<u32>],
-        ) {
-            let Ok(batch) = batch else {
-                let want = reference(&queries[0]);
-                assert!(want.iter().all(|d| d.is_infinite()), "batch refused a servable array");
+        /// Both Ideal reads equal the f64 reference bit for bit, excluded
+        /// rows (`INFINITY`) included, and `search_batch_at` reports the
+        /// row the zero-offset LTA senses over the reference currents; a
+        /// refused read means the reference has no row to serve either.
+        fn assert_reads_are_exact(a: &FerexArray, queries: &[Vec<u32>]) {
+            let ids: Vec<u64> = (0..queries.len() as u64).collect();
+            let reads = a
+                .distances_batch(queries)
+                .and_then(|batch| Ok((batch, a.search_batch_at(queries, &ids)?)));
+            let Ok((batch, outcomes)) = reads else {
+                let want = ideal_reference(a, &queries[0]);
+                assert!(want.iter().all(|d| d.is_infinite()), "a read refused a servable array");
                 return;
             };
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            for (q, got) in queries.iter().zip(&batch) {
+            let i_unit = Technology::default().i_unit().value();
+            for ((q, got), outcome) in queries.iter().zip(&batch).zip(&outcomes) {
+                let want = ideal_reference(a, q);
+                assert_eq!(bits(got), bits(&want), "batch kernel diverged from the reference");
                 assert_eq!(
-                    bits(got),
-                    bits(&reference(q)),
-                    "batch kernel diverged from the reference"
+                    bits(&outcome.distances),
+                    bits(&want),
+                    "search read diverged from the reference"
                 );
+                let currents = want.iter().map(|&d| Amp(d * i_unit));
+                let lta = LtaParams::ideal().sense(currents, &mut StdRng::seed_from_u64(0));
+                assert_eq!(outcome.nearest, lta, "the kernel's nearest row is not the LTA's");
             }
         }
 
@@ -741,11 +794,39 @@ mod tests {
             (0..3).map(|i| vector(seed.wrapping_add(i), n, dim)).collect()
         }
 
+        /// A mutation-enabled array whose every live slot is quarantined,
+        /// with a free slot that is not: `all_excluded` lets the read
+        /// through, every row reads `+∞`, and the nearest row is row 0, as
+        /// the LTA gives, on both kernels.
+        #[test]
+        fn every_live_slot_quarantined_senses_row_zero() {
+            for enc in encodings() {
+                let n = enc.n_stored();
+                let mut a = FerexArray::new(Technology::default(), enc, 70, Backend::Ideal);
+                a.enable_mutation(MutationPolicy::with_capacity(4)).expect("empty array");
+                for id in 0..3 {
+                    a.insert(id, vector(id + 1, n, 70)).expect("a free slot");
+                }
+                for id in 0..3 {
+                    let slot = a.slot_of(id).expect("a live id");
+                    let _ = a.quarantine_row(slot);
+                }
+                let qs = queries(7, n, 70);
+                let outcomes = a.search_batch_at(&qs, &[0, 1, 2]).expect("a free slot is healthy");
+                for outcome in &outcomes {
+                    assert!(outcome.distances.iter().all(|d| *d == f64::INFINITY));
+                    assert_eq!(outcome.nearest, 0);
+                }
+                assert_reads_are_exact(&a, &qs);
+            }
+        }
+
         proptest! {
             /// Planes built by one `distances_batch` call stay equal to a
             /// fresh pack through arbitrary positional, slot-table,
-            /// quarantine and reconfiguration sequences, and the kernels
-            /// stay bit-identical to the f64 reference after every step.
+            /// quarantine and reconfiguration sequences, and both Ideal
+            /// reads stay bit-identical to the f64 reference, with the
+            /// LTA's nearest row, after every step.
             #[test]
             fn planes_track_every_array_mutator(
                 dim_pick in 0usize..DIMS.len(),
@@ -761,7 +842,7 @@ mod tests {
                     a.store(vector(s, n0, dim)).expect("valid");
                 }
                 let qs = queries(0, n0, dim);
-                assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
+                assert_reads_are_exact(&a, &qs);
                 prop_assert!(a.soa_codes().cached_planes().is_some(), "the first call builds the planes");
                 let mut next_id = 1_000;
                 for &(op, e) in &ops {
@@ -799,7 +880,7 @@ mod tests {
                     }
                     assert_planes_fresh(a.soa_codes());
                     let qs = queries(e, a.encoding().n_stored(), dim);
-                    assert_batch_is_exact(a.distances_batch(&qs), |q| ideal_reference(&a, q), &qs);
+                    assert_reads_are_exact(&a, &qs);
                     assert_planes_fresh(a.soa_codes());
                 }
             }
