@@ -1156,6 +1156,34 @@ mod tests {
     }
 
     #[test]
+    fn serve_sim_pins_the_plain_closed_and_open_loop_paths() {
+        // Plain quorum serving with faults, spares, a kill and scrubs; a
+        // closed loop with churn and scheduled scrubs; an open loop whose
+        // kill forces the oracle fallback; a latency-armed closed loop.
+        // Their output is pinned byte for byte across builds.
+        let mut out = String::new();
+        for line in [
+            "serve-sim --metric hamming --store 0,1,2,3;3,2,1,0;1,1,2,2;2,2,0,0 \
+             --queries 0,1,2,3;3,2,1,0;1,1,2,2;0,1,2,2;2,2,0,1;3,3,3,3;0,0,0,0 --replicas 3 \
+             --quorum 2/2 --faults sa0=0.3 --spares 2 --chaos kill=1@3,scrub=2 --seed 11",
+            "serve-sim --metric manhattan --store 0,0,1;3,3,2;1,2,3;2,0,0 \
+             --queries 0,0,1;3,3,2;1,2,3;2,0,0;0,1,1;3,2,2;1,1,3;2,1,0;0,0,0;3,3,3;1,2,2;2,0,1 \
+             --replicas 2 --closed-loop 2 --tenants 2 --target-batch 2 --churn 200 \
+             --chaos scrub=40 --seed 7",
+            "serve-sim --metric euclidean --store 0,1,2;3,2,1;1,1,1;2,3,0 \
+             --queries 0,1,2;3,2,1;1,1,1;2,3,0;0,0,0;3,3,3 --replicas 3 --quorum 3/3 \
+             --open-loop 64 --tenants 3 --target-batch 4 --chaos kill=2@5 --seed 3",
+            "serve-sim --metric hamming --store 0,0,0,0;3,3,3,3;1,2,1,2 \
+             --queries 0,0,0,0;3,3,3,3;1,2,1,2;0,0,1,1;3,3,2,2;1,2,1,1;0,1,0,0;2,2,3,3 \
+             --replicas 3 --quorum 2/1 --closed-loop 3 --tenants 2 --target-batch 2 \
+             --deadline 4096 --slow-replica 0@4000 --hedge budget=1000 --seed 13",
+        ] {
+            out += &run_line(line).unwrap();
+        }
+        assert_eq!(out, include_str!("../fixtures/serve_sim_paths.txt"));
+    }
+
+    #[test]
     fn errors_are_user_facing() {
         let err = run_line("encode --metric hamming --bits 9").unwrap_err();
         assert!(err.to_string().contains("--bits"));
