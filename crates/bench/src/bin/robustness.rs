@@ -50,13 +50,11 @@
 //! recovery JSON report), `--chaos-report PATH` (write the chaos JSON
 //! report), `--load-report PATH` (write the load JSON report),
 //! `--load-v2-report PATH` (write the v2 slow-replica load JSON report),
-//! `--mutation-report PATH` (write the mutation JSON report),
-//! `--conformance-only` (degradation sweep only — what the CI
-//! conformance job runs), `--self-heal-only` (recovery sweep only — what
-//! the CI self-heal job runs), `--chaos-only` (chaos soak only — what the
-//! CI chaos job runs), `--load-only` (load simulation only — what the CI
-//! load-sim job runs), `--mutation-only` (mutation soak only — what the
-//! CI mutation-soak job runs).
+//! `--mutation-report PATH` (write the mutation JSON report), and
+//! `--only LEG` to run one leg alone, as each CI job does: `conformance`
+//! (the degradation sweep), `self-heal` (the recovery sweep), `chaos` (the
+//! chaos soak), `load` (both load simulations) or `mutation` (the
+//! mutation soak). An unknown leg, or a second `--only`, is an error.
 
 use ferex_conformance::{
     standard_chaos_report, standard_load_report, standard_load_v2_report, standard_mutation_report,
@@ -79,11 +77,30 @@ struct Args {
     load_report_path: Option<String>,
     load_v2_report_path: Option<String>,
     mutation_report_path: Option<String>,
-    conformance_only: bool,
-    self_heal_only: bool,
-    chaos_only: bool,
-    load_only: bool,
-    mutation_only: bool,
+    only: Option<Leg>,
+}
+
+/// A leg `--only` runs alone.
+#[derive(Clone, Copy)]
+enum Leg {
+    Conformance,
+    SelfHeal,
+    Chaos,
+    Load,
+    Mutation,
+}
+
+impl Leg {
+    fn parse(name: &str) -> Result<Leg, String> {
+        match name {
+            "conformance" => Ok(Leg::Conformance),
+            "self-heal" => Ok(Leg::SelfHeal),
+            "chaos" => Ok(Leg::Chaos),
+            "load" => Ok(Leg::Load),
+            "mutation" => Ok(Leg::Mutation),
+            other => Err(format!("unknown leg {other}")),
+        }
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -98,11 +115,7 @@ fn parse_args() -> Result<Args, String> {
         load_report_path: None,
         load_v2_report_path: None,
         mutation_report_path: None,
-        conformance_only: false,
-        self_heal_only: false,
-        chaos_only: false,
-        load_only: false,
-        mutation_only: false,
+        only: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -129,11 +142,8 @@ fn parse_args() -> Result<Args, String> {
                 args.mutation_report_path =
                     Some(it.next().ok_or("--mutation-report needs a path")?);
             }
-            "--conformance-only" => args.conformance_only = true,
-            "--self-heal-only" => args.self_heal_only = true,
-            "--chaos-only" => args.chaos_only = true,
-            "--load-only" => args.load_only = true,
-            "--mutation-only" => args.mutation_only = true,
+            "--only" if args.only.is_some() => return Err("--only given twice".into()),
+            "--only" => args.only = Some(Leg::parse(&it.next().ok_or("--only needs a leg")?)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -525,25 +535,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!(
             "{e} (flags: --seed N --report PATH --recovery-report PATH --chaos-report PATH \
              --load-report PATH --load-v2-report PATH --mutation-report PATH \
-             --conformance-only --self-heal-only --chaos-only --load-only --mutation-only)"
+             --only conformance|self-heal|chaos|load|mutation)"
         )
     })?;
-    if args.mutation_only {
-        return mutation_sweep(&args);
-    }
-    if args.load_only {
-        load_sweep(&args)?;
-        println!();
-        return load_v2_sweep(&args);
-    }
-    if args.chaos_only {
-        return chaos_sweep(&args);
-    }
-    if args.self_heal_only {
-        return recovery_sweep(&args);
-    }
-    if args.conformance_only {
-        return conformance_sweep(&args);
+    if let Some(leg) = args.only {
+        return match leg {
+            Leg::Conformance => conformance_sweep(&args),
+            Leg::SelfHeal => recovery_sweep(&args),
+            Leg::Chaos => chaos_sweep(&args),
+            Leg::Load => {
+                load_sweep(&args)?;
+                println!();
+                load_v2_sweep(&args)
+            }
+            Leg::Mutation => mutation_sweep(&args),
+        };
     }
     let spec = UCIHAR.scaled(0.05);
     let data = generate(&spec, &SynthOptions { noise: 4.0, ..Default::default() });

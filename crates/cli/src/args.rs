@@ -1,37 +1,10 @@
 //! Minimal dependency-free argument parsing for the `ferex` binary.
 
+use ferex_conformance::{ArrivalModel, BackendKind};
 use ferex_core::DistanceMetric;
 use ferex_fefet::FaultPlan;
 use std::error::Error;
 use std::fmt;
-
-/// Which array backend a command simulates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Exact functional model.
-    Ideal,
-    /// Statistical variation model.
-    Noisy,
-    /// Device-level model.
-    Circuit,
-}
-
-/// How the serving-loop load mode generates arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Open loop: seeded arrivals at the given expected rate per 1000
-    /// virtual ticks, independent of service progress.
-    Open {
-        /// Expected arrivals per 1000 ticks.
-        rate_milli: u64,
-    },
-    /// Closed loop: the given number of requests is kept in flight; each
-    /// completion immediately submits the next one.
-    Closed {
-        /// Requests kept in flight.
-        outstanding: usize,
-    },
-}
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +78,10 @@ pub enum Command {
         /// Scheduled scrub period in queries (ticks under a load mode);
         /// 0 disables.
         scrub_every: usize,
-        /// Serving-loop load mode; `None` serves the stream sequentially.
-        load: Option<LoadMode>,
+        /// Serving-loop arrival model (`ferex serve-sim` keeps a closed
+        /// loop's count in flight in all); `None` serves the stream
+        /// sequentially.
+        load: Option<ArrivalModel>,
         /// Tenant count of the serving loop (load mode only).
         tenants: usize,
         /// Batch former's target size (load mode only).
@@ -430,6 +405,12 @@ impl<'a> Flags<'a> {
         self.pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
+    /// The flag's value parsed as `T`, or `default` when the flag is absent.
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ParseArgsError> {
+        let Some(v) = self.get(name) else { return Ok(default) };
+        v.parse().map_err(|_| err(format!("invalid --{name}")))
+    }
+
     fn require(&self, name: &str) -> Result<&str, ParseArgsError> {
         self.get(name).ok_or_else(|| err(format!("missing required flag --{name}")))
     }
@@ -467,22 +448,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             let flags = Flags::new(rest)?;
             flags.ensure_known(&["metric", "bits"])?;
             let metric = parse_metric(flags.require("metric")?)?;
-            let bits = flags
-                .get("bits")
-                .map(|b| b.parse::<u32>().map_err(|_| err("invalid --bits")))
-                .transpose()?
-                .unwrap_or(2);
+            let bits = flags.parse_or("bits", 2u32)?;
             Ok(Command::Verify { metric, bits })
         }
         "encode" => {
             let flags = Flags::new(rest)?;
             flags.ensure_known(&["metric", "bits"])?;
             let metric = parse_metric(flags.require("metric")?)?;
-            let bits = flags
-                .get("bits")
-                .map(|b| b.parse::<u32>().map_err(|_| err("invalid --bits")))
-                .transpose()?
-                .unwrap_or(2);
+            let bits = flags.parse_or("bits", 2u32)?;
             Ok(Command::Encode { metric, bits })
         }
         "search" => {
@@ -491,27 +464,15 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                 "metric", "bits", "store", "query", "backend", "seed", "faults", "spares",
             ])?;
             let metric = parse_metric(flags.require("metric")?)?;
-            let bits = flags
-                .get("bits")
-                .map(|b| b.parse::<u32>().map_err(|_| err("invalid --bits")))
-                .transpose()?
-                .unwrap_or(2);
+            let bits = flags.parse_or("bits", 2u32)?;
             let stored = parse_vectors(flags.require("store")?)?;
             let query = parse_vector(flags.require("query")?)?;
             let backend =
                 flags.get("backend").map(parse_backend).transpose()?.unwrap_or(BackendKind::Ideal);
-            let seed = flags
-                .get("seed")
-                .map(|s| s.parse::<u64>().map_err(|_| err("invalid --seed")))
-                .transpose()?
-                .unwrap_or(0);
+            let seed = flags.parse_or("seed", 0u64)?;
             let faults =
                 flags.get("faults").map(parse_fault_plan).transpose()?.unwrap_or(FaultPlan::none());
-            let spares = flags
-                .get("spares")
-                .map(|s| s.parse::<usize>().map_err(|_| err("invalid --spares")))
-                .transpose()?
-                .unwrap_or(0);
+            let spares = flags.parse_or("spares", 0usize)?;
             Ok(Command::Search { metric, bits, stored, query, backend, seed, faults, spares })
         }
         "serve-sim" => {
@@ -538,32 +499,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                 "churn",
             ])?;
             let metric = parse_metric(flags.require("metric")?)?;
-            let bits = flags
-                .get("bits")
-                .map(|b| b.parse::<u32>().map_err(|_| err("invalid --bits")))
-                .transpose()?
-                .unwrap_or(2);
+            let bits = flags.parse_or("bits", 2u32)?;
             let stored = parse_vectors(flags.require("store")?)?;
             let queries = parse_vectors(flags.require("queries")?)?;
             let backend =
                 flags.get("backend").map(parse_backend).transpose()?.unwrap_or(BackendKind::Noisy);
-            let seed = flags
-                .get("seed")
-                .map(|s| s.parse::<u64>().map_err(|_| err("invalid --seed")))
-                .transpose()?
-                .unwrap_or(0);
+            let seed = flags.parse_or("seed", 0u64)?;
             let faults =
                 flags.get("faults").map(parse_fault_plan).transpose()?.unwrap_or(FaultPlan::none());
-            let spares = flags
-                .get("spares")
-                .map(|s| s.parse::<usize>().map_err(|_| err("invalid --spares")))
-                .transpose()?
-                .unwrap_or(0);
-            let replicas = flags
-                .get("replicas")
-                .map(|s| s.parse::<usize>().map_err(|_| err("invalid --replicas")))
-                .transpose()?
-                .unwrap_or(3);
+            let spares = flags.parse_or("spares", 0usize)?;
+            let replicas = flags.parse_or("replicas", 3usize)?;
             if replicas == 0 {
                 return Err(err("--replicas must be >= 1"));
             }
@@ -597,8 +542,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                 }
                 (Some(0), None) => return Err(err("--open-loop rate must be >= 1")),
                 (None, Some(0)) => return Err(err("--closed-loop window must be >= 1")),
-                (Some(rate_milli), None) => Some(LoadMode::Open { rate_milli }),
-                (None, Some(outstanding)) => Some(LoadMode::Closed { outstanding }),
+                (Some(rate_milli), None) => Some(ArrivalModel::OpenLoop { rate_milli }),
+                (None, Some(outstanding)) => Some(ArrivalModel::ClosedLoop { outstanding }),
                 (None, None) => None,
             };
             let load_knob = |name: &str, default: u64| -> Result<u64, ParseArgsError> {
@@ -687,46 +632,24 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                 .map(parse_metric)
                 .transpose()?
                 .unwrap_or(DistanceMetric::Hamming);
-            let bits = flags
-                .get("bits")
-                .map(|b| b.parse::<u32>().map_err(|_| err("invalid --bits")))
-                .transpose()?
-                .unwrap_or(2);
-            let parse_usize = |name: &str, default: usize| -> Result<usize, ParseArgsError> {
-                flags
-                    .get(name)
-                    .map(|v| v.parse::<usize>().map_err(|_| err(format!("invalid --{name}"))))
-                    .transpose()
-                    .map(|o| o.unwrap_or(default))
-            };
-            let rows = parse_usize("rows", 1_000)?;
-            let dim = parse_usize("dim", 64)?;
-            let batch = parse_usize("batch", 64)?;
+            let bits = flags.parse_or("bits", 2u32)?;
+            let rows = flags.parse_or("rows", 1_000usize)?;
+            let dim = flags.parse_or("dim", 64usize)?;
+            let batch = flags.parse_or("batch", 64usize)?;
             if rows == 0 || dim == 0 || batch == 0 {
                 return Err(err("--rows, --dim and --batch must be >= 1"));
             }
             let backend =
                 flags.get("backend").map(parse_backend).transpose()?.unwrap_or(BackendKind::Ideal);
-            let seed = flags
-                .get("seed")
-                .map(|s| s.parse::<u64>().map_err(|_| err("invalid --seed")))
-                .transpose()?
-                .unwrap_or(42);
+            let seed = flags.parse_or("seed", 42u64)?;
             Ok(Command::BenchKernels { metric, bits, rows, dim, batch, backend, seed })
         }
         "montecarlo" | "mc" => {
             let flags = Flags::new(rest)?;
             flags.ensure_known(&["runs", "near", "far", "backend", "faults"])?;
-            let parse_usize = |name: &str, default: usize| -> Result<usize, ParseArgsError> {
-                flags
-                    .get(name)
-                    .map(|v| v.parse::<usize>().map_err(|_| err(format!("invalid --{name}"))))
-                    .transpose()
-                    .map(|o| o.unwrap_or(default))
-            };
-            let runs = parse_usize("runs", 100)?;
-            let near = parse_usize("near", 5)?;
-            let far = parse_usize("far", 6)?;
+            let runs = flags.parse_or("runs", 100usize)?;
+            let near = flags.parse_or("near", 5usize)?;
+            let far = flags.parse_or("far", 6usize)?;
             let backend =
                 flags.get("backend").map(parse_backend).transpose()?.unwrap_or(BackendKind::Noisy);
             if near >= far {
@@ -1079,7 +1002,7 @@ mod tests {
         let Command::ServeSim { load, tenants, target_batch, deadline, .. } = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(load, Some(LoadMode::Open { rate_milli: 64 }));
+        assert_eq!(load, Some(ArrivalModel::OpenLoop { rate_milli: 64 }));
         assert_eq!((tenants, target_batch, deadline), (4, 8, 256));
         let cmd =
             parse(&argv("serve-sim --metric hd --store 0,0;3,3 --queries 0,0;3,3 --closed-loop 2"))
@@ -1087,7 +1010,7 @@ mod tests {
         let Command::ServeSim { load, tenants, target_batch, deadline, .. } = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(load, Some(LoadMode::Closed { outstanding: 2 }));
+        assert_eq!(load, Some(ArrivalModel::ClosedLoop { outstanding: 2 }));
         assert_eq!((tenants, target_batch, deadline), (1, 16, 512), "load-mode defaults");
         // No load mode: the sequential path, with inert loop knobs.
         let cmd = parse(&argv("serve-sim --metric hd --store 0,0 --queries 0,0")).unwrap();

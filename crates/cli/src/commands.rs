@@ -1,13 +1,18 @@
 //! Command execution: each subcommand renders its output to a `String`
 //! (testable) which `main` prints.
 
-use crate::args::{BackendKind, Command, LoadMode};
+use crate::args::Command;
 use ferex_analog::montecarlo::MonteCarlo;
+use ferex_conformance::chaos::{serve_stream, StreamEvent};
+use ferex_conformance::load::{
+    attach_latency_models, drive_arrivals, firing_draws, replica_telemetry, ArrivalRun,
+};
+use ferex_conformance::{ArrivalModel, BackendKind};
 use ferex_core::{
-    cosimulate, derive_replica_seed, find_minimal_cell, percentile, sizing_for, Backend,
-    BrownoutPolicy, CircuitConfig, CostModel, DistanceMatrix, DistanceMetric, Ferex, FerexArray,
-    FerexError, HedgePolicy, LatencyModel, MutationPolicy, QuorumPolicy, RepairPolicy,
-    ReplicaPolicy, ReplicaSet, Request, ServeLoop, ServePolicy, ServeSource, ShedReason,
+    cosimulate, derive_replica_seed, find_minimal_cell, percentile, sizing_for, BrownoutPolicy,
+    CircuitConfig, CostModel, DistanceMatrix, DistanceMetric, Ferex, FerexArray, FerexError,
+    HedgePolicy, MutationPolicy, QuorumPolicy, RepairPolicy, ReplicaPolicy, ReplicaSet, Request,
+    ServeLoop, ServePolicy, ServeSource, ShedReason,
 };
 use ferex_datasets::synth::flip_symbol_bits;
 use ferex_fefet::math::splitmix64;
@@ -33,15 +38,6 @@ impl Error for CommandError {}
 impl From<FerexError> for CommandError {
     fn from(e: FerexError) -> Self {
         CommandError(e.to_string())
-    }
-}
-
-fn backend_of(kind: BackendKind, seed: u64, faults: FaultPlan) -> Backend {
-    let cfg = || Box::new(CircuitConfig { seed, faults, ..Default::default() });
-    match kind {
-        BackendKind::Ideal => Backend::Ideal,
-        BackendKind::Noisy => Backend::Noisy(cfg()),
-        BackendKind::Circuit => Backend::Circuit(cfg()),
     }
 }
 
@@ -177,7 +173,7 @@ fn render_bench_kernels(
         .metric(metric)
         .bits(bits)
         .dim(dim)
-        .backend(backend_of(backend, seed, FaultPlan::none()))
+        .backend(backend.backend(CircuitConfig { seed, ..Default::default() }))
         .build()?;
     let top = 1u32 << bits;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -326,7 +322,7 @@ fn render_search(
         .metric(metric)
         .bits(bits)
         .dim(dim)
-        .backend(backend_of(backend, seed, faults));
+        .backend(backend.backend(CircuitConfig { seed, faults, ..Default::default() }));
     if spares > 0 {
         builder = builder.repair_policy(RepairPolicy { spare_rows: spares, ..Default::default() });
     }
@@ -340,11 +336,7 @@ fn render_search(
         "{metric} search over {} stored vectors ({} symbols, {} backend):",
         stored.len(),
         dim,
-        match backend {
-            BackendKind::Ideal => "ideal",
-            BackendKind::Noisy => "noisy",
-            BackendKind::Circuit => "circuit",
-        }
+        backend.label()
     );
     match engine.search(query) {
         Ok(result) => {
@@ -404,7 +396,7 @@ fn render_serve_sim(
     (reads, agree): (usize, usize),
     kill: Option<(usize, usize)>,
     scrub_every: usize,
-    load: Option<LoadMode>,
+    load: Option<ArrivalModel>,
     (tenants, target_batch, deadline): (usize, usize, u64),
     slow_replicas: &[(usize, u64)],
     hedge: Option<(u64, u64)>,
@@ -429,9 +421,12 @@ fn render_serve_sim(
     for i in 0..replicas {
         // Replica 0 carries the injected fault plan; the rest stay clean so
         // quorum reads have healthy peers to outvote it with.
-        let plan = if i == 0 { faults } else { FaultPlan::none() };
-        let b = backend_of(backend, derive_replica_seed(seed, i as u64), plan);
-        let mut array = FerexArray::new(tech.clone(), encoding.clone(), dim, b);
+        let cfg = CircuitConfig {
+            seed: derive_replica_seed(seed, i as u64),
+            faults: if i == 0 { faults } else { FaultPlan::none() },
+            ..Default::default()
+        };
+        let mut array = FerexArray::new(tech.clone(), encoding.clone(), dim, backend.backend(cfg));
         if spares > 0 {
             array.set_repair_policy(RepairPolicy { spare_rows: spares, ..Default::default() })?;
         }
@@ -485,29 +480,22 @@ fn render_serve_sim(
         stored.len(),
         dim
     );
-    for (qi, query) in queries.iter().enumerate() {
-        if let Some((k, at)) = kill {
-            if qi == at {
-                set.kill(k);
-                let _ = writeln!(out, "  -- chaos: replica {k} killed");
+    for event in serve_stream(&mut set, queries, kill, scrub_every)? {
+        let _ = match event {
+            StreamEvent::Killed(k) => writeln!(out, "  -- chaos: replica {k} killed"),
+            StreamEvent::Scrubbed(findings) => {
+                writeln!(out, "  -- maintenance scrub: {findings} findings")
             }
-        }
-        if scrub_every > 0 && qi > 0 && qi % scrub_every == 0 {
-            let findings = set.scrub_all();
-            let _ = writeln!(out, "  -- maintenance scrub: {findings} findings");
-        }
-        let (served, _) = set.serve_batch_read(std::slice::from_ref(query), &[qi as u64])?;
-        let served = served.first().ok_or(FerexError::Empty)?;
-        let nearest = served.outcome.nearest;
-        let via = match served.source {
-            ServeSource::Replica(i) => format!("replica {i}"),
-            ServeSource::OracleFallback => "oracle fallback".to_string(),
+            StreamEvent::Served(qi, served) => {
+                let nearest = served.outcome.nearest;
+                writeln!(
+                    out,
+                    "  query {qi}: nearest row {nearest} (distance {:.2}) via {}",
+                    served.outcome.distances[nearest],
+                    source_label(served.source)
+                )
+            }
         };
-        let _ = writeln!(
-            out,
-            "  query {qi}: nearest row {nearest} (distance {:.2}) via {via}",
-            served.outcome.distances[nearest]
-        );
     }
     let s = set.stats();
     let _ = writeln!(
@@ -527,6 +515,14 @@ fn render_serve_sim(
     Ok(out)
 }
 
+/// `replica N` or `oracle fallback`: where a served answer came from.
+fn source_label(source: ServeSource) -> String {
+    match source {
+        ServeSource::Replica(i) => format!("replica {i}"),
+        ServeSource::OracleFallback => "oracle fallback".to_string(),
+    }
+}
+
 /// Drives the deterministic serving loop over the query list with seeded
 /// open- or closed-loop arrivals on a virtual tick clock.
 #[allow(clippy::too_many_arguments)]
@@ -535,7 +531,7 @@ fn render_serve_loop(
     mut set: ReplicaSet,
     queries: &[Vec<u32>],
     seed: u64,
-    mode: LoadMode,
+    mode: ArrivalModel,
     (tenants, target_batch, deadline): (usize, usize, u64),
     kill: Option<(usize, usize)>,
     scrub_every: usize,
@@ -543,9 +539,6 @@ fn render_serve_loop(
     hedge: Option<(u64, u64)>,
     churn: u64,
 ) -> Result<String, CommandError> {
-    /// Bernoulli sub-slots per tick of the open-loop arrival process
-    /// (matches the conformance load simulator).
-    const SUBSLOTS: u64 = 8;
     const MAX_TICKS: u64 = 1_000_000;
     let cost = CostModel::noisy_10k();
     // `render_serve_sim` arms the brownout exactly when a latency flag is
@@ -553,15 +546,7 @@ fn render_serve_loop(
     let latency_armed = set.policy().brownout.is_some();
     if latency_armed {
         let latency_seed = splitmix64(seed ^ 0x510E_11FE);
-        let n_replicas = set.n_replicas();
-        for i in 0..n_replicas {
-            let mut model =
-                LatencyModel::healthy(cost, derive_replica_seed(latency_seed, i as u64));
-            if let Some(&(_, factor)) = slow_replicas.iter().find(|&&(r, _)| r == i) {
-                model.slow_factor_milli = factor;
-            }
-            set.set_latency_model(i, model)?;
-        }
+        attach_latency_models(&mut set, cost, latency_seed, slow_replicas, None, 1000)?;
     }
     let policy = ServePolicy {
         target_batch,
@@ -575,135 +560,79 @@ fn render_serve_loop(
     let mut lp = ServeLoop::new(set, tenants, policy)?;
     let n = queries.len();
     let mut out = String::new();
-    let mode_label = match mode {
-        LoadMode::Open { rate_milli } => format!("open loop, {rate_milli} req/kilotick"),
-        LoadMode::Closed { outstanding } => format!("closed loop, {outstanding} in flight"),
+    let (mode_label, in_flight) = match mode {
+        ArrivalModel::OpenLoop { rate_milli } => {
+            (format!("open loop, {rate_milli} req/kilotick"), Vec::new())
+        }
+        ArrivalModel::ClosedLoop { outstanding } => {
+            (format!("closed loop, {outstanding} in flight"), vec![0; outstanding.min(n)])
+        }
     };
     let _ = writeln!(
         out,
         "{metric} serving loop ({mode_label}): {n} requests over {tenants} tenant(s), \
          target batch {target_batch}, deadline {deadline} ticks (seed {seed})"
     );
-    let arrival_seed = splitmix64(seed ^ 0x10AD_11FE);
-    let threshold = match mode {
-        LoadMode::Open { rate_milli } => {
-            (((rate_milli as u128) << 64) / (1000 * SUBSLOTS as u128)).min(u64::MAX as u128) as u64
-        }
-        LoadMode::Closed { .. } => 0,
-    };
     // Churn events draw from their own seeded Bernoulli stream on the same
     // sub-slot clock, so arrivals and mutations stay independent.
     let churn_seed = splitmix64(seed ^ 0xC400_11FE);
-    let churn_threshold =
-        (((churn as u128) << 64) / (1000 * SUBSLOTS as u128)).min(u64::MAX as u128) as u64;
     let live_ids: Vec<u64> = lp.set().live_ids();
     let mut mutations_failed = 0u64;
-    let mut submitted = 0usize;
-    let mut completions = Vec::new();
-    let mut sheds = Vec::new();
-    // Closed-loop respawn ticks (always popped in order: completion ticks
-    // are monotone across batches).
-    let mut respawns: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    if let LoadMode::Closed { outstanding } = mode {
-        for _ in 0..outstanding.min(n) {
-            respawns.push_back(0);
-        }
-    }
     let mut scrubs = 0u64;
     let mut scrub_findings = 0usize;
-    let mut end_tick = 0u64;
-    let mut tick = 0u64;
-    loop {
-        if tick >= MAX_TICKS {
-            return Err(CommandError(format!(
-                "serving loop failed to drain within {MAX_TICKS} virtual ticks"
-            )));
-        }
-        if let Some((k, at)) = kill {
-            if tick == at as u64 {
+    let ArrivalRun { completions, sheds, end_tick, drained } = drive_arrivals(
+        &mut lp,
+        mode,
+        None,
+        splitmix64(seed ^ 0x10AD_11FE),
+        n,
+        &in_flight,
+        MAX_TICKS,
+        |lp, tick| {
+            if let Some((k, at)) = kill.filter(|&(_, at)| at as u64 == tick) {
                 lp.set_mut().kill(k);
                 let _ = writeln!(out, "  -- chaos: replica {k} killed at tick {at}");
             }
-        }
-        if scrub_every > 0 && tick > 0 && tick.is_multiple_of(scrub_every as u64) {
-            scrubs += 1;
-            scrub_findings += lp.set_mut().scrub_all();
-        }
-        if churn > 0 && !live_ids.is_empty() {
-            for slot in 0..SUBSLOTS {
-                let draw = splitmix64(churn_seed ^ splitmix64(tick * SUBSLOTS + slot));
-                if draw >= churn_threshold {
-                    continue;
-                }
-                // In-place id update: the mutated vector is drawn from the
-                // query list, so churn stays within the validated alphabet.
-                let id = live_ids.get((draw % live_ids.len() as u64) as usize).copied();
-                let q = queries.get((splitmix64(draw) % queries.len().max(1) as u64) as usize);
-                if let (Some(id), Some(v)) = (id, q) {
-                    if lp.update(id, v.clone()).is_err() {
-                        mutations_failed += 1;
+            if scrub_every > 0 && tick > 0 && tick.is_multiple_of(scrub_every as u64) {
+                scrubs += 1;
+                scrub_findings += lp.set_mut().scrub_all();
+            }
+            if churn > 0 && !live_ids.is_empty() {
+                for draw in firing_draws(churn_seed, tick, churn) {
+                    // In-place id update: the mutated vector is drawn from
+                    // the query list, so churn stays within the validated
+                    // alphabet.
+                    let id = live_ids.get((draw % live_ids.len() as u64) as usize).copied();
+                    let q = queries.get((splitmix64(draw) % n.max(1) as u64) as usize);
+                    if let (Some(id), Some(v)) = (id, q) {
+                        if lp.update(id, v.clone()).is_err() {
+                            mutations_failed += 1;
+                        }
                     }
                 }
-            }
-            // Periodic wear-rotation maintenance rides the virtual clock.
-            if tick > 0 && tick.is_multiple_of(256) {
-                lp.maintenance();
-            }
-        }
-        let submit = |lp: &mut ServeLoop, i: usize, tick: u64| {
-            lp.submit(Request {
-                tenant: i % tenants,
-                priority: 0,
-                arrival_tick: tick,
-                deadline_ticks: deadline,
-                query: queries[i].clone(),
-            })
-            .map(|_| ())
-        };
-        match mode {
-            LoadMode::Open { .. } => {
-                for slot in 0..SUBSLOTS {
-                    if submitted >= n {
-                        break;
-                    }
-                    let draw = splitmix64(arrival_seed ^ splitmix64(tick * SUBSLOTS + slot));
-                    if draw < threshold {
-                        submit(&mut lp, submitted, tick)?;
-                        submitted += 1;
-                    }
+                // Periodic wear-rotation maintenance rides the virtual clock.
+                if tick > 0 && tick.is_multiple_of(256) {
+                    lp.maintenance();
                 }
             }
-            LoadMode::Closed { .. } => {
-                while respawns.front().is_some_and(|&t| t <= tick) {
-                    respawns.pop_front();
-                    if submitted < n {
-                        submit(&mut lp, submitted, tick)?;
-                        submitted += 1;
-                    }
-                }
-            }
-        }
-        let (done, shed) = lp.poll(tick)?;
-        for c in &done {
-            end_tick = end_tick.max(c.completion_tick);
-            if matches!(mode, LoadMode::Closed { .. }) {
-                respawns.push_back(c.completion_tick);
-            }
-        }
-        completions.extend(done);
-        sheds.extend(shed);
-        if submitted >= n && lp.queue_depth() == 0 && tick >= end_tick {
-            break;
-        }
-        tick += 1;
+        },
+        |i, tick, _| Request {
+            tenant: i % tenants,
+            priority: 0,
+            arrival_tick: tick,
+            deadline_ticks: deadline,
+            query: queries[i].clone(),
+        },
+    )?;
+    if !drained {
+        return Err(CommandError(format!(
+            "serving loop failed to drain within {MAX_TICKS} virtual ticks"
+        )));
     }
     // One line per request, in submission (qid) order.
     let mut lines: Vec<(u64, String)> = Vec::with_capacity(n);
     for c in &completions {
-        let via = match c.outcome.source {
-            ServeSource::Replica(i) => format!("replica {i}"),
-            ServeSource::OracleFallback => "oracle fallback".to_string(),
-        };
+        let via = source_label(c.outcome.source);
         lines.push((
             c.qid,
             format!(
@@ -784,24 +713,24 @@ fn render_serve_loop(
             "hedging: {} issued, {} won; brownouts: {} demotions, {} re-probes",
             stats.hedges_issued, stats.hedge_wins, stats.brownout_demotions, stats.reprobes
         );
-        for i in 0..lp.set().n_replicas() {
-            let mut samples = lp.replica_samples(i).to_vec();
-            samples.sort_unstable();
-            let label = match slow_replicas.iter().find(|&&(r, _)| r == i) {
-                Some(&(_, f)) => format!("slow@{f}"),
-                None => "healthy".to_string(),
-            };
+        let model = |i| match slow_replicas.iter().find(|&&(r, _)| r == i) {
+            Some(&(_, f)) => format!("slow@{f}"),
+            None => "healthy".to_string(),
+        };
+        for r in replica_telemetry(&lp, model) {
             let _ = writeln!(
                 out,
-                "  replica {i} ({label}): {} reads, service p50 {} / max {} ticks, \
+                "  replica {} ({}): {} reads, service p50 {} / max {} ticks, \
                  ewma {} milli, hedged against {}, hedge wins {}, demerit {} milli",
-                samples.len(),
-                percentile(&samples, 50, 100),
-                samples.last().copied().unwrap_or(0),
-                lp.set().status(i).latency_ewma_milli,
-                lp.hedged_against().get(i).copied().unwrap_or(0),
-                lp.hedge_wins_by().get(i).copied().unwrap_or(0),
-                lp.set().status(i).latency_demerit_milli,
+                r.replica,
+                r.model,
+                r.reads,
+                r.p50_ticks,
+                r.max_ticks,
+                r.ewma_milli,
+                r.hedged_against,
+                r.hedge_wins,
+                r.demerit_milli,
             );
         }
     }
@@ -827,7 +756,7 @@ fn render_montecarlo(
             .metric(DistanceMetric::Hamming)
             .bits(BITS)
             .dim(DIM)
-            .backend(backend_of(backend, k, faults))
+            .backend(backend.backend(CircuitConfig { seed: k, faults, ..Default::default() }))
             .build()
             .expect("2-bit Hamming encodes");
         engine.array_mut().store(flip_symbol_bits(&query, BITS, near, &mut rng)).expect("stores");

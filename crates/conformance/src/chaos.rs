@@ -4,10 +4,11 @@
 //! A chaos run drives a [`ReplicaSet`] through a long query stream while a
 //! seeded schedule injects adversity — one replica carries a hard-fault
 //! plan, another is killed mid-stream, and maintenance scrubs fire on a
-//! fixed period. Recall@1 against the digital oracle is measured over the
-//! whole stream; the serving contract under test is that the quorum +
-//! fallback ladder keeps recall at the oracle level for as long as a
-//! healthy replica (or the digital fallback) can answer.
+//! fixed period ([`serve_stream`], which `ferex serve-sim` runs too).
+//! Recall@1 against the digital oracle is measured over the whole stream;
+//! the serving contract under test is that the quorum + fallback ladder
+//! keeps recall at the oracle level for as long as a healthy replica (or
+//! the digital fallback) can answer.
 //!
 //! Everything is derived from one seed through the same domain-separated
 //! streams as [`run_sweep`](crate::harness::run_sweep): the stored matrix
@@ -19,17 +20,13 @@
 //! supervisor adds zero drift when its features are disabled. Virtual tick
 //! clocks (no wall time) make the whole report byte-reproducible.
 
-use crate::harness::{gen_unambiguous_queries, gen_vectors, BackendKind, FaultKind, SweepSpec};
-use crate::oracle::Oracle;
+use crate::harness::{BackendKind, FaultKind, SweepSpec};
 use crate::report::{ChaosCurve, ChaosPoint, ChaosReport};
-use ferex_analog::lta::LtaParams;
 use ferex_core::{
-    derive_replica_seed, CircuitConfig, DistanceMetric, FerexArray, QuorumPolicy, RepairPolicy,
-    ReplicaPolicy, ReplicaSet,
+    derive_replica_seed, DistanceMetric, FerexError, QuorumPolicy, RepairPolicy, ReplicaPolicy,
+    ReplicaSet, ServedOutcome,
 };
-use ferex_fefet::{FaultPlan, Technology, VariationModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ferex_fefet::FaultPlan;
 
 /// One cell of the chaos matrix: a replicated serving soak over rising
 /// fault rates on the faulted replica.
@@ -94,6 +91,47 @@ impl ChaosSpec {
     }
 }
 
+/// One step of [`serve_stream`], in stream order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamEvent {
+    /// The scheduled replica was killed.
+    Killed(usize),
+    /// Every live replica was scrubbed; the findings summed over them.
+    Scrubbed(usize),
+    /// A query was served: its index in the stream (also its id) and its
+    /// outcome.
+    Served(usize, ServedOutcome),
+}
+
+/// Serves `queries` in order through `set`, one read per query with the
+/// query's index as its id. `kill = Some((replica, at))` kills the replica
+/// just before query `at`; a nonzero `scrub_period` scrubs every live
+/// replica before each query whose index is a positive multiple of it.
+///
+/// # Errors
+///
+/// The first read error ([`ReplicaSet::serve_batch_read`]).
+pub fn serve_stream(
+    set: &mut ReplicaSet,
+    queries: &[Vec<u32>],
+    kill: Option<(usize, usize)>,
+    scrub_period: usize,
+) -> Result<Vec<StreamEvent>, FerexError> {
+    let mut events = Vec::with_capacity(queries.len());
+    for (qi, query) in queries.iter().enumerate() {
+        if let Some((replica, _)) = kill.filter(|&(_, at)| at == qi) {
+            set.kill(replica);
+            events.push(StreamEvent::Killed(replica));
+        }
+        if scrub_period > 0 && qi > 0 && qi % scrub_period == 0 {
+            events.push(StreamEvent::Scrubbed(set.scrub_all()));
+        }
+        let (served, _) = set.serve_batch_read(std::slice::from_ref(query), &[qi as u64])?;
+        events.extend(served.into_iter().map(|s| StreamEvent::Served(qi, s)));
+    }
+    Ok(events)
+}
+
 /// Runs one chaos soak: for each rate, build the replica set (faulted
 /// replica carrying `fault.plan(rate)`), serve the query stream
 /// sequentially with the seeded kill and scrub schedule, and measure
@@ -113,77 +151,44 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
         assert!(k < spec.replicas, "killed replica out of range");
     }
     let sweep = spec.sweep_spec();
-    let encoding =
-        crate::harness::encoding_for(spec.metric, spec.bits).expect("sizing must succeed");
-    let mut data_rng = StdRng::seed_from_u64(sweep.derived_seed(0));
-    let stored = gen_vectors(spec.rows, spec.dim, spec.bits, &mut data_rng);
-    let oracle = Oracle::new(spec.metric, stored.clone());
-    let queries =
-        gen_unambiguous_queries(&oracle, spec.n_queries, spec.dim, spec.bits, &mut data_rng);
-    let expected: Vec<usize> = queries.iter().map(|q| oracle.nearest(q)).collect();
+    let data = sweep.data().expect("sizing must succeed");
     // Replica seeds branch off the sweep's trial-0 seed, so replica 0 of a
     // 1-replica soak is byte-identical to run_sweep's trial-0 array.
     let base_seed = sweep.derived_seed(1);
-
-    let mut points = Vec::with_capacity(spec.rates.len());
-    for &rate in &spec.rates {
+    let soak = |rate: f64| -> Result<ChaosPoint, FerexError> {
         let mut replicas = Vec::with_capacity(spec.replicas);
         for i in 0..spec.replicas {
             let faults =
                 if i == spec.faulted_replica { spec.fault.plan(rate) } else { FaultPlan::none() };
-            let cfg = CircuitConfig {
-                variation: VariationModel::none(),
-                lta: LtaParams::ideal(),
-                faults,
-                seed: derive_replica_seed(base_seed, i as u64),
-                ..Default::default()
-            };
-            let mut array = FerexArray::new(
-                Technology::default(),
-                encoding.clone(),
-                spec.dim,
-                spec.backend.backend(cfg),
-            );
-            array.store_all(stored.iter().cloned()).expect("in-range by construction");
+            let seed = derive_replica_seed(base_seed, i as u64);
+            let mut array = sweep.trial_array(&data, faults, seed)?;
             if spec.spare_rows > 0 {
-                // lint:allow(panic-safety/expect, reason = "standard chaos spec builds a valid policy")
-                array
-                    .set_repair_policy(RepairPolicy {
-                        spare_rows: spec.spare_rows,
-                        sentinel_rows: 1,
-                        ..Default::default()
-                    })
-                    .expect("valid policy");
-                array.program_verified().expect("verify budget is bounded");
+                let repair = RepairPolicy {
+                    spare_rows: spec.spare_rows,
+                    sentinel_rows: 1,
+                    ..Default::default()
+                };
+                array.set_repair_policy(repair)?;
+                array.program_verified()?;
             } else {
                 array.program();
             }
             replicas.push(array);
         }
-        let policy = ReplicaPolicy {
-            quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },
-            ..Default::default()
-        };
-        // lint:allow(panic-safety/expect, reason = "standard chaos spec builds a valid quorum over equal replicas")
-        let mut set = ReplicaSet::new(replicas, spec.metric, policy).expect("valid replica set");
-
-        let mut hits = 0usize;
-        for (qi, (query, want)) in queries.iter().zip(&expected).enumerate() {
-            if let Some(k) = spec.kill_replica {
-                if qi == spec.kill_at_query {
-                    set.kill(k);
-                }
-            }
-            if spec.scrub_period > 0 && qi > 0 && qi % spec.scrub_period == 0 {
-                set.scrub_all();
-            }
-            let (served, _) = set
-                .serve_batch_read(std::slice::from_ref(query), &[qi as u64])
-                .expect("in-range by construction");
-            hits += usize::from(served.first().map(|s| s.outcome.nearest) == Some(*want));
-        }
+        let quorum = QuorumPolicy { reads: spec.reads, agree: spec.agree };
+        let mut set =
+            ReplicaSet::new(replicas, spec.metric, ReplicaPolicy { quorum, ..Default::default() })?;
+        let kill = spec.kill_replica.map(|k| (k, spec.kill_at_query));
+        let events = serve_stream(&mut set, &data.queries, kill, spec.scrub_period)?;
+        let hits = events
+            .iter()
+            .filter(|e| match e {
+                StreamEvent::Served(qi, s) => data.expected.get(*qi) == Some(&s.outcome.nearest),
+                _ => false,
+            })
+            .count();
         let stats = set.stats();
-        points.push(ChaosPoint {
+        Ok(ChaosPoint {
             rate,
             recall_at_1: hits as f64 / spec.n_queries as f64,
             oracle_fallbacks: stats.oracle_fallbacks,
@@ -192,8 +197,13 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
             scheduled_scrubs: stats.scheduled_scrubs,
             breaker_trips: stats.breaker_trips,
             replicas_alive: set.alive(),
-        });
-    }
+        })
+    };
+    let points = spec
+        .rates
+        .iter()
+        .map(|&rate| soak(rate).expect("in-range data, valid policy and quorum"))
+        .collect();
     ChaosCurve {
         metric: crate::harness::metric_label(spec.metric).to_string(),
         backend: spec.backend.label().to_string(),
@@ -294,5 +304,38 @@ mod tests {
     #[should_panic(expected = "chaos soak needs at least one query")]
     fn soak_without_queries_is_malformed() {
         run_chaos(&ChaosSpec { n_queries: 0, ..standard_chaos_specs(9).remove(0) });
+    }
+
+    #[test]
+    fn stream_kills_before_its_query_and_scrubs_on_the_period() {
+        let spec = ChaosSpec { n_queries: 5, ..standard_chaos_specs(9).remove(0) };
+        let sweep = spec.sweep_spec();
+        let data = sweep.data().unwrap();
+        let replicas = (0..3)
+            .map(|i| {
+                let mut array = sweep.trial_array(&data, FaultPlan::none(), i).unwrap();
+                array.program();
+                array
+            })
+            .collect();
+        let mut set = ReplicaSet::new(replicas, spec.metric, ReplicaPolicy::default()).unwrap();
+        let events = serve_stream(&mut set, &data.queries, Some((1, 2)), 2).unwrap();
+        let steps: Vec<String> = events
+            .iter()
+            .map(|e| match e {
+                StreamEvent::Killed(r) => format!("kill {r}"),
+                StreamEvent::Scrubbed(_) => "scrub".to_string(),
+                StreamEvent::Served(qi, s) => {
+                    assert_eq!(s.outcome.nearest, data.expected[*qi], "query {qi}");
+                    format!("query {qi}")
+                }
+            })
+            .collect();
+        let want =
+            ["query 0", "query 1", "kill 1", "scrub", "query 2", "query 3", "scrub", "query 4"];
+        assert_eq!(steps, want);
+        assert_eq!(set.alive(), 2);
+        // Both scrubs skip the killed replica.
+        assert_eq!(set.stats().scheduled_scrubs, 2 * 2);
     }
 }

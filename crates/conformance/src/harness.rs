@@ -60,6 +60,27 @@ impl BackendKind {
             BackendKind::Circuit => Backend::Circuit(Box::new(cfg)),
         }
     }
+
+    /// An empty array of this backend at the fault-isolation corner: zero
+    /// device-to-device variation and an ideal LTA, so recall is exact
+    /// without `faults` and any loss is the faults' (or the serving
+    /// ladder's) doing.
+    pub(crate) fn corner_array(
+        &self,
+        encoding: &CellEncoding,
+        dim: usize,
+        faults: FaultPlan,
+        seed: u64,
+    ) -> FerexArray {
+        let cfg = CircuitConfig {
+            variation: VariationModel::none(),
+            lta: LtaParams::ideal(),
+            faults,
+            seed,
+            ..Default::default()
+        };
+        FerexArray::new(Technology::default(), encoding.clone(), dim, self.backend(cfg))
+    }
 }
 
 /// Which single fault class a sweep scales the rate of.
@@ -148,10 +169,9 @@ pub fn gen_unambiguous_queries(
     while out.len() < n {
         assert!(budget > 0, "query rejection sampling exhausted — matrix too degenerate");
         budget -= 1;
-        let q = gen_vectors(1, dim, bits, rng).pop().expect("one vector");
+        let Some(q) = gen_vectors(1, dim, bits, rng).pop() else { continue };
         let d = oracle.distances(&q);
-        let min = *d.iter().min().expect("non-empty");
-        if d.iter().filter(|&&x| x == min).count() == 1 {
+        if d.iter().min().is_some_and(|min| d.iter().filter(|&x| x == min).count() == 1) {
             out.push(q);
         }
     }
@@ -187,6 +207,15 @@ pub struct SweepSpec {
     pub seed: u64,
 }
 
+/// A sweep's seeded inputs: the sized encoding, the stored rows, the
+/// unambiguous queries and each query's fault-free oracle nearest row.
+pub(crate) struct SweepData {
+    encoding: CellEncoding,
+    stored: Vec<Vec<u32>>,
+    pub(crate) queries: Vec<Vec<u32>>,
+    pub(crate) expected: Vec<usize>,
+}
+
 impl SweepSpec {
     /// Mixes the spec's coordinates into a sub-seed for `purpose`-indexed
     /// streams, keeping data, trials and faults decorrelated.
@@ -199,6 +228,76 @@ impl SweepSpec {
         }
         s
     }
+
+    /// Derives the spec's data from purpose 0 of its seed stream: every
+    /// trial, recovery leg and chaos replica serves these rows and queries.
+    ///
+    /// # Errors
+    ///
+    /// Encoding-pipeline failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed specs (no rates, no queries, no trials, `k` out
+    /// of range): without queries or trials every recall would be 0/0.
+    pub(crate) fn data(&self) -> Result<SweepData, FerexError> {
+        assert!(!self.rates.is_empty(), "sweep needs at least one rate");
+        assert!(self.n_queries >= 1, "sweep needs at least one query");
+        assert!(self.trials >= 1, "sweep needs at least one trial");
+        assert!(self.k >= 1 && self.k <= self.rows, "k = {} out of range", self.k);
+        let encoding = encoding_for(self.metric, self.bits)?;
+        let mut data_rng = StdRng::seed_from_u64(self.derived_seed(0));
+        let stored = gen_vectors(self.rows, self.dim, self.bits, &mut data_rng);
+        let oracle = Oracle::new(self.metric, stored.clone());
+        let queries =
+            gen_unambiguous_queries(&oracle, self.n_queries, self.dim, self.bits, &mut data_rng);
+        let expected = queries.iter().map(|q| oracle.nearest(q)).collect();
+        Ok(SweepData { encoding, stored, queries, expected })
+    }
+
+    /// One trial array: the spec's backend at the fault-isolation corner
+    /// with `faults` and `seed`, holding the data's rows, not programmed.
+    pub(crate) fn trial_array(
+        &self,
+        data: &SweepData,
+        faults: FaultPlan,
+        seed: u64,
+    ) -> Result<FerexArray, FerexError> {
+        let mut array = self.backend.corner_array(&data.encoding, self.dim, faults, seed);
+        array.store_all(data.stored.iter().cloned())?;
+        Ok(array)
+    }
+
+    /// Trial `trial` at `rate`: its array, programmed without repair, and
+    /// its recall hits.
+    fn trial(&self, data: &SweepData, rate: f64, trial: u64) -> Result<(usize, usize), FerexError> {
+        let mut array =
+            self.trial_array(data, self.fault.plan(rate), self.derived_seed(1 + trial))?;
+        array.program();
+        recall_hits(&array, data, self.k)
+    }
+}
+
+/// A programmed array's recall hits over the data's queries: `(hits@1,
+/// hits@k)`, the queries whose oracle nearest row is the served nearest
+/// row and those whose oracle nearest row is among the `k` served rows.
+/// Reads an array cannot serve score misses: all of them with no active
+/// row, and every recall@k read with fewer than `k` (a repaired array past
+/// its spares).
+fn recall_hits(
+    array: &FerexArray,
+    data: &SweepData,
+    k: usize,
+) -> Result<(usize, usize), FerexError> {
+    let active = array.health().rows_active;
+    let qids: Vec<u64> = (0..data.queries.len() as u64).collect();
+    let top1 = if active >= 1 { array.search_batch_at(&data.queries, &qids)? } else { Vec::new() };
+    let topk =
+        if active >= k { array.search_k_batch_at(&data.queries, k, &qids)? } else { Vec::new() };
+    Ok((
+        top1.iter().zip(&data.expected).filter(|(o, want)| o.nearest == **want).count(),
+        topk.iter().zip(&data.expected).filter(|(top, want)| top.contains(want)).count(),
+    ))
 }
 
 /// Runs one degradation sweep: for each rate, average recall@1 / recall@k
@@ -212,53 +311,20 @@ impl SweepSpec {
 /// in-range by construction, so an error here is itself a conformance
 /// failure. Without queries or trials every recall would be 0/0.
 pub fn run_sweep(spec: &SweepSpec) -> DegradationCurve {
-    assert!(!spec.rates.is_empty(), "sweep needs at least one rate");
-    assert!(spec.n_queries >= 1, "sweep needs at least one query");
-    assert!(spec.trials >= 1, "sweep needs at least one trial");
-    assert!(spec.k >= 1 && spec.k <= spec.rows, "k = {} out of range", spec.k);
-    let encoding = encoding_for(spec.metric, spec.bits).expect("sizing must succeed");
-    let mut data_rng = StdRng::seed_from_u64(spec.derived_seed(0));
-    let stored = gen_vectors(spec.rows, spec.dim, spec.bits, &mut data_rng);
-    let oracle = Oracle::new(spec.metric, stored.clone());
-    let queries =
-        gen_unambiguous_queries(&oracle, spec.n_queries, spec.dim, spec.bits, &mut data_rng);
-    let expected: Vec<usize> = queries.iter().map(|q| oracle.nearest(q)).collect();
-    let qids: Vec<u64> = (0..queries.len() as u64).collect();
-
-    let mut points = Vec::with_capacity(spec.rates.len());
-    for &rate in &spec.rates {
-        let mut hit1 = 0usize;
-        let mut hitk = 0usize;
-        for trial in 0..spec.trials {
-            let cfg = CircuitConfig {
-                variation: VariationModel::none(),
-                lta: LtaParams::ideal(),
-                faults: spec.fault.plan(rate),
-                seed: spec.derived_seed(1 + trial),
-                ..Default::default()
-            };
-            let mut array = FerexArray::new(
-                Technology::default(),
-                encoding.clone(),
-                spec.dim,
-                spec.backend.backend(cfg),
-            );
-            array.store_all(stored.iter().cloned()).expect("in-range by construction");
-            array.program();
-            let top1 = array.search_batch_at(&queries, &qids).expect("programmed");
-            let topk = array.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
-            for (i, want) in expected.iter().enumerate() {
-                hit1 += usize::from(top1[i].nearest == *want);
-                hitk += usize::from(topk[i].contains(want));
+    let data = spec.data().expect("sizing must succeed");
+    let n = (spec.trials as usize * spec.n_queries) as f64;
+    let points = spec
+        .rates
+        .iter()
+        .map(|&rate| {
+            let (mut hit1, mut hitk) = (0, 0);
+            for trial in 0..spec.trials {
+                let (h1, hk) = spec.trial(&data, rate, trial).expect("in-range by construction");
+                (hit1, hitk) = (hit1 + h1, hitk + hk);
             }
-        }
-        let n = (spec.trials as usize * spec.n_queries) as f64;
-        points.push(CurvePoint {
-            rate,
-            recall_at_1: hit1 as f64 / n,
-            recall_at_k: hitk as f64 / n,
-        });
-    }
+            CurvePoint { rate, recall_at_1: hit1 as f64 / n, recall_at_k: hitk as f64 / n }
+        })
+        .collect();
     DegradationCurve {
         metric: metric_label(spec.metric).to_string(),
         backend: spec.backend.label().to_string(),
@@ -272,48 +338,36 @@ pub fn run_sweep(spec: &SweepSpec) -> DegradationCurve {
     }
 }
 
-/// The fixed sweep matrix behind the standard report: every metric × both
-/// stochastic backends × all four hard-fault classes. The `Noisy` backend
-/// runs at application-ish scale; the device-level `Circuit` backend runs a
-/// reduced but structurally identical sweep (every cell is a full
+/// One standard sweep cell, `k` = 3 at 2 bits: the `Noisy` backend runs at
+/// application-ish scale; the device-level `Circuit` backend runs a
+/// reduced but structurally identical cell (every cell is a full
 /// bisection-solved device, so its arrays are kept small).
+fn standard_cell(
+    metric: DistanceMetric,
+    backend: BackendKind,
+    fault: FaultKind,
+    rates: Vec<f64>,
+    seed: u64,
+) -> SweepSpec {
+    let (dim, rows, n_queries, trials) =
+        if backend == BackendKind::Circuit { (6, 8, 10, 2) } else { (12, 16, 24, 3) };
+    SweepSpec { metric, backend, fault, bits: 2, dim, rows, n_queries, trials, k: 3, rates, seed }
+}
+
+/// The fixed sweep matrix behind the standard report: every metric × both
+/// stochastic backends × all four hard-fault classes. The `Noisy` cells run
+/// at application-ish scale; the device-level `Circuit` cells are reduced
+/// but structurally identical.
 pub fn standard_specs(seed: u64) -> Vec<SweepSpec> {
     let mut specs = Vec::new();
     for metric in DistanceMetric::ALL {
         for backend in BackendKind::STOCHASTIC {
+            let rates = match backend {
+                BackendKind::Circuit => vec![0.0, 0.05, 0.15, 0.3],
+                _ => vec![0.0, 0.02, 0.05, 0.1, 0.2, 0.4],
+            };
             for fault in FaultKind::ALL {
-                let spec = match backend {
-                    BackendKind::Noisy => SweepSpec {
-                        metric,
-                        backend,
-                        fault,
-                        bits: 2,
-                        dim: 12,
-                        rows: 16,
-                        n_queries: 24,
-                        trials: 3,
-                        k: 3,
-                        rates: vec![0.0, 0.02, 0.05, 0.1, 0.2, 0.4],
-                        seed,
-                    },
-                    BackendKind::Circuit => SweepSpec {
-                        metric,
-                        backend,
-                        fault,
-                        bits: 2,
-                        dim: 6,
-                        rows: 8,
-                        n_queries: 10,
-                        trials: 2,
-                        k: 3,
-                        rates: vec![0.0, 0.05, 0.15, 0.3],
-                        seed,
-                    },
-                    // `STOCHASTIC` never yields `Ideal`; skipping is the
-                    // panic-free form of that guard.
-                    BackendKind::Ideal => continue,
-                };
-                specs.push(spec);
+                specs.push(standard_cell(metric, backend, fault, rates.clone(), seed));
             }
         }
     }
@@ -330,102 +384,46 @@ pub fn standard_report(seed: u64) -> ConformanceReport {
     }
 }
 
-/// Runs one recall-recovery sweep: at every rate, each trial array is
-/// measured twice — once exactly as [`run_sweep`] does (repair disabled,
-/// so the faulted leg reproduces the PR 2 degradation baseline
-/// byte-for-byte), and once with `policy` installed so write-verify,
-/// quarantine and row sparing run before serving.
+/// Runs one recall-recovery sweep: at every rate, each trial is measured
+/// twice — once as the [`run_sweep`] trial itself (repair disabled, so the
+/// faulted leg reproduces the degradation baseline byte-for-byte), and
+/// once on an array of the same data and fault map with `policy`
+/// installed, so write-verify, quarantine and row sparing run before
+/// serving.
 ///
 /// # Panics
 ///
 /// Panics on malformed specs (no rates, no queries, no trials, `k` out of
 /// range) and on any backend error, like [`run_sweep`].
 pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
-    assert!(!spec.rates.is_empty(), "sweep needs at least one rate");
-    assert!(spec.n_queries >= 1, "sweep needs at least one query");
-    assert!(spec.trials >= 1, "sweep needs at least one trial");
-    assert!(spec.k >= 1 && spec.k <= spec.rows, "k = {} out of range", spec.k);
-    let encoding = encoding_for(spec.metric, spec.bits).expect("sizing must succeed");
-    let mut data_rng = StdRng::seed_from_u64(spec.derived_seed(0));
-    let stored = gen_vectors(spec.rows, spec.dim, spec.bits, &mut data_rng);
-    let oracle = Oracle::new(spec.metric, stored.clone());
-    let queries =
-        gen_unambiguous_queries(&oracle, spec.n_queries, spec.dim, spec.bits, &mut data_rng);
-    let expected: Vec<usize> = queries.iter().map(|q| oracle.nearest(q)).collect();
-    let qids: Vec<u64> = (0..queries.len() as u64).collect();
-
+    let data = spec.data().expect("sizing must succeed");
+    let n = (spec.trials as usize * spec.n_queries) as f64;
     let mut points = Vec::with_capacity(spec.rates.len());
     for &rate in &spec.rates {
-        let mut faulted1 = 0usize;
-        let mut faultedk = 0usize;
-        let mut healed1 = 0usize;
-        let mut healedk = 0usize;
-        let mut quarantined = 0usize;
-        let mut remapped = 0usize;
-        let mut excluded = 0usize;
+        let (mut faulted, mut healed) = ((0, 0), (0, 0));
+        let (mut quarantined, mut remapped, mut excluded) = (0, 0, 0);
         for trial in 0..spec.trials {
-            let cfg = CircuitConfig {
-                variation: VariationModel::none(),
-                lta: LtaParams::ideal(),
-                faults: spec.fault.plan(rate),
-                seed: spec.derived_seed(1 + trial),
-                ..Default::default()
+            let legs = || -> Result<_, FerexError> {
+                let faulted = spec.trial(&data, rate, trial)?;
+                let mut array =
+                    spec.trial_array(&data, spec.fault.plan(rate), spec.derived_seed(1 + trial))?;
+                array.set_repair_policy(policy.clone())?;
+                let report = array.program_verified()?;
+                Ok((faulted, recall_hits(&array, &data, spec.k)?, report))
             };
-            // No-repair leg: identical to run_sweep, preserving the PR 2
-            // degradation baseline for this (spec, rate, trial).
-            let mut array = FerexArray::new(
-                Technology::default(),
-                encoding.clone(),
-                spec.dim,
-                spec.backend.backend(cfg.clone()),
-            );
-            array.store_all(stored.iter().cloned()).expect("in-range by construction");
-            array.program();
-            let top1 = array.search_batch_at(&queries, &qids).expect("programmed");
-            let topk = array.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
-            for (i, want) in expected.iter().enumerate() {
-                faulted1 += usize::from(top1[i].nearest == *want);
-                faultedk += usize::from(topk[i].contains(want));
-            }
-            // Healed leg: same data, same fault map, repair pipeline on.
-            let mut healed = FerexArray::new(
-                Technology::default(),
-                encoding.clone(),
-                spec.dim,
-                spec.backend.backend(cfg),
-            );
-            healed.store_all(stored.iter().cloned()).expect("in-range by construction");
-            // lint:allow(panic-safety/expect, reason = "standard recovery spec builds a valid policy")
-            healed.set_repair_policy(policy.clone()).expect("valid policy");
-            let report = healed.program_verified().expect("verify budget is bounded");
+            let (f, h, report) = legs().expect("in-range data, valid policy, bounded verify");
+            faulted = (faulted.0 + f.0, faulted.1 + f.1);
+            healed = (healed.0 + h.0, healed.1 + h.1);
             quarantined += report.rows_quarantined.len();
             remapped += report.rows_remapped.len();
             excluded += report.rows_excluded.len();
-            // A fully quarantined array with no spares left serves nothing:
-            // count every query as a miss instead of panicking, so recovery
-            // curves can show the collapse past the spare pool's capacity.
-            let active = healed.health().rows_active;
-            if active >= spec.k {
-                let top1 = healed.search_batch_at(&queries, &qids).expect("programmed");
-                let topk = healed.search_k_batch_at(&queries, spec.k, &qids).expect("programmed");
-                for (i, want) in expected.iter().enumerate() {
-                    healed1 += usize::from(top1[i].nearest == *want);
-                    healedk += usize::from(topk[i].contains(want));
-                }
-            } else if active >= 1 {
-                let top1 = healed.search_batch_at(&queries, &qids).expect("programmed");
-                for (i, want) in expected.iter().enumerate() {
-                    healed1 += usize::from(top1[i].nearest == *want);
-                }
-            }
         }
-        let n = (spec.trials as usize * spec.n_queries) as f64;
         points.push(RecoveryPoint {
             rate,
-            recall_faulted_1: faulted1 as f64 / n,
-            recall_faulted_k: faultedk as f64 / n,
-            recall_healed_1: healed1 as f64 / n,
-            recall_healed_k: healedk as f64 / n,
+            recall_faulted_1: faulted.0 as f64 / n,
+            recall_faulted_k: faulted.1 as f64 / n,
+            recall_healed_1: healed.0 as f64 / n,
+            recall_healed_k: healed.1 as f64 / n,
             rows_quarantined: quarantined,
             rows_remapped: remapped,
             rows_excluded: excluded,
@@ -445,52 +443,20 @@ pub fn run_recovery(spec: &SweepSpec, policy: &RepairPolicy) -> RecoveryCurve {
     }
 }
 
-/// The sweep matrix behind the standard recovery report: every metric ×
-/// both stochastic backends × the stuck-at fault classes, at low rates
-/// where a 2×-rows spare pool is expected to absorb every quarantined row.
+/// The sweep matrix behind the standard recovery report: the standard
+/// report's cells for the stuck-at fault classes, at low rates where a
+/// 2×-rows spare pool is expected to absorb every quarantined row.
 pub fn standard_recovery_specs(seed: u64) -> Vec<(SweepSpec, RepairPolicy)> {
     let mut specs = Vec::new();
     for metric in DistanceMetric::ALL {
         for backend in BackendKind::STOCHASTIC {
             for fault in [FaultKind::Sa0, FaultKind::Sa1] {
-                let mut spec = match backend {
-                    BackendKind::Noisy => SweepSpec {
-                        metric,
-                        backend,
-                        fault,
-                        bits: 2,
-                        dim: 12,
-                        rows: 16,
-                        n_queries: 24,
-                        trials: 3,
-                        k: 3,
-                        rates: vec![0.01, 0.02, 0.05],
-                        seed,
-                    },
-                    BackendKind::Circuit => SweepSpec {
-                        metric,
-                        backend,
-                        fault,
-                        bits: 2,
-                        dim: 6,
-                        rows: 8,
-                        n_queries: 10,
-                        trials: 2,
-                        k: 3,
-                        rates: vec![0.01, 0.02, 0.05],
-                        seed,
-                    },
-                    // `STOCHASTIC` never yields `Ideal`; skipping is the
-                    // panic-free form of that guard.
-                    BackendKind::Ideal => continue,
-                };
-                spec.rates.retain(|&r| r > 0.0);
-                let policy = RepairPolicy {
-                    spare_rows: 2 * spec.rows,
-                    sentinel_rows: 1,
-                    ..Default::default()
-                };
-                specs.push((spec, policy));
+                let spec = standard_cell(metric, backend, fault, vec![0.01, 0.02, 0.05], seed);
+                let spare_rows = 2 * spec.rows;
+                specs.push((
+                    spec,
+                    RepairPolicy { spare_rows, sentinel_rows: 1, ..Default::default() },
+                ));
             }
         }
     }

@@ -18,7 +18,9 @@
 //! 4. [`chaos`] and [`load`] — deterministic serving soaks: replicated
 //!    serving under faults/kills/scrubs, and the virtual-time load
 //!    simulator driving the adaptive batch-forming loop with seeded
-//!    open/closed-loop arrivals and exact latency distributions.
+//!    open/closed-loop arrivals and exact latency distributions. Their
+//!    drivers, [`chaos::serve_stream`] and [`load::drive_arrivals`], also
+//!    run `ferex serve-sim`.
 //!
 //! The contract every sweep asserts:
 //!

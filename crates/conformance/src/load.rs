@@ -23,14 +23,15 @@
 use crate::harness::{gen_vectors, metric_label, BackendKind};
 use crate::oracle::Oracle;
 use crate::report::{LoadReport, LoadScenario, LoadV2Replica, LoadV2Report, LoadV2Scenario};
-use ferex_analog::lta::LtaParams;
-use ferex_core::serve::{CostModel, Request, ServeLoop, ServeLoopStats, ServePolicy};
+use ferex_core::serve::{
+    Completion, CostModel, Request, ServeLoop, ServeLoopStats, ServePolicy, ShedEvent,
+};
 use ferex_core::{
-    derive_replica_seed, BrownoutPolicy, CircuitConfig, DistanceMetric, FerexArray, HedgePolicy,
-    LatencyModel, QuorumPolicy, ReplicaPolicy, ReplicaSet,
+    derive_replica_seed, BrownoutPolicy, DistanceMetric, FerexError, HedgePolicy, LatencyModel,
+    QuorumPolicy, ReplicaPolicy, ReplicaSet,
 };
 use ferex_fefet::math::splitmix64;
-use ferex_fefet::{FaultPlan, Technology, VariationModel};
+use ferex_fefet::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -39,7 +40,7 @@ use std::collections::VecDeque;
 /// from the conformance, replica, and query streams.
 const LOAD_STREAM_SALT: u64 = 0x10AD_5EED_F00D_7105;
 
-/// Bernoulli sub-slots per virtual tick of the open-loop arrival process.
+/// Bernoulli sub-slots per virtual tick of a seeded event stream ([`firing_draws`]).
 const SUBSLOTS: u64 = 8;
 
 /// Distinct query payloads a scenario cycles through.
@@ -54,11 +55,13 @@ pub enum ArrivalModel {
         /// Expected arrivals per 1000 ticks.
         rate_milli: u64,
     },
-    /// Closed loop: `outstanding` requests per tenant are kept in flight;
-    /// every completion immediately submits the tenant's next request at
-    /// its completion tick.
+    /// Closed loop: `outstanding` requests are kept in flight; every
+    /// completion immediately submits its tenant's next request at its
+    /// completion tick. The caller decides how the count spreads over
+    /// tenants: the load simulator keeps `outstanding` per tenant, `ferex
+    /// serve-sim` `outstanding` in all.
     ClosedLoop {
-        /// In-flight requests per tenant.
+        /// Requests kept in flight.
         outstanding: usize,
     },
 }
@@ -167,29 +170,168 @@ impl LoadSpec {
 /// implementation serves the v1 and v2 load reports and the CLI).
 pub use ferex_core::stats::percentile;
 
-/// One pending future arrival of the driver (closed-loop respawns).
-#[derive(Debug, Clone, Copy)]
-struct FutureArrival {
-    tick: u64,
-    tenant: usize,
-}
-
-/// Per-replica latency telemetry of one load run, alongside the
-/// [`LoadScenario`] row — the raw material of the v2 report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Latency telemetry of one load run, alongside the [`LoadScenario`] row —
+/// the raw material of the v2 report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadDetail {
     /// Final serving-loop counters (hedges, wins, demotions, re-probes).
     pub stats: ServeLoopStats,
-    /// Sampled modeled service ticks per replica, in charge order.
-    pub samples: Vec<Vec<u64>>,
-    /// Final per-replica latency EWMA, per-mille of the expected cost.
-    pub ewma_milli: Vec<u64>,
-    /// Hedges issued against each replica.
-    pub hedged_against: Vec<u64>,
-    /// Hedge wins credited to each replica.
-    pub hedge_wins_by: Vec<u64>,
-    /// Final per-replica brownout routing demerit, per-mille.
-    pub demerit_milli: Vec<u64>,
+    /// Per-replica telemetry ([`replica_telemetry`]).
+    pub per_replica: Vec<LoadV2Replica>,
+}
+
+/// Per-replica latency telemetry of `sim`: each replica's modeled service
+/// ticks, latency EWMA, hedges and brownout demerit, its model labelled
+/// `model(i)`.
+pub fn replica_telemetry(sim: &ServeLoop, model: impl Fn(usize) -> String) -> Vec<LoadV2Replica> {
+    (0..sim.set().n_replicas())
+        .map(|i| {
+            let mut sorted = sim.replica_samples(i).to_vec();
+            sorted.sort_unstable();
+            let status = sim.set().status(i);
+            LoadV2Replica {
+                replica: i,
+                model: model(i),
+                reads: sorted.len() as u64,
+                p50_ticks: percentile(&sorted, 50, 100),
+                p99_ticks: percentile(&sorted, 99, 100),
+                max_ticks: sorted.last().copied().unwrap_or(0),
+                ewma_milli: status.latency_ewma_milli,
+                hedged_against: sim.hedged_against().get(i).copied().unwrap_or(0),
+                hedge_wins: sim.hedge_wins_by().get(i).copied().unwrap_or(0),
+                demerit_milli: status.latency_demerit_milli,
+            }
+        })
+        .collect()
+}
+
+/// The draws of `tick`'s sub-slots that fire in a seeded Bernoulli stream
+/// of `rate_milli` expected events per 1000 ticks, in sub-slot order:
+/// open-loop arrivals and `ferex serve-sim`'s churn events.
+pub fn firing_draws(seed: u64, tick: u64, rate_milli: u64) -> impl Iterator<Item = u64> {
+    let threshold = bernoulli_threshold(rate_milli);
+    (0..SUBSLOTS)
+        .map(move |slot| splitmix64(seed ^ splitmix64(tick * SUBSLOTS + slot)))
+        .filter(move |&draw| draw < threshold)
+}
+
+/// What [`drive_arrivals`] served.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArrivalRun {
+    /// Every completion, in poll order.
+    pub completions: Vec<Completion>,
+    /// Every shed request, in poll order.
+    pub sheds: Vec<ShedEvent>,
+    /// The latest completion tick (0 when nothing completed).
+    pub end_tick: u64,
+    /// `false` when the run stopped at the tick ceiling undrained.
+    pub drained: bool,
+}
+
+/// Drives `sim` through `n` seeded arrivals on its virtual tick clock until
+/// all are submitted, the queue is empty and the last completion's tick
+/// has passed, or until tick `max_ticks`. Each tick runs `events(sim,
+/// tick)` (kills, revives, scrubs, mutations), the tick's arrivals, one
+/// [`ServeLoop::poll`] and the drain check, in that order.
+///
+/// Open-loop requests arrive on the [`firing_draws`] of `seed` at the
+/// model's rate, times the burst's multiplier inside its window. A closed
+/// loop starts one request per `in_flight` tenant at tick 0, and each
+/// completion respawns one for its tenant at its completion tick.
+/// `request(i, tick, tenant)` builds the `i`-th request; `tenant` is the
+/// respawned tenant, `None` under an open loop.
+///
+/// # Errors
+///
+/// The first [`ServeLoop::submit`] or [`ServeLoop::poll`] error.
+#[allow(clippy::too_many_arguments)]
+pub fn drive_arrivals(
+    sim: &mut ServeLoop,
+    model: ArrivalModel,
+    burst: Option<BurstWindow>,
+    seed: u64,
+    n: usize,
+    in_flight: &[usize],
+    max_ticks: u64,
+    mut events: impl FnMut(&mut ServeLoop, u64),
+    mut request: impl FnMut(usize, u64, Option<usize>) -> Request,
+) -> Result<ArrivalRun, FerexError> {
+    let mut run =
+        ArrivalRun { completions: Vec::new(), sheds: Vec::new(), end_tick: 0, drained: false };
+    // Closed-loop respawns as (tick, tenant), in tick order: completion
+    // ticks are monotone across polls.
+    let mut respawns: VecDeque<(u64, usize)> = in_flight.iter().map(|&t| (0, t)).collect();
+    let mut submitted = 0usize;
+    for tick in 0..max_ticks {
+        events(sim, tick);
+        match model {
+            ArrivalModel::OpenLoop { rate_milli } => {
+                let mult = match burst {
+                    Some(b) if (b.from_tick..b.until_tick).contains(&tick) => b.mult,
+                    _ => 1,
+                };
+                for _ in firing_draws(seed, tick, rate_milli.saturating_mul(mult)) {
+                    if submitted >= n {
+                        break;
+                    }
+                    sim.submit(request(submitted, tick, None))?;
+                    submitted += 1;
+                }
+            }
+            ArrivalModel::ClosedLoop { .. } => {
+                while let Some((_, tenant)) = respawns.pop_front_if(|(at, _)| *at <= tick) {
+                    if submitted < n {
+                        sim.submit(request(submitted, tick, Some(tenant)))?;
+                        submitted += 1;
+                    }
+                }
+            }
+        }
+        let (completions, sheds) = sim.poll(tick)?;
+        for c in &completions {
+            run.end_tick = run.end_tick.max(c.completion_tick);
+            if matches!(model, ArrivalModel::ClosedLoop { .. }) {
+                respawns.push_back((c.completion_tick, c.tenant));
+            }
+        }
+        run.completions.extend(completions);
+        run.sheds.extend(sheds);
+        if submitted >= n && sim.queue_depth() == 0 && tick >= run.end_tick {
+            run.drained = true;
+            break;
+        }
+    }
+    Ok(run)
+}
+
+/// Attaches a seeded latency model to every replica of `set`:
+/// [`LatencyModel::healthy`] on `cost`, replica `i` seeded with
+/// [`derive_replica_seed`]`(seed, i)`, at `jitter_milli`, slowed by its
+/// per-mille factor in `slow`, and aging when `degrade` names it.
+///
+/// # Errors
+///
+/// [`ReplicaSet::set_latency_model`] errors.
+pub fn attach_latency_models(
+    set: &mut ReplicaSet,
+    cost: CostModel,
+    seed: u64,
+    slow: &[(usize, u64)],
+    degrade: Option<(usize, u64)>,
+    jitter_milli: u64,
+) -> Result<(), FerexError> {
+    for i in 0..set.n_replicas() {
+        let mut model = LatencyModel::healthy(cost, derive_replica_seed(seed, i as u64));
+        model.jitter_milli = jitter_milli;
+        if let Some(&(_, factor)) = slow.iter().find(|&&(r, _)| r == i) {
+            model.slow_factor_milli = factor;
+        }
+        if let Some((_, rate)) = degrade.filter(|&(r, _)| r == i) {
+            model.degrade_milli_per_kilotick = rate;
+        }
+        set.set_latency_model(i, model)?;
+    }
+    Ok(())
 }
 
 /// Runs one load scenario to completion (stream end + queue drain) and
@@ -230,174 +372,106 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
     if let Some((r, _)) = spec.degrade {
         assert!(r < spec.replicas, "degrading replica out of range");
     }
-    let encoding = crate::harness::encoding_for(spec.metric, spec.bits)
-        // lint:allow(panic-safety/expect, reason = "standard specs use sizable (metric, bits) cells")
-        .expect("sizing must succeed");
     let mut data_rng = StdRng::seed_from_u64(spec.derived_seed(0));
     let stored = gen_vectors(spec.rows, spec.dim, spec.bits, &mut data_rng);
     let oracle = Oracle::new(spec.metric, stored.clone());
     let pool = gen_vectors(QUERY_POOL, spec.dim, spec.bits, &mut data_rng);
     let expected: Vec<usize> = pool.iter().map(|q| oracle.nearest(q)).collect();
     let base_seed = spec.derived_seed(1);
-
-    // Replicas at the fault-isolation corner: any recall loss would be the
-    // serving ladder's doing, not the devices'.
-    let mut replicas = Vec::with_capacity(spec.replicas);
-    for i in 0..spec.replicas {
-        let cfg = CircuitConfig {
-            variation: VariationModel::none(),
-            lta: LtaParams::ideal(),
-            faults: FaultPlan::none(),
-            seed: derive_replica_seed(base_seed, i as u64),
-            ..Default::default()
-        };
-        let mut array = FerexArray::new(
-            Technology::default(),
-            encoding.clone(),
-            spec.dim,
-            spec.backend.backend(cfg),
-        );
-        // lint:allow(panic-safety/expect, reason = "generated symbols are in range by construction")
-        array.store_all(stored.iter().cloned()).expect("in-range by construction");
-        array.program();
-        replicas.push(array);
-    }
-    let quorum = QuorumPolicy { reads: spec.reads, agree: spec.agree };
-    let replica_policy = ReplicaPolicy { quorum, brownout: spec.brownout, ..Default::default() };
-    // lint:allow(panic-safety/expect, reason = "standard specs build a valid quorum over equal replicas")
-    let set = ReplicaSet::new(replicas, spec.metric, replica_policy).expect("valid replica set");
-    let policy = ServePolicy {
-        target_batch: spec.target_batch,
-        queue_capacity: spec.queue_capacity,
-        quantum: spec.quantum,
-        cost: spec.cost,
-        max_wait_ticks: spec.max_wait_ticks,
-        hedge: spec.hedge,
-    };
-    // lint:allow(panic-safety/expect, reason = "spec knobs validated above; store is non-empty")
-    let mut sim = ServeLoop::new(set, spec.tenants, policy).expect("valid serving policy");
-
-    if spec.latency_models {
-        let latency_seed = spec.derived_seed(6);
-        for i in 0..spec.replicas {
-            let mut model =
-                LatencyModel::healthy(spec.cost, derive_replica_seed(latency_seed, i as u64));
-            model.jitter_milli = spec.jitter_milli.min(1000);
-            if let Some(&(_, f)) = spec.slow_replicas.iter().find(|&&(r, _)| r == i) {
-                model.slow_factor_milli = f;
-            }
-            if spec.degrade.is_some_and(|(r, _)| r == i) {
-                model.degrade_milli_per_kilotick = spec.degrade.map_or(0, |(_, d)| d);
-            }
-            // lint:allow(panic-safety/expect, reason = "indices and knobs validated above")
-            sim.set_mut().set_latency_model(i, model).expect("validated latency model");
+    let in_flight: Vec<usize> = match spec.arrivals {
+        ArrivalModel::OpenLoop { .. } => Vec::new(),
+        ArrivalModel::ClosedLoop { outstanding } => {
+            assert!(outstanding >= 1, "closed loop needs at least one outstanding request");
+            (0..spec.tenants).flat_map(|tenant| std::iter::repeat_n(tenant, outstanding)).collect()
         }
-    }
-
+    };
     // Domain-separated attribute streams, all keyed on the submission
     // counter so open- and closed-loop runs share one vocabulary.
-    let arrival_seed = spec.derived_seed(2);
-    let tenant_seed = spec.derived_seed(3);
-    let prio_seed = spec.derived_seed(4);
-    let query_seed = spec.derived_seed(5);
-
-    let mut submitted = 0usize;
+    let (tenant_seed, prio_seed, query_seed) =
+        (spec.derived_seed(3), spec.derived_seed(4), spec.derived_seed(5));
     let mut pool_of_qid: Vec<usize> = Vec::with_capacity(spec.n_requests);
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut hits = 0u64;
-    let mut respawns: VecDeque<FutureArrival> = VecDeque::new();
-    let mut end_tick = 0u64;
-    let mut tick = 0u64;
 
-    // Seed the closed loop: `outstanding` requests per tenant at tick 0.
-    if let ArrivalModel::ClosedLoop { outstanding } = spec.arrivals {
-        assert!(outstanding >= 1, "closed loop needs at least one outstanding request");
-        for tenant in 0..spec.tenants {
-            for _ in 0..outstanding {
-                respawns.push_back(FutureArrival { tick: 0, tenant });
-            }
+    let mut simulate = || -> Result<(ServeLoop, ArrivalRun), FerexError> {
+        let encoding = crate::harness::encoding_for(spec.metric, spec.bits)?;
+        // Replicas at the fault-isolation corner: any recall loss would be
+        // the serving ladder's doing, not the devices'.
+        let mut replicas = Vec::with_capacity(spec.replicas);
+        for i in 0..spec.replicas {
+            let seed = derive_replica_seed(base_seed, i as u64);
+            let mut array = spec.backend.corner_array(&encoding, spec.dim, FaultPlan::none(), seed);
+            array.store_all(stored.iter().cloned())?;
+            array.program();
+            replicas.push(array);
         }
-    }
-
-    let submit =
-        |sim: &mut ServeLoop, pool_of_qid: &mut Vec<usize>, n: usize, tick: u64, tenant: usize| {
-            let pi = (splitmix64(query_seed ^ splitmix64(n as u64)) % QUERY_POOL as u64) as usize;
-            let priority = (splitmix64(prio_seed ^ splitmix64(n as u64)) % 8) as u32; // lint:allow(cast-truncation/narrowing, reason = "value < 8 by the modulo")
-            let query = pool.get(pi).cloned().unwrap_or_default();
-            pool_of_qid.push(pi);
-            let req = Request {
-                tenant,
-                priority,
-                arrival_tick: tick,
-                deadline_ticks: spec.deadline_ticks,
-                query,
-            };
-            // lint:allow(panic-safety/expect, reason = "tenant and payload are in range by construction")
-            sim.submit(req).expect("valid request");
+        let quorum = QuorumPolicy { reads: spec.reads, agree: spec.agree };
+        let replica_policy =
+            ReplicaPolicy { quorum, brownout: spec.brownout, ..Default::default() };
+        let set = ReplicaSet::new(replicas, spec.metric, replica_policy)?;
+        let policy = ServePolicy {
+            target_batch: spec.target_batch,
+            queue_capacity: spec.queue_capacity,
+            quantum: spec.quantum,
+            cost: spec.cost,
+            max_wait_ticks: spec.max_wait_ticks,
+            hedge: spec.hedge,
         };
-
-    loop {
-        assert!(tick < spec.max_ticks, "load scenario failed to drain within max_ticks");
-        // Chaos schedule first: the tick's arrivals see the degraded set.
-        if let Some((r, at)) = spec.kill {
-            if at == tick {
-                sim.set_mut().kill(r);
-            }
+        let mut sim = ServeLoop::new(set, spec.tenants, policy)?;
+        if spec.latency_models {
+            attach_latency_models(
+                sim.set_mut(),
+                spec.cost,
+                spec.derived_seed(6),
+                &spec.slow_replicas,
+                spec.degrade,
+                spec.jitter_milli.min(1000),
+            )?;
         }
-        if let Some((r, at)) = spec.revive {
-            if at == tick {
-                sim.set_mut().revive(r);
-            }
-        }
-        // Arrivals due this tick.
-        match spec.arrivals {
-            ArrivalModel::OpenLoop { rate_milli } => {
-                let mult = match spec.burst {
-                    Some(b) if tick >= b.from_tick && tick < b.until_tick => b.mult,
-                    _ => 1,
-                };
-                let threshold = bernoulli_threshold(rate_milli.saturating_mul(mult));
-                for slot in 0..SUBSLOTS {
-                    if submitted >= spec.n_requests {
-                        break;
-                    }
-                    let draw = splitmix64(arrival_seed ^ splitmix64(tick * SUBSLOTS + slot));
-                    if draw < threshold {
-                        let t_draw = splitmix64(tenant_seed ^ splitmix64(submitted as u64));
-                        let tenant = pick_tenant(t_draw, spec.tenants, spec.hot_tenant);
-                        submit(&mut sim, &mut pool_of_qid, submitted, tick, tenant);
-                        submitted += 1;
-                    }
+        let run = drive_arrivals(
+            &mut sim,
+            spec.arrivals,
+            spec.burst,
+            spec.derived_seed(2),
+            spec.n_requests,
+            &in_flight,
+            spec.max_ticks,
+            // Chaos schedule first: the tick's arrivals see the degraded set.
+            |sim, tick| {
+                if let Some((r, _)) = spec.kill.filter(|&(_, at)| at == tick) {
+                    sim.set_mut().kill(r);
                 }
-            }
-            ArrivalModel::ClosedLoop { .. } => {
-                while respawns.front().is_some_and(|f| f.tick <= tick) {
-                    let Some(f) = respawns.pop_front() else { break };
-                    if submitted >= spec.n_requests {
-                        continue;
-                    }
-                    submit(&mut sim, &mut pool_of_qid, submitted, tick, f.tenant);
-                    submitted += 1;
+                if let Some((r, _)) = spec.revive.filter(|&(_, at)| at == tick) {
+                    sim.set_mut().revive(r);
                 }
-            }
-        }
-        // Serve.
-        // lint:allow(panic-safety/expect, reason = "ticks are monotone and queries pre-validated")
-        let (completions, _sheds) = sim.poll(tick).expect("monotone ticks");
-        for c in &completions {
-            latencies.push(c.latency());
-            end_tick = end_tick.max(c.completion_tick);
+            },
+            |i, tick, tenant| {
+                let draw = |seed: u64| splitmix64(seed ^ splitmix64(i as u64));
+                let pi = (draw(query_seed) % QUERY_POOL as u64) as usize;
+                pool_of_qid.push(pi);
+                Request {
+                    tenant: tenant.unwrap_or_else(|| {
+                        pick_tenant(draw(tenant_seed), spec.tenants, spec.hot_tenant)
+                    }),
+                    priority: (draw(prio_seed) % 8) as u32, // lint:allow(cast-truncation/narrowing, reason = "value < 8 by the modulo")
+                    arrival_tick: tick,
+                    deadline_ticks: spec.deadline_ticks,
+                    query: pool.get(pi).cloned().unwrap_or_default(),
+                }
+            },
+        )?;
+        Ok((sim, run))
+    };
+    // lint:allow(panic-safety/expect, reason = "spec knobs validated above; standard specs size and hold in-range data")
+    let (sim, ArrivalRun { completions, end_tick, drained, .. }) =
+        simulate().expect("valid load scenario");
+    assert!(drained, "load scenario failed to drain within max_ticks");
+    let mut latencies: Vec<u64> = completions.iter().map(Completion::latency).collect();
+    let hits = completions
+        .iter()
+        .filter(|c| {
             let want = pool_of_qid.get(c.qid as usize).and_then(|&pi| expected.get(pi));
-            hits += u64::from(want == Some(&c.outcome.outcome.nearest));
-            if matches!(spec.arrivals, ArrivalModel::ClosedLoop { .. }) {
-                respawns.push_back(FutureArrival { tick: c.completion_tick, tenant: c.tenant });
-            }
-        }
-        if submitted >= spec.n_requests && sim.queue_depth() == 0 && tick >= end_tick {
-            break;
-        }
-        tick += 1;
-    }
+            want == Some(&c.outcome.outcome.nearest)
+        })
+        .count() as u64;
 
     let stats = sim.stats();
     let served = stats.served;
@@ -405,16 +479,8 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
     latencies.sort_unstable();
     let goodput_milli = served.saturating_mul(1000) / ticks;
     let recall_at_1 = if served == 0 { 1.0 } else { hits as f64 / served as f64 };
-    let detail = LoadDetail {
-        stats,
-        samples: (0..spec.replicas).map(|i| sim.replica_samples(i).to_vec()).collect(),
-        ewma_milli: (0..spec.replicas).map(|i| sim.set().status(i).latency_ewma_milli).collect(),
-        hedged_against: sim.hedged_against().to_vec(),
-        hedge_wins_by: sim.hedge_wins_by().to_vec(),
-        demerit_milli: (0..spec.replicas)
-            .map(|i| sim.set().status(i).latency_demerit_milli)
-            .collect(),
-    };
+    let per_replica = replica_telemetry(&sim, |i| replica_model_label(spec, i));
+    let detail = LoadDetail { stats, per_replica };
     let scenario = LoadScenario {
         name: spec.name.to_string(),
         metric: metric_label(spec.metric).to_string(),
@@ -423,10 +489,7 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         dim: spec.dim,
         tenants: spec.tenants,
         arrivals: spec.arrivals.label(),
-        burst: match spec.burst {
-            Some(b) => format!("{}..{}x{}", b.from_tick, b.until_tick, b.mult),
-            None => "none".to_string(),
-        },
+        burst: or_none(spec.burst.map(|b| format!("{}..{}x{}", b.from_tick, b.until_tick, b.mult))),
         hot_tenant: spec.hot_tenant,
         n_requests: spec.n_requests,
         target_batch: spec.target_batch,
@@ -438,8 +501,8 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         replicas: spec.replicas,
         reads: spec.reads,
         agree: spec.agree,
-        kill: chaos_label(spec.kill),
-        revive: chaos_label(spec.revive),
+        kill: or_none(spec.kill.map(|(r, at)| format!("r{r}@{at}"))),
+        revive: or_none(spec.revive.map(|(r, at)| format!("r{r}@{at}"))),
         submitted: stats.submitted,
         served,
         shed_capacity: stats.shed_capacity,
@@ -478,25 +541,16 @@ fn pick_tenant(draw: u64, tenants: usize, hot: Option<usize>) -> usize {
     }
 }
 
-fn chaos_label(event: Option<(usize, u64)>) -> String {
-    match event {
-        Some((r, at)) => format!("r{r}@{at}"),
-        None => "none".to_string(),
-    }
+/// A report label, `none` when absent.
+fn or_none(label: Option<String>) -> String {
+    label.unwrap_or_else(|| "none".to_string())
 }
 
-/// The fixed scenario matrix behind the standard load report. All cells
-/// run the Noisy backend at the fault-isolation corner with the
-/// [`CostModel::noisy_10k`] service costs — the 64-query-equivalent Noisy
-/// 10k-row configuration measured by the PR 6 kernel bench (62 ticks per
-/// lone query, ~10.8 amortized at batch 64).
-///
-/// The two `goodput-*` cells feed the acceptance gate: offered load is 64
-/// requests per 1000 ticks ≈ 4x the single-query service capacity
-/// (1/62 per tick), and the adaptive cell must clear 3x the goodput of
-/// the batch-size-1 cell with p999 under the 512-tick deadline.
-pub fn standard_load_specs(seed: u64) -> Vec<LoadSpec> {
-    let base = LoadSpec {
+/// The shape every standard load cell starts from: 2-bit Hamming on two
+/// Noisy replicas at the fault-isolation corner, 240 open-loop requests
+/// at 40 per 1000 ticks from two tenants, no chaos and no latency models.
+fn base_load_spec(seed: u64) -> LoadSpec {
+    LoadSpec {
         name: "",
         metric: DistanceMetric::Hamming,
         backend: BackendKind::Noisy,
@@ -527,7 +581,21 @@ pub fn standard_load_specs(seed: u64) -> Vec<LoadSpec> {
         max_wait_ticks: 0,
         max_ticks: 100_000,
         seed,
-    };
+    }
+}
+
+/// The fixed scenario matrix behind the standard load report. All cells
+/// run the Noisy backend at the fault-isolation corner with the
+/// [`CostModel::noisy_10k`] service costs — the 64-query-equivalent Noisy
+/// 10k-row configuration measured by the PR 6 kernel bench (62 ticks per
+/// lone query, ~10.8 amortized at batch 64).
+///
+/// The two `goodput-*` cells feed the acceptance gate: offered load is 64
+/// requests per 1000 ticks ≈ 4x the single-query service capacity
+/// (1/62 per tick), and the adaptive cell must clear 3x the goodput of
+/// the batch-size-1 cell with p999 under the 512-tick deadline.
+pub fn standard_load_specs(seed: u64) -> Vec<LoadSpec> {
+    let base = base_load_spec(seed);
     vec![
         LoadSpec { name: "steady-open-4t", tenants: 4, ..base.clone() },
         LoadSpec {
@@ -626,30 +694,10 @@ pub fn standard_load_report(seed: u64) -> LoadReport {
 /// p999 while the unhedged leg of the same cell blows past 5x it.
 pub fn standard_load_v2_specs(seed: u64) -> Vec<LoadSpec> {
     let base = LoadSpec {
-        name: "",
-        metric: DistanceMetric::Hamming,
-        backend: BackendKind::Noisy,
-        bits: 2,
-        dim: 8,
-        rows: 16,
-        tenants: 2,
-        arrivals: ArrivalModel::OpenLoop { rate_milli: 40 },
-        burst: None,
-        hot_tenant: None,
-        n_requests: 240,
-        target_batch: 16,
         deadline_ticks: 4096,
-        queue_capacity: 64,
-        quantum: 1,
-        cost: CostModel::noisy_10k(),
         replicas: 3,
         reads: 2,
-        agree: 1,
-        kill: None,
-        revive: None,
         latency_models: true,
-        slow_replicas: Vec::new(),
-        degrade: None,
         jitter_milli: 1000,
         hedge: Some(HedgePolicy { quantile_milli: 950, budget_milli: 500 }),
         brownout: Some(BrownoutPolicy {
@@ -659,7 +707,7 @@ pub fn standard_load_v2_specs(seed: u64) -> Vec<LoadSpec> {
         }),
         max_wait_ticks: 256,
         max_ticks: 200_000,
-        seed,
+        ..base_load_spec(seed)
     };
     vec![
         LoadSpec { name: "v2-all-healthy", ..base.clone() },
@@ -682,24 +730,6 @@ pub fn run_load_v2(spec: &LoadSpec) -> LoadV2Scenario {
     let (hedged, detail) = run_load_detailed(spec);
     let unhedged_spec = LoadSpec { hedge: None, brownout: None, ..spec.clone() };
     let (unhedged, _) = run_load_detailed(&unhedged_spec);
-    let per_replica = (0..spec.replicas)
-        .map(|i| {
-            let mut sorted = detail.samples.get(i).cloned().unwrap_or_default();
-            sorted.sort_unstable();
-            LoadV2Replica {
-                replica: i,
-                model: replica_model_label(spec, i),
-                reads: sorted.len() as u64,
-                p50_ticks: percentile(&sorted, 50, 100),
-                p99_ticks: percentile(&sorted, 99, 100),
-                max_ticks: sorted.last().copied().unwrap_or(0),
-                ewma_milli: detail.ewma_milli.get(i).copied().unwrap_or(1000),
-                hedged_against: detail.hedged_against.get(i).copied().unwrap_or(0),
-                hedge_wins: detail.hedge_wins_by.get(i).copied().unwrap_or(0),
-                demerit_milli: detail.demerit_milli.get(i).copied().unwrap_or(0),
-            }
-        })
-        .collect();
     LoadV2Scenario {
         name: spec.name.to_string(),
         metric: metric_label(spec.metric).to_string(),
@@ -712,19 +742,18 @@ pub fn run_load_v2(spec: &LoadSpec) -> LoadV2Scenario {
         replicas: spec.replicas,
         reads: spec.reads,
         agree: spec.agree,
-        slow: slow_label(&spec.slow_replicas),
-        degrade: match spec.degrade {
-            Some((r, d)) => format!("r{r}@{d}"),
-            None => "none".to_string(),
-        },
-        hedge: match spec.hedge {
-            Some(h) => format!("q={},b={}", h.quantile_milli, h.budget_milli),
-            None => "none".to_string(),
-        },
-        brownout: match spec.brownout {
-            Some(b) => format!("t={},rp={}", b.demote_threshold_milli, b.reprobe_ticks),
-            None => "none".to_string(),
-        },
+        slow: or_none((!spec.slow_replicas.is_empty()).then(|| {
+            spec.slow_replicas
+                .iter()
+                .map(|(r, f)| format!("r{r}@{f}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        })),
+        degrade: or_none(spec.degrade.map(|(r, d)| format!("r{r}@{d}"))),
+        hedge: or_none(spec.hedge.map(|h| format!("q={},b={}", h.quantile_milli, h.budget_milli))),
+        brownout: or_none(
+            spec.brownout.map(|b| format!("t={},rp={}", b.demote_threshold_milli, b.reprobe_ticks)),
+        ),
         submitted: hedged.submitted,
         served: hedged.served,
         shed_capacity: hedged.shed_capacity,
@@ -745,7 +774,7 @@ pub fn run_load_v2(spec: &LoadSpec) -> LoadV2Scenario {
         unhedged_p99: unhedged.p99,
         unhedged_p999: unhedged.p999,
         unhedged_goodput_milli: unhedged.goodput_milli,
-        per_replica,
+        per_replica: detail.per_replica,
     }
 }
 
@@ -763,13 +792,6 @@ fn replica_model_label(spec: &LoadSpec, i: usize) -> String {
         }
     }
     "healthy".to_string()
-}
-
-fn slow_label(slow: &[(usize, u64)]) -> String {
-    if slow.is_empty() {
-        return "none".to_string();
-    }
-    slow.iter().map(|(r, f)| format!("r{r}@{f}")).collect::<Vec<_>>().join(",")
 }
 
 /// Generates the v2 latency/hedging load report from one seed.
@@ -791,6 +813,23 @@ mod tests {
         assert!(t2 >= t1 * 2 && t2 - t1 * 2 <= 1, "t1 = {t1}, t2 = {t2}");
         // 8000 milli = one arrival per sub-slot: the full range.
         assert_eq!(bernoulli_threshold(8000), u64::MAX);
+    }
+
+    #[test]
+    fn firing_draws_thin_the_subslots_by_rate() {
+        assert_eq!(firing_draws(7, 3, 0).count(), 0);
+        assert_eq!(firing_draws(7, 3, 8000).count(), SUBSLOTS as usize);
+        // Over many ticks, 1000 events per 1000 ticks fire once per tick
+        // on average, and every fired draw sits under the threshold.
+        let fired: usize = (0..4000).map(|tick| firing_draws(11, tick, 1000).count()).sum();
+        assert!((3600..4400).contains(&fired), "{fired} events in 4000 ticks");
+        assert!((0..100).all(|t| firing_draws(11, t, 250).all(|d| d < bernoulli_threshold(250))));
+    }
+
+    #[test]
+    #[should_panic(expected = "load scenario failed to drain within max_ticks")]
+    fn a_run_stopped_at_its_tick_ceiling_is_malformed() {
+        run_load(&LoadSpec { max_ticks: 50, ..standard_load_specs(3).remove(0) });
     }
 
     #[test]

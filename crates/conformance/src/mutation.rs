@@ -26,13 +26,12 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ferex_analog::lta::LtaParams;
 use ferex_core::{
-    derive_replica_seed, CellEncoding, CircuitConfig, DistanceMetric, FerexArray, FerexError,
-    MutationPolicy, QuorumPolicy, ReplicaPolicy, ReplicaSet,
+    derive_replica_seed, CellEncoding, DistanceMetric, FerexArray, FerexError, MutationPolicy,
+    QuorumPolicy, ReplicaPolicy, ReplicaSet,
 };
 use ferex_fefet::math::splitmix64;
-use ferex_fefet::{Technology, VariationModel};
+use ferex_fefet::FaultPlan;
 
 use crate::harness::{gen_vectors, BackendKind};
 use crate::report::{ChurnSoak, MutationReport, MutationScenario, WearRow};
@@ -96,18 +95,7 @@ fn build_replica(
     seed: u64,
     live: &BTreeMap<u64, Vec<u32>>,
 ) -> Result<FerexArray, FerexError> {
-    let cfg = CircuitConfig {
-        variation: VariationModel::none(),
-        lta: LtaParams::ideal(),
-        seed,
-        ..Default::default()
-    };
-    let mut array = FerexArray::new(
-        Technology::default(),
-        encoding.clone(),
-        spec.dim,
-        spec.backend.backend(cfg),
-    );
+    let mut array = spec.backend.corner_array(encoding, spec.dim, FaultPlan::none(), seed);
     array.enable_mutation(policy)?;
     for (id, v) in live {
         array.insert(*id, v.clone())?;
@@ -316,13 +304,7 @@ fn run_churn_soak_inner(seed: u64) -> Result<ChurnSoak, FerexError> {
     let leg = |leveling: bool| -> Result<WearRow, FerexError> {
         let mut policy = MutationPolicy::with_capacity(CHURN_CAPACITY);
         policy.wear_leveling = leveling;
-        let cfg = CircuitConfig { seed, ..Default::default() };
-        let mut a = FerexArray::new(
-            Technology::default(),
-            encoding.clone(),
-            4,
-            BackendKind::Ideal.backend(cfg),
-        );
+        let mut a = BackendKind::Ideal.corner_array(&encoding, 4, FaultPlan::none(), seed);
         a.enable_mutation(policy)?;
         for id in 0..CHURN_LIVE as u64 {
             a.insert(id, vec![(id % 4) as u32; 4])?; // lint:allow(cast-truncation/narrowing, reason = "value < 4 by the modulo")

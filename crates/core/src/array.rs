@@ -1908,16 +1908,15 @@ impl FerexArray {
     ///
     /// # Errors
     ///
+    /// [`FerexError::InvalidPolicy`] when `row` is out of range;
     /// [`FerexError::NotProgrammed`] on a stale array;
     /// [`FerexError::SparesExhausted`] when no usable spare is left — the
     /// row is then *excluded* from search (graceful degradation), so the
     /// error reports the state change, it does not roll it back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
     pub fn quarantine_row(&mut self, row: usize) -> Result<usize, FerexError> {
-        assert!(row < self.len(), "row {row} out of range");
+        if row >= self.len() {
+            return Err(FerexError::InvalidPolicy { what: "quarantined row is out of range" });
+        }
         self.require_programmed()?;
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
             spare_rows: 0,
@@ -3170,6 +3169,26 @@ mod tests {
         );
         let h = a.health();
         assert_eq!((h.spares_in_use, h.rows_quarantined_now, h.rows_active), (1, 1, 5));
+    }
+
+    #[test]
+    fn quarantining_a_row_past_the_array_is_refused() {
+        let mut a = hamming_array(4, Backend::Noisy(Box::new(faulty_cfg(FaultPlan::none(), 5))));
+        a.set_repair_policy(RepairPolicy { spare_rows: 1, ..Default::default() }).unwrap();
+        for v in stored_rows(4) {
+            a.store(v).unwrap();
+        }
+        let refused = Err(FerexError::InvalidPolicy { what: "quarantined row is out of range" });
+        // Range is checked first: a stale array refuses the row the same way.
+        assert_eq!(a.quarantine_row(6), refused);
+        a.program_verified().unwrap();
+        let before = a.health();
+        assert_eq!(a.quarantine_row(6), refused);
+        assert_eq!(a.quarantine_row(usize::MAX), refused);
+        assert_eq!(a.health(), before, "a refused quarantine changes nothing");
+        assert!((0..6).all(|r| a.row_health(r) == RowHealth::Healthy));
+        // The last row is in range.
+        assert!(a.quarantine_row(5).is_ok());
     }
 
     #[test]

@@ -367,16 +367,11 @@ impl MutationState {
         let mut sorted = self.row_cycles.clone();
         sorted.sort_unstable();
         let total: u64 = sorted.iter().sum();
-        let rank = |p: usize| {
-            // Nearest-rank percentile over the sorted cycle counts.
-            let idx = (p * n).div_ceil(100).clamp(1, n) - 1;
-            sorted.get(idx).copied().unwrap_or(0)
-        };
         WearSummary {
             max_cycles: sorted.last().copied().unwrap_or(0),
             mean_milli: total.saturating_mul(1000) / n as u64,
-            p50_cycles: rank(50),
-            p90_cycles: rank(90),
+            p50_cycles: crate::stats::percentile(&sorted, 50, 100),
+            p90_cycles: crate::stats::percentile(&sorted, 90, 100),
             total_writes: self.writes,
             compactions: self.compactions,
         }
