@@ -8,7 +8,6 @@
 //!   ScL current summation, optional IR-drop, and inhibited row writes.
 //! * [`opamp`] — the per-row ScL clamp (slew + linear settling).
 //! * [`lta`] — loser-take-all current comparison with input-referred offset.
-//! * [`interface`] — the write/search mode MUX per row.
 //! * [`driver`] — DAC / level-shifter energies.
 //! * [`parasitics`] — DESTINY-style 45nm wire RC.
 //! * [`delay`], [`energy`] — the Fig. 6 timing and energy models.
@@ -40,7 +39,6 @@ pub mod crossbar;
 pub mod delay;
 pub mod driver;
 pub mod energy;
-pub mod interface;
 pub mod lta;
 pub mod montecarlo;
 pub mod noise;
@@ -53,7 +51,6 @@ pub use crossbar::{ArrayOptions, ColumnDrive, Crossbar};
 pub use delay::{DelayBreakdown, DelayModel};
 pub use driver::DriverParams;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use interface::{RowInterface, RowMode};
 pub use lta::LtaParams;
 pub use montecarlo::{McResult, MonteCarlo};
 pub use noise::NoiseModel;

@@ -22,18 +22,24 @@
 //!
 //! # Lifecycle: program, then search
 //!
-//! Mutation and sensing are separate phases, mirroring the hardware. Writes
-//! ([`FerexArray::store`], [`FerexArray::insert`], …) mark the physical
-//! state stale; [`FerexArray::program`] is the explicit, idempotent
-//! transition that instantiates it (crossbar cells, or variation samples
-//! and first-ON levels).
+//! Mutation and sensing are separate phases, mirroring the hardware. The
+//! array holds a durable record (the stored codes, the slot table, the
+//! repair policy, the health counters and the programming generator) and
+//! one value derived from it, the programmed state: the backend's cells
+//! (crossbar cells, or variation samples and first-ON levels), their
+//! fault overlay, and this programming's row map, spare table and verify
+//! report. [`FerexArray::program`] is the explicit, idempotent transition
+//! that derives it; a positional write ([`FerexArray::store`],
+//! [`FerexArray::clear`], a reconfiguration, a new policy) drops it whole,
+//! and a slot-table write ([`FerexArray::insert`], …) delta-programs it.
 //! Every read — [`FerexArray::distances_batch`],
 //! [`FerexArray::search_batch_at`], [`FerexArray::search_k_batch_at`] and
 //! [`FerexArray::read_digital`] — then takes `&self` and changes no state,
 //! so a programmed array can serve queries from many threads concurrently.
-//! Searching a stochastic backend whose state is stale returns
-//! [`FerexError::NotProgrammed`]; the ideal backend has no physical state
-//! and never needs programming.
+//! Reads, scrubs, quarantines and delta writes reach the state through one
+//! accessor: a stochastic backend whose state was dropped returns
+//! [`FerexError::NotProgrammed`], while the ideal backend's cells hold
+//! nothing, so it never needs programming.
 //!
 //! Sensing noise (the LTA offset) is drawn from a generator derived from
 //! the backend seed and the caller's query id, so a search depends only on
@@ -55,7 +61,9 @@ use ferex_analog::parasitics::WireParams;
 use ferex_fefet::faults::EffectiveCell;
 use ferex_fefet::math::splitmix64;
 use ferex_fefet::units::{Amp, Volt};
-use ferex_fefet::{CellFault, CellReadback, CellVerify, FaultPlan, Technology, VariationModel};
+use ferex_fefet::{
+    CellFault, CellReadback, CellVerify, DeviceSample, FaultPlan, Technology, VariationModel,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -169,6 +177,9 @@ pub struct SearchOutcome {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Every field but `programmed` is the durable record, which a write
+/// changes and [`FerexArray::program`] derives `programmed` from.
 #[derive(Debug, Clone)]
 pub struct FerexArray {
     tech: Technology,
@@ -180,41 +191,72 @@ pub struct FerexArray {
     /// mutator and read by every kernel, plus the bit-planes the popcount
     /// kernel packs on first use and the mutators keep in sync.
     codes: SoaCodes,
-    crossbar: Option<Crossbar>,
-    /// Per-cell variation samples of the `Noisy` backend (row-major).
-    noisy_samples: Option<Vec<ferex_fefet::DeviceSample>>,
-    /// The `Noisy` backend's programmed responses, one byte per physical
-    /// cell (row-major, beside `noisy_samples`): the first gate-ladder
-    /// level that turns the cell on, or [`NEVER_ON`]. Derived by
-    /// [`FerexArray::program`] and kept in step with every later change
-    /// to a programmed cell by [`FerexArray::sync_first_on`].
-    first_on: Option<Vec<u8>>,
-    /// Per-cell hard-fault map (row-major physical cells), materialized by
-    /// [`FerexArray::program`] when the backend's fault plan is non-benign.
-    fault_map: Option<Vec<CellFault>>,
-    /// Aged per-level thresholds (index = stored level), materialized
-    /// alongside `fault_map`; `None` means fresh nominal levels.
-    aged_vth: Option<Vec<Volt>>,
-    /// Backend seed, cached for per-query stream derivation.
-    seed: u64,
-    /// Generator consumed by [`FerexArray::program`] (variation sampling).
+    /// Generator consumed by [`FerexArray::program`] (variation sampling):
+    /// a re-programming continues its stream.
     program_rng: StdRng,
     /// Self-healing policy; `None` keeps the array byte-identical to the
     /// policy-free behavior (no spares, no sentinels, no verification).
     repair: Option<RepairPolicy>,
+    /// Lifetime health counters (survive re-programming).
+    counters: HealthCounters,
+    /// Online-mutation state (`None` keeps the legacy positional-mutator
+    /// behavior byte-identical); see [`FerexArray::enable_mutation`].
+    mutation: Option<MutationState>,
+    /// The state of the current programming; `None` after any write. Every
+    /// read, scrub, quarantine and delta write reaches it through
+    /// [`FerexArray::programmed`].
+    programmed: Option<Programmed>,
+}
+
+/// What one [`FerexArray::program`] derives from the stored record: the
+/// backend's cells, their fault overlay, and the repair state of this
+/// programming. A write drops it whole.
+#[derive(Debug, Clone)]
+struct Programmed {
+    cells: Cells,
+    faults: Faults,
     /// Logical-row → health map; empty means identity (no policy active).
     row_map: Vec<RowHealth>,
     /// Allocation state of the spare physical rows.
     spare_state: Vec<SpareState>,
-    /// Lifetime health counters (survive re-programming).
-    counters: HealthCounters,
-    /// Cached report of the last [`FerexArray::program_verified`] pass,
-    /// dropped whenever the physical state is invalidated.
-    program_report: Option<ProgramReport>,
-    /// Online-mutation state (`None` keeps the legacy positional-mutator
-    /// behavior byte-identical); see [`FerexArray::enable_mutation`].
-    mutation: Option<MutationState>,
+    /// Cached report of the [`FerexArray::program_verified`] pass.
+    report: Option<ProgramReport>,
 }
+
+/// The programmed cells, one variant per backend, always the array's own:
+/// [`FerexArray::program`] builds it from the backend.
+#[derive(Debug, Clone)]
+enum Cells {
+    /// The stored codes are the cells: nothing to hold.
+    Ideal,
+    /// Per-cell variation samples (row-major physical cells) and, one
+    /// byte per cell beside them, the first gate-ladder level that turns
+    /// the cell on, or [`NEVER_ON`]. Every later change to a programmed
+    /// cell re-derives its row's levels ([`FerexArray::sync_first_on`]).
+    Noisy { samples: Vec<DeviceSample>, first_on: Vec<u8> },
+    /// The device-level crossbar.
+    Circuit(Crossbar),
+}
+
+/// The fault overlay of one programming, each part materialized only
+/// when the backend's fault plan needs it: the per-cell hard-fault map
+/// (row-major physical cells) and the aged per-level thresholds (`None`:
+/// fresh nominal levels).
+#[derive(Debug, Clone)]
+struct Faults {
+    map: Option<Vec<CellFault>>,
+    aged: Option<Vec<Volt>>,
+}
+
+/// The state an Ideal array reads from until it holds one of its own: no
+/// repair map and no report. A scrub or a quarantine starts from a copy.
+static UNPROGRAMMED: Programmed = Programmed {
+    cells: Cells::Ideal,
+    faults: Faults { map: None, aged: None },
+    row_map: Vec::new(),
+    spare_state: Vec::new(),
+    report: None,
+};
 
 impl FerexArray {
     /// Creates an empty array for vectors of `dim` symbols.
@@ -235,19 +277,11 @@ impl FerexArray {
             dim,
             backend,
             codes: SoaCodes::new(dim, plane_bits),
-            crossbar: None,
-            noisy_samples: None,
-            first_on: None,
-            fault_map: None,
-            aged_vth: None,
-            seed,
             program_rng: StdRng::seed_from_u64(seed),
             repair: None,
-            row_map: Vec::new(),
-            spare_state: Vec::new(),
             counters: HealthCounters::default(),
-            program_report: None,
             mutation: None,
+            programmed: None,
         }
     }
 
@@ -313,23 +347,21 @@ impl FerexArray {
         }
         self.codes.set_plane_bits(soa::plane_bits(&encoding));
         self.encoding = encoding;
-        self.invalidate_physical_state();
+        self.programmed = None;
         Ok(())
     }
 
-    /// Drops all materialized physical state (crossbar cells, variation
-    /// samples, fault maps, row health): any mutation re-stales the array
-    /// until the next [`FerexArray::program`]. The lifetime health
-    /// counters survive.
-    fn invalidate_physical_state(&mut self) {
-        self.crossbar = None;
-        self.noisy_samples = None;
-        self.first_on = None;
-        self.fault_map = None;
-        self.aged_vth = None;
-        self.row_map.clear();
-        self.spare_state.clear();
-        self.program_report = None;
+    /// The backend's configuration; the ideal backend has none.
+    fn config(&self) -> Option<&CircuitConfig> {
+        match &self.backend {
+            Backend::Ideal => None,
+            Backend::Circuit(cfg) | Backend::Noisy(cfg) => Some(cfg),
+        }
+    }
+
+    /// The current programming's row map; empty (identity) without one.
+    fn row_map(&self) -> &[RowHealth] {
+        self.programmed.as_ref().map_or(&[], |state| &state.row_map)
     }
 
     /// Spare physical rows reserved by the repair policy.
@@ -376,14 +408,14 @@ impl FerexArray {
     /// `false` when [`FerexArray::physical_row`] serves every row: there
     /// is no slot table and no repair map, so no row can be excluded.
     fn excludes_rows(&self) -> bool {
-        self.mutation.is_some() || !self.row_map.is_empty()
+        self.mutation.is_some() || !self.row_map().is_empty()
     }
 
     /// The physical row backing slot `r` through the repair map alone,
     /// ignoring slot liveness — the write target of mutation-path delta
     /// programs (which fill slots that are not live *yet*).
     fn phys_for_slot(&self, r: usize) -> Option<usize> {
-        match self.row_map.get(r).copied().unwrap_or(RowHealth::Healthy) {
+        match self.row_map().get(r).copied().unwrap_or(RowHealth::Healthy) {
             RowHealth::Healthy => Some(r),
             RowHealth::Remapped { spare } => Some(spare),
             RowHealth::Quarantined => None,
@@ -412,7 +444,8 @@ impl FerexArray {
                 return true;
             }
         }
-        !self.row_map.is_empty() && self.row_map.iter().all(|h| matches!(h, RowHealth::Quarantined))
+        let row_map = self.row_map();
+        !row_map.is_empty() && row_map.iter().all(|h| matches!(h, RowHealth::Quarantined))
     }
 
     /// Checks that a vector has this array's dimension and that every
@@ -453,7 +486,7 @@ impl FerexArray {
         }
         self.validate(&vector)?;
         self.codes.push_row(&vector);
-        self.invalidate_physical_state(); // re-program lazily
+        self.programmed = None; // re-program lazily
         Ok(())
     }
 
@@ -495,7 +528,7 @@ impl FerexArray {
         }
         self.codes = source.codes.clone();
         self.codes.set_plane_bits(soa::plane_bits(&self.encoding));
-        self.invalidate_physical_state();
+        self.programmed = None;
         Ok(())
     }
 
@@ -505,7 +538,7 @@ impl FerexArray {
     pub fn clear(&mut self) {
         self.codes.clear();
         self.mutation = None;
-        self.invalidate_physical_state();
+        self.programmed = None;
     }
 
     /// Builds the column drives for a query (shared by search and the cost
@@ -529,94 +562,54 @@ impl FerexArray {
 
     /// Programs the physical state for the current contents: the crossbar
     /// cells (`Circuit`) or the per-cell variation samples and first-ON
-    /// gate levels (`Noisy`). The explicit write→search phase transition:
-    /// idempotent — re-invoking on an already-programmed array is a no-op —
-    /// and required after any mutation before the `&self` read path will
-    /// serve a stochastic backend. The ideal backend has no physical state;
-    /// for it this is always a no-op.
+    /// gate levels (`Noisy`), and their fault overlay. The explicit
+    /// write→search phase transition: idempotent — re-invoking on an
+    /// already-programmed array is a no-op — and required after any
+    /// mutation before the `&self` read path will serve a stochastic
+    /// backend. The ideal backend's cells hold nothing, so it serves
+    /// without this.
     pub fn program(&mut self) {
+        // An empty stochastic array draws nothing and holds no state.
+        if self.programmed.is_some() || (self.is_empty() && self.config().is_some()) {
+            return;
+        }
         // A repair policy reserves spare and sentinel rows *after* the
         // logical rows, so the logical rows' variation draws and fault-map
         // entries are byte-identical to the policy-free layout.
-        if self.repair.is_some() && self.row_map.len() != self.len() {
-            self.row_map = vec![RowHealth::Healthy; self.len()];
-            self.spare_state = vec![SpareState::Free; self.spares()];
-        }
-        match &self.backend {
-            Backend::Ideal => {}
+        let (rows, cols) = (self.physical_rows(), self.physical_cols());
+        let (cells, faults) = match &self.backend {
+            Backend::Ideal => (Cells::Ideal, Faults { map: None, aged: None }),
             Backend::Circuit(cfg) => {
-                if self.crossbar.is_some() || self.is_empty() {
-                    return;
-                }
-                let rows = self.physical_rows();
-                let cols = self.physical_cols();
                 let plan = cfg.faults;
-                let mut xb = Crossbar::with_variation(
-                    self.tech.clone(),
-                    cfg.wire,
-                    rows,
-                    cols,
-                    &cfg.variation,
-                    &mut self.program_rng,
-                );
-                let fault_map = (!plan.is_benign()).then(|| plan.fault_map(self.seed, rows * cols));
-                let aged = plan.has_aging().then(|| plan.aged_vth_table(&self.tech));
-                for (r, codes) in self.codes.as_slice().chunks(self.dim).enumerate() {
-                    program_crossbar_row(
-                        &mut xb,
-                        &self.tech,
-                        &self.encoding,
-                        &plan,
-                        fault_map.as_deref(),
-                        aged.as_deref(),
-                        r,
-                        codes,
-                    );
-                }
-                // Sentinels carry known codewords; spares stay erased until
-                // a remap re-stores a logical vector onto them.
-                for j in 0..self.sentinels() {
-                    let codeword = self.sentinel_codeword(j);
-                    program_crossbar_row(
-                        &mut xb,
-                        &self.tech,
-                        &self.encoding,
-                        &plan,
-                        fault_map.as_deref(),
-                        aged.as_deref(),
-                        self.sentinel_phys(j),
-                        &codeword,
-                    );
-                }
-                self.crossbar = Some(xb);
-                self.fault_map = fault_map;
-                self.aged_vth = aged;
+                let faults = Faults {
+                    map: (!plan.is_benign()).then(|| plan.fault_map(cfg.seed, rows * cols)),
+                    aged: plan.has_aging().then(|| plan.aged_vth_table(&self.tech)),
+                };
+                let (tech, rng) = (self.tech.clone(), &mut self.program_rng);
+                let xb = Crossbar::with_variation(tech, cfg.wire, rows, cols, &cfg.variation, rng);
+                (Cells::Circuit(xb), faults)
             }
             Backend::Noisy(cfg) => {
-                if self.noisy_samples.is_some() || self.is_empty() {
-                    return;
-                }
-                let cols = self.physical_cols();
-                let n = self.physical_rows() * cols;
-                let variation = cfg.variation;
-                let plan = cfg.faults;
-                if !plan.is_benign() {
-                    self.fault_map = Some(plan.fault_map(self.seed, n));
-                    self.aged_vth = Some(plan.aged_vth_table(&self.tech));
-                }
+                let n = rows * cols;
+                let (variation, plan) = (cfg.variation, cfg.faults);
+                let faulted = !plan.is_benign();
+                let faults = Faults {
+                    map: faulted.then(|| plan.fault_map(cfg.seed, n)),
+                    aged: faulted.then(|| plan.aged_vth_table(&self.tech)),
+                };
                 // One pass draws each physical row's samples (in cell
                 // order, so the stream is the same as ever) and derives the
                 // row's first-ON levels while they are hot; a second pass
                 // over the samples would add to every set-up. Spare rows
                 // stay NEVER_ON until a remap stores a vector onto them.
-                let ladder = self.ladder();
+                let ladder = Ladder::new(&self.tech, &self.encoding, plan);
                 let mut samples = Vec::with_capacity(n);
                 let mut first_on = vec![NEVER_ON; n];
                 for (phys, levels) in first_on.chunks_mut(cols.max(1)).enumerate() {
                     let start = samples.len();
                     samples.extend((0..cols).map(|_| {
                         if variation.is_nominal() {
-                            ferex_fefet::DeviceSample::NOMINAL
+                            DeviceSample::NOMINAL
                         } else {
                             variation.sample(&mut self.program_rng)
                         }
@@ -625,11 +618,24 @@ impl FerexArray {
                     let codeword = sentinel.map(|j| self.sentinel_codeword(j));
                     if let Some(codes) = codeword.as_deref().or_else(|| self.codes.row(phys)) {
                         let row_samples = samples.get(start..).unwrap_or_default();
-                        self.derive_first_on(&ladder, row_samples, phys, codes, levels);
+                        ladder.derive_row(&faults, row_samples, phys * cols, codes, levels);
                     }
                 }
-                self.noisy_samples = Some(samples);
-                self.first_on = Some(first_on);
+                (Cells::Noisy { samples, first_on }, faults)
+            }
+        };
+        self.programmed = Some(Programmed { cells, faults, ..UNPROGRAMMED.clone() });
+        if matches!(self.backend, Backend::Circuit(_)) {
+            // Every logical row, then the sentinels' known codewords;
+            // spares stay erased until a remap re-stores a logical vector
+            // onto them.
+            for r in 0..self.len() {
+                let codes = self.codes.row(r).unwrap_or_default().to_vec();
+                self.program_circuit_row(r, &codes);
+            }
+            for j in 0..self.sentinels() {
+                let codeword = self.sentinel_codeword(j);
+                self.program_circuit_row(self.sentinel_phys(j), &codeword);
             }
         }
     }
@@ -639,26 +645,36 @@ impl FerexArray {
     /// the fault plan is benign, the array unprogrammed, or the backend
     /// ideal.
     pub fn fault_map(&self) -> Option<&[CellFault]> {
-        self.fault_map.as_deref()
+        self.programmed.as_ref().and_then(|state| state.faults.map.as_deref())
     }
 
     /// `true` when the physical state matches the stored contents — i.e.
     /// the `&self` read path will serve. Always `true` for the ideal
     /// backend and for an empty array.
     pub fn is_programmed(&self) -> bool {
-        match &self.backend {
-            Backend::Ideal => true,
-            Backend::Circuit(_) => self.is_empty() || self.crossbar.is_some(),
-            Backend::Noisy(_) => self.is_empty() || self.noisy_samples.is_some(),
+        self.is_empty() || self.programmed().is_ok()
+    }
+
+    /// The programmed state, the one way in for every read, scrub,
+    /// quarantine and delta write; an Ideal array that holds none reads
+    /// [`UNPROGRAMMED`].
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::NotProgrammed`] on a stochastic array a write left stale.
+    fn programmed(&self) -> Result<&Programmed, FerexError> {
+        match &self.programmed {
+            Some(state) => Ok(state),
+            None if matches!(self.backend, Backend::Ideal) => Ok(&UNPROGRAMMED),
+            None => Err(FerexError::NotProgrammed),
         }
     }
 
-    fn require_programmed(&self) -> Result<(), FerexError> {
-        if self.is_programmed() {
-            Ok(())
-        } else {
-            Err(FerexError::NotProgrammed)
-        }
+    /// [`FerexArray::programmed`] for a change to the state: the same
+    /// refusal; an Ideal array that holds none takes [`UNPROGRAMMED`]'s.
+    fn programmed_mut(&mut self) -> Result<&mut Programmed, FerexError> {
+        self.programmed()?;
+        Ok(self.programmed.get_or_insert_with(|| UNPROGRAMMED.clone()))
     }
 
     /// The sensing-noise generator for query id `qid`: derived from the
@@ -666,17 +682,15 @@ impl FerexArray {
     /// for adjacent base seeds) are decorrelated, and a given `(seed, qid)`
     /// pair always reproduces the same draw.
     fn rng_for_query(&self, qid: u64) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(self.seed ^ splitmix64(qid ^ QUERY_STREAM_SALT)))
+        let seed = self.config().map_or(0, |cfg| cfg.seed);
+        StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(qid ^ QUERY_STREAM_SALT)))
     }
 
     /// The LTA a search senses with, checked before any work: an offset
     /// σ that is negative or not finite is no standard deviation (a
     /// negative or NaN one would panic the draws).
     fn search_lta(&self) -> Result<LtaParams, FerexError> {
-        let lta = match &self.backend {
-            Backend::Ideal => LtaParams::ideal(),
-            Backend::Circuit(cfg) | Backend::Noisy(cfg) => cfg.lta,
-        };
+        let lta = self.config().map_or_else(LtaParams::ideal, |cfg| cfg.lta);
         let sigma = lta.offset_sigma.value();
         if sigma.is_finite() && sigma >= 0.0 {
             Ok(lta)
@@ -745,22 +759,24 @@ impl FerexArray {
         if self.is_empty() {
             return Err(FerexError::Empty);
         }
-        self.require_programmed()?;
+        let state = self.programmed()?;
         if self.all_excluded() {
             return Err(FerexError::Empty);
         }
-        match &self.backend {
-            Backend::Ideal => {
+        match &state.cells {
+            Cells::Ideal => {
                 let (distances, nearest) = self.ideal_reads(queries);
                 Ok((distances, Some(nearest)))
             }
-            Backend::Noisy(_) => {
+            Cells::Noisy { samples, first_on } => {
                 let rows = |r| Some((self.physical_row(r)?, self.codes.row(r)?));
-                Ok((self.noisy_units(self.len(), rows, queries)?, None))
+                let distances =
+                    self.noisy_units(samples, first_on, &state.faults, self.len(), rows, queries)?;
+                Ok((distances, None))
             }
-            Backend::Circuit(cfg) => {
+            Cells::Circuit(xb) => {
                 let distances: Result<_, _> =
-                    queries.par_iter().map(|q| self.circuit_distances(cfg, q)).collect();
+                    queries.par_iter().map(|q| self.circuit_distances(xb, q)).collect();
                 Ok((distances?, None))
             }
         }
@@ -788,15 +804,11 @@ impl FerexArray {
     /// One query's `Circuit` read: one crossbar solve, then every logical
     /// row reads its physical row's current (itself or its spare), or
     /// `INFINITY` when excluded from search.
-    fn circuit_distances(
-        &self,
-        cfg: &CircuitConfig,
-        query: &[u32],
-    ) -> Result<Vec<f64>, FerexError> {
+    fn circuit_distances(&self, xb: &Crossbar, query: &[u32]) -> Result<Vec<f64>, FerexError> {
         let drives = self.drives_for(query)?;
-        let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
         let i_unit = self.tech.i_unit().value();
-        let currents = xb.search(&drives, &cfg.options);
+        let options = self.config().map(|cfg| cfg.options).unwrap_or_default();
+        let currents = xb.search(&drives, &options);
         Ok((0..self.len())
             .map(|r| {
                 self.physical_row(r)
@@ -921,94 +933,22 @@ impl FerexArray {
         best.0
     }
 
-    /// The voltages a first-ON derivation compares.
-    fn ladder(&self) -> Ladder {
-        debug_assert!(self.tech.n_vth_levels < usize::from(NEVER_ON), "first-ON levels are bytes");
-        Ladder {
-            gates: (0..=self.tech.n_vth_levels).map(|j| self.tech.search_voltage(j)).collect(),
-            fresh: (0..self.tech.n_vth_levels).map(|i| self.tech.vth_level(i)).collect(),
-        }
-    }
-
-    /// One programmed `Noisy` cell's electrical state: its threshold
-    /// (`None`: it never conducts) and its resistor factor. With fault
-    /// state materialized this is [`FaultPlan::effective_cell`] of the
-    /// cell's fault, aged level and sample; without, `vth_level(level) +
-    /// ΔV_th` and the sample's own `r_factor`. Neither reads the gate, so
-    /// once programmed, a cell's response to every drive is fixed.
-    fn noisy_cell(
-        &self,
-        index: usize,
-        level: usize,
-        sample: &ferex_fefet::DeviceSample,
-    ) -> EffectiveCell {
-        match (&self.fault_map, &self.aged_vth, &self.backend) {
-            (Some(map), Some(aged), Backend::Noisy(cfg)) => {
-                let fault = map.get(index).copied().unwrap_or(CellFault::None);
-                cfg.faults.effective_cell(&self.tech, fault, aged, level, sample)
-            }
-            _ => EffectiveCell {
-                vth: Some(self.tech.vth_level(level) + sample.dvth),
-                r_factor: sample.r_factor,
-            },
-        }
-    }
-
-    /// Derives the first-ON level of every cell of physical row `phys`,
-    /// programmed with `codes`, into `out` (one byte per cell), from the
-    /// row's variation `samples`: the smallest `j` with `ladder[j] > V_th`,
-    /// or [`NEVER_ON`].
-    ///
-    /// Exact, because the ladder rises with `j`: the gates at or below
-    /// `V_th` are a prefix of it, so their count is that smallest `j` (see
-    /// [`Ladder::first_on`]), and for every gate level `g`, `g ≥ first_on`
-    /// holds exactly when `search_voltage(g) > V_th`, the float comparison
-    /// that defines the cell's conduction.
-    fn derive_first_on(
-        &self,
-        ladder: &Ladder,
-        samples: &[ferex_fefet::DeviceSample],
-        phys: usize,
-        codes: &[u8],
-        out: &mut [u8],
-    ) {
-        let k = self.encoding.k;
-        let row_base = phys * self.physical_cols();
-        let faulted = self.fault_map.is_some() && self.aged_vth.is_some();
-        let cells = samples.chunks(k).zip(out.chunks_mut(k)).zip(codes);
-        for (d, ((cell_samples, cell_out), &s)) in cells.enumerate() {
-            let Some(st) = self.encoding.stored.get(usize::from(s)) else { continue };
-            let fets = st.vth_levels.iter().zip(cell_samples).zip(cell_out);
-            for (f, ((&level, sample), first_on)) in fets.enumerate() {
-                *first_on = if faulted {
-                    let vth = self.noisy_cell(row_base + d * k + f, level, sample).vth;
-                    vth.map_or(NEVER_ON, |vth| ladder.first_on(vth, level))
-                } else {
-                    // `noisy_cell`'s `vth_level(level) + ΔV_th`, from the
-                    // cached levels.
-                    match ladder.fresh.get(level) {
-                        Some(&fresh) => ladder.first_on(fresh + sample.dvth, level),
-                        None => NEVER_ON,
-                    }
-                };
-            }
-        }
-    }
-
     /// Re-derives the first-ON levels of physical row `phys` from the
     /// codes it now holds: the one patch point for every change to a
     /// programmed `Noisy` row after [`FerexArray::program`] — a trim, a
-    /// spare brought up, a code write. A no-op without `Noisy` state.
+    /// spare brought up, a code write. A no-op without `Noisy` cells.
     fn sync_first_on(&mut self, phys: usize, codes: &[u8]) {
-        let Some(mut first_on) = self.first_on.take() else { return };
-        let cols = self.physical_cols();
-        let ladder = self.ladder();
+        let (cols, plan) = (self.physical_cols(), self.plan());
+        let Some(Programmed { cells: Cells::Noisy { samples, first_on }, faults, .. }) =
+            &mut self.programmed
+        else {
+            return;
+        };
         let row = phys * cols..(phys + 1) * cols;
-        let samples = self.noisy_samples.as_deref().and_then(|s| s.get(row.clone()));
-        if let (Some(samples), Some(out)) = (samples, first_on.get_mut(row)) {
-            self.derive_first_on(&ladder, samples, phys, codes, out);
+        if let (Some(samples), Some(out)) = (samples.get(row.clone()), first_on.get_mut(row)) {
+            let ladder = Ladder::new(&self.tech, &self.encoding, plan);
+            ladder.derive_row(faults, samples, phys * cols, codes, out);
         }
-        self.first_on = Some(first_on);
     }
 
     /// Writes `vector` into slot `slot`'s codes (zeroes them when `None`)
@@ -1019,7 +959,7 @@ impl FerexArray {
             Some(v) => self.codes.set_row(slot, v),
             None => self.codes.zero_row(slot),
         }
-        if self.first_on.is_none() {
+        if !matches!(self.programmed, Some(Programmed { cells: Cells::Noisy { .. }, .. })) {
             return;
         }
         if let (Some(phys), Some(codes)) = (self.phys_for_slot(slot), self.codes.row(slot)) {
@@ -1030,8 +970,9 @@ impl FerexArray {
 
     /// The `Noisy` read kernel, behind every Noisy read at any batch size
     /// and the scrub probe: the current (in `I_unit` multiples) each of
-    /// `queries` sinks from each of `rows` rows, query-major. `row_at(i)`
-    /// names row `i`'s physical row and stored codes, or `None` for a row
+    /// `queries` sinks from each of `rows` rows of the programmed cells
+    /// (`samples`, `first_on`, `faults`), query-major. `row_at(i)` names
+    /// row `i`'s physical row and stored codes, or `None` for a row
     /// excluded from search, which reads `INFINITY`.
     ///
     /// Rows go in blocks of [`NOISY_BLOCK_ROWS`], fanned out over threads.
@@ -1049,22 +990,19 @@ impl FerexArray {
     ///
     /// # Errors
     ///
-    /// [`FerexError::NotProgrammed`] without programmed `Noisy` state;
     /// [`FerexError::SymbolOutOfRange`] for a query symbol past the search
     /// alphabet.
     fn noisy_units<'c>(
         &self,
+        samples: &[DeviceSample],
+        first_on: &[u8],
+        faults: &Faults,
         rows: usize,
         row_at: impl Fn(usize) -> Option<(usize, &'c [u8])> + Sync,
         queries: &[Vec<u32>],
     ) -> Result<Vec<Vec<f64>>, FerexError> {
-        let (Some(samples), Some(first_on)) =
-            (self.noisy_samples.as_deref(), self.first_on.as_deref())
-        else {
-            return Err(FerexError::NotProgrammed);
-        };
-        let k = self.encoding.k;
-        let cols = self.physical_cols();
+        let (k, cols) = (self.encoding.k, self.physical_cols());
+        let (tech, plan) = (&self.tech, self.plan());
         let n_search = self.encoding.n_search();
         // Each search symbol's drive per FeFET: (gate level, drain multiple).
         let drives: Vec<(usize, u32)> = self
@@ -1155,12 +1093,12 @@ impl FerexArray {
                             };
                             let index = phys * cols + d * k + f;
                             on[lane] = f64::from(first_on[index]);
-                            r[lane] = match self.fault_map.as_ref().map(|m| m[index]) {
+                            r[lane] = match faults.map.as_ref().map(|m| m[index]) {
                                 None | Some(CellFault::None) => samples[index].r_factor,
                                 Some(_) => {
                                     let level =
                                         self.encoding.stored[usize::from(codes[d])].vth_levels[f];
-                                    self.noisy_cell(index, level, &samples[index]).r_factor
+                                    faults.cell(tech, &plan, index, level, &samples[index]).r_factor
                                 }
                             };
                         }
@@ -1343,7 +1281,7 @@ impl FerexArray {
     pub fn set_repair_policy(&mut self, policy: RepairPolicy) -> Result<(), FerexError> {
         policy.validate()?;
         self.repair = Some(policy);
-        self.invalidate_physical_state();
+        self.programmed = None;
         Ok(())
     }
 
@@ -1355,33 +1293,28 @@ impl FerexArray {
     /// Health of one logical row ([`RowHealth::Healthy`] before any policy
     /// has acted).
     pub fn row_health(&self, row: usize) -> RowHealth {
-        self.row_map.get(row).copied().unwrap_or(RowHealth::Healthy)
+        self.row_map().get(row).copied().unwrap_or(RowHealth::Healthy)
     }
 
     /// The report of the last [`FerexArray::program_verified`] pass, if the
     /// physical state is still current.
     pub fn program_report(&self) -> Option<&ProgramReport> {
-        self.program_report.as_ref()
+        self.programmed.as_ref().and_then(|state| state.report.as_ref())
     }
 
     /// Point-in-time health view: lifetime counters plus the current spare
     /// and row-map occupancy.
     pub fn health(&self) -> HealthSnapshot {
+        let row_map = self.row_map();
+        let spare_state: &[_] = self.programmed.as_ref().map_or(&[], |s| &s.spare_state);
         let spares_in_use =
-            self.spare_state.iter().filter(|s| matches!(s, SpareState::Assigned(_))).count();
-        let spares_burned =
-            self.spare_state.iter().filter(|s| matches!(s, SpareState::Burned)).count();
-        let quarantined =
-            self.row_map.iter().filter(|h| matches!(h, RowHealth::Quarantined)).count();
-        let remapped =
-            self.row_map.iter().filter(|h| matches!(h, RowHealth::Remapped { .. })).count();
+            spare_state.iter().filter(|s| matches!(s, SpareState::Assigned(_))).count();
+        let spares_burned = spare_state.iter().filter(|s| matches!(s, SpareState::Burned)).count();
+        let quarantined = row_map.iter().filter(|h| matches!(h, RowHealth::Quarantined)).count();
+        let remapped = row_map.iter().filter(|h| matches!(h, RowHealth::Remapped { .. })).count();
         HealthSnapshot {
             counters: self.counters,
-            spare_rows: if self.row_map.is_empty() {
-                self.spares()
-            } else {
-                self.spare_state.len()
-            },
+            spare_rows: if row_map.is_empty() { self.spares() } else { spare_state.len() },
             spares_in_use,
             spares_burned,
             rows_active: self.len() - quarantined,
@@ -1392,44 +1325,38 @@ impl FerexArray {
 
     /// The fault plan behind the backend (benign for the ideal backend).
     fn plan(&self) -> FaultPlan {
-        match &self.backend {
-            Backend::Ideal => FaultPlan::none(),
-            Backend::Circuit(cfg) | Backend::Noisy(cfg) => cfg.faults,
-        }
+        self.config().map_or_else(FaultPlan::none, |cfg| cfg.faults)
     }
 
-    /// Post-program readback of the cell at (`phys`, `col`), programmed to
-    /// threshold `level`: the signal the write-verify loop judges.
+    /// Post-program readback of the cell at (`phys`, `col`) of the
+    /// programmed `state`, programmed to threshold `level`: the signal the
+    /// write-verify loop judges.
     ///
     /// # Errors
     ///
-    /// [`FerexError::NotProgrammed`] when the physical state backing the
-    /// cell is missing (e.g. a mutation landed mid-repair) — the serving
-    /// process must survive that, not abort.
+    /// [`FerexError::NotProgrammed`] for a cell outside the programmed
+    /// cells — the serving process must survive that, not abort.
     fn readback_cell(
         &self,
+        state: &Programmed,
         phys: usize,
         col: usize,
         level: usize,
     ) -> Result<CellReadback, FerexError> {
         let index = phys * self.physical_cols() + col;
-        let fault =
-            self.fault_map.as_ref().and_then(|m| m.get(index)).copied().unwrap_or(CellFault::None);
-        let target = self
-            .aged_vth
-            .as_ref()
-            .and_then(|a| a.get(level))
-            .copied()
-            .unwrap_or_else(|| self.tech.vth_level(level));
-        Ok(match &self.backend {
-            Backend::Ideal => CellReadback {
+        let faults = &state.faults;
+        let fault = faults.map.as_ref().and_then(|m| m.get(index)).copied();
+        let fault = fault.unwrap_or(CellFault::None);
+        let target = faults.aged.as_ref().and_then(|a| a.get(level)).copied();
+        let target = target.unwrap_or_else(|| self.tech.vth_level(level));
+        Ok(match &state.cells {
+            Cells::Ideal => CellReadback {
                 residual: Volt(0.0),
                 r_deviation: 0.0,
                 conducts: true,
                 repairable: true,
             },
-            Backend::Noisy(cfg) => {
-                let samples = self.noisy_samples.as_ref().ok_or(FerexError::NotProgrammed)?;
+            Cells::Noisy { samples, .. } => {
                 // A cell outside the sample table was never programmed.
                 let sample = samples.get(index).ok_or(FerexError::NotProgrammed)?;
                 let r_dev = (sample.r_factor - 1.0).abs();
@@ -1454,14 +1381,13 @@ impl FerexArray {
                     },
                     CellFault::ResistorShort => CellReadback {
                         residual: sample.dvth,
-                        r_deviation: (sample.r_factor * cfg.faults.short_residual_r - 1.0).abs(),
+                        r_deviation: (sample.r_factor * self.plan().short_residual_r - 1.0).abs(),
                         conducts: true,
                         repairable: false,
                     },
                 }
             }
-            Backend::Circuit(_) => {
-                let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+            Cells::Circuit(xb) => {
                 let cell = xb.cell(phys, col).ok_or(FerexError::NotProgrammed)?;
                 let (conducts, repairable) = match fault {
                     CellFault::None => (true, true),
@@ -1478,60 +1404,26 @@ impl FerexArray {
         })
     }
 
-    /// Commits a trim of `delta` volts onto the cell's threshold (the net
-    /// effect of the retry pulses the verify loop spent).
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::NotProgrammed`] when there is no physical state to
-    /// trim.
-    fn apply_trim(&mut self, phys: usize, col: usize, delta: Volt) -> Result<(), FerexError> {
-        let index = phys * self.physical_cols() + col;
-        match &self.backend {
-            Backend::Ideal => {}
-            Backend::Noisy(_) => {
-                let samples = self.noisy_samples.as_mut().ok_or(FerexError::NotProgrammed)?;
-                if let Some(s) = samples.get_mut(index) {
-                    s.dvth += delta;
-                }
-            }
-            Backend::Circuit(_) => {
-                let tech = self.tech.clone();
-                let fe = self
-                    .crossbar
-                    .as_mut()
-                    .ok_or(FerexError::NotProgrammed)?
-                    .cell_mut(phys, col)
-                    .ok_or(FerexError::NotProgrammed)?
-                    .fefet_mut()
-                    .ferroelectric_mut();
-                let base = tech.vth_from_polarization(fe.polarization());
-                fe.set_polarization(tech.polarization_for_vth(base + delta));
-            }
-        }
-        Ok(())
-    }
-
     /// Write-verifies every cell of the physical row holding `codes`,
     /// committing trims for repaired cells; returns the per-row tally.
     ///
     /// # Errors
     ///
-    /// [`FerexError::NotProgrammed`] when the physical state vanished
-    /// underneath the verify loop.
+    /// [`FerexError::NotProgrammed`] on a stale array, or for a cell
+    /// outside the programmed cells.
     fn verify_row(
         &mut self,
         phys: usize,
         codes: &[u8],
         policy: &RepairPolicy,
     ) -> Result<RowVerify, FerexError> {
-        let k = self.encoding.k;
+        let (k, cols) = (self.encoding.k, self.physical_cols());
         let mut rv = RowVerify::default();
         for (d, &s) in codes.iter().enumerate() {
             let levels = self.encoding.stored[usize::from(s)].vth_levels.clone(); // lint:allow(panic-safety/index, reason = "symbols validated at store time")
             for (f, &level) in levels.iter().enumerate().take(k) {
                 let col = d * k + f;
-                let rb = self.readback_cell(phys, col, level)?;
+                let rb = self.readback_cell(self.programmed()?, phys, col, level)?;
                 match policy.verify.verify(&rb) {
                     CellVerify::Clean => rv.clean += 1,
                     CellVerify::Repaired { retries, residual } => {
@@ -1539,7 +1431,8 @@ impl FerexArray {
                         rv.retries += retries;
                         self.counters.repairs_attempted += 1;
                         self.counters.repairs_succeeded += 1;
-                        self.apply_trim(phys, col, residual - rb.residual)?;
+                        let dv = residual - rb.residual;
+                        self.programmed_mut()?.cells.trim(cols, phys, col, dv)?;
                     }
                     CellVerify::Failed { retries } => {
                         rv.failed += 1;
@@ -1558,6 +1451,61 @@ impl FerexArray {
         Ok(rv)
     }
 
+    /// Programs physical row `phys` of a Circuit array's crossbar with the
+    /// encoding of `codes`, applying the row's fault-map entries and aging
+    /// — the single definition used for logical rows, sentinels, spare
+    /// bring-up and delta writes, so all of them see identical device
+    /// behavior. A no-op on the other backends.
+    fn program_circuit_row(&mut self, phys: usize, codes: &[u8]) {
+        let (k, cols, plan) = (self.encoding.k, self.physical_cols(), self.plan());
+        let Some(Programmed { cells: Cells::Circuit(xb), faults, .. }) = &mut self.programmed
+        else {
+            return;
+        };
+        let tech = &self.tech;
+        // lint:allow(panic-safety/index, reason = "codes are validated against the encoding before programming; f < k and stored encodings carry exactly k levels")
+        for (d, &s) in codes.iter().enumerate() {
+            let st = &self.encoding.stored[usize::from(s)];
+            for f in 0..k {
+                let col = d * k + f;
+                let level = st.vth_levels[f];
+                let fault = faults.map.as_ref().and_then(|m| m.get(phys * cols + col));
+                let fault = fault.copied().unwrap_or(CellFault::None);
+                match fault {
+                    CellFault::None | CellFault::ResistorShort => {
+                        xb.program(phys, col, level);
+                        if let Some(aged) = &faults.aged {
+                            // Aging moves the written polarization; the
+                            // device's own ΔVth stays intact.
+                            let vth = aged.get(level).copied();
+                            let vth = vth.unwrap_or_else(|| tech.vth_level(level));
+                            let p = tech.polarization_for_vth(vth);
+                            if let Some(cell) = xb.cell_mut(phys, col) {
+                                cell.fefet_mut().ferroelectric_mut().set_polarization(p);
+                            }
+                        }
+                        if fault == CellFault::ResistorShort {
+                            if let Some(cell) = xb.cell_mut(phys, col) {
+                                cell.scale_resistance(plan.short_residual_r);
+                            }
+                        }
+                    }
+                    // Stuck fully set: conducts as the lowest level.
+                    CellFault::StuckAtLowVth => xb.program(phys, col, 0),
+                    // Stuck fully reset: the erased state sits above every
+                    // search level, so leave the fresh cell.
+                    CellFault::StuckAtHighVth => {}
+                    CellFault::ResistorOpen => {
+                        xb.program(phys, col, level);
+                        if let Some(cell) = xb.cell_mut(phys, col) {
+                            cell.scale_resistance(OPEN_RESISTANCE_SCALE);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Quarantines a logical row and tries to bring up a spare for it:
     /// each free spare is programmed with the row's vector and
     /// write-verified; a spare that fails verify itself is burned and the
@@ -1565,70 +1513,53 @@ impl FerexArray {
     ///
     /// # Errors
     ///
-    /// [`FerexError::NotProgrammed`] when the physical state is missing
-    /// mid-quarantine; the row stays quarantined, nothing is served stale.
+    /// [`FerexError::NotProgrammed`] on a stale array, or for a spare cell
+    /// outside the programmed cells; the row then stays as it was.
     fn quarantine_internal(
         &mut self,
         row: usize,
         policy: &RepairPolicy,
     ) -> Result<RemapResult, FerexError> {
-        self.counters.rows_quarantined += 1;
+        let (rows, spares, first_spare) = (self.len(), self.spares(), self.spare_phys(0));
+        let state = self.programmed_mut()?;
+        state.build_repair_map(rows, spares);
         // Re-quarantining a remapped row retires the spare that just
         // misbehaved.
-        // lint:allow(panic-safety/index, reason = "row_map is sized to stored at program time and row comes from a bounds-checked caller; j < spare_state.len() by the loop bound")
-        if let RowHealth::Remapped { spare } = self.row_map[row] {
-            for j in 0..self.spare_state.len() {
-                if self.spare_phys(j) == spare {
-                    self.spare_state[j] = SpareState::Burned;
-                }
+        if let Some(&RowHealth::Remapped { spare }) = state.row_map.get(row) {
+            let retired = spare.checked_sub(first_spare).and_then(|j| state.spare_state.get_mut(j));
+            if let Some(retired) = retired {
+                *retired = SpareState::Burned;
             }
         }
+        let free = state.spare_state.iter().enumerate().filter(|(_, s)| **s == SpareState::Free);
+        let free: Vec<usize> = free.map(|(j, _)| j).collect();
+        self.counters.rows_quarantined += 1;
         let mut result = RemapResult::default();
         let codes = self.codes.row(row).unwrap_or_default().to_vec();
-        // lint:allow(panic-safety/index, reason = "j < spare_state.len() by the loop bound; row_map is sized to stored at program time")
-        for j in 0..self.spare_state.len() {
-            if self.spare_state[j] != SpareState::Free {
-                continue;
-            }
-            let phys = self.spare_phys(j);
-            if matches!(self.backend, Backend::Circuit(_)) {
-                // Re-store the logical vector onto the spare's cells (they
-                // were left erased by program()).
-                let plan = self.plan();
-                let mut xb = match self.crossbar.take() {
-                    Some(xb) => xb,
-                    None => {
-                        self.row_map[row] = RowHealth::Quarantined;
-                        return Err(FerexError::NotProgrammed);
-                    }
-                };
-                program_crossbar_row(
-                    &mut xb,
-                    &self.tech,
-                    &self.encoding,
-                    &plan,
-                    self.fault_map.as_deref(),
-                    self.aged_vth.as_deref(),
-                    phys,
-                    &codes,
-                );
-                self.crossbar = Some(xb);
-            }
-            // A Noisy spare's cells keep their samples; their first-ON
-            // levels follow the vector the spare now holds.
+        for j in free {
+            // Re-store the logical vector onto the spare's cells: a Circuit
+            // spare was left erased by program(), a Noisy spare keeps its
+            // samples and its first-ON levels follow the vector.
+            let phys = first_spare + j;
+            self.program_circuit_row(phys, &codes);
             self.sync_first_on(phys, &codes);
             let rv = self.verify_row(phys, &codes, policy)?;
             result.retries += rv.retries;
-            if rv.bad.len() <= policy.max_bad_cells_per_row {
-                self.spare_state[j] = SpareState::Assigned(row);
-                self.row_map[row] = RowHealth::Remapped { spare: phys };
-                result.spare = Some(phys);
-                return Ok(result);
+            let serves = rv.bad.len() <= policy.max_bad_cells_per_row;
+            if let Some(spare) = self.programmed_mut()?.spare_state.get_mut(j) {
+                *spare = if serves { SpareState::Assigned(row) } else { SpareState::Burned };
             }
-            self.spare_state[j] = SpareState::Burned;
+            if serves {
+                result.spare = Some(phys);
+                break;
+            }
             result.burned += 1;
         }
-        self.row_map[row] = RowHealth::Quarantined;
+        let health =
+            result.spare.map_or(RowHealth::Quarantined, |spare| RowHealth::Remapped { spare });
+        if let Some(slot) = self.programmed_mut()?.row_map.get_mut(row) {
+            *slot = health;
+        }
         Ok(result)
     }
 
@@ -1655,15 +1586,13 @@ impl FerexArray {
             None => {
                 let p = RepairPolicy::default();
                 self.repair = Some(p.clone());
-                self.invalidate_physical_state();
+                self.programmed = None;
                 p
             }
         };
         policy.validate()?;
-        if self.is_programmed() {
-            if let Some(report) = &self.program_report {
-                return Ok(report.clone());
-            }
+        if let Some(report) = self.program_report() {
+            return Ok(report.clone());
         }
         self.program();
         let cols = self.physical_cols();
@@ -1671,8 +1600,11 @@ impl FerexArray {
             ProgramReport { rows: self.len(), cells: self.len() * cols, ..Default::default() };
         if matches!(self.backend, Backend::Ideal) || self.is_empty() {
             // No physical state to verify: everything is trivially clean.
+            // An empty stochastic array holds no state to cache it in.
             report.cells_clean = report.cells;
-            self.program_report = Some(report.clone());
+            if let Some(state) = &mut self.programmed {
+                state.report = Some(report.clone());
+            }
             return Ok(report);
         }
         for r in 0..self.len() {
@@ -1712,42 +1644,43 @@ impl FerexArray {
             report.retries += rv.retries;
             report.sentinel_cells_failed += rv.failed;
         }
-        self.program_report = Some(report.clone());
+        self.programmed_mut()?.report = Some(report.clone());
         Ok(report)
     }
 
-    /// Every probe's readback of the probed rows: `readback[q][i]` is the
-    /// current (in `I_unit` multiples) probed row `i` — a physical row and
-    /// the codes it holds — sinks under the uniform codeword `q`, one
-    /// probe per stored symbol. `None` on the Ideal backend, which has no
-    /// physical state and reads back exactly the expectation.
+    /// Every probe's readback of the probed rows of the programmed
+    /// `state`: `readback[q][i]` is the current (in `I_unit` multiples)
+    /// probed row `i` — a physical row and the codes it holds — sinks under
+    /// the uniform codeword `q`, one probe per stored symbol. `None` on the
+    /// Ideal backend, which has no physical state and reads back exactly
+    /// the expectation.
     ///
     /// # Errors
     ///
-    /// [`FerexError::NotProgrammed`] when the backend's physical state is
-    /// missing; probe-validation errors from the drive encoding.
+    /// Probe-validation errors from the drive encoding.
     fn scrub_readback(
         &self,
+        state: &Programmed,
         probed: &[(usize, &[u8])],
     ) -> Result<Option<Vec<Vec<f64>>>, FerexError> {
         // lint:allow(cast-truncation/narrowing, reason = "q < n_stored, which fits u32 by construction")
         let probes: Vec<Vec<u32>> =
             (0..self.encoding.n_stored()).map(|q| vec![q as u32; self.dim]).collect();
-        match &self.backend {
-            Backend::Ideal => Ok(None),
-            Backend::Noisy(_) => {
-                self.noisy_units(probed.len(), |i| probed.get(i).copied(), &probes).map(Some)
+        match &state.cells {
+            Cells::Ideal => Ok(None),
+            Cells::Noisy { samples, first_on } => {
+                let row_at = |i| probed.get(i).copied();
+                let faults = &state.faults;
+                self.noisy_units(samples, first_on, faults, probed.len(), row_at, &probes).map(Some)
             }
-            Backend::Circuit(cfg) => {
+            Cells::Circuit(xb) => {
                 let i_unit = self.tech.i_unit().value();
-                let xb = self.crossbar.as_ref().ok_or(FerexError::NotProgrammed)?;
+                let options = self.config().map(|cfg| cfg.options).unwrap_or_default();
                 let readback = probes.iter().map(|probe| {
                     let drives = self.drives_for(probe)?;
                     Ok(probed
                         .iter()
-                        .map(|&(phys, _)| {
-                            xb.row_current(phys, &drives, &cfg.options).value() / i_unit
-                        })
+                        .map(|&(phys, _)| xb.row_current(phys, &drives, &options).value() / i_unit)
                         .collect())
                 });
                 readback.collect::<Result<Vec<Vec<f64>>, FerexError>>().map(Some)
@@ -1804,10 +1737,8 @@ impl FerexArray {
     /// the analog delay model — the scrub path never reads a wall clock,
     /// so scrub reports are bit-reproducible across runs and machines.
     fn probe_delay_seconds(&self) -> f64 {
-        let (lta, wire) = match &self.backend {
-            Backend::Ideal => (LtaParams::ideal(), WireParams::default()),
-            Backend::Circuit(cfg) | Backend::Noisy(cfg) => (cfg.lta, cfg.wire),
-        };
+        let ideal = || (LtaParams::ideal(), WireParams::default());
+        let (lta, wire) = self.config().map_or_else(ideal, |cfg| (cfg.lta, cfg.wire));
         let model = DelayModel { lta, wire, ..DelayModel::default() };
         model.search_delay(1, self.physical_cols().max(1)).total().value()
     }
@@ -1825,19 +1756,16 @@ impl FerexArray {
     /// [`FerexError::NotProgrammed`] on a stale array,
     /// [`FerexError::Empty`] when nothing is stored.
     pub fn scrub(&mut self) -> Result<ScrubReport, FerexError> {
-        self.require_programmed()?;
         if self.is_empty() {
             return Err(FerexError::Empty);
         }
+        self.programmed()?;
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
             spare_rows: 0,
             sentinel_rows: 0,
             ..Default::default()
         });
         policy.validate()?;
-        if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.len()];
-        }
         // Every active logical row, then every sentinel, read back in one
         // probe pass.
         let sentinel_codes: Vec<Vec<u8>> =
@@ -1853,7 +1781,7 @@ impl FerexArray {
                 .map(|(j, c)| (self.sentinel_phys(j), self.len() + j, c.as_slice())),
         );
         let rows: Vec<(usize, &[u8])> = probed.iter().map(|&(phys, _, c)| (phys, c)).collect();
-        let readback = self.scrub_readback(&rows)?;
+        let readback = self.scrub_readback(self.programmed()?, &rows)?;
         let mut findings: Vec<ScrubFinding> = Vec::new();
         let mut sentinel_findings = 0usize;
         for (i, &(_, row_id, codes)) in probed.iter().enumerate() {
@@ -1917,19 +1845,17 @@ impl FerexArray {
         if row >= self.len() {
             return Err(FerexError::InvalidPolicy { what: "quarantined row is out of range" });
         }
-        self.require_programmed()?;
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
             spare_rows: 0,
             sentinel_rows: 0,
             ..Default::default()
         });
-        if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.len()];
-        }
-        let res = self.quarantine_internal(row, &policy)?;
-        match res.spare {
+        match self.quarantine_internal(row, &policy)?.spare {
             Some(phys) => Ok(phys),
-            None => Err(FerexError::SparesExhausted { row, spares: self.spare_state.len() }),
+            None => {
+                let spares = self.programmed()?.spare_state.len();
+                Err(FerexError::SparesExhausted { row, spares })
+            }
         }
     }
 }
@@ -1972,7 +1898,7 @@ impl FerexArray {
             self.codes.push_row(&zeros);
         }
         self.mutation = Some(state);
-        self.invalidate_physical_state();
+        self.programmed = None;
         Ok(())
     }
 
@@ -2056,8 +1982,8 @@ impl FerexArray {
     /// # Errors
     ///
     /// [`FerexError::VerifyFailed`] under a strict repair policy;
-    /// [`FerexError::NotProgrammed`] when the physical state vanished
-    /// mid-write.
+    /// [`FerexError::NotProgrammed`] for a cell outside the programmed
+    /// cells.
     fn mutation_write_slot(&mut self, slot: usize) -> Result<(), FerexError> {
         let Some(m) = self.mutation.as_mut() else {
             return Err(FerexError::InvalidPolicy {
@@ -2065,17 +1991,17 @@ impl FerexArray {
             });
         };
         m.bump_cycles(slot);
+        let Some(state) = &mut self.programmed else {
+            return Ok(());
+        };
         // Whatever verify report was cached describes the pre-mutation
         // contents.
-        self.program_report = None;
-        if !self.is_programmed() {
-            return Ok(());
-        }
+        state.report = None;
         // The Ideal backend has no physical state, and the Noisy backend
         // reads the stored codes against persistent per-cell samples: for
         // both, the committed code row (with the first-ON levels
         // `write_slot` re-derived from it) *is* the write.
-        if matches!(self.backend, Backend::Ideal) {
+        if matches!(state.cells, Cells::Ideal) {
             return Ok(());
         }
         let Some(phys) = self.phys_for_slot(slot) else {
@@ -2083,27 +2009,9 @@ impl FerexArray {
             // no physical target and the row stays excluded from search.
             return Ok(());
         };
-        if let Backend::Circuit(_) = &self.backend {
-            let plan = self.plan();
-            let mut xb = self.crossbar.take().ok_or(FerexError::NotProgrammed)?;
-            program_crossbar_row(
-                &mut xb,
-                &self.tech,
-                &self.encoding,
-                &plan,
-                self.fault_map.as_deref(),
-                self.aged_vth.as_deref(),
-                phys,
-                self.codes.row(slot).unwrap_or_default(),
-            );
-            self.crossbar = Some(xb);
-        }
+        let codes = self.codes.row(slot).unwrap_or_default().to_vec();
+        self.program_circuit_row(phys, &codes);
         if let Some(policy) = self.repair.clone() {
-            if self.row_map.is_empty() {
-                self.row_map = vec![RowHealth::Healthy; self.len()];
-                self.spare_state = vec![SpareState::Free; self.spares()];
-            }
-            let codes = self.codes.row(slot).unwrap_or_default().to_vec();
             let rv = self.verify_row(phys, &codes, &policy)?;
             if rv.bad.len() > policy.max_bad_cells_per_row {
                 if policy.strict {
@@ -2221,7 +2129,9 @@ impl FerexArray {
         };
         m.set_slot(slot, SlotState::Dead);
         // The cached verify report counted this row live.
-        self.program_report = None;
+        if let Some(state) = &mut self.programmed {
+            state.report = None;
+        }
         self.maybe_auto_compact();
         Ok(())
     }
@@ -2242,7 +2152,9 @@ impl FerexArray {
             self.write_slot(i, None);
         }
         if report.reclaimed > 0 {
-            self.program_report = None;
+            if let Some(state) = &mut self.programmed {
+                state.report = None;
+            }
         }
         report
     }
@@ -2334,8 +2246,82 @@ struct RemapResult {
     retries: usize,
 }
 
-/// The voltages a `Noisy` first-ON derivation compares.
-struct Ladder {
+impl Programmed {
+    /// The one builder of a programming's repair map, run by its first
+    /// quarantine: the row map of `rows` logical rows, every one healthy,
+    /// and the table of `spares` spare rows, every one free — always
+    /// together. Until then the empty map reads as every row healthy.
+    fn build_repair_map(&mut self, rows: usize, spares: usize) {
+        if self.row_map.is_empty() {
+            self.row_map = vec![RowHealth::Healthy; rows];
+            self.spare_state = vec![SpareState::Free; spares];
+        }
+    }
+}
+
+impl Cells {
+    /// Commits a trim of `dv` volts onto the threshold of the cell at
+    /// (`phys`, `col`), in rows of `cols` cells: the net effect of the
+    /// retry pulses a write-verify loop spent.
+    ///
+    /// # Errors
+    ///
+    /// [`FerexError::NotProgrammed`] for a crossbar cell outside the array.
+    fn trim(&mut self, cols: usize, phys: usize, col: usize, dv: Volt) -> Result<(), FerexError> {
+        match self {
+            Cells::Ideal => {}
+            Cells::Noisy { samples, .. } => {
+                if let Some(s) = samples.get_mut(phys * cols + col) {
+                    s.dvth += dv;
+                }
+            }
+            Cells::Circuit(xb) => {
+                let tech = xb.tech().clone();
+                let cell = xb.cell_mut(phys, col).ok_or(FerexError::NotProgrammed)?;
+                let fe = cell.fefet_mut().ferroelectric_mut();
+                let base = tech.vth_from_polarization(fe.polarization());
+                fe.set_polarization(tech.polarization_for_vth(base + dv));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Faults {
+    /// One programmed `Noisy` cell's electrical state: its threshold
+    /// (`None`: it never conducts) and its resistor factor. With the
+    /// overlay materialized this is [`FaultPlan::effective_cell`] of the
+    /// cell's fault, aged level and sample; without, `vth_level(level) +
+    /// ΔV_th` and the sample's own `r_factor`. Neither reads the gate, so
+    /// once programmed, a cell's response to every drive is fixed.
+    fn cell(
+        &self,
+        tech: &Technology,
+        plan: &FaultPlan,
+        index: usize,
+        level: usize,
+        sample: &DeviceSample,
+    ) -> EffectiveCell {
+        match (&self.map, &self.aged) {
+            (Some(map), Some(aged)) => {
+                let fault = map.get(index).copied().unwrap_or(CellFault::None);
+                plan.effective_cell(tech, fault, aged, level, sample)
+            }
+            _ => EffectiveCell {
+                vth: Some(tech.vth_level(level) + sample.dvth),
+                r_factor: sample.r_factor,
+            },
+        }
+    }
+}
+
+/// What a `Noisy` first-ON derivation compares and reads: the gate
+/// ladder, each stored level's fresh threshold, and the technology,
+/// encoding and fault plan that place a programmed cell's threshold.
+struct Ladder<'a> {
+    tech: &'a Technology,
+    encoding: &'a CellEncoding,
+    plan: FaultPlan,
     /// The search ladder: `search_voltage(j)` for `j ∈ 0..=n_vth_levels`,
     /// rising in `j`.
     gates: Vec<Volt>,
@@ -2343,7 +2329,59 @@ struct Ladder {
     fresh: Vec<Volt>,
 }
 
-impl Ladder {
+impl<'a> Ladder<'a> {
+    fn new(tech: &'a Technology, encoding: &'a CellEncoding, plan: FaultPlan) -> Self {
+        debug_assert!(tech.n_vth_levels < usize::from(NEVER_ON), "first-ON levels are bytes");
+        Ladder {
+            tech,
+            encoding,
+            plan,
+            gates: (0..=tech.n_vth_levels).map(|j| tech.search_voltage(j)).collect(),
+            fresh: (0..tech.n_vth_levels).map(|i| tech.vth_level(i)).collect(),
+        }
+    }
+
+    /// Derives the first-ON level of every cell of the physical row whose
+    /// first cell is `row_base`, programmed with `codes`, into `out` (one
+    /// byte per cell), from the row's variation `samples` and the fault
+    /// overlay: the smallest `j` with `gates[j] > V_th`, or [`NEVER_ON`].
+    ///
+    /// Exact, because the ladder rises with `j`: the gates at or below
+    /// `V_th` are a prefix of it, so their count is that smallest `j` (see
+    /// [`Ladder::first_on`]), and for every gate level `g`, `g ≥ first_on`
+    /// holds exactly when `search_voltage(g) > V_th`, the float comparison
+    /// that defines the cell's conduction.
+    fn derive_row(
+        &self,
+        faults: &Faults,
+        samples: &[DeviceSample],
+        row_base: usize,
+        codes: &[u8],
+        out: &mut [u8],
+    ) {
+        let k = self.encoding.k;
+        let faulted = faults.map.is_some() && faults.aged.is_some();
+        let cells = samples.chunks(k).zip(out.chunks_mut(k)).zip(codes);
+        for (d, ((cell_samples, cell_out), &s)) in cells.enumerate() {
+            let Some(st) = self.encoding.stored.get(usize::from(s)) else { continue };
+            let fets = st.vth_levels.iter().zip(cell_samples).zip(cell_out);
+            for (f, ((&level, sample), first_on)) in fets.enumerate() {
+                *first_on = if faulted {
+                    let index = row_base + d * k + f;
+                    let vth = faults.cell(self.tech, &self.plan, index, level, sample).vth;
+                    vth.map_or(NEVER_ON, |vth| self.first_on(vth, level))
+                } else {
+                    // `Faults::cell`'s `vth_level(level) + ΔV_th`, from the
+                    // cached levels.
+                    match self.fresh.get(level) {
+                        Some(&fresh) => self.first_on(fresh + sample.dvth, level),
+                        None => NEVER_ON,
+                    }
+                };
+            }
+        }
+    }
+
     /// The first-ON level of a cell with threshold `vth` stored at
     /// `level`: the count of gates at or below `vth` (a prefix, as the
     /// ladder rises), or [`NEVER_ON`] when every gate is. A threshold that
@@ -2396,67 +2434,6 @@ fn lane_sums(table: &[[f64; NOISY_BLOCK_ROWS]], terms: &[usize]) -> [f64; NOISY_
         }
     }
     sums
-}
-
-/// Programs one physical crossbar row with the encoding of `codes`,
-/// applying the row's fault-map entries and aging — the single definition
-/// used for logical rows, sentinels, and spare bring-up, so all three see
-/// identical device behavior.
-#[allow(clippy::too_many_arguments)]
-fn program_crossbar_row(
-    xb: &mut Crossbar,
-    tech: &Technology,
-    encoding: &CellEncoding,
-    plan: &FaultPlan,
-    fault_map: Option<&[CellFault]>,
-    aged: Option<&[Volt]>,
-    phys_row: usize,
-    codes: &[u8],
-) {
-    let k = encoding.k;
-    let cols = codes.len() * k;
-    // lint:allow(panic-safety/index, reason = "codes are validated against the encoding before programming; f < k and stored encodings carry exactly k levels")
-    for (d, &s) in codes.iter().enumerate() {
-        let st = &encoding.stored[usize::from(s)];
-        for f in 0..k {
-            let col = d * k + f;
-            let level = st.vth_levels[f];
-            let fault = fault_map
-                .and_then(|m| m.get(phys_row * cols + col))
-                .copied()
-                .unwrap_or(CellFault::None);
-            match fault {
-                CellFault::None | CellFault::ResistorShort => {
-                    xb.program(phys_row, col, level);
-                    if let Some(aged) = aged {
-                        // Aging moves the written polarization; the
-                        // device's own ΔVth stays intact.
-                        let vth = aged.get(level).copied().unwrap_or_else(|| tech.vth_level(level));
-                        let p = tech.polarization_for_vth(vth);
-                        if let Some(cell) = xb.cell_mut(phys_row, col) {
-                            cell.fefet_mut().ferroelectric_mut().set_polarization(p);
-                        }
-                    }
-                    if fault == CellFault::ResistorShort {
-                        if let Some(cell) = xb.cell_mut(phys_row, col) {
-                            cell.scale_resistance(plan.short_residual_r);
-                        }
-                    }
-                }
-                // Stuck fully set: conducts as the lowest level.
-                CellFault::StuckAtLowVth => xb.program(phys_row, col, 0),
-                // Stuck fully reset: the erased state sits above every
-                // search level, so leave the fresh cell.
-                CellFault::StuckAtHighVth => {}
-                CellFault::ResistorOpen => {
-                    xb.program(phys_row, col, level);
-                    if let Some(cell) = xb.cell_mut(phys_row, col) {
-                        cell.scale_resistance(OPEN_RESISTANCE_SCALE);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2760,22 +2737,54 @@ mod tests {
         Backend::Noisy(Box::new(CircuitConfig { seed, ..Default::default() }))
     }
 
+    /// The error of each entry point that reaches the programmed state, in
+    /// this order: the four reads, a scrub, and a quarantine of row 0.
+    fn entry_point_errors(a: &mut FerexArray) -> Vec<Option<FerexError>> {
+        let q = [vec![0, 1, 2, 3]];
+        let adc = ferex_analog::adc::AdcParams::default();
+        vec![
+            a.distances_batch(&q).err(),
+            a.search_batch_at(&q, &[0]).err(),
+            a.search_k_batch_at(&q, 1, &[0]).err(),
+            a.read_digital(&q[0], &adc, 1).err(),
+            a.scrub().err(),
+            a.quarantine_row(0).err(),
+        ]
+    }
+
     #[test]
     fn stale_stochastic_state_is_rejected_until_programmed() {
-        let mut a = hamming_array(4, noisy_cfg(11));
+        let cfg = faulty_cfg(FaultPlan::none(), 11);
+        let served = [vec![None; 5], vec![Some(FerexError::SparesExhausted { row: 0, spares: 0 })]];
+        let served = served.concat();
+        for backend in [Backend::Noisy(Box::new(cfg.clone())), Backend::Circuit(Box::new(cfg))] {
+            let mut a = hamming_array(4, backend.clone());
+            // An empty array is never stale: the reads and the scrub find
+            // nothing stored, and row 0 is out of range.
+            let out_of_range =
+                FerexError::InvalidPolicy { what: "quarantined row is out of range" };
+            let empty = [vec![Some(FerexError::Empty); 5], vec![Some(out_of_range)]].concat();
+            assert_eq!(entry_point_errors(&mut a), empty, "{backend:?}");
+            a.store(vec![0, 1, 2, 3]).unwrap();
+            let stale = vec![Some(FerexError::NotProgrammed); 6];
+            assert_eq!(entry_point_errors(&mut a), stale, "{backend:?}");
+            assert!(!a.is_programmed());
+            a.program();
+            assert!(a.is_programmed());
+            // Without a repair policy the quarantine finds no spare.
+            assert_eq!(entry_point_errors(&mut a), served, "{backend:?}");
+            // Any write re-stales the state…
+            a.store(vec![3, 3, 3, 3]).unwrap();
+            assert_eq!(entry_point_errors(&mut a), stale, "{backend:?}");
+            // …and program() is idempotent once re-run.
+            a.program();
+            a.program();
+            assert!(a.search_k_batch_at(&[vec![0; 4]], 2, &[0]).is_ok());
+        }
+        // A never-programmed Ideal array serves all six.
+        let mut a = hamming_array(4, Backend::Ideal);
         a.store(vec![0, 1, 2, 3]).unwrap();
-        assert_eq!(a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]), Err(FerexError::NotProgrammed));
-        assert!(!a.is_programmed());
-        a.program();
-        assert!(a.is_programmed());
-        assert!(a.search_batch_at(&[vec![0, 1, 2, 3]], &[0]).is_ok());
-        // Any mutation re-stales the state…
-        a.store(vec![3, 3, 3, 3]).unwrap();
-        assert_eq!(a.distances_batch(&[vec![0; 4]]), Err(FerexError::NotProgrammed));
-        // …and program() is idempotent once re-run.
-        a.program();
-        a.program();
-        assert!(a.search_k_batch_at(&[vec![0; 4]], 2, &[0]).is_ok());
+        assert_eq!(entry_point_errors(&mut a), served);
     }
 
     #[test]
@@ -3189,6 +3198,38 @@ mod tests {
         assert!((0..6).all(|r| a.row_health(r) == RowHealth::Healthy));
         // The last row is in range.
         assert!(a.quarantine_row(5).is_ok());
+    }
+
+    #[test]
+    fn an_ideal_array_spares_rows_without_being_programmed() {
+        // Four rows under the default policy's two spares: the pool serves
+        // the first quarantine whether or not program() ever ran.
+        let build = || {
+            let mut a = hamming_array(4, Backend::Ideal);
+            a.set_repair_policy(RepairPolicy::default()).unwrap();
+            a.store_all(stored_rows(4).into_iter().take(4)).unwrap();
+            a
+        };
+        let fresh = build();
+        let mut scrubbed = build();
+        scrubbed.scrub().unwrap();
+        // A write to a programmed array drops its spare table with the rest
+        // of the state; the fifth row moves the spares to rows 5 and 6.
+        let mut rewritten = build();
+        rewritten.program();
+        rewritten.store(vec![3, 3, 3, 3]).unwrap();
+        for (mut a, spare) in [(fresh, 4), (scrubbed, 4), (rewritten, 5)] {
+            assert_eq!(a.health().spare_rows, 2);
+            assert_eq!(a.quarantine_row(1), Ok(spare));
+            assert_eq!(a.row_health(1), RowHealth::Remapped { spare });
+            let h = a.health();
+            assert_eq!((h.spare_rows, h.spares_in_use, h.rows_remapped_now), (2, 1, 1));
+            // program() keeps the remap, and the remapped row still serves.
+            a.program();
+            assert_eq!(a.row_health(1), RowHealth::Remapped { spare });
+            let row = a.row_vector(1).unwrap();
+            assert_eq!(a.search_batch_at(&[row], &[0]).unwrap()[0].nearest, 1);
+        }
     }
 
     #[test]
@@ -3611,12 +3652,15 @@ mod tests {
         /// Cell `index`'s threshold and resistor factor, programmed to
         /// `level`, straight from its sample and fault state.
         fn reference_cell(a: &FerexArray, index: usize, level: usize) -> EffectiveCell {
-            let (Some(samples), Backend::Noisy(cfg)) = (a.noisy_samples.as_deref(), &a.backend)
+            let (
+                Some(Programmed { cells: Cells::Noisy { samples, .. }, faults, .. }),
+                Backend::Noisy(cfg),
+            ) = (&a.programmed, &a.backend)
             else {
                 panic!("the reference reads a programmed Noisy array");
             };
             let sample = &samples[index];
-            match (&a.fault_map, &a.aged_vth) {
+            match (&faults.map, &faults.aged) {
                 (Some(map), Some(aged)) => {
                     cfg.faults.effective_cell(&a.tech, map[index], aged, level, sample)
                 }
@@ -3642,7 +3686,11 @@ mod tests {
         /// derivation: the first ladder level whose gate voltage exceeds the
         /// cell's threshold.
         fn assert_levels_fresh(a: &FerexArray) {
-            let levels = a.first_on.as_deref().expect("a programmed Noisy array keeps levels");
+            let Some(Programmed { cells: Cells::Noisy { first_on: levels, .. }, .. }) =
+                &a.programmed
+            else {
+                panic!("a programmed Noisy array keeps levels");
+            };
             let ladder: Vec<Volt> =
                 (0..=a.tech.n_vth_levels).map(|j| a.tech.search_voltage(j)).collect();
             let (k, cols) = (a.encoding.k, a.physical_cols());
@@ -3669,8 +3717,10 @@ mod tests {
             let rows = reachable_rows(a);
             let probed: Vec<(usize, &[u8])> =
                 rows.iter().map(|(p, c)| (*p, c.as_slice())).collect();
-            let readback =
-                a.scrub_readback(&probed).expect("programmed").expect("Noisy reads back");
+            let readback = a
+                .scrub_readback(a.programmed().expect("programmed"), &probed)
+                .expect("valid probes")
+                .expect("Noisy reads back");
             for (q, units) in readback.iter().enumerate() {
                 let probe = vec![q as u32; DIM];
                 for (&(phys, codes), &got) in probed.iter().zip(units) {
