@@ -53,6 +53,7 @@ use crate::health::{
     ScrubFinding, ScrubReport, SpareState,
 };
 use crate::mutate::{CompactionReport, MutationPolicy, MutationState, SlotState, WearSummary};
+use crate::replica::replicate_backend;
 use crate::soa::{self, SoaCodes};
 use ferex_analog::crossbar::{ArrayOptions, ColumnDrive, Crossbar};
 use ferex_analog::delay::DelayModel;
@@ -67,6 +68,7 @@ use ferex_fefet::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Domain-separation salt for per-query sensing streams, keeping them
 /// disjoint from the other seed derivations that feed the same mixer.
@@ -186,11 +188,13 @@ pub struct FerexArray {
     encoding: CellEncoding,
     dim: usize,
     backend: Backend,
-    /// The stored vectors — the array's only copy of them: one `u8` code
-    /// per symbol in one contiguous `rows × dim` buffer, written by every
-    /// mutator and read by every kernel, plus the bit-planes the popcount
-    /// kernel packs on first use and the mutators keep in sync.
-    codes: SoaCodes,
+    /// The stored vectors: one `u8` code per symbol in one contiguous
+    /// `rows × dim` buffer, read by every kernel, plus the bit-planes the
+    /// first Ideal read packs and the mutators keep in sync. Shared with
+    /// every clone and replica of this array until one of them writes:
+    /// each writer goes through `Arc::make_mut`, which copies first when
+    /// the buffer is shared.
+    codes: Arc<SoaCodes>,
     /// Generator consumed by [`FerexArray::program`] (variation sampling):
     /// a re-programming continues its stream.
     program_rng: StdRng,
@@ -276,12 +280,27 @@ impl FerexArray {
             encoding,
             dim,
             backend,
-            codes: SoaCodes::new(dim, plane_bits),
+            codes: Arc::new(SoaCodes::new(dim, plane_bits)),
             program_rng: StdRng::seed_from_u64(seed),
             repair: None,
             counters: HealthCounters::default(),
             mutation: None,
             programmed: None,
+        }
+    }
+
+    /// Replica `i` of this array: the same durable record (the codes,
+    /// shared until a holder writes, the encoding, the repair policy and
+    /// the slot table) on [`replicate_backend`]'s re-seeded backend, with
+    /// a programming generator from that seed, fresh health counters and
+    /// no programmed state.
+    pub(crate) fn replica(&self, i: u64) -> FerexArray {
+        let backend = replicate_backend(&self.backend, i);
+        FerexArray {
+            codes: Arc::clone(&self.codes),
+            repair: self.repair.clone(),
+            mutation: self.mutation.clone(),
+            ..FerexArray::new(self.tech.clone(), self.encoding.clone(), self.dim, backend)
         }
     }
 
@@ -345,7 +364,10 @@ impl FerexArray {
                 return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
             }
         }
-        self.codes.set_plane_bits(soa::plane_bits(&encoding));
+        let bits = soa::plane_bits(&encoding);
+        if bits != self.codes.plane_shape().0 {
+            Arc::make_mut(&mut self.codes).set_plane_bits(bits);
+        }
         self.encoding = encoding;
         self.programmed = None;
         Ok(())
@@ -485,7 +507,7 @@ impl FerexArray {
             });
         }
         self.validate(&vector)?;
-        self.codes.push_row(&vector);
+        Arc::make_mut(&mut self.codes).push_row(&vector);
         self.programmed = None; // re-program lazily
         Ok(())
     }
@@ -501,42 +523,11 @@ impl FerexArray {
         Ok(())
     }
 
-    /// Replaces the stored rows with a copy of `source`'s, code buffer to
-    /// code buffer (the bit-planes come along when `source` has built them
-    /// at this array's width): how a replica is built, with no row widened
-    /// to `u32` and re-narrowed. The codes are checked against this array's
-    /// alphabet in one pass over the bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`FerexError::DimensionMismatch`] or [`FerexError::SymbolOutOfRange`]
-    /// when `source` holds rows this array cannot;
-    /// [`FerexError::InvalidPolicy`] on a mutation-enabled array. The array
-    /// is unchanged on error.
-    pub(crate) fn copy_rows_from(&mut self, source: &FerexArray) -> Result<(), FerexError> {
-        if self.mutation.is_some() {
-            return Err(FerexError::InvalidPolicy {
-                what: "positional store on a mutation-enabled array; use insert(id, vector)",
-            });
-        }
-        if source.dim != self.dim {
-            return Err(FerexError::DimensionMismatch { expected: self.dim, got: source.dim });
-        }
-        let n_values = self.n_codes();
-        if let Some(c) = soa::first_out_of_range(source.codes.as_slice(), n_values) {
-            return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
-        }
-        self.codes = source.codes.clone();
-        self.codes.set_plane_bits(soa::plane_bits(&self.encoding));
-        self.programmed = None;
-        Ok(())
-    }
-
     /// Clears all stored vectors. On a mutation-enabled array this also
     /// drops the slot table and wear counters — the array reverts to the
     /// positional-mutator lifecycle.
     pub fn clear(&mut self) {
-        self.codes.clear();
+        self.codes = Arc::new(SoaCodes::new(self.dim, self.codes.plane_shape().0));
         self.mutation = None;
         self.programmed = None;
     }
@@ -955,9 +946,10 @@ impl FerexArray {
     /// and keeps the first-ON levels of the physical row serving the slot
     /// in step.
     fn write_slot(&mut self, slot: usize, vector: Option<&[u32]>) {
+        let codes = Arc::make_mut(&mut self.codes);
         match vector {
-            Some(v) => self.codes.set_row(slot, v),
-            None => self.codes.zero_row(slot),
+            Some(v) => codes.set_row(slot, v),
+            None => codes.zero_row(slot),
         }
         if !matches!(self.programmed, Some(Programmed { cells: Cells::Noisy { .. }, .. })) {
             return;
@@ -1895,7 +1887,7 @@ impl FerexArray {
         let state = MutationState::new(policy, self.len());
         let zeros = vec![0u32; self.dim];
         while self.len() < policy.capacity {
-            self.codes.push_row(&zeros);
+            Arc::make_mut(&mut self.codes).push_row(&zeros);
         }
         self.mutation = Some(state);
         self.programmed = None;
@@ -2580,29 +2572,66 @@ mod tests {
     }
 
     #[test]
-    fn copied_rows_equal_stored_rows() {
-        let mut source = hamming_array(3, Backend::Ideal);
-        source.store_all([vec![0, 3, 1], vec![2, 2, 2]]).unwrap();
-        source.distances_batch(&[vec![0, 0, 0]]).unwrap(); // builds the bit-planes
-        let mut copy = hamming_array(3, noisy_cfg(1));
-        copy.copy_rows_from(&source).unwrap();
-        assert_eq!(rows(&copy), rows(&source));
-        assert_eq!(copy.soa_codes().cached_planes(), source.soa_codes().cached_planes());
-        assert!(!copy.is_programmed(), "a copy re-stales the physical state");
-        // The copy checks the rows against its own shape and alphabet.
-        let mut narrow = hamming_array(2, Backend::Ideal);
-        assert_eq!(
-            narrow.copy_rows_from(&source),
-            Err(FerexError::DimensionMismatch { expected: 2, got: 3 })
-        );
+    fn replicas_share_the_engine_codes_until_each_writes() {
+        use crate::replica::{ReplicaPolicy, ReplicaSet};
+        use crate::Ferex;
+        // Binary codes, so the engine can narrow to a 1-bit encoding.
+        let binary = |seed: u32| (0..70).map(|d| (d * 7 + seed) % 3 % 2).collect::<Vec<u32>>();
+        let mut engine = Ferex::builder().dim(70).build().expect("builds");
+        engine.store_all((0..5).map(binary)).unwrap();
+        let mut set = engine.replica_set(2, ReplicaPolicy::default()).expect("replicates");
+        let shared = |a: &FerexArray, b: &FerexArray| std::ptr::eq(a.soa_codes(), b.soa_codes());
+        assert!(shared(engine.array(), set.replica(0)) && shared(engine.array(), set.replica(1)));
+        assert!(engine.array().soa_codes().cached_planes().is_none(), "nothing packs at set-up");
+        let queries = [binary(7), binary(8)];
+        set.replica(0).search_batch_at(&queries, &[0, 1]).unwrap();
+        for a in [engine.array(), set.replica(0), set.replica(1)] {
+            assert!(a.soa_codes().cached_planes().is_some(), "one read packs for every holder");
+        }
+        // What a holder reads: its rows, its planes (packed by the read
+        // first, if a write dropped them) and its answers.
+        let view = |a: &FerexArray| {
+            let answers = a.distances_batch(&queries).unwrap();
+            (rows(a), a.soa_codes().cached_planes().map(<[u64]>::to_vec), answers)
+        };
+        // A write changes its own holder only: the other two read as their
+        // clones from before it, and the writer reads as a fresh array
+        // storing its new rows.
+        let only_writer_changed = |now: [&FerexArray; 3], before: &[FerexArray; 3], w: usize| {
+            for (i, (a, b)) in now.into_iter().zip(before).enumerate() {
+                if i == w {
+                    assert_ne!(view(a), view(b), "holder {i} wrote");
+                    let enc = a.encoding().clone();
+                    let mut fresh = FerexArray::new(Technology::default(), enc, 70, Backend::Ideal);
+                    fresh.store_all(rows(a)).unwrap();
+                    assert_eq!(view(a), view(&fresh), "holder {i} reads stale planes");
+                } else {
+                    assert_eq!(view(a), view(b), "holder {i} saw holder {w}'s write");
+                }
+            }
+        };
+        let clones = |engine: &Ferex, set: &ReplicaSet| {
+            [engine.array().clone(), set.replica(0).clone(), set.replica(1).clone()]
+        };
+
+        // Enabling mutation at the stored row count adds no row, so it
+        // shares on; the update then copies.
+        set.replica_mut(1).enable_mutation(MutationPolicy::with_capacity(5)).unwrap();
+        assert!(shared(engine.array(), set.replica(1)));
+        let before = clones(&engine, &set);
+        set.replica_mut(1).update_id(1, binary(9)).unwrap();
+        only_writer_changed([engine.array(), set.replica(0), set.replica(1)], &before, 2);
+
+        let before = clones(&engine, &set);
+        engine.array_mut().store(binary(10)).unwrap();
+        only_writer_changed([engine.array(), set.replica(0), set.replica(1)], &before, 0);
+
         let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 1);
         let one_bit = find_minimal_cell(&dm, &SizingOptions::default()).unwrap().encoding;
-        let mut binary = FerexArray::new(Technology::default(), one_bit, 3, Backend::Ideal);
-        assert_eq!(
-            binary.copy_rows_from(&source),
-            Err(FerexError::SymbolOutOfRange { value: 3, n_values: 2 })
-        );
-        assert!(binary.is_empty(), "a refused copy changes nothing");
+        let before = clones(&engine, &set);
+        engine.array_mut().reconfigure(one_bit).unwrap();
+        assert_eq!(engine.array().soa_codes().plane_shape().0, 1);
+        only_writer_changed([engine.array(), set.replica(0), set.replica(1)], &before, 0);
     }
 
     #[test]

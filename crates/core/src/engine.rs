@@ -13,7 +13,7 @@ use crate::encoding::{CellEncoding, EncodingLimits};
 use crate::error::FerexError;
 use crate::health::RepairPolicy;
 use crate::mutate::MutationPolicy;
-use crate::replica::{replicate_backend, ReplicaPolicy, ReplicaSet};
+use crate::replica::{ReplicaPolicy, ReplicaSet};
 use crate::sizing::{find_minimal_cell, SizingOptions, SizingReport};
 use ferex_analog::delay::{DelayBreakdown, DelayModel};
 use ferex_analog::energy::{EnergyBreakdown, EnergyModel};
@@ -144,6 +144,17 @@ impl FerexBuilder {
     }
 }
 
+/// Brings an array's physical state up to date for serving: a plain
+/// program without a repair policy, a verified one with.
+fn program_for_serving(array: &mut FerexArray) -> Result<(), FerexError> {
+    if array.repair_policy().is_some() {
+        array.program_verified()?;
+    } else {
+        array.program();
+    }
+    Ok(())
+}
+
 /// Sizing options consistent with a technology card.
 pub fn sizing_for(tech: &Technology) -> SizingOptions {
     SizingOptions {
@@ -249,12 +260,7 @@ impl Ferex {
     ///
     /// Verify errors under a strict repair policy.
     pub fn ensure_programmed(&mut self) -> Result<(), FerexError> {
-        if self.array.repair_policy().is_some() {
-            self.array.program_verified()?;
-        } else {
-            self.array.program();
-        }
-        Ok(())
+        program_for_serving(&mut self.array)
     }
 
     /// One associative search. Programs the array first if its physical
@@ -309,52 +315,28 @@ impl Ferex {
         self.array.insert(id, vector)
     }
 
-    /// Builds a [`ReplicaSet`] of `n` independently seeded copies of this
-    /// engine's array, each programmed with the current contents. Replica 0
-    /// keeps the engine's backend seed verbatim, so an `n = 1` set with the
-    /// default 1/1 quorum serves bit-identically to the engine itself; the
-    /// engine's repair policy (if any) is installed and write-verified on
-    /// every replica.
+    /// Builds a [`ReplicaSet`] of `n` independently seeded replicas of this
+    /// engine's array, each programmed as [`Ferex::ensure_programmed`]
+    /// programs the engine (write-verified under a repair policy). Every
+    /// replica starts from the array's stored record (its codes, shared
+    /// until a holder writes, its encoding, repair policy and slot table),
+    /// so building the set copies no rows. Replica 0 also keeps the
+    /// engine's backend seed verbatim, so an `n = 1` set with the default
+    /// 1/1 quorum serves bit-identically to the engine after any inserts,
+    /// updates and deletes. On a stochastic backend that holds while the
+    /// engine's cells are the first its seed draws: a positional write
+    /// re-programs the engine from later draws.
     ///
     /// # Errors
     ///
-    /// Store-validation or write-verify failures while building a replica;
-    /// as [`ReplicaSet::new`] (empty set, invalid policy).
+    /// Write-verify failures while programming a replica; as
+    /// [`ReplicaSet::new`] (empty set, invalid policy).
     pub fn replica_set(&self, n: usize, policy: ReplicaPolicy) -> Result<ReplicaSet, FerexError> {
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n as u64 {
-            let backend = replicate_backend(self.array.backend(), i);
-            let mut a = FerexArray::new(
-                self.tech.clone(),
-                self.report.encoding.clone(),
-                self.array.dim(),
-                backend,
-            );
-            if let Some(p) = self.array.repair_policy() {
-                a.set_repair_policy(p.clone())?;
-            }
-            if let Some(mp) = self.array.mutation_policy().copied() {
-                // Mutation-enabled engine: rebuild each replica by
-                // replaying the live ids in ascending order. Slot choices
-                // are pure functions of the op sequence, so every replica
-                // converges to the same slot table (not necessarily the
-                // engine's own, which reflects its full mutation history —
-                // the set is internally consistent, which is what the
-                // quorum and the digital fallback over replica 0 need).
-                a.enable_mutation(mp)?;
-                for id in self.array.live_ids() {
-                    let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?;
-                    a.insert(id, v)?;
-                }
-            } else {
-                a.copy_rows_from(&self.array)?;
-            }
-            if self.array.repair_policy().is_some() {
-                a.program_verified()?;
-            } else {
-                a.program();
-            }
-            replicas.push(a);
+            let mut replica = self.array.replica(i);
+            program_for_serving(&mut replica)?;
+            replicas.push(replica);
         }
         ReplicaSet::new(replicas, self.metric, policy)
     }

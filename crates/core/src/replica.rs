@@ -1522,4 +1522,25 @@ mod tests {
             assert!(oracle.distances[r].is_infinite(), "oracle scored slot {r}");
         }
     }
+
+    #[test]
+    fn a_churned_engine_and_its_one_replica_set_answer_alike() {
+        use crate::mutate::MutationPolicy;
+        let mut engine = Ferex::builder().dim(6).build().expect("builds");
+        engine.enable_mutation(MutationPolicy::with_capacity(8)).unwrap();
+        for (id, v) in vectors(4, 6).into_iter().enumerate() {
+            engine.insert(id as u64, v).unwrap();
+        }
+        // A leveled update moves id 2 to a free slot; the delete leaves a
+        // tombstone behind.
+        engine.array_mut().update_id(2, vec![1; 6]).unwrap();
+        engine.array_mut().delete(1).unwrap();
+        let mut set = engine.replica_set(1, ReplicaPolicy::default()).expect("replicates");
+        for id in engine.array().live_ids() {
+            assert_eq!(set.replica(0).slot_of(id), engine.array().slot_of(id), "id {id}");
+        }
+        let query = vec![1, 1, 1, 1, 0, 1];
+        let (served, _) = set.serve_batch_read(std::slice::from_ref(&query), &[0]).unwrap();
+        assert_eq!(served[0].outcome, engine.search(&query).unwrap());
+    }
 }

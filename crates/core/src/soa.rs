@@ -7,14 +7,17 @@
 //! second, row-per-allocation copy. This module owns:
 //!
 //! * [`first_out_of_range`] — the one symbol-range check, behind every
-//!   store, query, replica copy and reconfiguration.
+//!   store, query and reconfiguration.
 //! * [`SoaCodes`] — the `u8` code buffer, written by the array's mutators
 //!   and read by every kernel, plus the stored rows' packed bit-planes,
 //!   the one buffer every Ideal read scans. The planes are packed lazily,
 //!   on the first Ideal read; from then on each mutator re-packs only the
-//!   rows it touches. Storing, copying and programming rows never packs,
-//!   so building an array or a replica costs nothing here, and an array
-//!   that is never read on the Ideal backend (Noisy, Circuit) never
+//!   rows it touches. An array shares its buffer, planes included, with
+//!   its clones and replicas until one of them writes (the writer copies
+//!   it first), so the first Ideal read through any holder packs the
+//!   planes for all of them. Storing and programming rows never packs,
+//!   so building an array or a replica set costs nothing here, and an
+//!   array that is never read on the Ideal backend (Noisy, Circuit) never
 //!   allocates planes at all.
 //! * [`balanced_ranges`] — query-batch partitioning that hands every
 //!   worker a chunk (sizes differ by at most one), instead of the
@@ -144,20 +147,12 @@ impl SoaCodes {
         self.repack_row(r);
     }
 
-    /// Drops every row, and the planes with them.
-    pub(crate) fn clear(&mut self) {
-        self.codes.clear();
-        self.planes = OnceLock::new();
-    }
-
-    /// Sets the planes' bits per symbol, dropping built planes when the
-    /// width changes (a reconfiguration to another alphabet size). The
-    /// codes themselves do not depend on the width.
+    /// Sets the planes' bits per symbol and drops built planes (a
+    /// reconfiguration to another alphabet size). The codes themselves do
+    /// not depend on the width.
     pub(crate) fn set_plane_bits(&mut self, bits: u32) {
-        if bits != self.bits {
-            self.bits = bits;
-            self.planes = OnceLock::new();
-        }
+        self.bits = bits;
+        self.planes = OnceLock::new();
     }
 
     /// Bits per symbol and 64-symbol words per plane: one row's planes
@@ -525,9 +520,6 @@ mod tests {
         assert_eq!(soa.row(1), Some(&[9, 9, 9][..]));
         assert_eq!(soa.row(3), None);
         assert_eq!(soa.as_slice(), &[0, 1, 2, 9, 9, 9, 6, 7, 8]);
-        soa.clear();
-        assert!(soa.as_slice().is_empty());
-        assert_eq!(soa.rows(), 0);
     }
 
     #[test]
